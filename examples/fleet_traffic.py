@@ -57,8 +57,8 @@ def main(argv=None):
         "--requests", type=int, default=None, metavar="N",
         help="scale up with a seeded diurnal (day-curve) trace of N "
              "requests — volumes past a few thousand exercise the "
-             "orchestrator's bulk routing front end (default: the "
-             "400-request reference workload)")
+             "sites' per-epoch placement-estimate memos under load "
+             "(default: the 400-request reference workload)")
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 

@@ -9,8 +9,9 @@ parks or wakes whole devices:
   utilization; deterministic, since ticks land on the shared simulated
   clock);
 * sustained low utilization parks the highest-numbered *idle* online
-  device (``ClusterSimulator.set_device_online(False)`` drops its rail
-  to the retention voltage through
+  device (``FleetSite.set_device_online(False)``, which also re-keys
+  the site's estimate memo, drops its rail to the retention voltage
+  through
   :meth:`~repro.energy.DeviceEnergyModel.force_standby` — the park
   itself is a charged down-transition, and the eventual wake pays the
   full standby→nominal move, so scaling decisions carry their real
@@ -111,8 +112,8 @@ class FleetAutoscaler:
             parked = [a for a in accels if not a.online]
             if parked:
                 woken = min(parked, key=lambda a: a.accel_id)
-                site.sim.set_device_online(woken.accel_id, True,
-                                           now_ms=now_ms)
+                site.set_device_online(woken.accel_id, True,
+                                       now_ms=now_ms)
                 self.stats.wakes[site.site_id] = \
                     self.stats.wakes.get(site.site_id, 0) + 1
         elif ewma < self.low_utilization:
@@ -120,8 +121,8 @@ class FleetAutoscaler:
             idle = [a for a in online if a.idle]
             if len(online) > self.min_online and idle:
                 victim = max(idle, key=lambda a: a.accel_id)
-                site.sim.set_device_online(victim.accel_id, False,
-                                           now_ms=now_ms)
+                site.set_device_online(victim.accel_id, False,
+                                       now_ms=now_ms)
                 self.stats.parks[site.site_id] = \
                     self.stats.parks.get(site.site_id, 0) + 1
 

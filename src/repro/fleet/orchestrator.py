@@ -4,19 +4,21 @@
 :class:`~repro.cluster.ClusterSimulator` sites — each with its own
 event loop, accelerator pool, placement policy and optional power cap —
 under a single simulated clock. The merge rule is the whole trick:
-every step processes the earliest pending event across the fleet
-(site loops and the orchestrator's own routing/autoscaling loop), with
-ties broken site-events-first and then by site order, so a fleet run is
-exactly as deterministic as its parts: same seed + same trace ⇒
-bit-identical :class:`~repro.fleet.FleetReport`, regardless of the
-order the site configs were handed in (sites are canonicalized by
-``site_id``).
+events fire in global time order across the fleet (site loops, the
+sorted arrival columns and the orchestrator's own retry/autoscaling
+heap), with ties broken site-events-first and then by site order, so a
+fleet run is exactly as deterministic as its parts: same seed + same
+trace ⇒ bit-identical :class:`~repro.fleet.FleetReport`, regardless of
+the order the site configs were handed in (sites are canonicalized by
+``site_id``). One drive loop, :meth:`FleetOrchestrator._drain`,
+implements that order.
 
 Requests enter through the routing policy at their arrival instant
-(possibly deferred under budget shaping), are admitted to a site in
-site-local coordinates (:meth:`~repro.fleet.FleetSite.admit` charges
-the network legs against the compute slack), and complete back at the
-front-end one egress leg after their site completion. The optional
+(possibly deferred under budget shaping, then retried as
+:class:`RouteRequest` events), are admitted to a site in site-local
+coordinates (:meth:`~repro.fleet.FleetSite.admit` charges the network
+legs against the compute slack), and complete back at the front-end
+one egress leg after their site completion. The optional
 :class:`~repro.fleet.FleetAutoscaler` ticks on the same clock and
 parks/wakes whole devices per site.
 """
@@ -53,12 +55,9 @@ class AutoscaleTick:
 class FleetOrchestrator:
     """Deterministic multi-site serving: router → sites → devices."""
 
-    #: Valid front-end drive modes (see ``front_end`` in ``__init__``).
-    FRONT_ENDS = ("auto", "bulk", "event")
-
     def __init__(self, registry, site_configs, routing="energy",
                  autoscaler=None, tracer=None, metrics=None,
-                 monitor=None, health_routing=False, front_end="auto"):
+                 monitor=None, health_routing=False):
         site_configs = sorted(site_configs, key=lambda c: c.site_id)
         if not site_configs:
             raise FleetError("a fleet needs at least one site")
@@ -86,18 +85,6 @@ class FleetOrchestrator:
         #: sanctioned feedback path — the routing policy and the
         #: autoscaler read the monitor's live health scores.
         self.monitor = monitor
-        #: How arrivals reach the router. ``"event"`` schedules one
-        #: heap event per request (the per-event reference path);
-        #: ``"bulk"`` keeps the trace in sorted columns and routes runs
-        #: of arrivals between site-state-changing instants — same
-        #: decisions, same report, a fraction of the front-end cost.
-        #: ``"auto"`` means bulk (it is exact by construction; the knob
-        #: exists so equivalence tests and benches can pin either side).
-        if front_end not in self.FRONT_ENDS:
-            raise FleetError(
-                f"unknown front_end {front_end!r}; expected one of "
-                f"{self.FRONT_ENDS}")
-        self.front_end = front_end
         self.health_routing = bool(health_routing)
         if self.health_routing:
             if monitor is None:
@@ -135,31 +122,20 @@ class FleetOrchestrator:
         self._loop.on(AutoscaleTick, self._on_tick)
         self._routes = {}  # request_id -> (site_index, routed_ms)
         self._deferrals = 0
-        self._pending_front = 0  # bulk-mode arrivals not yet routed
-        self._ticked = False
 
-        bulk = self.front_end != "event"
-        if not bulk:
-            for request in requests:
-                self._loop.schedule(request.arrival_ms,
-                                    RouteRequest(request))
         if self.autoscaler is not None:
             first = min(r.arrival_ms for r in requests)
             self._loop.schedule(first + self.autoscaler.interval_ms,
                                 AutoscaleTick())
-        if bulk:
-            # Column intake: a stable argsort on the arrival instants
-            # reproduces exactly the heap's (time, seq) pop order, the
-            # seqs being trace positions.
-            column = np.fromiter((r.arrival_ms for r in requests),
-                                 dtype=np.float64, count=len(requests))
-            order = np.argsort(column, kind="stable")
-            arrivals = [requests[k] for k in order.tolist()]
-            times = column[order].tolist()
-            self._pending_front = len(arrivals)
-            self._drain_bulk(arrivals, times)
-        else:
-            self._drain()
+        # Column intake: a stable argsort on the arrival instants orders
+        # equal instants by trace position.
+        column = np.fromiter((r.arrival_ms for r in requests),
+                             dtype=np.float64, count=len(requests))
+        order = np.argsort(column, kind="stable")
+        arrivals = [requests[k] for k in order.tolist()]
+        times = column[order].tolist()
+        self._pending_front = len(arrivals)  # arrivals not yet routed
+        self._drain(arrivals, times)
         return self._finish(requests, started)
 
     # -- the merged clock --------------------------------------------------------
@@ -169,78 +145,30 @@ class FleetOrchestrator:
     #: defers forever) must raise, not hang.
     MAX_FLEET_EVENTS = 5_000_000
 
-    def _drain(self):
-        """Process every event fleet-wide in global time order.
+    def _drain(self, arrivals, times):
+        """Route the sorted arrivals and run every site to completion.
 
-        At equal instants, site events fire before front-end events
-        (work completing "by" *t* is visible to a routing decision *at*
-        *t*) and lower-indexed sites before higher — the canonical
-        order that makes runs replay bit-for-bit.
+        The fleet's one drive loop. Front-end instants come from two
+        sources: the sorted arrival columns and the heap of *dynamic*
+        front-end events (deferral retries, autoscaler ticks). An
+        original arrival wins an equal-instant tie against the heap, as
+        if it had been scheduled before anything else. At every
+        front-end instant *t*, each site first drains its own events
+        through *t* (:meth:`~repro.fleet.FleetSite.run_until`,
+        inclusive: work completing "by" *t* is visible to a routing
+        decision *at* *t*), in site order; then the front end acts once.
 
-        Sites only interact through front-end events (routing and
-        autoscaling; a site handler can never schedule onto another
-        site's loop), so between two front-end instants each site's
-        events are independent of every other's. That makes chunked
-        draining exact: instead of peeking every site per event, each
-        site free-runs through all its events up to the next front-end
-        instant (:meth:`~repro.fleet.FleetSite.run_until`, inclusive —
-        preserving the site-events-first tie rule), then the front-end
-        steps once. Site state read by the routing/autoscale handler is
-        identical either way, and the per-event merge cost — the old
-        hot loop on big replays — collapses to one call per site per
-        front-end event.
-        """
-        processed = 0
-        while True:
-            at = self._loop.peek_ms()
-            moved = 0
-            for site in self._sites:
-                moved += site.run_until(at)
-            processed += moved
-            if processed > self.MAX_FLEET_EVENTS:
-                raise FleetError(
-                    f"fleet loop exceeded {self.MAX_FLEET_EVENTS} "
-                    "events; likely a scheduling cycle or an "
-                    "ever-deferring routing policy")
-            if at is None:
-                if moved == 0:
-                    return
-                continue  # sites drained dry; confirm on the next pass
-            self._loop.step()
-            processed += 1
-            if processed > self.MAX_FLEET_EVENTS:
-                raise FleetError(
-                    f"fleet loop exceeded {self.MAX_FLEET_EVENTS} "
-                    "events; likely a scheduling cycle or an "
-                    "ever-deferring routing policy")
-
-    def _drain_bulk(self, arrivals, times):
-        """Route the sorted arrival columns without per-request events.
-
-        Semantically identical to scheduling one :class:`RouteRequest`
-        per request and running :meth:`_drain` — same merge order, same
-        tie rules, same decisions — but the heap only ever holds the
-        *dynamic* front-end events (autoscaler ticks, deferral
-        retries). Arrivals are consumed straight off the sorted
-        columns; original arrivals win every equal-instant tie against
-        heap events because their per-event seqs (trace positions,
-        assigned before anything else is scheduled) are always lower.
-
-        Between state-changing instants — site event commits,
-        autoscaler ticks — the scoring inputs are frozen, so runs of
-        arrivals are scored through the routing policy's epoch-memoized
-        bulk scorer when it offers one; the sequential feedback that
-        *does* move per admission (in-system counts, the time-decaying
-        budget headroom) is read live per request, exactly as the
-        per-event path reads it. Policies without a bulk scorer (and
-        affinity-pinned requests) route through the ordinary
-        :meth:`~repro.fleet.router.RoutingPolicy.route` call.
+        Sites only interact through front-end events (a site handler
+        can never schedule onto another site's loop), so free-running
+        each site between front-end instants replays exactly like
+        stepping every event fleet-wide in global time order. Each
+        arrival is routed through the policy's ordinary
+        :meth:`~repro.fleet.router.RoutingPolicy.route`; the sites keep
+        their placement estimates memoized per epoch, so a run of
+        arrivals between two site state changes is cheap.
         """
         loop = self._loop
         sites = self._sites
-        routing = self.routing
-        tracer = self.tracer
-        scorer = routing.bulk_scorer(sites)
         inf = math.inf
         n = len(arrivals)
         num_sites = len(sites)
@@ -259,8 +187,8 @@ class FleetOrchestrator:
             else:
                 at = heap_at
                 take_arrival = False
-            # Site events first at equal instants, as in _drain: every
-            # site drains through `at` before the front-end acts there.
+            # Site events first at equal instants: every site drains
+            # through `at` before the front end acts there.
             if at is None:
                 moved = 0
                 for j in range(num_sites):
@@ -268,8 +196,6 @@ class FleetOrchestrator:
                     if m:
                         moved += m
                         site_peeks[j] = inf
-                        if scorer is not None:
-                            scorer.refresh(j)
                 processed += moved
                 if processed > max_events:
                     self._raise_runaway()
@@ -278,63 +204,30 @@ class FleetOrchestrator:
                 continue  # sites drained dry; confirm on the next pass
             for j in range(num_sites):
                 if site_peeks[j] <= at:
-                    m = sites[j].run_until(at)
-                    processed += m
+                    processed += sites[j].run_until(at)
                     p = sites[j].peek_ms()
                     site_peeks[j] = inf if p is None else p
-                    if m and scorer is not None:
-                        scorer.refresh(j)
             if processed > max_events:
                 self._raise_runaway()
             if not take_arrival:
                 # A deferral retry or an autoscaler tick: both may move
-                # site state under the scorer (an admission's ingress,
-                # a park/wake), so re-read every peek afterwards and
-                # invalidate the scorer's epochs on a tick.
-                self._ticked = False
+                # site state (an admission's ingress, a park/wake), so
+                # re-read every peek afterwards.
                 loop.step()
                 processed += 1
                 site_peeks = [inf if p is None else p
                               for p in (s.peek_ms() for s in sites)]
-                if self._ticked and scorer is not None:
-                    scorer.invalidate_all()
                 if processed > max_events:
                     self._raise_runaway()
                 continue
             request = arrivals[i]
             i += 1
             self._pending_front -= 1
-            if scorer is not None and request.site is None:
-                decision = scorer.route(request, at)
-            else:
-                decision = routing.route(request, sites, at)
-            if decision.deferred:
-                if decision.retry_ms is None or decision.retry_ms <= at:
-                    raise FleetError(
-                        "a routing deferral must carry a future "
-                        "retry_ms")
-                self._deferrals += 1
-                loop.schedule(decision.retry_ms, RouteRequest(request))
-                if tracer.enabled:
-                    tracer.instant(
-                        "defer", "net", at, "fleet/router",
-                        args={"request": request.request_id,
-                              "retry_ms": decision.retry_ms})
-            else:
-                site = sites[decision.site_index]
-                site.admit(request, at)
-                ingress = at + site.rtt_ms / 2.0
-                if ingress < site_peeks[decision.site_index]:
-                    site_peeks[decision.site_index] = ingress
-                self._routes[request.request_id] = \
-                    (decision.site_index, at)
-                if tracer.enabled:
-                    tracer.instant(
-                        f"route:{site.site_id}", "net", at,
-                        "fleet/router",
-                        args={"request": request.request_id,
-                              "site": site.site_id,
-                              "deadline": float(request.deadline_ms)})
+            index = self._route(request, at)
+            if index is not None:
+                ingress = at + sites[index].rtt_ms / 2.0
+                if ingress < site_peeks[index]:
+                    site_peeks[index] = ingress
             processed += 1
             if processed > max_events:
                 self._raise_runaway()
@@ -345,11 +238,13 @@ class FleetOrchestrator:
             "events; likely a scheduling cycle or an "
             "ever-deferring routing policy")
 
-    # -- event handlers ----------------------------------------------------------
+    def _route(self, request, now):
+        """Decide, then admit or defer, record and trace one request.
 
-    def _on_route(self, event):
-        request = event.request
-        now = self._loop.now_ms
+        Returns the index of the site the request was admitted to, or
+        None when the policy deferred it (a :class:`RouteRequest` retry
+        is scheduled).
+        """
         decision = self.routing.route(request, self._sites, now)
         if decision.deferred:
             if decision.retry_ms is None or decision.retry_ms <= now:
@@ -362,20 +257,26 @@ class FleetOrchestrator:
                     "defer", "net", now, "fleet/router",
                     args={"request": request.request_id,
                           "retry_ms": decision.retry_ms})
-            return
-        site = self._sites[decision.site_index]
+            return None
+        index = decision.site_index
+        site = self._sites[index]
         site.admit(request, now)
-        self._routes[request.request_id] = (decision.site_index, now)
+        self._routes[request.request_id] = (index, now)
         if self.tracer.enabled:
             self.tracer.instant(
                 f"route:{site.site_id}", "net", now, "fleet/router",
                 args={"request": request.request_id,
                       "site": site.site_id,
                       "deadline": float(request.deadline_ms)})
+        return index
+
+    # -- event handlers ----------------------------------------------------------
+
+    def _on_route(self, event):
+        self._route(event.request, self._loop.now_ms)
 
     def _on_tick(self, event):
         now = self._loop.now_ms
-        self._ticked = True  # the bulk loop invalidates scorer epochs
         self.autoscaler.tick_all(self._sites, now)
         if self.tracer.enabled:
             self.tracer.instant("autoscale-tick", "scale", now,
@@ -385,8 +286,8 @@ class FleetOrchestrator:
             # clock the subscribers (router, autoscaler) act on.
             self.monitor.sample_health(now)
         # Keep ticking while the fleet still has anything in flight —
-        # queued routing events and unrouted bulk-column arrivals
-        # included — then fall silent so the merged loop can drain.
+        # queued deferral retries and unrouted arrivals included — then
+        # fall silent so the merged loop can drain.
         if len(self._loop) > 0 or self._pending_front > 0 \
                 or any(site.sim.in_system() > 0 for site in self._sites):
             self._loop.schedule(now + self.autoscaler.interval_ms,

@@ -25,6 +25,13 @@ placement estimates, RTT feasibility). Three are built in:
 All policies honor a request's ``site`` affinity pin when that site can
 still meet the deadline, and every tie-break ends on site order, so
 routing is deterministic given the same trace.
+
+The orchestrator calls :meth:`RoutingPolicy.route` once per routable
+request — original arrivals and deferral retries alike. The expensive
+term, the placement estimate, is memoized by each site per epoch of
+frozen device state (:meth:`~repro.fleet.FleetSite.estimate_request`);
+everything else the energy score reads (in-system counts, budget
+headroom, health) is read live per call.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FleetError
-from repro.fleet.site import ESTIMATE_TARGET_GRID_MS
 
 #: Headroom fraction below which a site counts as budget-pressed.
 SHAPING_PRESSURE = 0.35
@@ -80,20 +86,6 @@ class RoutingPolicy:
         ``retry_ms`` strictly after ``now_ms``.
         """
         raise NotImplementedError
-
-    def bulk_scorer(self, sites):
-        """A chunk-memoized scorer for the bulk front end, or None.
-
-        The orchestrator's bulk front end (``front_end="auto"``) routes
-        runs of arrivals between site-state-changing instants; a policy
-        whose per-request score is a pure function of (request key,
-        frozen site state, clock-only observables) can hand back a
-        scorer that memoizes the expensive per-site estimates across
-        one frozen epoch. Policies without one (the default) are still
-        driven per request through :meth:`route` — the bulk loop only
-        collapses the per-request heap events, never the semantics.
-        """
-        return None
 
     # -- shared helpers -----------------------------------------------------------
 
@@ -235,231 +227,9 @@ class EnergyDeadlineRouting(RoutingPolicy):
             return RoutingDecision(None, retry_ms=now_ms + self.defer_ms)
         return RoutingDecision(scored[0][3])
 
-    def bulk_scorer(self, sites):
-        """Epoch-memoized twin of :meth:`route` for the bulk front end.
 
-        Eligible only when every score input is either a pure function
-        of (task, mode, sentence, slack bucket) under frozen device
-        state or a clock-only observable:
-
-        * no live health feedback (``health_of``) — health scores move
-          on the monitor's own cadence, outside the epoch contract;
-        * no standby timeouts anywhere — a decaying idle rail changes
-          the wake-transition term *between* site events, so placement
-          estimates would not be constant inside an epoch.
-        """
-        if self.health_of is not None:
-            return None
-        if any(site.config.standby_timeout_ms is not None
-               for site in sites):
-            return None
-        return _BulkEnergyScorer(self, sites)
-
-
-class _BulkEnergyScorer:
-    """Chunk-memoized exact replay of :meth:`EnergyDeadlineRouting.route`.
-
-    Between site-state-changing instants (batch starts, completions,
-    preemptions, autoscaler park/wake) every term of the energy score is
-    either frozen — the per-site placement estimate, keyed on (task,
-    mode, sentence, slack bucket) — or a cheap clock/counter read: the
-    in-system count (sequential admission feedback) and the budget
-    window's time-decaying headroom. So the bulk front end memoizes
-    :meth:`~repro.fleet.FleetSite.estimate_request` per site per epoch
-    and re-reads only the live terms per request, reproducing the
-    per-event scoring arithmetic operation for operation — same floats,
-    same tie-breaks, same deferrals. A memo miss costs a walk over the
-    idle-class representatives, each a price-table row lookup plus the
-    swap and wake terms; the compute rows themselves come from the
-    registry's shared whole-profile tables, never a per-miss engine
-    call.
-
-    The orchestrator owns epoch hygiene: :meth:`refresh` after a site
-    processed events (cheap fingerprint check — arrival-only event runs
-    keep the memo warm), :meth:`invalidate_all` after autoscaler ticks
-    (park/wake changes the online set without moving any counter).
-    """
-
-    __slots__ = ("policy", "sites", "_rtts", "_capped", "_fallback",
-                 "_min_rtt", "_memos", "_online", "_divisors", "_fps",
-                 "_reps", "_epoch_keys")
-
-    def __init__(self, policy, sites):
-        self.policy = policy
-        self.sites = list(sites)
-        self._rtts = [site.rtt_ms for site in sites]
-        self._capped = [site.sim.budget is not None for site in sites]
-        self._fallback = min(range(len(self.sites)),
-                             key=lambda i: (self.sites[i].rtt_ms, i))
-        self._min_rtt = min(site.rtt_ms for site in sites)
-        self._memos = [{} for _ in sites]
-        self._online = [0] * len(self.sites)
-        self._divisors = [1] * len(self.sites)
-        self._fps = [None] * len(self.sites)
-        self._reps = [None] * len(self.sites)
-        self._epoch_keys = [None] * len(self.sites)
-        for j in range(len(self.sites)):
-            self._reload(j)
-
-    def _reload(self, j):
-        site = self.sites[j]
-        self._fps[j] = site.routing_fingerprint()
-        online = len(site.online_devices())
-        self._online[j] = online
-        self._divisors[j] = max(1, online)
-        # The device-class scan is lazy (it needs a clock); the memo is
-        # cleared there, and only when the class structure moved.
-        self._reps[j] = None
-
-    @staticmethod
-    def _class_key(accel):
-        """Everything a placement estimate reads off one device.
-
-        ``_device_estimate`` is a price-table row (pure in task, slack
-        bucket, mode and hardware) + switch cost from the resident task
-        + the wake-transition estimate, so two devices agreeing on this
-        key price every request identically.
-        The transition term is frozen state, not clock: scorer
-        eligibility already excluded standby timeouts — the only way it
-        varies with time — leaving it a cached pure function of the
-        parked→nominal rail points read here raw (no estimate call per
-        device per scan).
-        """
-        energy = accel.energy
-        if energy is None:
-            return (accel.hw_config, accel.resident_task)
-        return (accel.hw_config, accel.resident_task,
-                energy.parked_vdd, energy.parked_freq_ghz,
-                energy.nominal_vdd, energy.nominal_freq_ghz)
-
-    def _scan(self, j):
-        """Rebuild site ``j``'s idle-class representatives for this epoch.
-
-        ``estimate_request`` with an idle device is a min over the idle
-        pool — and a min over per-device prices that agree within a
-        class equals the min over one representative per *distinct*
-        class, so the scan collapses a 64-device pool to the handful of
-        (hardware, resident task, wake state) classes actually present.
-        With nothing idle the estimate is the order-sensitive mean over
-        the online pool (``reps = []`` routes through the real
-        ``estimate_request``). Either way the epoch key captures
-        exactly what the estimate reads: memoized estimates survive any
-        run of epochs whose class structure is unchanged — the common
-        case under load, where batch starts/completions churn the
-        fingerprint without changing which classes are present.
-        """
-        site = self.sites[j]
-        class_key = self._class_key
-        classes = set()
-        reps = []
-        online = []
-        # One pass over the pool: census the idle classes and remember
-        # the online order in case nothing is idle (the mean regime).
-        for accel in site.sim.accelerators:
-            if not accel.online:
-                continue
-            online.append(accel)
-            if accel.idle:
-                key = class_key(accel)
-                if key not in classes:
-                    classes.add(key)
-                    reps.append(accel)
-        if reps:
-            epoch_key = (True, frozenset(classes))
-        else:
-            epoch_key = (False, tuple(class_key(a) for a in online))
-        if epoch_key != self._epoch_keys[j]:
-            self._memos[j].clear()
-            self._epoch_keys[j] = epoch_key
-        self._reps[j] = reps
-        return reps
-
-    def refresh(self, j):
-        """Re-key site ``j`` after it processed events; memo survives
-        event runs that left routing-visible state untouched (arrivals
-        merging into open windows, timeouts with no free device)."""
-        if self.sites[j].routing_fingerprint() != self._fps[j]:
-            self._reload(j)
-
-    def invalidate_all(self):
-        """Autoscaler tick: the online sets may have changed silently."""
-        for j in range(len(self.sites)):
-            self._reload(j)
-
-    def route(self, request, now_ms):
-        """Identical decision to ``policy.route(request, sites, now)``.
-
-        The caller guarantees ``request.site is None`` (affinity pins
-        take the generic path) and that every site's epoch state is
-        current.
-        """
-        policy = self.policy
-        sites = self.sites
-        rtts = self._rtts
-        deadline = request.deadline_ms
-        grid = ESTIMATE_TARGET_GRID_MS
-        scored = None
-        for j in range(len(sites)):
-            # Mirrors remaining_slack_ms: same float, same associativity.
-            slack = deadline - now_ms - rtts[j]
-            if not slack > 1e-9:
-                continue
-            online = self._online[j]
-            if online == 0:
-                continue  # estimate_request would return None
-            site = sites[j]
-            bucket = max(grid, (slack // grid) * grid)
-            reps = self._reps[j]
-            if reps is None:
-                # Fresh epoch: rescan classes *before* the memo read —
-                # the scan is what decides whether memoized estimates
-                # are still valid (it clears them when the class
-                # structure moved).
-                reps = self._scan(j)
-            memo = self._memos[j]
-            key = (request.task, request.mode, request.sentence, bucket)
-            estimate = memo.get(key)
-            if estimate is None:
-                if reps:
-                    # Idle regime: exact min over one representative
-                    # per distinct device class (same floats as the
-                    # full idle-pool min inside estimate_request).
-                    mode = request.mode if request.mode is not None \
-                        else site.sim.mode
-                    estimate = min(site._device_estimate(
-                        request, mode, bucket, accel, now_ms)
-                        for accel in reps)
-                else:
-                    estimate = site.estimate_request(request, now_ms)
-                memo[key] = estimate
-            energy_mj, latency_ms = estimate
-            wait_ms = (site.sim.in_system() / self._divisors[j]) \
-                * latency_ms
-            deadline_ok = wait_ms + latency_ms <= slack + 1e-9
-            headroom = site.headroom(now_ms) if self._capped[j] else 1.0
-            shaped = energy_mj
-            if policy.shaping and headroom < 1.0:
-                shaped = energy_mj / max(headroom, SHAPING_FLOOR)
-            entry = (not deadline_ok, shaped, rtts[j], j, headroom)
-            if scored is None:
-                scored = [entry]
-            else:
-                scored.append(entry)
-        if scored is None:
-            # No RTT-feasible site, or nothing online to estimate on:
-            # both of route()'s fallback branches land on the same
-            # least-RTT damage limiter.
-            return RoutingDecision(self._fallback)
-        scored.sort(key=lambda entry: entry[:4])
-        if policy.shaping and all(entry[4] < policy.pressure
-                                  for entry in scored) \
-                and (deadline - now_ms - policy.defer_ms
-                     - self._min_rtt) >= policy.defer_min_slack_ms:
-            policy.deferrals += 1
-            return RoutingDecision(None,
-                                   retry_ms=now_ms + policy.defer_ms)
-        return RoutingDecision(scored[0][3])
-
+# Old name kept only so the e2e layer tracer's boundary still resolves.
+_BulkEnergyScorer = RoutingPolicy
 
 #: Registry of built-in routing policies (aliases included).
 ROUTING_POLICIES = {

@@ -25,6 +25,15 @@ term is one row of a whole-profile price table (:func:`route_table`).
 A table prices every sentence of a (task, slack bucket, mode, hardware)
 variant in one engine call and is shared by every site on the same
 registry, so a router miss is a list lookup, never an engine call.
+
+The site memoizes its own estimates per *epoch* — a stretch of
+simulated time in which its :meth:`routing_fingerprint` stays put. The
+driving calls re-key it when device state may have moved (``start``,
+``step``/``run_until`` runs that processed events, and
+:meth:`set_device_online`), never per estimate, so a run of arrivals
+scored between two state changes costs one dictionary lookup per site
+each. Standby sites skip the memo: their wake term decays with the
+clock.
 """
 
 from __future__ import annotations
@@ -96,14 +105,6 @@ class SiteConfig:
     #: oracle for fleet replays; note ``deadline_aware`` — on by
     #: default — requires the vectorized kernels).
     vectorized: bool = True
-    #: Serve the site's per-batch pricing from whole-profile tables
-    #: (bit-identical by the replay core's composition-invariance
-    #: contract; deadline-budget batches still price per batch). On by
-    #: default: both fleet front ends share the site engine, so the
-    #: speedup is free and the bulk-vs-event comparison stays fair.
-    #: Routing estimates always come from the registry's shared
-    #: tables (:func:`route_table`), whatever this flag says.
-    price_tables: bool = True
 
     def __post_init__(self):
         if not self.site_id:
@@ -136,7 +137,10 @@ class FleetSite:
             adaptive_timeout=config.adaptive_timeout,
             standby_timeout_ms=config.standby_timeout_ms,
             vectorized=config.vectorized,
-            price_tables=config.price_tables,
+            # Whole-profile tables price non-deadline-budget batches
+            # bit-identically (the replay core's composition-invariance
+            # contract), so sites always take the faster path.
+            price_tables=True,
             tracer=tracer, metrics=metrics, monitor=monitor,
             trace_scope=config.site_id,
         )
@@ -144,6 +148,9 @@ class FleetSite:
         #: NULL_TRACER); admission emits the ingress network leg on it.
         self.tracer = self.sim.tracer
         self._trk_net = f"{self.site_id}/net"
+        #: A standby rail decays with the clock, so its wake term is not
+        #: frozen inside an epoch: such sites price the full pool.
+        self._standby = config.standby_timeout_ms is not None
         self.admitted = 0
         self.late_admissions = 0
 
@@ -153,13 +160,19 @@ class FleetSite:
         self.sim.start()
         self.admitted = 0
         self.late_admissions = 0
+        self._memo = {}
+        self._epoch_key = None
+        self._rekey()
         return self
 
     def peek_ms(self):
         return self.sim.peek_ms()
 
     def step(self):
-        return self.sim.step()
+        moved = self.sim.step()
+        if moved:
+            self._refresh()
+        return moved
 
     def run_until(self, until_ms=None):
         """Drain site events at instants ``<= until_ms`` in one call.
@@ -167,10 +180,26 @@ class FleetSite:
         The orchestrator's chunked driving primitive: between front-end
         instants this site's events are independent of every other
         site's, so free-running them in one call replays identically to
-        the per-event merge (see ``FleetOrchestrator._drain``). Returns
-        the number of events processed.
+        a per-event merge (see ``FleetOrchestrator._drain``). A run that
+        processed events re-checks the routing fingerprint. Returns the
+        number of events processed.
         """
-        return self.sim.run_until(until_ms)
+        moved = self.sim.run_until(until_ms)
+        if moved:
+            self._refresh()
+        return moved
+
+    def set_device_online(self, accel_id, online, now_ms=None):
+        """Park or wake one device (the autoscaler's actuator).
+
+        Delegates to :meth:`ClusterSimulator.set_device_online`, then
+        re-keys the estimate memo unconditionally: park/wake moves no
+        fingerprint counter, yet changes the online pool.
+        """
+        changed = self.sim.set_device_online(accel_id, online,
+                                             now_ms=now_ms)
+        self._rekey()
+        return changed
 
     def finish(self):
         return self.sim.finish()
@@ -232,8 +261,7 @@ class FleetSite:
 
     def load(self):
         """In-system requests per online device (the least-loaded key)."""
-        online = len(self.online_devices())
-        return self.sim.in_system() / max(1, online)
+        return self.sim.in_system() / (self._online or 1)
 
     def headroom(self, now_ms):
         """Power-cap window headroom in [0, 1]; 1.0 when uncapped."""
@@ -248,14 +276,81 @@ class FleetSite:
         preempted; every one of those moves one of these counters.
         Event runs that leave the stamp unchanged (arrivals merging into
         open windows, timeouts that close onto a full pool) cannot have
-        changed a routing estimate, so the bulk front end keeps its
-        per-epoch estimate memo warm across them. Autoscaler park/wake
-        moves *no* counter and must invalidate unconditionally — the
-        orchestrator handles that on the tick path.
+        changed a routing estimate, so the site keeps its estimate memo
+        warm across them. Park/wake moves *no* counter, which is why
+        :meth:`set_device_online` re-keys unconditionally.
         """
         report = self.sim._report
         return (report.num_batches, len(report.records),
                 report.preemptions)
+
+    # -- placement estimates ------------------------------------------------------
+
+    def _rekey(self):
+        """New epoch after the online pool may have changed."""
+        self._online = len(self.online_devices())
+        self._fingerprint = self.routing_fingerprint()
+        self._census = None  # rescanned by the next estimate
+
+    def _refresh(self):
+        """New epoch if an event run moved routing-visible state."""
+        fingerprint = self.routing_fingerprint()
+        if fingerprint != self._fingerprint:
+            self._fingerprint = fingerprint
+            self._census = None
+
+    @staticmethod
+    def _class_key(accel):
+        """Everything a placement estimate reads off one device.
+
+        :meth:`_device_estimate` is a price-table row (pure in task,
+        slack bucket, mode and hardware) + the switch cost from the
+        resident task + the wake-transition estimate, so two devices
+        agreeing on this key price every request identically. Without
+        a standby timeout the transition term is a cached pure function
+        of the parked→nominal rail points, read here raw.
+        """
+        energy = accel.energy
+        if energy is None:
+            return (accel.hw_config, accel.resident_task)
+        return (accel.hw_config, accel.resident_task,
+                energy.parked_vdd, energy.parked_freq_ghz,
+                energy.nominal_vdd, energy.nominal_freq_ghz)
+
+    def _scan(self):
+        """Census this epoch's pricing set: ``(idle reps, online pool)``.
+
+        With a device idle the estimate is a min over the idle pool,
+        and a min over prices that agree within a class equals the min
+        over one representative per *distinct* class — so a 384-device
+        pool collapses to the handful of (hardware, resident task, rail
+        point) classes actually present. With nothing idle it is the
+        order-sensitive mean over the online pool. The epoch key is
+        exactly what the estimate reads, so memoized estimates survive
+        fingerprint churn (batch starts and completions) that leaves
+        the class structure unchanged — the common case under load.
+        """
+        class_key = self._class_key
+        classes = set()
+        reps = []
+        online = []
+        for accel in self.sim.accelerators:
+            if not accel.online:
+                continue
+            online.append(accel)
+            if accel.idle:
+                key = class_key(accel)
+                if key not in classes:
+                    classes.add(key)
+                    reps.append(accel)
+        if reps:
+            epoch_key = (True, frozenset(classes))
+        else:
+            epoch_key = (False, tuple(class_key(a) for a in online))
+        if epoch_key != self._epoch_key:
+            self._memo.clear()
+            self._epoch_key = epoch_key
+        self._census = (reps, online)
 
     def _device_estimate(self, request, mode, bucket, accel, now_ms):
         """(energy_mj, latency_ms) of ``request`` on one device, now."""
@@ -288,16 +383,34 @@ class FleetSite:
         expensive device can no longer hide behind its cheapest one.
         Returns ``(energy_mj, latency_ms)``, or None when nothing is
         online.
+
+        Memoized per epoch on (task, mode, sentence, slack bucket); a
+        miss prices one representative per idle device class
+        (:meth:`_scan`). Standby sites price the full pool every call.
         """
-        mode = request.mode if request.mode is not None \
-            else self.sim.mode
+        if not self._online:
+            return None
         slack = self.remaining_slack_ms(request, now_ms)
         grid = ESTIMATE_TARGET_GRID_MS
         bucket = max(grid, (slack // grid) * grid)
-        online = self.online_devices()
-        if not online:
-            return None
-        idle = [a for a in online if a.idle]
+        if self._standby:
+            online = self.online_devices()
+            return self._pool_estimate(request, bucket, now_ms,
+                                       [a for a in online if a.idle],
+                                       online)
+        if self._census is None:
+            self._scan()  # before the memo read: it may clear the memo
+        key = (request.task, request.mode, request.sentence, bucket)
+        estimate = self._memo.get(key)
+        if estimate is None:
+            estimate = self._memo[key] = self._pool_estimate(
+                request, bucket, now_ms, *self._census)
+        return estimate
+
+    def _pool_estimate(self, request, bucket, now_ms, idle, online):
+        """Min over the ``idle`` devices, or the mean over ``online``."""
+        mode = request.mode if request.mode is not None \
+            else self.sim.mode
         if idle:
             return min(self._device_estimate(request, mode, bucket, a,
                                              now_ms)

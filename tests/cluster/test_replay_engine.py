@@ -99,6 +99,19 @@ class TestReferenceEquivalence:
         report = run_engine(reference_registry, bursty, "vector")
         assert "engine" not in report.summary()
 
+    def test_price_tables_composition_invariant(self, reference_registry,
+                                                bursty):
+        # Whole-profile table pricing (always on for fleet sites) is a
+        # pure speedup: turning it off must not move a single float.
+        on, off = (run_engine(reference_registry, bursty, "event",
+                              price_tables=flag)
+                   for flag in (True, False))
+        assert canonical(on) == canonical(off)
+        assert [(r.request.request_id, r.completion_ms,
+                 r.result.energy_mj) for r in on.records] \
+            == [(r.request.request_id, r.completion_ms,
+                 r.result.energy_mj) for r in off.records]
+
 
 class TestPropertyEquivalence:
     """Randomized small traces across the tricky corners: tied

@@ -1,13 +1,14 @@
 """Fleet replay equivalence: the chunked site drain must be
-event-for-event identical to the per-event fleet merge, on synthetic
-traffic and on the reference bursty trace, with scalar-site oracles
-reconciling their energy ledgers."""
+event-for-event identical to the per-event fleet merge
+(:func:`fleet_reference.naive_drain`), on synthetic traffic and on the
+reference bursty trace, with scalar-site oracles reconciling their
+energy ledgers."""
 
 import json
 import os
-import types
 
 import pytest
+from fleet_reference import run_reference
 
 from repro.cluster import load_trace
 from repro.config import HwConfig
@@ -56,32 +57,11 @@ def site_configs(vectorized=True):
     )
 
 
-def _naive_drain(self):
-    """The pre-chunking reference merge: peek every site per event,
-    earliest instant fleet-wide wins, site events before front-end
-    events on ties and lower-indexed sites first."""
-    while True:
-        best = None
-        for idx, site in enumerate(self._sites):
-            at = site.peek_ms()
-            if at is not None and (best is None or at < best[0]):
-                best = (at, idx)
-        front = self._loop.peek_ms()
-        if best is None and front is None:
-            return
-        if best is not None and (front is None or best[0] <= front):
-            self._sites[best[1]].step()
-        else:
-            self._loop.step()
-
-
 def run_fleet(registry, trace, vectorized=True, naive=False,
               routing="least-loaded"):
     orch = FleetOrchestrator(registry, site_configs(vectorized),
                              routing=routing)
-    if naive:
-        orch._drain = types.MethodType(_naive_drain, orch)
-    return orch.run(trace)
+    return run_reference(orch, trace) if naive else orch.run(trace)
 
 
 def canonical(report):

@@ -9,7 +9,7 @@ properties that make that a pure speedup:
   for bit, for every mode, hardware variant and kernel flag;
 * each table is built once per registry, however many sites read it;
 * fleet reports are unchanged — digests pinned from the per-miss
-  singleton pricing they replaced, on both front ends.
+  singleton pricing they replaced.
 """
 
 import hashlib
@@ -115,9 +115,8 @@ PINNED_DIGESTS = {
 
 
 class TestReportsPinned:
-    @pytest.mark.parametrize("front_end", ["bulk", "event"])
     @pytest.mark.parametrize("vectorized", [True, False])
-    def test_energy_routing_with_capped_site(self, front_end, vectorized):
+    def test_energy_routing_with_capped_site(self, vectorized):
         registry = synthetic_registry(TASKS, n=64, seed=0)
         trace = synthetic_traffic(registry, 500, seed=4,
                                   mean_interarrival_ms=0.2,
@@ -133,6 +132,5 @@ class TestReportsPinned:
             SiteConfig("edge-c", num_accelerators=4, rtt_ms=8.0,
                        energy_budget_mw=30.0, **kwargs),
         ]
-        fleet = FleetOrchestrator(registry, configs, routing="energy",
-                                  front_end=front_end)
+        fleet = FleetOrchestrator(registry, configs, routing="energy")
         assert _digest(fleet.run(trace)) == PINNED_DIGESTS[vectorized]
