@@ -35,10 +35,13 @@ with per-*batch* cost instead, in four moves:
 4. **Price tables** — per-sentence pricing is composition-invariant for
    the per-sentence engine modes (each column of a batch is priced
    elementwise), so all of a profile's sentences are priced in ONE
-   engine call per (task, target, mode, hardware) and batches are
-   assembled by array indexing. The deadline-budget ``lai`` path is
-   batch-coupled (water-filling over the shared slack) and keeps the
-   per-batch pricing call.
+   kernel dispatch per (task, target, mode, hardware) and batches are
+   assembled by array indexing. A table stays the kernel's columns:
+   a sentence's result row is boxed the first time a served batch
+   needs it and reused after that, so sentences nobody is served cost
+   no objects. The deadline-budget ``lai`` path is batch-coupled
+   (water-filling over the shared slack) and keeps the per-batch
+   pricing call.
 
 Energy-budget admission (``energy_budget_mw``) replays exactly: the
 same :class:`~repro.energy.EnergyBudget` object is driven at the same
@@ -79,9 +82,10 @@ from repro.cluster.batcher import (
 )
 from repro.cluster.policies import FewestSwapsPolicy, FifoPolicy
 from repro.cluster.report import ClusterRecord, LazyRecords
+from repro.core.engine import results_from_arrays
 from repro.errors import ClusterError, ReproError
 from repro.serving.request import SERVING_MODES, Batch, Request
-from repro.serving.server import price_batch, validate_request
+from repro.serving.server import price_batch, validate_request, within_target
 
 #: Event kinds in the batch-granular heap. OPEN marks a window opening
 #: (it consumes a timer seq and plans the close); CLOSE enqueues the
@@ -116,37 +120,90 @@ def replay_eligible(sim):
 
 
 class _PriceTable:
-    """Every sentence of one (task, target, mode, hardware) priced once."""
+    """Every sentence of one (task, target, mode, hardware) priced once.
 
-    __slots__ = ("results", "latency_ms", "energy_mj")
+    Kept as the kernel's columns: ``latency_ms`` / ``energy_mj`` are
+    float64 arrays indexed by sentence, and a sentence's
+    :class:`~repro.core.SentenceResult` row is boxed only the first time
+    a served batch asks for it (:meth:`rows`) — most rows of a routing
+    or site table are never served. Scalar-oracle tables arrive already
+    boxed and fill every row up front.
+    """
 
-    def __init__(self, results):
-        self.results = results
+    __slots__ = ("latency_ms", "energy_mj", "_priced", "_predictions",
+                 "_rows", "_unboxed")
+
+    def __init__(self, priced, predictions):
+        self.latency_ms = priced["latency_ms"]
+        self.energy_mj = priced["energy_mj"]
+        self._priced = priced
+        self._predictions = predictions
+        self._rows = [None] * predictions.size
+        self._unboxed = predictions.size
+
+    @classmethod
+    def from_results(cls, results):
+        """A table whose rows are already boxed (the scalar oracle)."""
+        table = cls.__new__(cls)
         n = len(results)
-        self.latency_ms = np.fromiter(
+        table.latency_ms = np.fromiter(
             (r.latency_ms for r in results), dtype=np.float64, count=n)
-        self.energy_mj = np.fromiter(
+        table.energy_mj = np.fromiter(
             (r.energy_mj for r in results), dtype=np.float64, count=n)
+        table._rows = list(results)
+        table._unboxed = 0
+        return table
+
+    def rows(self, sentences):
+        """The rows of ``sentences`` (Python ints), in order.
+
+        Boxes each sentence once; later calls return that same object.
+        """
+        rows = self._rows
+        if self._unboxed:
+            missing = list(dict.fromkeys(
+                i for i in sentences if rows[i] is None))
+            if missing:
+                for i, row in zip(missing, results_from_arrays(
+                        self._priced, self._predictions, missing)):
+                    rows[i] = row
+                self._unboxed -= len(missing)
+        if len(sentences) == 1:
+            return [rows[sentences[0]]]
+        return list(itemgetter(*sentences)(rows))
 
 
 def _build_table(registry, task, target_ms, mode, hw_config,
                  vectorized=True):
-    """Price a whole profile in one engine call (composition-invariant).
+    """Price a whole profile in one kernel dispatch (composition-invariant).
 
     Row ``i`` is bit-identical to pricing sentence ``i`` alone, or inside
-    any other same-target batch, with the same kernels: ``price_batch``
-    reads only the sentence indices and ``batch.target_ms``. Scalar
-    callers (the fleet router on a scalar-kernel site) pass
-    ``vectorized=False`` so their rows come from the scalar oracle.
+    any other same-target batch, with the same kernels — ``price_batch``
+    reads only the sentence indices and ``batch.target_ms`` — including
+    its base/ee SLO judgement (:func:`~repro.serving.server.within_target`,
+    applied here as one column operation). The vectorized path prices
+    ``profile.logits``/``profile.entropies`` whole through
+    :meth:`~repro.core.LatencyAwareEngine.price_columns` and keeps the
+    columns; it builds no request, batch or engine report. Scalar callers
+    (the fleet router on a scalar-kernel site) pass ``vectorized=False``
+    so their rows come from the scalar oracle through ``price_batch``.
     """
     profile = registry.profile_for(task, hw_config)
-    members = tuple(
-        Request(request_id=-(i + 1), task=task, sentence=i,
-                target_ms=target_ms)
-        for i in range(profile.num_sentences))
-    batch = Batch(task=task, target_ms=target_ms, requests=members)
-    report = price_batch(profile, batch, mode, vectorized=vectorized)
-    return _PriceTable(report.results)
+    if not vectorized:
+        members = tuple(
+            Request(request_id=-(i + 1), task=task, sentence=i,
+                    target_ms=target_ms)
+            for i in range(profile.num_sentences))
+        batch = Batch(task=task, target_ms=target_ms, requests=members)
+        return _PriceTable.from_results(
+            price_batch(profile, batch, mode, vectorized=False).results)
+    priced, predictions = profile.engine.price_columns(
+        mode, profile.logits, profile.entropies, lut=profile.lut,
+        entropy_threshold=profile.entropy_threshold, target_ms=target_ms)
+    if mode != "lai":
+        priced["met_target"] = priced["met_target"] & within_target(
+            priced["latency_ms"], target_ms)
+    return _PriceTable(priced, predictions)
 
 
 class _Planned:
@@ -520,11 +577,7 @@ def run_vectorized(sim, requests):
             table = table_for(batch.task, batch.target_ms,
                               pending_batch.mode, accel.hw_config)
             sent = sent_o[pos]
-            slist = sent.tolist()
-            if len(slist) == 1:
-                results = [table.results[slist[0]]]
-            else:
-                results = itemgetter(*slist)(table.results)
+            results = table.rows(sent.tolist())
             # begin() cumsums the latencies; handing it the float64
             # column directly skips a list round trip (same bits).
             latencies = table.latency_ms[sent]

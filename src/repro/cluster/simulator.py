@@ -90,9 +90,10 @@ class _GatheredReport:
 
     The per-event loop only ever reads ``.results`` off the pricing
     report (placement estimates sum them, ``_start`` hands them to the
-    accelerator), so a gathered row list is a drop-in — same
-    :class:`~repro.core.SentenceResult` objects the whole-profile table
-    call produced, in batch-member order.
+    accelerator), so a gathered row list is a drop-in — the
+    :class:`~repro.core.SentenceResult` rows the whole-profile table
+    boxes for its members on first service (and hands back as the same
+    objects afterwards), in batch-member order.
     """
 
     __slots__ = ("results",)
@@ -713,11 +714,9 @@ class ClusterSimulator:
                 # rows from the whole-profile table instead of pricing
                 # this batch's composition (identical rows — the replay
                 # core's table contract).
-                rows = self._table_for(pending_batch,
-                                       accel.hw_config).results
-                report = _GatheredReport(
-                    [rows[r.sentence]
-                     for r in pending_batch.batch.requests])
+                table = self._table_for(pending_batch, accel.hw_config)
+                report = _GatheredReport(table.rows(
+                    [r.sentence for r in pending_batch.batch.requests]))
             else:
                 profile = self.registry.profile_for(pending_batch.task,
                                                     accel.hw_config)

@@ -24,7 +24,9 @@ Two pricing paths produce those bars:
   (:meth:`repro.dvfs.DvfsController.plan_batch`) and the per-layer
   energy/latency accumulation all run over the whole batch at once,
   against per-operating-point layer costs precomputed once per engine
-  (:class:`PricingTables`);
+  (:class:`PricingTables`). :meth:`LatencyAwareEngine.price_columns`
+  hands back those columns unboxed, and :func:`results_from_arrays` is
+  the one place they become :class:`SentenceResult` rows;
 * the original **scalar reference path** (``vectorized=False`` or the
   ``run_*`` methods), kept as the oracle the batch kernels are tested
   against to 1e-9.
@@ -32,7 +34,7 @@ Two pricing paths produce those bars:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -320,21 +322,32 @@ def price_latency_aware_deadline_batch(tables, dvfs, entropies, lut,
     }
 
 
-def results_from_arrays(priced, predictions):
-    """Zip per-sentence pricing arrays into :class:`SentenceResult` rows."""
-    return [
-        SentenceResult(
-            exit_layer=int(priced["exit_layer"][i]),
-            predicted_layer=int(priced["predicted_layer"][i]),
-            prediction=int(predictions[i]),
-            latency_ms=float(priced["latency_ms"][i]),
-            energy_mj=float(priced["energy_mj"][i]),
-            vdd=float(priced["vdd"][i]),
-            freq_ghz=float(priced["freq_ghz"][i]),
-            met_target=bool(priced["met_target"][i]),
-        )
-        for i in range(priced["exit_layer"].size)
-    ]
+#: :class:`SentenceResult` fields in constructor order; all but
+#: ``prediction`` are kernel column names.
+_ROW_FIELDS = tuple(f.name for f in fields(SentenceResult))
+
+
+def results_from_arrays(priced, predictions, index=None):
+    """Box per-sentence pricing arrays into :class:`SentenceResult` rows.
+
+    ``priced`` is a kernel's column dict and ``predictions`` the class
+    taken at each sentence's exit layer. ``index`` picks the rows to box
+    (all of them when None). This is the only place pricing columns turn
+    into row objects: ``tolist`` hands back exactly the Python
+    int/float/bool an elementwise ``int()``/``float()``/``bool()`` would.
+    """
+    columns = [predictions if name == "prediction" else priced[name]
+               for name in _ROW_FIELDS]
+    if index is not None:
+        columns = [column[index] for column in columns]
+    return list(map(SentenceResult,
+                    *(column.tolist() for column in columns)))
+
+
+def _taken(predictions, priced):
+    """The class each sentence predicts at its priced exit layer."""
+    exits = priced["exit_layer"]
+    return predictions[exits - 1, np.arange(exits.size)]
 
 
 class LatencyAwareEngine:
@@ -566,55 +579,83 @@ class LatencyAwareEngine:
         (:func:`price_latency_aware_deadline_batch`). ``deadline_ms=0``
         reproduces the per-sentence pricing exactly.
         """
-        num_layers, n, _ = layer_logits.shape
+        if vectorized and (mode != "lai" or deadline_ms is None):
+            return self._report(*self.price_columns(
+                mode, layer_logits, entropies, lut=lut,
+                entropy_threshold=entropy_threshold, target_ms=target_ms))
+        predictions = self._predictions(mode, layer_logits, lut,
+                                        entropy_threshold, target_ms)
+        num_layers, n = predictions.shape
+        if mode == "base":
+            return self._simulate_scalar_base(n, predictions)
+        if mode == "ee":
+            return self._simulate_scalar_ee(
+                true_exit_layers(entropies, entropy_threshold, num_layers),
+                predictions)
+        if deadline_ms is None:
+            return self._simulate_scalar_lai(
+                entropies, lut, entropy_threshold, target_ms, predictions)
+        if not vectorized:
+            raise PipelineError(
+                "deadline-aware lai pricing is batch-level and has "
+                "no scalar path; its zero-slack fallback is the "
+                "per-sentence plan itself")
+        priced = price_latency_aware_deadline_batch(
+            self.pricing_tables(), self.dvfs, entropies, lut,
+            entropy_threshold, target_ms, deadline_ms)
+        return self._report(priced, _taken(predictions, priced))
+
+    def price_columns(self, mode, layer_logits, entropies, lut=None,
+                      entropy_threshold=None, target_ms=None):
+        """Price a whole dataset with one kernel dispatch, as columns.
+
+        The per-sentence (composition-invariant) vectorized modes —
+        ``base``, ``ee`` and ``lai`` without a deadline budget — with the
+        same argument checks as :meth:`simulate_dataset`. Returns
+        ``(priced, predictions)``: the kernel's column dict and the class
+        predicted at each sentence's exit layer, ready for
+        :func:`results_from_arrays` — which boxes them into exactly the
+        rows :meth:`simulate_dataset` returns — or to be kept as columns
+        by callers that only read a few rows.
+        """
+        predictions = self._predictions(mode, layer_logits, lut,
+                                        entropy_threshold, target_ms)
+        tables = self.pricing_tables()
+        if mode == "base":
+            priced = price_base_batch(tables, predictions.shape[1])
+        elif mode == "ee":
+            priced = price_early_exit_batch(tables, true_exit_layers(
+                entropies, entropy_threshold, tables.num_layers))
+        else:
+            priced = price_latency_aware_batch(
+                tables, self.dvfs, entropies, lut, entropy_threshold,
+                target_ms)
+        return priced, _taken(predictions, priced)
+
+    def _predictions(self, mode, layer_logits, lut, entropy_threshold,
+                     target_ms):
+        """Validate a dataset call; return its (L, N) per-layer classes."""
+        num_layers, _, _ = layer_logits.shape
         if num_layers != self.model_config.num_layers:
             raise PipelineError(
                 f"expected {self.model_config.num_layers} layers of "
                 f"logits, got {num_layers}")
-        predictions = layer_logits.argmax(axis=-1)  # (L, N)
-        if mode == "base":
-            if not vectorized:
-                return self._simulate_scalar_base(n, predictions)
-            priced = price_base_batch(self.pricing_tables(), n)
-            return self._report(priced, predictions)
-        if entropy_threshold is None:
-            raise PipelineError(f"mode {mode!r} needs an entropy threshold")
-        if mode == "ee":
-            first_below = true_exit_layers(entropies, entropy_threshold,
-                                           num_layers)
-            if not vectorized:
-                return self._simulate_scalar_ee(first_below, predictions)
-            priced = price_early_exit_batch(self.pricing_tables(),
-                                            first_below)
-            return self._report(priced, predictions)
-        if mode == "lai":
-            if lut is None or target_ms is None:
-                raise PipelineError("lai mode needs a LUT and latency target")
-            if deadline_ms is not None:
-                if not vectorized:
+        if mode != "base":
+            if entropy_threshold is None:
+                raise PipelineError(
+                    f"mode {mode!r} needs an entropy threshold")
+            if mode == "lai":
+                if lut is None or target_ms is None:
                     raise PipelineError(
-                        "deadline-aware lai pricing is batch-level and has "
-                        "no scalar path; its zero-slack fallback is the "
-                        "per-sentence plan itself")
-                priced = price_latency_aware_deadline_batch(
-                    self.pricing_tables(), self.dvfs, entropies, lut,
-                    entropy_threshold, target_ms, deadline_ms)
-                return self._report(priced, predictions)
-            if not vectorized:
-                return self._simulate_scalar_lai(
-                    entropies, lut, entropy_threshold, target_ms, predictions)
-            priced = price_latency_aware_batch(
-                self.pricing_tables(), self.dvfs, entropies, lut,
-                entropy_threshold, target_ms)
-            return self._report(priced, predictions)
-        raise PipelineError(f"unknown mode {mode!r}")
+                        "lai mode needs a LUT and latency target")
+            elif mode != "ee":
+                raise PipelineError(f"unknown mode {mode!r}")
+        return layer_logits.argmax(axis=-1)
 
-    def _report(self, priced, predictions):
-        exits = priced["exit_layer"]
-        n = exits.size
-        taken = predictions[exits - 1, np.arange(n)]
+    @staticmethod
+    def _report(priced, predictions):
         report = EngineReport()
-        report.extend(results_from_arrays(priced, taken))
+        report.extend(results_from_arrays(priced, predictions))
         return report
 
     # -- scalar reference loops (the oracle the kernels are tested against) ------

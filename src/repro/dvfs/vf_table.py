@@ -14,6 +14,8 @@ buffer.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.config import DvfsConfig
@@ -35,17 +37,45 @@ def max_frequency_ghz(vdd, config=None):
     return float(result) if np.isscalar(vdd) or vdd.ndim == 0 else result
 
 
+@functools.lru_cache(maxsize=None)
+def _vf_points(config):
+    """One config's V/F columns, nominal point and standby point.
+
+    Computed once per (frozen, hashable) :class:`DvfsConfig` and shared
+    read-only by every table built from an equal config — every device
+    and engine of a pool carries its own controller, all with the same
+    13 rows. The per-voltage loop is kept on purpose: a single
+    array-valued :func:`max_frequency_ghz` call may round ``power``
+    differently across NumPy builds and CPUs.
+    """
+    steps = int(round((config.vdd_max - config.vdd_min)
+                      / config.vdd_step)) + 1
+    voltages = np.round(
+        config.vdd_min + np.arange(steps) * config.vdd_step, 6)
+    frequencies = np.array(
+        [max_frequency_ghz(v, config) for v in voltages])
+    voltages.flags.writeable = False
+    frequencies.flags.writeable = False
+    nominal = (config.vdd_nominal,
+               max_frequency_ghz(config.vdd_nominal, config))
+    standby = (config.vdd_standby,
+               max_frequency_ghz(config.vdd_standby, config))
+    return voltages, frequencies, nominal, standby
+
+
 class VoltageFrequencyTable:
-    """Discrete (vdd, f_max) operating points at the LDO's step size."""
+    """Discrete (vdd, f_max) operating points at the LDO's step size.
+
+    ``voltages`` and ``frequencies`` are built once per
+    :class:`DvfsConfig` and shared, read-only, by every table on an
+    equal config (writing into them raises ``ValueError``); so are the
+    :meth:`nominal_point` and :meth:`standby_point` pairs.
+    """
 
     def __init__(self, config=None):
         self.config = config or DvfsConfig()
-        steps = int(round((self.config.vdd_max - self.config.vdd_min)
-                          / self.config.vdd_step)) + 1
-        self.voltages = np.round(
-            self.config.vdd_min + np.arange(steps) * self.config.vdd_step, 6)
-        self.frequencies = np.array(
-            [max_frequency_ghz(v, self.config) for v in self.voltages])
+        (self.voltages, self.frequencies, self._nominal,
+         self._standby) = _vf_points(self.config)
 
     def __len__(self):
         return self.voltages.size
@@ -84,8 +114,11 @@ class VoltageFrequencyTable:
 
     def nominal_point(self):
         """(vdd_nominal, freq at nominal) — where every sentence starts."""
-        return (self.config.vdd_nominal,
-                float(max_frequency_ghz(self.config.vdd_nominal, self.config)))
+        return self._nominal
+
+    def standby_point(self):
+        """(vdd_standby, freq at standby) — where an idle device parks."""
+        return self._standby
 
     @property
     def size_bytes(self):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from repro.config import HwConfig
 from repro.dvfs import DvfsController
-from repro.dvfs.vf_table import max_frequency_ghz
 from repro.errors import EnergyError
 from repro.hw.accelerator import AcceleratorModel
 from repro.telemetry.tracer import NULL_TRACER
@@ -64,9 +63,8 @@ class DeviceEnergyModel:
             self.dvfs.table.nominal_point()
         # The retention point: standby voltage, and the fastest clock
         # that voltage sustains. Devices power up parked there.
-        self.standby_vdd = self.dvfs.ldo.standby_voltage
-        self.standby_freq_ghz = max_frequency_ghz(self.standby_vdd,
-                                                  self.hw_config.dvfs)
+        self.standby_vdd, self.standby_freq_ghz = \
+            self.dvfs.table.standby_point()
         self.parked_vdd = self.standby_vdd
         self.parked_freq_ghz = self.standby_freq_ghz
         self.standby_timeout_ms = (None if standby_timeout_ms is None

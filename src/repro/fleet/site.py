@@ -65,9 +65,11 @@ def route_table(registry, task, target_ms, mode, hw_config, vectorized):
     as a one-request batch at ``target_ms`` (the replay core's
     composition-invariance contract, :func:`_build_table`). Memoized on
     the registry beside its hardware variants and switch costs, so
-    sites with the same hardware share one build; only the two float
-    columns are kept, not the per-sentence result rows. Only ``lai``
-    reads the target, so ``base``/``ee`` share one table across buckets.
+    sites with the same hardware share one build. The router reads
+    nothing but these two float columns, so it keeps them as lists and
+    drops the table: none of its rows is ever boxed into a result. Only
+    ``lai`` reads the target, so ``base``/``ee`` share one table across
+    buckets.
     """
     key = (task, target_ms if mode == "lai" else None, mode, hw_config,
            vectorized)

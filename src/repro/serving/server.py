@@ -65,6 +65,19 @@ def batch_deadline_ms(batch, now_ms=None):
     return max(min(r.deadline_ms for r in batch.requests) - start, 0.0)
 
 
+def within_target(latency_ms, target_ms):
+    """The serving SLO judged on ``base``/``ee`` latencies.
+
+    Those engine modes have no latency-target concept (they always
+    report ``met_target=True``), so the serving layer judges them
+    against the batch's target to keep violations visible. Works on one
+    latency or elementwise on a column: :func:`price_batch` applies it
+    per row, whole-profile price tables
+    (:func:`repro.cluster.replay._build_table`) per column.
+    """
+    return latency_ms <= target_ms + 1e-9
+
+
 def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
     """Price one same-task batch against its profile (pure function).
 
@@ -98,11 +111,8 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
             "ee", logits, entropies,
             entropy_threshold=profile.entropy_threshold,
             vectorized=vectorized)
-    # The base/ee engine modes have no latency-target concept (they
-    # always report met_target=True); the serving SLO is judged here
-    # against the batch's target so violations stay visible.
     report.results = [
-        r if r.latency_ms <= batch.target_ms + 1e-9
+        r if within_target(r.latency_ms, batch.target_ms)
         else replace(r, met_target=False)
         for r in report.results
     ]

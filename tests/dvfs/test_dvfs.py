@@ -50,6 +50,56 @@ class TestVfTable:
         assert VoltageFrequencyTable().size_bytes < 64
 
 
+#: The default config and one with a different row count (25 rows).
+MEMO_CONFIGS = [DvfsConfig(), DvfsConfig(vdd_step=0.0125)]
+
+
+class TestSharedVfTable:
+    """One V/F table per DvfsConfig, shared read-only."""
+
+    @pytest.mark.parametrize("config", MEMO_CONFIGS)
+    def test_frequencies_match_per_voltage_loop(self, config):
+        table = VoltageFrequencyTable(config)
+        loop = [max_frequency_ghz(v, config) for v in table.voltages]
+        assert table.frequencies.tolist() == loop
+        assert table.voltages[0] == config.vdd_min
+        assert table.voltages[-1] == config.vdd_max
+
+    @pytest.mark.parametrize("config", MEMO_CONFIGS)
+    def test_equal_configs_share_arrays(self, config):
+        a = VoltageFrequencyTable(config)
+        # An equal but distinct config object hits the same entry.
+        b = VoltageFrequencyTable(DvfsConfig(vdd_step=config.vdd_step))
+        assert a.voltages is b.voltages
+        assert a.frequencies is b.frequencies
+        assert a.nominal_point() is b.nominal_point()
+        assert a.standby_point() is b.standby_point()
+        other = VoltageFrequencyTable(
+            DvfsConfig(vdd_step=config.vdd_step, vdd_min=0.55))
+        assert other.voltages is not a.voltages
+
+    @pytest.mark.parametrize("config", MEMO_CONFIGS)
+    def test_shared_arrays_are_read_only(self, config):
+        table = VoltageFrequencyTable(config)
+        before = table.frequencies.copy()
+        with pytest.raises(ValueError):
+            table.frequencies[0] = 0.0
+        with pytest.raises(ValueError):
+            table.voltages[-1] = 0.0
+        assert np.array_equal(VoltageFrequencyTable(config).frequencies,
+                              before)
+
+    @pytest.mark.parametrize("config", MEMO_CONFIGS)
+    def test_nominal_and_standby_points(self, config):
+        table = VoltageFrequencyTable(config)
+        assert table.nominal_point() == (
+            config.vdd_nominal,
+            max_frequency_ghz(config.vdd_nominal, config))
+        assert table.standby_point() == (
+            config.vdd_standby,
+            max_frequency_ghz(config.vdd_standby, config))
+
+
 class TestLdo:
     def test_table4_slew(self):
         ldo = LdoModel()
