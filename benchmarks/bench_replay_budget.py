@@ -70,12 +70,11 @@ def _require(condition, message):
         raise AssertionError(message)
 
 
-def _simulator(registry, engine):
+def _simulator(registry):
     return ClusterSimulator(
         registry, num_accelerators=POOL, policy="fifo",
         max_batch_size=MAX_BATCH, batch_timeout_ms=TIMEOUT_MS,
-        energy_budget_mw=BUDGET_MW, budget_window_ms=BUDGET_WINDOW_MS,
-        engine=engine)
+        energy_budget_mw=BUDGET_MW, budget_window_ms=BUDGET_WINDOW_MS)
 
 
 def _peak_rss_mb():
@@ -88,15 +87,18 @@ def _timed_replay(registry, trace, engine, repeats=1):
     timed window (both engines get the same treatment)."""
     wall = None
     for _ in range(repeats):
-        sim = _simulator(registry, engine)
+        sim = _simulator(registry)
+        replay = sim.run if engine == "vector" else sim.run_events
         gc.collect()
         gc.disable()
         try:
             started = time.perf_counter()
-            report = sim.run(trace)
+            report = replay(trace)
             elapsed = time.perf_counter() - started
         finally:
             gc.enable()
+        _require(report.engine == engine,
+                 f"asked for the {engine} core, {report.engine} ran")
         if wall is None or elapsed < wall:
             wall = elapsed
     return report, {

@@ -116,7 +116,7 @@ def _one_run(registry, trace, tracer=None, metrics=False,
     sim = ClusterSimulator(
         registry, num_accelerators=POOL, policy="fifo",
         max_batch_size=MAX_BATCH, batch_timeout_ms=TIMEOUT_MS,
-        engine="vector", tracer=tracer,
+        tracer=tracer,
         metrics=MetricsRegistry() if metrics else None,
         monitor=monitor)
     gc.collect()
@@ -127,6 +127,8 @@ def _one_run(registry, trace, tracer=None, metrics=False,
         elapsed = time.perf_counter() - started
     finally:
         gc.enable()
+    _require(report.engine == "vector",
+             f"the bench times the vector core, {report.engine} ran")
     return elapsed, report
 
 

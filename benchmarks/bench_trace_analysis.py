@@ -100,8 +100,10 @@ def run_benchmark(seed=0):
     sim = ClusterSimulator(
         registry, num_accelerators=POOL, policy="fifo",
         max_batch_size=MAX_BATCH, batch_timeout_ms=TIMEOUT_MS,
-        engine="vector", tracer=tracer)
+        tracer=tracer)
     report = sim.run(trace)
+    _require(report.engine == "vector",
+             f"the bench traces the vector core, {report.engine} ran")
 
     with tempfile.TemporaryDirectory(prefix="bench_analysis_") as tmp:
         log = os.path.join(tmp, "spans.jsonl")

@@ -28,10 +28,13 @@ measured CSV/JSONL request logs instead of synthetic arrivals (and
 streams them — ``iter_trace`` — when the log doesn't fit the
 load-everything idiom).
 
-``run()`` replays eligible configurations through the vectorized
-batch-granular core (:mod:`repro.cluster.replay`) — bit-identical
-reports at per-batch instead of per-request cost; ``engine="oracle"``
-keeps the scalar per-event loop as the determinism reference.
+``run()`` picks its core from the configuration alone: eligible
+configurations replay through the vectorized batch-granular core
+(:mod:`repro.cluster.replay`) — bit-identical reports at per-batch
+instead of per-request cost — and the rest run the per-event loop,
+which ``run_events()`` drives for any configuration.
+``vectorized=False`` keeps the scalar per-event loop as the
+determinism reference.
 
 ``python -m repro.cluster --smoke`` runs the self-checking gate;
 ``python -m repro.cluster --trace FILE`` replays a trace file
@@ -67,13 +70,9 @@ from repro.cluster.policies import (
     SchedulingPolicy,
     make_policy,
 )
-from repro.cluster.replay import (
-    replay_eligible,
-    replay_ineligible_reason,
-    run_vectorized,
-)
+from repro.cluster.replay import replay_ineligible_reason, run_vectorized
 from repro.cluster.report import ClusterRecord, ClusterReport, LazyRecords
-from repro.cluster.simulator import ENGINES, ClusterSimulator
+from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import (
     generate_diurnal_trace,
     iter_trace,
@@ -100,7 +99,6 @@ __all__ = [
     "ClusterSimulator",
     "DispatchRetry",
     "EdfPolicy",
-    "ENGINES",
     "EventLoop",
     "FewestSwapsPolicy",
     "FifoPolicy",
@@ -118,7 +116,6 @@ __all__ = [
     "load_trace_jsonl",
     "make_policy",
     "plan_batches",
-    "replay_eligible",
     "replay_ineligible_reason",
     "run_vectorized",
     "save_trace_csv",

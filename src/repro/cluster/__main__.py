@@ -136,14 +136,16 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
 
 
 def run_trace(path, policy="fifo", num_accelerators=4, seed=0,
-              mode="lai", engine="auto", verbose=True):
+              mode="lai", vectorized=True, verbose=True):
     """Replay a trace file through the simulator; returns the summary.
 
     The registry is synthesized over the GLUE task set with enough
     sentences per task to cover every index the trace references (real
     deployments would register trained artifacts instead).
-    ``engine="oracle"`` replays through the scalar per-event loop — the
-    determinism reference the vectorized engine is tested against.
+    ``vectorized=False`` (``--oracle``) prices with the scalar kernels,
+    so the replay runs the per-event loop — the determinism reference
+    the vectorized engine is tested against — and the summary's
+    ``engine_fallback_reason`` names the scalar kernels.
     """
     trace = load_trace(path)
     unknown = sorted({r.task for r in trace} - set(GLUE_TASKS))
@@ -156,7 +158,7 @@ def run_trace(path, policy="fifo", num_accelerators=4, seed=0,
                                   seed=seed)
     report = ClusterSimulator(registry, num_accelerators=num_accelerators,
                               policy=policy, mode=mode,
-                              engine=engine).run(trace)
+                              vectorized=vectorized).run(trace)
     summary = report.summary()
     summary["engine"] = report.engine
     if report.engine_fallback_reason is not None:
@@ -220,7 +222,7 @@ def main(argv=None):
             run_trace(args.trace, policy=args.policy,
                       num_accelerators=args.accelerators, seed=args.seed,
                       mode=args.mode,
-                      engine="oracle" if args.oracle else "auto",
+                      vectorized=not args.oracle,
                       verbose=not args.quiet)
     except (AssertionError, ReproError, OSError) as exc:
         print(f"RUN FAILED: {exc}", file=sys.stderr)

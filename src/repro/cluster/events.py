@@ -62,8 +62,9 @@ class EventLoop:
     """Heap-ordered event pump with per-type handlers.
 
     ``schedule`` may only move forward in time (an event in the past
-    would silently reorder causality); ``run`` pops until the heap is
-    empty, bounded by ``max_events`` as a runaway guard.
+    would silently reorder causality); ``drain_until`` pops up to an
+    instant or until the heap is empty, bounded by ``max_events`` as a
+    runaway guard.
     """
 
     def __init__(self):
@@ -134,16 +135,6 @@ class EventLoop:
         self.processed += 1
         return True
 
-    def run(self, max_events=1_000_000):
-        """Drain the heap; returns the number of events processed."""
-        start = self.processed
-        while self.step():
-            if self.processed - start > max_events:
-                raise ClusterError(
-                    f"event loop exceeded {max_events} events; "
-                    "likely a scheduling cycle")
-        return self.processed - start
-
     def drain_until(self, until_ms=None, max_events=None):
         """Process every event at instants ``<= until_ms`` in one call.
 
@@ -153,7 +144,7 @@ class EventLoop:
         event, each site free-runs to the next fleet-level instant —
         the inclusive bound preserves the merged clock's tie rule (site
         events at the fleet event's instant fire first). ``max_events``
-        guards runaway self-scheduling exactly like :meth:`run`.
+        guards runaway self-scheduling: past it the drain raises.
         """
         count = 0
         while self._heap:

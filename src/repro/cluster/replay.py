@@ -9,7 +9,9 @@ with per-*batch* cost instead, in four moves:
 1. **Struct-of-arrays intake** — request fields (arrival, target,
    sentence, id, former key) are pulled into NumPy columns in one pass;
    validation and duplicate detection run batched over whole
-   (task, mode) groups instead of per ``inject``.
+   (task, mode) groups instead of per ``inject``. A trace that fails
+   them replays through ``inject`` in order, so its first offender
+   raises the per-event loop's own error.
 2. **Window planning** — with static size/timeout triggers, batch
    composition per (task, SLO class, mode) key depends only on that
    key's arrival instants, so :func:`repro.cluster.batcher.plan_batches`
@@ -56,14 +58,17 @@ dynamic-event seq counter is mirrored exactly (a timer seq is consumed
 at each window open, a completion seq at each batch start, a retry seq
 at each throttle arming, in the same processing order the heap loop
 would schedule them). Equivalence is enforced by tests on the reference
-bursty trace and on randomized property traces; the scalar loop stays
-available as the determinism oracle (``engine="oracle"``).
+bursty trace and on randomized property traces
+(``ClusterSimulator.run_events`` drives the per-event loop for them);
+the scalar loop stays available as the determinism oracle
+(``vectorized=False``).
 
-Eligibility: the fast core engages for ``run()`` replays under a
-non-preemptive built-in policy (fifo / affinity) with vectorized
-pricing. Preemptive or custom policies fall back to the per-event loop
-(their dispatch state can change at arbitrary arrival instants);
-:func:`replay_ineligible_reason` names the downgrade on the report.
+Eligibility is a property of the configuration alone: ``run()`` uses
+this core under a non-preemptive built-in policy (fifo / affinity) with
+vectorized pricing. Preemptive or custom policies run the per-event
+loop (their dispatch state can change at arbitrary arrival instants),
+and so do the scalar kernels; :func:`replay_ineligible_reason` names
+the reason on the report.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from repro.cluster.policies import FewestSwapsPolicy, FifoPolicy
 from repro.cluster.report import ClusterRecord, LazyRecords
 from repro.core.engine import results_from_arrays
 from repro.errors import ClusterError, ReproError
-from repro.serving.request import SERVING_MODES, Batch, Request
+from repro.serving.request import Batch, Request
 from repro.serving.server import price_batch, validate_request, within_target
 
 #: Event kinds in the batch-granular heap. OPEN marks a window opening
@@ -112,11 +117,6 @@ def replay_ineligible_reason(sim):
         return (f"policy {sim.policy.name!r} (preemptive or custom "
                 "policies can act on arbitrary arrival instants)")
     return None
-
-
-def replay_eligible(sim):
-    """Can this simulator's configuration use the batch-granular core?"""
-    return replay_ineligible_reason(sim) is None
 
 
 class _PriceTable:
@@ -294,74 +294,58 @@ def _drain_monitor_log(mon, scope, log, arr_o, dead_eps_o, ids_o):
             observe_swap(scope, event[1], event[2], event[3])
 
 
-def _precheck(sim, requests, ids, sentences, arrivals, keymap, key_max_sent):
-    """Batched duplicate/validity checks mirroring per-inject semantics.
+def _precheck(sim, requests, ids, arrivals, keymap, key_max_sent):
+    """Batched duplicate/validity checks over the trace's columns.
 
-    Returns normally when the whole trace is injectable; on any problem
-    re-runs the classic per-request protocol in inject order so the
-    caller raises exactly the error the event loop would have raised
-    first.
+    Returns when the whole trace is injectable. Otherwise replays it
+    through ``sim.inject`` in order — the duplicate check,
+    :func:`~repro.serving.server.validate_request` and the event loop's
+    past-instant check, request by request — so the first offender
+    raises exactly the error the per-event loop would. Should ``inject``
+    accept every request, the two intakes disagree, and that raises too.
     """
-    n = len(ids)
+    n = ids.size
     # Generated and replayed traces carry consecutive ids; one
     # vectorized compare settles uniqueness without the np.unique sort.
-    unique = n > 0 and bool(
-        (ids == np.arange(ids[0], ids[0] + n)).all())
-    if not unique:
-        unique = bool(np.unique(ids).size == n)
-    ok = unique and bool((arrivals >= -1e-9).all())
-    if ok:
+    unique = bool((ids == np.arange(ids[0], ids[0] + n)).all()) \
+        or np.unique(ids).size == n
+    if unique and bool((arrivals >= -1e-9).all()):
         try:
-            for (task, _target, mode), kid in keymap.items():
-                if mode not in SERVING_MODES:
-                    ok = False
-                    break
-                profile = sim.registry.profile(task)
-                if key_max_sent[kid] >= profile.num_sentences:
-                    ok = False
-                    break
-                if mode == "lai" and profile.lut is None:
-                    ok = False
-                    break
-                if mode in ("ee", "lai") \
-                        and profile.entropy_threshold is None:
-                    ok = False
-                    break
+            # One stand-in per former key carries the key's largest
+            # sentence index through the per-request validator.
+            for (task, target_ms, mode), kid in keymap.items():
+                validate_request(
+                    sim.registry,
+                    Request(request_id=0, task=task,
+                            sentence=int(key_max_sent[kid]),
+                            target_ms=target_ms),
+                    mode)
+            return
         except ReproError:
-            ok = False
-    if ok:
-        return True
-    if (arrivals >= -1e-9).all():
-        # Replay the classic inject-order protocol: duplicate check,
-        # then validation, request by request — the first offender
-        # raises the identical error the event loop would surface.
-        seen = set()
-        for request in requests:
-            if request.request_id in seen:
-                raise ClusterError(
-                    f"duplicate request id {request.request_id}")
-            validate_request(sim.registry, request,
-                             sim._resolve_mode(request))
-            seen.add(request.request_id)
-    # Negative arrivals (or a precheck/classic disagreement): bail to
-    # the per-event path, which raises its own scheduling error.
-    return False
+            pass
+    for request in requests:
+        sim.inject(request)
+    raise ClusterError(
+        "vector intake rejected a trace that per-request intake "
+        "accepts")
 
 
 def run_vectorized(sim, requests):
     """Replay ``requests`` through the batch-granular event core.
 
     Returns the finished :class:`~repro.cluster.ClusterReport` (with
-    ``engine="vector"``), or None when the trace needs the per-event
-    path (the caller falls back; any intake error then surfaces with
-    classic semantics).
+    ``engine="vector"``). A trace the per-event loop would refuse
+    raises the same error here, from the same request (see
+    :func:`_precheck`).
     """
+    n = len(requests)
+    if not n:
+        raise ClusterError("no requests to simulate")
     sim.start()
     registry = sim.registry
     policy = sim.policy
     accels = sim._accels
     report = sim._report
-    n = len(requests)
     default_mode = sim.mode
 
     # -- struct-of-arrays intake (C-driven column pulls over the trace) -----------
@@ -390,9 +374,7 @@ def run_vectorized(sim, requests):
     nkeys = len(keymap)
     key_max_sent = np.full(nkeys, -1, dtype=np.int64)
     np.maximum.at(key_max_sent, key_ids, sentences)
-    if not _precheck(sim, requests, ids, sentences, arrivals, keymap,
-                     key_max_sent):
-        return None
+    _precheck(sim, requests, ids, arrivals, keymap, key_max_sent)
 
     # Event-processing order: arrivals fire by (time, inject seq); a
     # stable time sort keeps inject order inside equal instants.
@@ -569,8 +551,7 @@ def run_vectorized(sim, requests):
         if deadline_aware and pending_batch.mode == "lai":
             # Deadline-budget pricing is batch-coupled (the plan spreads
             # the members' shared slack), so no table applies.
-            priced = sim._price(pending_batch, accel, now)
-            results = priced.results
+            results = sim._price(pending_batch, accel, now)
             latencies = [r.latency_ms for r in results]
             energies = [r.energy_mj for r in results]
         else:

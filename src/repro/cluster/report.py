@@ -112,9 +112,10 @@ class ClusterReport:
     #: ``"oracle"`` (the per-event loop with scalar pricing). Not part
     #: of ``summary()`` — engines must agree bit-for-bit there.
     engine: str = "event"
-    #: Why a ``run()`` under ``engine="auto"`` downgraded to the
-    #: per-event loop (:func:`repro.cluster.replay_ineligible_reason`),
-    #: None when the vector core ran or the event loop was requested.
+    #: Why ``run()`` ran the per-event loop instead of the vector core
+    #: (:func:`repro.cluster.replay_ineligible_reason`, e.g. a
+    #: preemptive policy or the scalar kernels); None when the vector
+    #: core ran or ``run_events()`` was called directly.
     #: Diagnostic only — not part of ``summary()``.
     engine_fallback_reason: str = None
     #: Engine-internal diagnostics (e.g. the deadline-sizing work

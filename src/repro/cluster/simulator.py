@@ -36,7 +36,9 @@ The resulting ledger lands in ``ClusterReport.energy``.
 Everything is deterministic: no wall-clock, no RNG — the same trace,
 pool and policy always produce the same :class:`ClusterReport`.
 
-``run(requests)`` drives a whole trace in one call; the incremental
+``run(requests)`` drives a whole trace in one call, on the core the
+configuration allows; ``run_events(requests)`` always runs the
+per-event loop. The incremental
 lifecycle (``start`` / ``inject`` / ``peek_ms`` / ``step`` /
 ``finish``) lets an external clock — the :mod:`repro.fleet`
 orchestrator — interleave this simulator with other sites' event loops
@@ -69,37 +71,10 @@ from repro.cluster.events import (
 from repro.cluster.policies import make_policy
 from repro.cluster.replay import (
     _build_table,
-    replay_eligible,
     replay_ineligible_reason,
     run_vectorized,
 )
 from repro.cluster.report import ClusterRecord, ClusterReport
-
-#: The event cores ``ClusterSimulator(engine=...)`` accepts. ``auto``
-#: uses the vectorized replay core when the configuration is eligible
-#: (:func:`repro.cluster.replay.replay_eligible`) and the per-event loop
-#: otherwise; ``vector`` demands the replay core (raising on ineligible
-#: configurations); ``event`` forces the per-event loop; ``oracle`` is
-#: the determinism oracle — the per-event loop with scalar (loop-based)
-#: pricing, i.e. ``vectorized=False`` throughout.
-ENGINES = ("auto", "vector", "event", "oracle")
-
-
-class _GatheredReport:
-    """Price-table rows standing in for a per-batch engine report.
-
-    The per-event loop only ever reads ``.results`` off the pricing
-    report (placement estimates sum them, ``_start`` hands them to the
-    accelerator), so a gathered row list is a drop-in — the
-    :class:`~repro.core.SentenceResult` rows the whole-profile table
-    boxes for its members on first service (and hands back as the same
-    objects afterwards), in batch-member order.
-    """
-
-    __slots__ = ("results",)
-
-    def __init__(self, results):
-        self.results = results
 
 
 class ClusterSimulator:
@@ -125,7 +100,7 @@ class ClusterSimulator:
                  vectorized=True, hw_configs=None, energy_budget_mw=None,
                  budget_window_ms=100.0, deadline_aware=False,
                  adaptive_timeout=False, standby_timeout_ms=None,
-                 deadline_sizing=False, engine="auto", price_tables=False,
+                 deadline_sizing=False, price_tables=False,
                  tracer=None, metrics=None, monitor=None,
                  trace_scope="cluster"):
         if mode not in SERVING_MODES:
@@ -137,13 +112,6 @@ class ClusterSimulator:
             raise ClusterError("batch_timeout_ms must be non-negative")
         if standby_timeout_ms is not None and standby_timeout_ms < 0:
             raise ClusterError("standby_timeout_ms must be non-negative")
-        if engine not in ENGINES:
-            raise ClusterError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if engine == "oracle":
-            # The oracle is the scalar reference configuration: the
-            # per-event loop pricing with the loop-based kernels.
-            vectorized = False
         if deadline_aware and not vectorized:
             # Fail at construction, not mid-simulation: the deadline
             # path is batch-level and has no scalar reference loop.
@@ -176,8 +144,6 @@ class ClusterSimulator:
         self.max_batch_size = int(max_batch_size)
         self.batch_timeout_ms = float(batch_timeout_ms)
         self.vectorized = vectorized
-        #: Which event core ``run()`` uses — see :data:`ENGINES`.
-        self.engine = engine
         self.hw_configs = hw_configs
         if energy_budget_mw is not None and energy_budget_mw <= 0:
             raise ClusterError("energy_budget_mw must be positive")
@@ -234,48 +200,45 @@ class ClusterSimulator:
     def run(self, requests):
         """Simulate the trace; returns a :class:`ClusterReport`.
 
-        Under ``engine="auto"`` (the default) an eligible configuration
-        replays through the vectorized batch-granular core
-        (:mod:`repro.cluster.replay`) — bit-identical reports, per-batch
-        instead of per-request cost — and everything else runs the
-        per-event loop. The report's ``engine`` field says which core
-        actually ran.
+        The configuration picks the core. When
+        :func:`~repro.cluster.replay.replay_ineligible_reason` finds
+        nothing against it, the trace replays through the vectorized
+        batch-granular core (:mod:`repro.cluster.replay`) — bit-identical
+        reports, per-batch instead of per-request cost. Otherwise it
+        runs the per-event loop (:meth:`run_events`), and the reason
+        lands in ``report.engine_fallback_reason``. The report's
+        ``engine`` field says which core actually ran.
         """
-        requests = list(requests)
-        if not requests:
-            raise ClusterError("no requests to simulate")
-        fallback_reason = None
-        if self.engine in ("auto", "vector"):
-            reason = replay_ineligible_reason(self)
-            if reason is None:
-                report = run_vectorized(self, requests)
-                if report is not None:
-                    return report
-                # The trace needs classic intake semantics (e.g. its
-                # errors); fall through to the per-event loop.
-                fallback_reason = ("trace needs classic per-request "
-                                   "intake semantics")
-            elif self.engine == "vector":
-                raise ClusterError(
-                    "engine='vector' needs a replay-eligible "
-                    f"configuration, but this one has {reason}; use "
-                    "engine='auto' or 'event' instead")
-            else:
-                fallback_reason = reason
+        reason = replay_ineligible_reason(self)
+        if reason is None:
+            return run_vectorized(self, list(requests))
+        report = self.run_events(requests)
+        report.engine_fallback_reason = reason
+        return report
+
+    def run_events(self, requests):
+        """Simulate the trace on the per-event loop; returns the report.
+
+        The reference core, which every configuration can run:
+        :meth:`start`, one :meth:`inject` per request, a full
+        :meth:`run_until` drain and :meth:`finish`. :meth:`run` calls it
+        when the vector core does not apply; tests and benches call it
+        directly to hold the two cores bit-identical.
+        """
         self.start()
         for request in requests:
             self.inject(request)
-        self._loop.run(max_events=self.MAX_EVENTS)
-        report = self.finish()
-        report.engine_fallback_reason = fallback_reason
-        return report
+        if not self._seen:
+            raise ClusterError("no requests to simulate")
+        self.run_until()
+        return self.finish()
 
     # -- incremental lifecycle (the fleet orchestrator's driving API) ------------
 
     def start(self):
         """Initialize a fresh run without scheduling any arrivals.
 
-        ``run(requests)`` is ``start`` + ``inject`` per request + a full
+        :meth:`run_events` is ``start`` + ``inject`` per request + a full
         event-loop drain + ``finish``; an external driver (the fleet
         orchestrator) instead interleaves :meth:`inject` / :meth:`step`
         with other sites' clocks and calls :meth:`finish` once every
@@ -380,7 +343,7 @@ class ClusterSimulator:
         orchestrator free-runs each site to the next fleet-level instant
         in one call instead of peeking every site per event. Returns the
         number of events processed; ``until_ms=None`` drains the loop
-        dry. Guarded by :data:`MAX_EVENTS` like :meth:`run`.
+        dry. Guarded by :data:`MAX_EVENTS`.
         """
         return self._loop.drain_until(
             until_ms,
@@ -692,40 +655,41 @@ class ClusterSimulator:
         return max(math.floor(slack / grid) * grid, 0.0)
 
     def _price(self, pending_batch, accel, now_ms):
-        """Price ``pending_batch`` on ``accel``'s hardware (cached).
+        """``pending_batch``'s result rows on ``accel``'s hardware (cached).
 
-        The cache is keyed by batch seq, then (device HwConfig, deadline
-        budget): distinct PendingBatch objects always carry distinct
-        seqs, and every device sharing a hardware profile *and* seeing
-        the same remaining slack prices identically — so the governor
-        scoring k devices and the eventual placement share one engine
-        call per variant. A batch's entries are evicted wholesale when
-        it starts (:meth:`_start`), so the footprint stays
+        One :class:`~repro.core.SentenceResult` per member, in batch
+        order. The cache is keyed by batch seq, then (device HwConfig,
+        deadline budget): distinct PendingBatch objects always carry
+        distinct seqs, and every device sharing a hardware profile *and*
+        seeing the same remaining slack prices identically — so the
+        governor scoring k devices and the eventual placement share one
+        engine call per variant. A batch's entries are evicted wholesale
+        when it starts (:meth:`_start`), so the footprint stays
         O(pending batches x variants) on long traces.
         """
         deadline_ms = self._deadline_budget_ms(pending_batch, accel,
                                                now_ms)
         key = (accel.hw_config, deadline_ms)
         cache = self._price_cache.setdefault(pending_batch.seq, {})
-        report = cache.get(key)
-        if report is None:
+        rows = cache.get(key)
+        if rows is None:
             if self.price_tables and deadline_ms is None:
                 # Composition-invariant pricing: gather the members'
                 # rows from the whole-profile table instead of pricing
                 # this batch's composition (identical rows — the replay
                 # core's table contract).
                 table = self._table_for(pending_batch, accel.hw_config)
-                report = _GatheredReport(table.rows(
-                    [r.sentence for r in pending_batch.batch.requests]))
+                rows = table.rows(
+                    [r.sentence for r in pending_batch.batch.requests])
             else:
                 profile = self.registry.profile_for(pending_batch.task,
                                                     accel.hw_config)
-                report = price_batch(profile, pending_batch.batch,
-                                     pending_batch.mode,
-                                     vectorized=self.vectorized,
-                                     deadline_ms=deadline_ms)
-            cache[key] = report
-        return report
+                rows = price_batch(profile, pending_batch.batch,
+                                   pending_batch.mode,
+                                   vectorized=self.vectorized,
+                                   deadline_ms=deadline_ms).results
+            cache[key] = rows
+        return rows
 
     def _table_for(self, pending_batch, hw_config):
         """The whole-profile price table for one batch-key variant."""
@@ -739,13 +703,10 @@ class ClusterSimulator:
 
     def _estimate_placement(self, accel, pending_batch, now_ms):
         """Back :meth:`AcceleratorSim.estimate` with cached pricing."""
-        engine_report = self._price(pending_batch, accel, now_ms)
-        latency_ms = float(sum(r.latency_ms
-                               for r in engine_report.results))
-        first_latency_ms = float(engine_report.results[0].latency_ms) \
-            if engine_report.results else 0.0
-        energy_mj = float(sum(r.energy_mj
-                              for r in engine_report.results))
+        rows = self._price(pending_batch, accel, now_ms)
+        latency_ms = float(sum(r.latency_ms for r in rows))
+        first_latency_ms = float(rows[0].latency_ms) if rows else 0.0
+        energy_mj = float(sum(r.energy_mj for r in rows))
         swap_ms, swap_energy = self._swap_for(pending_batch, accel,
                                               now_ms)
         transition_ms = transition_mj = 0.0
@@ -837,15 +798,14 @@ class ClusterSimulator:
         batch = pending_batch.batch
         swap_cost = self.registry.switch_cost(accel.resident_task,
                                               batch.task)
-        engine_report = self._price(pending_batch, accel, now)
-        latencies = [r.latency_ms for r in engine_report.results]
+        rows = self._price(pending_batch, accel, now)
+        latencies = [r.latency_ms for r in rows]
         budget_token = None
         if self._budget is not None:
             # Commit the placement's predicted energy against the
             # rolling window: compute + swap (when actually paid) +
             # the wake transition the device charges at begin.
-            committed = float(sum(r.energy_mj
-                                  for r in engine_report.results))
+            committed = float(sum(r.energy_mj for r in rows))
             if accel.resident_task != batch.task:
                 committed += swap_cost.energy_mj
             committed += accel.energy.estimate_transition(now_ms=now)[1]
@@ -854,8 +814,7 @@ class ClusterSimulator:
                                     pending_batch.mode))
         if former is not None:
             former.observe_dispatch_delay(now - pending_batch.ready_ms)
-        run = accel.begin(pending_batch, engine_report.results, latencies,
-                          now, swap_cost)
+        run = accel.begin(pending_batch, rows, latencies, now, swap_cost)
         if budget_token is not None:
             self._budget_tokens[(accel.accel_id, run.run_id)] = budget_token
         # The batch is placed; its priced variants can never be needed

@@ -31,6 +31,7 @@ deterministic day-curve trace of any size for replay benchmarking
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -92,17 +93,44 @@ def _request_from_row(row, index, default_target_ms):
             f"trace row {index} has malformed values: {exc}") from None
 
 
+def _by_arrival(path, rows, empty_message):
+    """The loaded rows in arrival order; an empty log raises."""
+    if not rows:
+        raise ClusterError(f"trace {path!r} {empty_message}")
+    return sorted(rows, key=lambda r: (r.arrival_ms, r.request_id))
+
+
+def _jsonl_requests(path, lines, default_target_ms):
+    """Parse JSON-Lines ``lines`` (one object each) into requests."""
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            parsed = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ClusterError(
+                f"trace {path!r} line {i + 1} is not valid JSON: "
+                f"{exc}") from None
+        yield _request_from_row(parsed, i, default_target_ms)
+
+
+def _for_format(path, csv_reader, jsonl_reader):
+    """The reader matching ``path``'s extension."""
+    ext = os.path.splitext(path)[1].lower()
+    if ext in _CSV_EXTENSIONS:
+        return csv_reader
+    if ext in _JSONL_EXTENSIONS:
+        return jsonl_reader
+    raise ClusterError(
+        f"unknown trace format {ext!r} for {path!r}; expected one of "
+        f"{_CSV_EXTENSIONS + _JSONL_EXTENSIONS}")
+
+
 def load_trace_csv(path, default_target_ms=50.0):
     """Load a CSV request log (header row required)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ClusterError(f"trace {path!r} is empty")
-        rows = [_request_from_row(row, i, default_target_ms)
-                for i, row in enumerate(reader)]
-    if not rows:
-        raise ClusterError(f"trace {path!r} has a header but no rows")
-    return sorted(rows, key=lambda r: (r.arrival_ms, r.request_id))
+    return _by_arrival(path, list(iter_trace_csv(path, default_target_ms)),
+                       "has a header but no rows")
 
 
 def load_trace_jsonl(path, default_target_ms=50.0):
@@ -123,21 +151,9 @@ def load_trace_jsonl(path, default_target_ms=50.0):
         rows = [_request_from_row(parsed, i, default_target_ms)
                 for i, parsed in enumerate(parsed_rows)]
     else:
-        rows = []
-        for i, line in enumerate(text.splitlines()):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ClusterError(
-                    f"trace {path!r} line {i + 1} is not valid JSON: "
-                    f"{exc}") from None
-            rows.append(_request_from_row(parsed, i, default_target_ms))
-    if not rows:
-        raise ClusterError(f"trace {path!r} has no rows")
-    return sorted(rows, key=lambda r: (r.arrival_ms, r.request_id))
+        rows = list(_jsonl_requests(path, text.splitlines(),
+                                    default_target_ms))
+    return _by_arrival(path, rows, "has no rows")
 
 
 def iter_trace_csv(path, default_target_ms=50.0):
@@ -165,33 +181,19 @@ def iter_trace_jsonl(path, default_target_ms=50.0):
     stream; a top-level JSON array needs the materializing loader).
     """
     with open(path, encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            if i == 0 and line.startswith("["):
-                raise ClusterError(
-                    f"trace {path!r} is a JSON array; streaming needs "
-                    "one object per line (use load_trace_jsonl)")
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ClusterError(
-                    f"trace {path!r} line {i + 1} is not valid JSON: "
-                    f"{exc}") from None
-            yield _request_from_row(parsed, i, default_target_ms)
+        first = handle.readline()
+        if first.strip().startswith("["):
+            raise ClusterError(
+                f"trace {path!r} is a JSON array; streaming needs "
+                "one object per line (use load_trace_jsonl)")
+        yield from _jsonl_requests(path, itertools.chain((first,), handle),
+                                   default_target_ms)
 
 
 def iter_trace(path, default_target_ms=50.0):
     """Stream a request trace, dispatching on the file extension."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext in _CSV_EXTENSIONS:
-        return iter_trace_csv(path, default_target_ms)
-    if ext in _JSONL_EXTENSIONS:
-        return iter_trace_jsonl(path, default_target_ms)
-    raise ClusterError(
-        f"unknown trace format {ext!r} for {path!r}; expected one of "
-        f"{_CSV_EXTENSIONS + _JSONL_EXTENSIONS}")
+    return _for_format(path, iter_trace_csv, iter_trace_jsonl)(
+        path, default_target_ms)
 
 
 def generate_diurnal_trace(num_requests, seed=0, tasks=None,
@@ -247,14 +249,8 @@ def generate_diurnal_trace(num_requests, seed=0, tasks=None,
 
 def load_trace(path, default_target_ms=50.0):
     """Load a request trace, dispatching on the file extension."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext in _CSV_EXTENSIONS:
-        return load_trace_csv(path, default_target_ms)
-    if ext in _JSONL_EXTENSIONS:
-        return load_trace_jsonl(path, default_target_ms)
-    raise ClusterError(
-        f"unknown trace format {ext!r} for {path!r}; expected one of "
-        f"{_CSV_EXTENSIONS + _JSONL_EXTENSIONS}")
+    return _for_format(path, load_trace_csv, load_trace_jsonl)(
+        path, default_target_ms)
 
 
 def _row_of(request):

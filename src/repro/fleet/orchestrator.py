@@ -140,9 +140,9 @@ class FleetOrchestrator:
 
     # -- the merged clock --------------------------------------------------------
 
-    #: Runaway guard for the merged loop, mirroring ``EventLoop.run``'s
-    #: per-site cap: a scheduling cycle (or a routing policy that
-    #: defers forever) must raise, not hang.
+    #: Runaway guard for the merged loop, mirroring the per-site
+    #: ``ClusterSimulator.MAX_EVENTS`` cap: a scheduling cycle (or a
+    #: routing policy that defers forever) must raise, not hang.
     MAX_FLEET_EVENTS = 5_000_000
 
     def _drain(self, arrivals, times):

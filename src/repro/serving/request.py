@@ -9,6 +9,7 @@ price in one shot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,10 @@ class Request:
     def __post_init__(self):
         if self.sentence < 0:
             raise ServingError("sentence index must be non-negative")
-        if self.target_ms <= 0:
+        if not self.target_ms > 0:
             raise ServingError("target_ms must be positive")
+        if not -math.inf < self.arrival_ms < math.inf:
+            raise ServingError("arrival_ms must be finite")
         if self.mode is not None and self.mode not in SERVING_MODES:
             raise ServingError(
                 f"unknown mode {self.mode!r}; expected one of "

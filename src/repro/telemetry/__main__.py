@@ -65,16 +65,15 @@ def _canonical(report):
     return json.dumps(report.summary(), sort_keys=True)
 
 
-def _run_cluster(registry, trace, engine, tracer=None, metrics=None):
-    # No energy budget here: the vector engine refuses budgeted
-    # configs, and both engines must run the identical setup for the
-    # cross-engine check. The fleet leg (capped edge-c site) covers
-    # the budget-track hooks.
+def _run_cluster(registry, trace, engine, tracer=None, metrics=None,
+                 monitor=None):
+    """Replay ``trace`` on the ``"vector"`` or ``"event"`` core."""
     sim = ClusterSimulator(registry, num_accelerators=4,
-                           policy="affinity", engine=engine,
-                           standby_timeout_ms=20.0,
-                           tracer=tracer, metrics=metrics)
-    return sim.run(trace)
+                           policy="affinity", standby_timeout_ms=20.0,
+                           tracer=tracer, metrics=metrics, monitor=monitor)
+    report = sim.run(trace) if engine == "vector" else sim.run_events(trace)
+    _check(report.engine == engine, f"{engine}: {report.engine} core ran")
+    return report
 
 
 def _smoke_cluster(registry, trace, workdir):

@@ -38,28 +38,18 @@ import os
 import sys
 import tempfile
 
-from repro.cluster import ClusterSimulator
 from repro.errors import ReproError, TelemetryError
 from repro.fleet import FleetAutoscaler, FleetOrchestrator
 from repro.serving import synthetic_registry, synthetic_traffic
 from repro.telemetry import (MetricsRegistry, Tracer,
                              reconcile_cluster, reconcile_fleet,
                              render_openmetrics, render_timeline)
-from repro.telemetry.__main__ import (_canonical, _check,
+from repro.telemetry.__main__ import (_canonical, _check, _run_cluster,
                                       reference_workload)
 from repro.telemetry.monitor import (BurnRateRule, IncidentReport,
                                      LatencyQuantileRule,
                                      SwapThrashRule, TelemetryMonitor,
                                      default_rules, parse_rules)
-
-
-def _run_cluster(registry, trace, engine, tracer=None, metrics=None,
-                 monitor=None):
-    sim = ClusterSimulator(registry, num_accelerators=4,
-                           policy="affinity", engine=engine,
-                           standby_timeout_ms=20.0, tracer=tracer,
-                           metrics=metrics, monitor=monitor)
-    return sim.run(trace)
 
 
 def _monitor_report(registry, trace, engine, rules=None, tracer=None,

@@ -26,7 +26,7 @@ class TestEventLoop:
         loop.schedule(5.0, Arrival(req(1)))
         loop.schedule(1.0, Arrival(req(0)))
         loop.schedule(9.0, Arrival(req(2)))
-        assert loop.run() == 3
+        assert loop.drain_until() == 3
         assert fired == [0, 1, 2]
         assert loop.now_ms == 9.0
 
@@ -36,7 +36,7 @@ class TestEventLoop:
         loop.on(Arrival, lambda ev: fired.append(ev.request.request_id))
         for i in (3, 1, 2):
             loop.schedule(4.0, Arrival(req(i)))
-        loop.run()
+        loop.drain_until()
         assert fired == [3, 1, 2]  # seq breaks the tie, not request id
 
     def test_handlers_can_schedule_future_events(self):
@@ -50,14 +50,14 @@ class TestEventLoop:
 
         loop.on(Arrival, chain)
         loop.schedule(0.0, Arrival(req(0)))
-        loop.run()
+        loop.drain_until()
         assert fired == [0.0, 10.0, 20.0]
 
     def test_scheduling_in_the_past_raises(self):
         loop = EventLoop()
         loop.on(Arrival, lambda ev: None)
         loop.schedule(5.0, Arrival(req(0)))
-        loop.run()
+        loop.drain_until()
         with pytest.raises(ClusterError):
             loop.schedule(1.0, Arrival(req(1)))
 
@@ -65,7 +65,7 @@ class TestEventLoop:
         loop = EventLoop()
         loop.schedule(0.0, Arrival(req(0)))
         with pytest.raises(ClusterError):
-            loop.run()
+            loop.drain_until()
 
     def test_runaway_guard(self):
         loop = EventLoop()
@@ -73,7 +73,7 @@ class TestEventLoop:
                 lambda ev: loop.schedule(loop.now_ms + 1.0, Arrival(req(0))))
         loop.schedule(0.0, Arrival(req(0)))
         with pytest.raises(ClusterError):
-            loop.run(max_events=100)
+            loop.drain_until(max_events=100)
 
 
 class TestBatchFormer:

@@ -9,10 +9,9 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
-    ENGINES,
     generate_diurnal_trace,
     load_trace,
-    replay_eligible,
+    replay_ineligible_reason,
 )
 from repro.config import HwConfig
 from repro.errors import ClusterError, ServingError
@@ -40,12 +39,19 @@ def bursty():
 
 
 def run_engine(registry, trace, engine, **kwargs):
+    """Replay on one core: ``event`` drives ``run_events``, ``oracle``
+    is ``run()`` on the scalar kernels, and ``auto``/``vector`` are
+    ``run()`` (``vector`` also checks that the vector core ran)."""
     kwargs.setdefault("num_accelerators", 4)
     kwargs.setdefault("policy", "fifo")
     kwargs.setdefault("max_batch_size", 8)
     kwargs.setdefault("batch_timeout_ms", 5.0)
-    sim = ClusterSimulator(registry, engine=engine, **kwargs)
-    return sim.run(trace)
+    if engine == "oracle":
+        kwargs["vectorized"] = False
+    sim = ClusterSimulator(registry, **kwargs)
+    report = sim.run_events(trace) if engine == "event" else sim.run(trace)
+    assert engine in ("auto", report.engine)
+    return report
 
 
 def canonical(report):
@@ -169,22 +175,14 @@ class TestPropertyEquivalence:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, registry):
-        with pytest.raises(ClusterError, match="unknown engine"):
-            ClusterSimulator(registry, engine="warp")
-        assert set(ENGINES) == {"auto", "vector", "event", "oracle"}
-
-    def test_vector_engine_requires_eligible_config(self, registry):
-        trace = synthetic_traffic(registry, 10, seed=0)
-        sim = ClusterSimulator(registry, num_accelerators=2,
-                               policy="edf", engine="vector")
-        assert not replay_eligible(sim)
-        with pytest.raises(ClusterError, match="replay-eligible"):
-            sim.run(trace)
-
     def test_oracle_engine_forces_scalar_kernels(self, registry):
-        sim = ClusterSimulator(registry, engine="oracle")
-        assert sim.vectorized is False
+        # The scalar kernels are a configuration the vector core does
+        # not take, so run() replays them on the per-event loop.
+        trace = synthetic_traffic(registry, 10, seed=0)
+        report = ClusterSimulator(registry, num_accelerators=2,
+                                  vectorized=False).run(trace)
+        assert report.engine == "oracle"
+        assert "scalar" in report.engine_fallback_reason
 
     def test_energy_aware_flags_stay_on_vector(self, registry):
         # The paper's flagship path — budget admission, adaptive
@@ -195,7 +193,7 @@ class TestEngineSelection:
                        {"energy_budget_mw": 200.0}):
             sim = ClusterSimulator(registry, num_accelerators=2,
                                    **kwargs)
-            assert replay_eligible(sim)
+            assert replay_ineligible_reason(sim) is None
             report = sim.run(trace)
             assert report.engine == "vector"
             assert report.engine_fallback_reason is None
@@ -206,11 +204,16 @@ class TestEngineSelection:
                                   policy="edf").run(trace)
         assert report.engine == "event"
         assert "edf" in report.engine_fallback_reason
-        # Explicitly requested engines never report a downgrade.
-        event = ClusterSimulator(registry, num_accelerators=2,
-                                 engine="event").run(trace)
+        # A direct per-event run is not a downgrade.
+        event = ClusterSimulator(registry,
+                                 num_accelerators=2).run_events(trace)
         assert event.engine_fallback_reason is None
         assert "engine_fallback_reason" not in event.summary()
+
+
+def request(request_id, arrival_ms=0.0, sentence=0):
+    return Request(request_id=request_id, task="sst2", sentence=sentence,
+                   target_ms=50.0, arrival_ms=arrival_ms)
 
 
 class TestIntakeErrors:
@@ -242,13 +245,63 @@ class TestIntakeErrors:
         finally:
             profile.lut = lut
 
+    @pytest.mark.parametrize("engine", ["vector", "event"])
+    def test_empty_trace(self, registry, engine):
+        with pytest.raises(ClusterError, match="no requests"):
+            run_engine(registry, iter(()), engine)
+
+    @pytest.mark.parametrize("engine", ["vector", "event"])
+    def test_negative_arrival(self, registry, engine):
+        trace = [request(0), request(1, arrival_ms=-5.0)]
+        with pytest.raises(ClusterError,
+                           match="cannot schedule Arrival at -5.0 ms"):
+            run_engine(registry, trace, engine)
+
+    @pytest.mark.parametrize("engine", ["vector", "event"])
+    @pytest.mark.parametrize("first, message", [
+        ("negative", "cannot schedule Arrival"),
+        ("duplicate", "duplicate request id 7"),
+    ])
+    def test_first_offender_in_inject_order_wins(self, registry, engine,
+                                                 first, message):
+        negative = request(3, arrival_ms=-5.0)
+        duplicate = request(7, arrival_ms=1.0, sentence=1)
+        offenders = ([negative, duplicate] if first == "negative"
+                     else [duplicate, negative])
+        with pytest.raises(ClusterError, match=message):
+            run_engine(registry, [request(7)] + offenders, engine)
+
+    @pytest.mark.parametrize("trace, error, message", [
+        ([request(0, arrival_ms=-5.0)], ClusterError, "cannot schedule"),
+        ([request(7), request(7, arrival_ms=1.0)], ClusterError,
+         "duplicate request id 7"),
+        ([request(0, sentence=99)], ServingError, "sentence 99"),
+    ])
+    def test_vector_intake_never_hands_back(self, registry, monkeypatch,
+                                            trace, error, message):
+        def hand_back(sim, requests):
+            raise AssertionError("run() fell back to run_events")
+
+        monkeypatch.setattr(ClusterSimulator, "run_events", hand_back)
+        with pytest.raises(error, match=message):
+            run_engine(registry, trace, "vector")
+
+    def test_column_and_inject_disagreement_raises(self, registry):
+        # Float ids 1.0 and 1.5 are distinct to inject() but collide in
+        # the int64 id column: the two intakes disagree, and run()
+        # must raise rather than pick one.
+        trace = [Request(request_id=rid, task="sst2", sentence=0,
+                         target_ms=50.0) for rid in (1.0, 1.5)]
+        with pytest.raises(ClusterError, match="per-request intake accepts"):
+            run_engine(registry, trace, "vector")
+
 
 class TestRunawayGuards:
     @pytest.mark.parametrize("engine", ["vector", "oracle"])
     def test_max_events_bounds_both_engines(self, registry, engine):
         trace = synthetic_traffic(registry, 30, seed=2)
         sim = ClusterSimulator(registry, num_accelerators=2,
-                               engine=engine)
+                               vectorized=engine == "vector")
         sim.MAX_EVENTS = 3
         with pytest.raises(ClusterError, match="exceeded 3 events"):
             sim.run(trace)

@@ -2,7 +2,7 @@
 
 The acceptance bar for the PR-9 vector-core extensions: with
 ``energy_budget_mw``, ``adaptive_timeout`` and ``deadline_sizing``
-each toggled, ``engine="auto"`` must select the vector core and
+each toggled, ``run()`` must select the vector core and
 replay the reference bursty trace bit-identically to the event
 engine — the ClusterReport *and* the monitor's alert stream (the
 alerts observe every commit point, so an identical stream means the
@@ -79,9 +79,10 @@ def monitored_run(registry, trace, engine, **kwargs):
     kwargs.setdefault("max_batch_size", 8)
     kwargs.setdefault("batch_timeout_ms", 5.0)
     monitor = TelemetryMonitor(tight_rules())
-    sim = ClusterSimulator(registry, engine=engine, monitor=monitor,
-                           **kwargs)
-    report = sim.run(trace)
+    sim = ClusterSimulator(registry, monitor=monitor, **kwargs)
+    # "event" drives the per-event loop; "auto"/"vector" let run() pick.
+    report = sim.run_events(trace) if engine == "event" else sim.run(trace)
+    assert engine in ("auto", report.engine)
     return report, monitor
 
 

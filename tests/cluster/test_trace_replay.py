@@ -126,6 +126,7 @@ class TestParsing:
         ("task,sentence\n", "no rows"),
         ("sentence\n4\n", "missing required"),
         ("task,sentence\nsst2,not-an-int\n", "malformed"),
+        ("task,sentence,arrival_ms\nsst2,0,nan\n", "row 0 has malformed"),
     ])
     def test_bad_csv_raises(self, tmp_path, content, message):
         path = tmp_path / "t.csv"

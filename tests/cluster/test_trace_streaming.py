@@ -138,10 +138,11 @@ class TestDriver:
     def test_oracle_flag_forces_the_scalar_loop(self, tmp_path):
         out = str(tmp_path / "t.jsonl")
         run_gen_trace(40, out, seed=0, verbose=False)
-        oracle = run_trace(out, num_accelerators=2, engine="oracle",
+        oracle = run_trace(out, num_accelerators=2, vectorized=False,
                            mode="base", verbose=False)
-        auto = run_trace(out, num_accelerators=2, engine="auto",
-                         mode="base", verbose=False)
+        auto = run_trace(out, num_accelerators=2, mode="base",
+                         verbose=False)
         assert oracle["engine"] == "oracle"
+        assert "scalar" in oracle["engine_fallback_reason"]
         assert auto["engine"] == "vector"
         assert oracle["requests"] == auto["requests"] == 40

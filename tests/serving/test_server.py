@@ -130,6 +130,20 @@ class TestServer:
                         entropies=entropies, lut=profile.lut,
                         entropy_threshold=0.25)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("arrival_ms", float("nan"), "arrival_ms must be finite"),
+        ("arrival_ms", float("inf"), "arrival_ms must be finite"),
+        ("arrival_ms", float("-inf"), "arrival_ms must be finite"),
+        ("target_ms", float("nan"), "target_ms must be positive"),
+    ])
+    def test_request_rejects_non_finite_times(self, field, value,
+                                              message):
+        from repro.serving import Request
+        fields = {"request_id": 0, "task": "sst2", "sentence": 0,
+                  "target_ms": 50.0, field: value}
+        with pytest.raises(ServingError, match=message):
+            Request(**fields)
+
     def test_run_empty_queue_raises(self, registry):
         with pytest.raises(ServingError):
             Server(registry).run()

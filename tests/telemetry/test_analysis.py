@@ -52,13 +52,14 @@ def bursty():
     return load_trace(os.path.abspath(path))
 
 
-def run_cluster(registry, trace, engine, **kwargs):
+def run_cluster(registry, trace, engine, tracer=None, **kwargs):
     kwargs.setdefault("num_accelerators", 4)
     kwargs.setdefault("policy", "affinity")
-    tracer = Tracer()
-    sim = ClusterSimulator(registry, engine=engine, tracer=tracer,
-                           **kwargs)
-    return tracer, sim.run(trace)
+    tracer = Tracer() if tracer is None else tracer
+    sim = ClusterSimulator(registry, tracer=tracer, **kwargs)
+    report = sim.run(trace) if engine == "vector" else sim.run_events(trace)
+    assert report.engine == engine
+    return tracer, report
 
 
 def canonical(analysis):
@@ -77,10 +78,7 @@ class TestSourceAndEngineParity:
             spill_path = str(tmp_path / f"spill_{engine}.jsonl")
             with Tracer(max_spans=128,
                         spill_path=spill_path) as spiller:
-                sim = ClusterSimulator(registry, num_accelerators=4,
-                                       policy="affinity", engine=engine,
-                                       tracer=spiller)
-                sim.run(bursty)
+                run_cluster(registry, bursty, engine, tracer=spiller)
                 assert spiller.spilled > 0
                 assert canonical(analyze(spiller)) == canonical(live)
 

@@ -371,9 +371,8 @@ class TestEndToEnd:
         )
         mon = TelemetryMonitor(rules)
         sim = ClusterSimulator(registry, num_accelerators=2,
-                               policy="affinity", engine="event",
-                               monitor=mon)
-        sim.run(trace)
+                               policy="affinity", monitor=mon)
+        sim.run_events(trace)
         report = mon.report()
         kinds = {a.kind for a in report.alerts}
         assert "burn_rate" in kinds and "latency_quantile" in kinds
@@ -384,11 +383,10 @@ class TestEndToEnd:
         registry = synthetic_registry(("sst2", "mnli"), n=64, seed=0)
         trace = synthetic_traffic(registry, 400, seed=0)
         plain = ClusterSimulator(registry, num_accelerators=4,
-                                 policy="affinity",
-                                 engine="event").run(trace)
+                                 policy="affinity").run_events(trace)
         mon = TelemetryMonitor()
         watched = ClusterSimulator(registry, num_accelerators=4,
-                                   policy="affinity", engine="event",
-                                   monitor=mon).run(trace)
+                                   policy="affinity",
+                                   monitor=mon).run_events(trace)
         assert json.dumps(watched.summary(), sort_keys=True) == \
             json.dumps(plain.summary(), sort_keys=True)

@@ -40,8 +40,10 @@ def bursty():
 def run_cluster(registry, trace, engine, **kwargs):
     kwargs.setdefault("num_accelerators", 4)
     kwargs.setdefault("policy", "affinity")
-    sim = ClusterSimulator(registry, engine=engine, **kwargs)
-    return sim.run(trace)
+    sim = ClusterSimulator(registry, **kwargs)
+    report = sim.run(trace) if engine == "vector" else sim.run_events(trace)
+    assert report.engine == engine
+    return report
 
 
 def canonical(report):
