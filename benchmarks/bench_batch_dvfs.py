@@ -13,13 +13,20 @@ against its SLO deadline buy over planning every sentence independently?
   discrete-event simulator with and without ``deadline_aware=True``
   (same FIFO policy, same pool), comparing the lai traffic's priced
   compute energy and the end-to-end SLO violation count.
+* **Pricing cost**: microseconds per ``price_batch(..., deadline_ms=...)``
+  call for 1-, 8- and 32-sentence batches at two budgets — 4x the
+  zero-slack plan's ``planned_ns`` (relaxed: the lowest shared level
+  fits) and 0.99x of it (tight: both sweeps fail and the planner falls
+  back to the per-sentence plan).
 
-Gates (the ISSUE-4 acceptance criteria; fail before any reporting):
+Gates (fail before any reporting):
 
 * the deadline planner uses **strictly fewer joules** than per-sentence
   planning on every relaxed SLO class, at **zero additional SLO
   violations** (engine and cluster level);
-* the **zero-slack path reproduces per-sentence pricing to 1e-9**.
+* the **zero-slack path reproduces per-sentence pricing to 1e-9**;
+* a tight batch costs **at most 4x** the relaxed batch of the same size
+  (a ratio on one host, so it holds whatever the host's speed).
 
 Run:  pytest benchmarks/bench_batch_dvfs.py -s
  or:  python benchmarks/bench_batch_dvfs.py
@@ -27,6 +34,7 @@ Run:  pytest benchmarks/bench_batch_dvfs.py -s
 
 import json
 import os
+import time
 
 import numpy as np
 
@@ -36,8 +44,9 @@ from repro.core.engine import (
     price_latency_aware_batch,
     price_latency_aware_deadline_batch,
 )
+from repro.dvfs import DeadlineBudget
 from repro.energy.__main__ import reference_pool, reference_workload
-from repro.serving import Batch, Request, batch_deadline_ms
+from repro.serving import Batch, Request, batch_deadline_ms, price_batch
 from repro.utils import format_table
 
 #: SLO classes priced at the engine level: (label, per-sentence target).
@@ -50,6 +59,13 @@ SLO_CLASSES = (("tight", 2.0), ("mid", 5.0), ("relaxed", 50.0),
 BATCH_SIZE = 8
 BURSTY_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "traces", "reference_bursty.jsonl")
+#: Batch sizes whose deadline pricing is timed, and the budgets as
+#: multiples of each batch's zero-slack ``planned_ns``.
+TIMED_SIZES = (1, 8, 32)
+RELAXED_FACTOR = 4.0
+TIGHT_FACTOR = 0.99
+#: The host-independent cost gate: tight over relaxed, same batch.
+TIGHT_OVER_RELAXED_MAX = 4.0
 
 
 def _require(condition, message):
@@ -130,6 +146,72 @@ def _cluster_sweep(registry, pool):
     return out
 
 
+def _per_call_us(*calls, repeat=100, rounds=7):
+    """Best-of-``rounds`` mean wall time of each call, in microseconds.
+
+    Rounds interleave the calls, so a busy spell on a shared host slows
+    each of them alike instead of skewing their ratio.
+    """
+    for call in calls:
+        call()  # warm: the profile's exit columns are built once
+    best = [float("inf")] * len(calls)
+    for _ in range(rounds):
+        for i, call in enumerate(calls):
+            started = time.perf_counter()
+            for _ in range(repeat):
+                call()
+            best[i] = min(best[i], (time.perf_counter() - started) / repeat)
+    return [seconds * 1e6 for seconds in best]
+
+
+def _timing_sweep(registry):
+    """µs per deadline-priced batch, relaxed vs tight, per batch size."""
+    task = registry.tasks[0]
+    profile = registry.profile(task)
+    engine = profile.engine
+    tables = engine.pricing_tables()
+    columns = profile.deadline_columns()
+    target_ms = 50.0
+    rows = []
+    for size in TIMED_SIZES:
+        batch = Batch(task=task, target_ms=target_ms, requests=tuple(
+            Request(request_id=i, task=task,
+                    sentence=i % profile.num_sentences,
+                    target_ms=target_ms)
+            for i in range(size)))
+        idx = batch.sentence_indices
+
+        def plan(deadline_ms):
+            # The plan price_batch makes for this batch and budget.
+            return engine.dvfs.plan_batch_deadline(
+                columns["remaining"][idx],
+                DeadlineBudget.from_ms(deadline_ms, target_ms),
+                tables.embed_time_ns + tables.layer_time_ns,
+                rail_layer_ns=columns["layer_ns"][idx],
+                rail_front_ns=tables.rail_front_time_ns)
+
+        planned_ms = plan(0.0).planned_ns * 1e-6
+        relaxed_ms = RELAXED_FACTOR * planned_ms
+        tight_ms = TIGHT_FACTOR * planned_ms
+        _require(not plan(relaxed_ms).fallback,
+                 f"{size}-sentence relaxed budget fell back")
+        _require(plan(tight_ms).fallback,
+                 f"{size}-sentence tight budget found a feasible sweep")
+        relaxed_us, tight_us = _per_call_us(
+            lambda: price_batch(profile, batch, "lai",
+                                deadline_ms=relaxed_ms),
+            lambda: price_batch(profile, batch, "lai",
+                                deadline_ms=tight_ms))
+        rows.append({
+            "batch_size": size,
+            "zero_slack_planned_ms": planned_ms,
+            "relaxed_us": relaxed_us,
+            "tight_us": tight_us,
+            "tight_over_relaxed": tight_us / relaxed_us,
+        })
+    return rows
+
+
 def run_benchmark(seed=0):
     registry, _ = reference_workload(num_requests=10, n_sentences=64,
                                      seed=seed)
@@ -140,6 +222,7 @@ def run_benchmark(seed=0):
         "engine_rows": engine_rows,
         "zero_slack_max_drift": zero_slack_drift,
         "cluster": cluster,
+        "pricing_us": _timing_sweep(registry),
     }
 
 
@@ -171,6 +254,11 @@ def _check_gates(record):
              "deadline-aware dispatch did not cut lai compute energy: "
              f"{dead['lai_compute_mj']:.6f} vs "
              f"{per['lai_compute_mj']:.6f} mJ")
+    for row in record["pricing_us"]:
+        _require(row["tight_over_relaxed"] <= TIGHT_OVER_RELAXED_MAX,
+                 f"{row['batch_size']}-sentence tight deadline batch "
+                 f"costs {row['tight_over_relaxed']:.2f}x the relaxed "
+                 f"one (gate {TIGHT_OVER_RELAXED_MAX:.0f}x)")
 
 
 def _write_result(record):
@@ -211,7 +299,15 @@ def _build_table(record):
         cluster_rows,
         title="Bursty reference trace — FIFO, per-sentence vs "
               "deadline-aware dispatch")
-    return engine_table + "\n\n" + cluster_table
+    timing_table = format_table(
+        ["Batch", "Relaxed (us)", "Tight (us)", "Tight / relaxed"],
+        [[str(row["batch_size"]), f"{row['relaxed_us']:.0f}",
+          f"{row['tight_us']:.0f}", f"{row['tight_over_relaxed']:.2f}x"]
+         for row in record["pricing_us"]],
+        title=f"Deadline pricing per call — relaxed = "
+              f"{RELAXED_FACTOR:g}x, tight = {TIGHT_FACTOR:g}x the "
+              "zero-slack plan")
+    return "\n\n".join((engine_table, cluster_table, timing_table))
 
 
 def test_batch_dvfs():

@@ -42,8 +42,11 @@ with per-*batch* cost instead, in four moves:
    a sentence's result row is boxed the first time a served batch
    needs it and reused after that, so sentences nobody is served cost
    no objects. The deadline-budget ``lai`` path is batch-coupled
-   (water-filling over the shared slack) and keeps the per-batch
-   pricing call.
+   (water-filling over the shared slack), so no table row applies; it
+   prices each batch by gathering its members' rows of the profile's
+   target-independent exit columns
+   (:meth:`~repro.serving.TaskProfile.deadline_columns`, built once per
+   profile and hardware) and planning them in one pass.
 
 Energy-budget admission (``energy_budget_mw``) replays exactly: the
 same :class:`~repro.energy.EnergyBudget` object is driven at the same

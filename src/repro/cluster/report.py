@@ -118,10 +118,6 @@ class ClusterReport:
     #: core ran or ``run_events()`` was called directly.
     #: Diagnostic only — not part of ``summary()``.
     engine_fallback_reason: str = None
-    #: Engine-internal diagnostics (e.g. the deadline-sizing work
-    #: cache's LRU hit/miss/eviction counters). Values here may depend
-    #: on which core ran; never part of ``summary()``.
-    debug: dict = field(default_factory=dict)
 
     @property
     def num_requests(self):

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 
 from repro.energy.budget import EnergyBudget
 from repro.energy.device import DeviceEnergyModel
@@ -87,13 +86,6 @@ class ClusterSimulator:
     #: forever. Sized for a ~1M-request trace on the per-event loop
     #: (a few events per request) with an order of magnitude to spare.
     MAX_EVENTS = 10_000_000
-
-    #: Bound on the deadline-sizing work-estimate cache. It is keyed by
-    #: (task, mode, sentence, target) — unlike ``_price_cache`` nothing
-    #: ever pops its entries, so on a million-request replay it would
-    #: otherwise grow with the full key cross-product. LRU keeps the
-    #: hot sentences resident; a miss only re-prices one singleton.
-    WORK_CACHE_MAX = 4096
 
     def __init__(self, registry, num_accelerators=None, policy="fifo",
                  mode="lai", max_batch_size=32, batch_timeout_ms=5.0,
@@ -258,10 +250,6 @@ class ClusterSimulator:
         self._batch_seq = 0
         self._price_cache = {}
         self._price_tables = {}
-        self._work_cache = OrderedDict()
-        self._work_cache_hits = 0
-        self._work_cache_misses = 0
-        self._work_cache_evictions = 0
         self._budget = None
         self._budget_retry_armed = False
         self._budget_tokens = {}
@@ -482,17 +470,6 @@ class ClusterSimulator:
         ]
         if self._budget is not None:
             report.budget = self._budget.stats
-        if self.deadline_sizing:
-            # Cache-sizing regressions (thrash between the LRU bound
-            # and the key cross-product) show up here before they show
-            # up as wall time.
-            report.debug["work_cache"] = {
-                "size": len(self._work_cache),
-                "capacity": self.WORK_CACHE_MAX,
-                "hits": self._work_cache_hits,
-                "misses": self._work_cache_misses,
-                "evictions": self._work_cache_evictions,
-            }
         report.wall_seconds = time.perf_counter() - self._started
 
     # -- pool construction -------------------------------------------------------
@@ -587,37 +564,17 @@ class ClusterSimulator:
     def _work_estimator(self, key):
         """``request -> planned compute ms`` for the deadline-sizing trigger.
 
-        Prices each request once as a singleton batch on the registry's
-        default hardware (cached per (task, mode, sentence, target) —
-        arrival order cannot change the estimate) and hands the batch
-        former the per-sentence plan's latency: the quantity whose sum
-        the deadline planner must fit inside the earliest member's slack.
-        The cache is LRU-bounded at :data:`WORK_CACHE_MAX` so long
-        replays cannot grow it with the full key cross-product.
+        Hands the batch former the per-sentence plan's latency — the
+        quantity whose sum the deadline planner must fit inside the
+        earliest member's slack — read as ``latency_ms[sentence]`` from
+        the whole-profile price table for ``key`` on the registry's
+        default hardware (one build per key, held in ``_price_tables``
+        beside the tables :meth:`_price` gathers from). Row ``i`` is
+        bit-identical to pricing sentence ``i`` alone as a singleton
+        batch, so arrival order cannot change an estimate.
         """
-        task, target_ms, mode = key
-
-        def estimate(request):
-            cache_key = (task, mode, request.sentence, target_ms)
-            planned = self._work_cache.get(cache_key)
-            if planned is None:
-                self._work_cache_misses += 1
-                profile = self.registry.profile(task)
-                singleton = Batch(task=task, target_ms=target_ms,
-                                  requests=(request,))
-                priced = price_batch(profile, singleton, mode,
-                                     vectorized=self.vectorized)
-                planned = float(priced.results[0].latency_ms)
-                self._work_cache[cache_key] = planned
-                if len(self._work_cache) > self.WORK_CACHE_MAX:
-                    self._work_cache.popitem(last=False)
-                    self._work_cache_evictions += 1
-            else:
-                self._work_cache_hits += 1
-                self._work_cache.move_to_end(cache_key)
-            return planned
-
-        return estimate
+        latency_ms = self._table_for(*key, None).latency_ms
+        return lambda request: latency_ms[request.sentence]
 
     def _swap_for(self, pending_batch, accel, now_ms):
         """(latency_ms, energy_mj) of the swap this device pays first.
@@ -678,7 +635,9 @@ class ClusterSimulator:
                 # rows from the whole-profile table instead of pricing
                 # this batch's composition (identical rows — the replay
                 # core's table contract).
-                table = self._table_for(pending_batch, accel.hw_config)
+                table = self._table_for(
+                    pending_batch.task, pending_batch.batch.target_ms,
+                    pending_batch.mode, accel.hw_config)
                 rows = table.rows(
                     [r.sentence for r in pending_batch.batch.requests])
             else:
@@ -691,10 +650,9 @@ class ClusterSimulator:
             cache[key] = rows
         return rows
 
-    def _table_for(self, pending_batch, hw_config):
+    def _table_for(self, task, target_ms, mode, hw_config):
         """The whole-profile price table for one batch-key variant."""
-        key = (pending_batch.task, float(pending_batch.batch.target_ms),
-               pending_batch.mode, hw_config)
+        key = (task, float(target_ms), mode, hw_config)
         table = self._price_tables.get(key)
         if table is None:
             table = _build_table(self.registry, *key)

@@ -24,9 +24,14 @@ Two pricing paths produce those bars:
   (:meth:`repro.dvfs.DvfsController.plan_batch`) and the per-layer
   energy/latency accumulation all run over the whole batch at once,
   against per-operating-point layer costs precomputed once per engine
-  (:class:`PricingTables`). :meth:`LatencyAwareEngine.price_columns`
-  hands back those columns unboxed, and :func:`results_from_arrays` is
-  the one place they become :class:`SentenceResult` rows;
+  (:class:`PricingTables`, rail-coded so a plan prices by gathers).
+  :meth:`LatencyAwareEngine.price_columns` hands back those columns
+  unboxed, and :func:`results_from_arrays` is the one place they become
+  :class:`SentenceResult` rows. ``lai`` pricing splits at
+  :func:`lai_exit_columns`: the layer-1 exit, LUT prediction and bounded
+  exit never read the latency target, so the deadline-budget path
+  (:meth:`LatencyAwareEngine.price_deadline`) prices columns a profile
+  derived once and each batch merely gathers;
 * the original **scalar reference path** (``vectorized=False`` or the
   ``run_*`` methods), kept as the oracle the batch kernels are tested
   against to 1e-9.
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.config import HwConfig
-from repro.dvfs import DvfsController
+from repro.dvfs import DeadlineBudget, DvfsController
 from repro.earlyexit.algorithms import bounded_exit_layers
 from repro.earlyexit.predictor import true_exit_layers
 from repro.errors import PipelineError
@@ -137,6 +142,14 @@ class PricingTables:
     the first on the batch rail instead of sprinting it at nominal V/F.
     The eNVM embedding read (``embedding_read_pj``) stays a per-sentence
     constant: memory energy does not scale with the logic rail.
+
+    The ``rail_*`` vectors hold the same floats in *rail codes* (index 0
+    is the nominal point, index ``i + 1`` table row ``i``; see
+    :attr:`~repro.dvfs.controller.BatchPlan.rail_codes`), so a kernel
+    prices a plan with one gather per quantity: scaled layer time and
+    energy, the LDO overhead a rail move charges on that layer energy,
+    and the deadline path's front-end time and energy with the eNVM read
+    included.
     """
 
     num_layers: int
@@ -152,6 +165,11 @@ class PricingTables:
     point_energy_pj: np.ndarray
     front_point_time_ns: np.ndarray
     front_point_energy_pj: np.ndarray
+    rail_layer_time_ns: np.ndarray
+    rail_layer_energy_pj: np.ndarray
+    rail_overhead_pj: np.ndarray
+    rail_front_time_ns: np.ndarray
+    rail_front_energy_pj: np.ndarray
 
 
 # -- stateless batch pricing kernels ----------------------------------------------
@@ -193,44 +211,90 @@ def price_early_exit_batch(tables, exit_layers):
     }
 
 
-def price_latency_aware_batch(tables, dvfs, entropies, lut,
-                              entropy_threshold, target_ms):
-    """Vectorized Algorithm 2 over all N sentences at once.
+def lai_exit_columns(tables, entropies, lut, entropy_threshold,
+                     predictions=None, deadline=False):
+    """Algorithm 2's per-sentence exit columns, none of which read a target.
 
-    The per-sentence loop of :meth:`LatencyAwareEngine.run_latency_aware`
-    becomes four array passes: (1) the layer-1 immediate-exit test, (2)
-    the LUT prediction + batch DVFS plan, (3) the bounded first-below-
-    threshold exit search, (4) closed-form accumulation of the scaled
-    layers' time/energy via the precomputed per-row costs.
+    ``exit1`` is the layer-1 exit flag, ``predicted`` the clipped LUT
+    prediction, ``exit_layer`` the bounded exit layer (1 for layer-1
+    exits) and — given the (L, N) per-layer ``predictions`` — ``taken``
+    the class predicted there. ``deadline=True`` adds the deadline
+    planner's inputs: ``remaining`` cycles (0 for layer-1 exits: a
+    batch budget must not reserve layers they never run) and
+    ``layer_ns``, the (N, R+1) predicted post-front time on every rail
+    code; the per-sentence path, which prices whole-profile tables,
+    skips those temporaries. All are pure in (task, sentence,
+    hardware), so a profile computes them once
+    (:meth:`repro.serving.TaskProfile.deadline_columns`) and its
+    batches gather rows.
     """
     entropies = np.asarray(entropies, dtype=np.float64)
     num_layers, n = entropies.shape
     if num_layers != tables.num_layers:
         raise PipelineError(
             f"expected {tables.num_layers} entropies, got {num_layers}")
+    exit1 = entropies[0] < entropy_threshold
+    predicted = np.clip(np.asarray(lut.predict(entropies[0]),
+                                   dtype=np.int64), 1, num_layers)
+    exit_layer = np.where(
+        exit1, 1, bounded_exit_layers(entropies, entropy_threshold,
+                                      predicted))
+    columns = {"exit1": exit1, "predicted": predicted,
+               "exit_layer": exit_layer}
+    if predictions is not None:
+        columns["taken"] = predictions[exit_layer - 1, np.arange(n)]
+    if deadline:
+        remaining = np.where(exit1, 0.0,
+                             (predicted - 1) * float(tables.layer_cycles))
+        columns["remaining"] = remaining
+        columns["layer_ns"] = ((remaining / float(tables.layer_cycles))
+                               [:, None] * tables.rail_layer_time_ns)
+    return columns
+
+
+def price_latency_aware_batch(tables, dvfs, entropies, lut,
+                              entropy_threshold, target_ms):
+    """Vectorized Algorithm 2 over all N sentences at once.
+
+    The per-sentence loop of :meth:`LatencyAwareEngine.run_latency_aware`
+    becomes four array passes: (1) the layer-1 immediate-exit test, (2)
+    the LUT prediction and (3) the bounded first-below-threshold exit
+    search (:func:`lai_exit_columns`), then (4) the batch DVFS plan and
+    closed-form accumulation of the scaled layers' time/energy
+    (:func:`price_latency_aware_columns`).
+    """
+    return price_latency_aware_columns(
+        tables, dvfs, lai_exit_columns(tables, entropies, lut,
+                                       entropy_threshold), target_ms)
+
+
+def price_latency_aware_columns(tables, dvfs, columns, target_ms):
+    """Per-sentence Algorithm 2 pricing of :func:`lai_exit_columns`.
+
+    Each sentence is planned against the full per-sentence target from
+    its nominal front end, then its scaled layers, the rail move down
+    from nominal and the LDO overhead are gathered from the rail-coded
+    :class:`PricingTables` vectors.
+    """
+    exit1 = columns["exit1"]
+    predicted = columns["predicted"]
     target_ns = target_ms * 1e6
 
     front_time = tables.embed_time_ns + tables.layer_time_ns
     front_energy = (tables.embed_energy_pj + tables.embedding_read_pj
                     + tables.layer_energy_pj)
-    exit1 = entropies[0] < entropy_threshold
-
-    predicted = np.clip(np.asarray(lut.predict(entropies[0]),
-                                   dtype=np.int64), 1, num_layers)
     remaining = (predicted - 1) * tables.layer_cycles
     plan = dvfs.plan_batch(remaining, target_ns, front_time)
-    transition = dvfs.transition_overhead_ns_batch(
-        tables.nominal_vdd, plan.vdd, tables.nominal_freq_ghz, plan.freq_ghz)
+    rail = plan.rail_codes
+    transition = dvfs.rail_move_ns[0, rail]
+    scaled_time = tables.rail_layer_time_ns[rail]
+    scaled_energy = tables.rail_layer_energy_pj[rail]
 
-    scaled_time = plan.gather(tables.point_time_ns, tables.layer_time_ns)
-    scaled_energy = plan.gather(tables.point_energy_pj,
-                                tables.layer_energy_pj)
-
-    exit_layer = bounded_exit_layers(entropies, entropy_threshold, predicted)
-    scaled_layers = exit_layer - 1  # layers 2..exit run at the planned point
+    # Layers 2..exit run at the planned point.
+    scaled_layers = columns["exit_layer"] - 1
     elapsed = front_time + transition + scaled_layers * scaled_time
     energy = (front_energy + scaled_layers * scaled_energy
-              + dvfs.ldo.overhead_energy_pj(scaled_energy * 0.02, plan.vdd))
+              + tables.rail_overhead_pj[rail])
     met = (elapsed <= target_ns + 1e-6) & plan.meets_target
 
     # Sentences whose layer-1 entropy already cleared the threshold never
@@ -238,7 +302,7 @@ def price_latency_aware_batch(tables, dvfs, entropies, lut,
     # infeasible target (the front end ran at nominal V/F regardless).
     front_met = front_time <= target_ns + 1e-6
     return {
-        "exit_layer": np.where(exit1, 1, exit_layer),
+        "exit_layer": columns["exit_layer"],
         "predicted_layer": np.where(exit1, 1, predicted),
         "latency_ms": np.where(exit1, front_time, elapsed) * 1e-6,
         "energy_mj": np.where(exit1, front_energy, energy) * 1e-9,
@@ -262,58 +326,54 @@ def price_latency_aware_deadline_batch(tables, dvfs, entropies, lut,
     the per-sentence plan, this *is* :func:`price_latency_aware_batch`
     (the zero-slack path reproduces per-sentence pricing exactly).
     """
-    from repro.dvfs.deadline import DeadlineBudget
+    return price_latency_aware_deadline_columns(
+        tables, dvfs, lai_exit_columns(tables, entropies, lut,
+                                       entropy_threshold, deadline=True),
+        target_ms, deadline_ms)
 
-    entropies = np.asarray(entropies, dtype=np.float64)
-    num_layers, n = entropies.shape
-    if num_layers != tables.num_layers:
-        raise PipelineError(
-            f"expected {tables.num_layers} entropies, got {num_layers}")
+
+def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
+                                         deadline_ms):
+    """Deadline-budget pricing of one batch's :func:`lai_exit_columns`.
+
+    The columns carry the planner's inputs (``deadline=True``). This is
+    the one pricing function behind every deadline-budget batch:
+    :meth:`LatencyAwareEngine.simulate_dataset` computes the columns
+    over its arguments, :func:`repro.serving.price_batch` gathers them
+    from the profile's whole-profile build. The planner reads the
+    sentences' rail-coded layer times and the engine's rail-coded front
+    times; the plan is then priced by gathers over the same codes. When
+    the planner falls back, the same columns are priced per sentence.
+    """
     target_ns = target_ms * 1e6
     deadline_ns = max(float(deadline_ms), 0.0) * 1e6
-
-    front_time = tables.embed_time_ns + tables.layer_time_ns
-    front_energy = tables.embed_energy_pj + tables.layer_energy_pj
-    exit1 = entropies[0] < entropy_threshold
-
-    predicted = np.clip(np.asarray(lut.predict(entropies[0]),
-                                   dtype=np.int64), 1, num_layers)
-    # Sentences whose layer-1 entropy already exits owe only their front
-    # end; the batch budget must not reserve layers they will never run.
-    remaining = np.where(exit1, 0.0,
-                         (predicted - 1) * float(tables.layer_cycles))
     plan = dvfs.plan_batch_deadline(
-        remaining, DeadlineBudget(deadline_ns, target_ns), front_time,
-        layer_cycles=tables.layer_cycles,
-        point_time_ns=tables.point_time_ns,
-        front_point_time_ns=tables.front_point_time_ns,
-        nominal_layer_time_ns=tables.layer_time_ns)
+        columns["remaining"], DeadlineBudget(deadline_ns, target_ns),
+        tables.embed_time_ns + tables.layer_time_ns,
+        rail_layer_ns=columns["layer_ns"],
+        rail_front_ns=tables.rail_front_time_ns)
     if plan.fallback:
-        return price_latency_aware_batch(tables, dvfs, entropies, lut,
-                                         entropy_threshold, target_ms)
+        return price_latency_aware_columns(tables, dvfs, columns,
+                                           target_ms)
 
-    exit_layer = np.where(
-        exit1, 1, bounded_exit_layers(entropies, entropy_threshold,
-                                      predicted))
-    scaled_layers = exit_layer - 1  # 0 for layer-1 exits
-    front_t = plan.gather_front(tables.front_point_time_ns, front_time)
-    front_e = (plan.gather_front(tables.front_point_energy_pj,
-                                 front_energy)
-               + tables.embedding_read_pj)
-    scaled_time = plan.gather(tables.point_time_ns, tables.layer_time_ns)
-    scaled_energy = plan.gather(tables.point_energy_pj,
-                                tables.layer_energy_pj)
+    exit1 = columns["exit1"]
+    scaled_layers = columns["exit_layer"] - 1  # 0 for layer-1 exits
+    rail = plan.rail_codes
+    front = plan.front_codes
+    scaled_time = tables.rail_layer_time_ns[rail]
+    scaled_energy = tables.rail_layer_energy_pj[rail]
     # One rail move per boundary where the schedule actually changes the
     # point — a batch holding its rail pays no per-sentence LDO overhead.
-    overhead = np.where(
-        plan.rail_changed,
-        dvfs.ldo.overhead_energy_pj(scaled_energy * 0.02, plan.vdd), 0.0)
+    overhead = np.where(plan.rail_changed, tables.rail_overhead_pj[rail],
+                        0.0)
 
-    elapsed = front_t + plan.transition_ns + scaled_layers * scaled_time
-    energy = front_e + scaled_layers * scaled_energy + overhead
+    elapsed = (tables.rail_front_time_ns[front] + plan.transition_ns
+               + scaled_layers * scaled_time)
+    energy = (tables.rail_front_energy_pj[front]
+              + scaled_layers * scaled_energy + overhead)
     return {
-        "exit_layer": exit_layer,
-        "predicted_layer": np.where(exit1, 1, predicted),
+        "exit_layer": columns["exit_layer"],
+        "predicted_layer": np.where(exit1, 1, columns["predicted"]),
         "latency_ms": elapsed * 1e-6,
         "energy_mj": energy * 1e-9,
         "vdd": plan.vdd,
@@ -451,6 +511,9 @@ class LatencyAwareEngine:
                 front_time[i] = embed.time_ns + metrics.time_ns
                 front_energy[i] = embed.energy_pj + metrics.energy_pj
             nominal_vdd, nominal_freq = self._nominal
+            layer, embed = self._layer_nominal, self._embed_nominal
+            read = self._embedding_read_energy_pj()
+            rail_energy = np.concatenate(([layer.energy_pj], point_energy))
             self._pricing_tables = PricingTables(
                 num_layers=self.model_config.num_layers,
                 nominal_vdd=nominal_vdd,
@@ -465,6 +528,16 @@ class LatencyAwareEngine:
                 point_energy_pj=point_energy,
                 front_point_time_ns=front_time,
                 front_point_energy_pj=front_energy,
+                rail_layer_time_ns=np.concatenate(
+                    ([layer.time_ns], point_time)),
+                rail_layer_energy_pj=rail_energy,
+                rail_overhead_pj=self.dvfs.ldo.overhead_energy_pj(
+                    rail_energy * 0.02, self.dvfs.table.rail_voltages),
+                rail_front_time_ns=np.concatenate(
+                    ([embed.time_ns + layer.time_ns], front_time)),
+                rail_front_energy_pj=np.concatenate(
+                    ([embed.energy_pj + layer.energy_pj],
+                     front_energy)) + read,
             )
         return self._pricing_tables
 
@@ -576,8 +649,9 @@ class LatencyAwareEngine:
         pricing path: the N sentences are treated as one batch whose
         sequential compute must finish within the budget, and the DVFS
         plan water-fills that budget across the whole batch
-        (:func:`price_latency_aware_deadline_batch`). ``deadline_ms=0``
-        reproduces the per-sentence pricing exactly.
+        (:meth:`price_deadline` over :func:`lai_exit_columns` computed
+        from these arguments). ``deadline_ms=0`` reproduces the
+        per-sentence pricing exactly.
         """
         if vectorized and (mode != "lai" or deadline_ms is None):
             return self._report(*self.price_columns(
@@ -600,10 +674,26 @@ class LatencyAwareEngine:
                 "deadline-aware lai pricing is batch-level and has "
                 "no scalar path; its zero-slack fallback is the "
                 "per-sentence plan itself")
-        priced = price_latency_aware_deadline_batch(
-            self.pricing_tables(), self.dvfs, entropies, lut,
-            entropy_threshold, target_ms, deadline_ms)
-        return self._report(priced, _taken(predictions, priced))
+        return self.price_deadline(
+            lai_exit_columns(self.pricing_tables(), entropies, lut,
+                             entropy_threshold, predictions=predictions,
+                             deadline=True),
+            target_ms, deadline_ms)
+
+    def price_deadline(self, columns, target_ms, deadline_ms):
+        """Deadline-budget ``lai`` pricing of one batch's exit columns.
+
+        ``columns`` are :func:`lai_exit_columns` with ``taken`` and the
+        planner's inputs — computed over the batch by
+        :meth:`simulate_dataset`, or gathered by
+        :func:`repro.serving.price_batch` from the profile's
+        whole-profile build. Returns the :class:`EngineReport`, one row
+        per sentence.
+        """
+        priced = price_latency_aware_deadline_columns(
+            self.pricing_tables(), self.dvfs, columns, target_ms,
+            deadline_ms)
+        return self._report(priced, columns["taken"])
 
     def price_columns(self, mode, layer_logits, entropies, lut=None,
                       entropy_threshold=None, target_ms=None):

@@ -20,7 +20,7 @@ import numpy as np
 from repro.config import DvfsConfig
 from repro.dvfs.adpll import AdpllModel
 from repro.dvfs.ldo import LdoModel, VoltageTrace
-from repro.dvfs.vf_table import VoltageFrequencyTable
+from repro.dvfs.vf_table import VoltageFrequencyTable, rail_move_ns
 from repro.errors import DvfsError
 
 
@@ -64,17 +64,15 @@ class BatchPlan:
                               bool(self.meets_target[i]),
                               float(self.requested_freq_ghz[i]))
 
-    def gather(self, per_row_values, nominal_value):
-        """Per-decision values from a per-table-row array.
+    @property
+    def rail_codes(self):
+        """Each decision's rail code: 0 = nominal, ``i + 1`` = row ``i``.
 
-        Decisions backed by a table row take that row's entry; nominal
-        fallbacks (``table_index == -1``) take ``nominal_value``. Keeps
+        Indexes rail-coded per-operating-point arrays (the nominal value
+        at index 0, row ``i``'s at ``i + 1``) with one gather, and keeps
         the sentinel encoding private to :class:`BatchPlan`.
         """
-        values = np.asarray(per_row_values)
-        hit = self.table_index >= 0
-        return np.where(hit, values[np.maximum(self.table_index, 0)],
-                        nominal_value)
+        return self.table_index + 1
 
 
 class DvfsController:
@@ -85,6 +83,11 @@ class DvfsController:
         self.table = VoltageFrequencyTable(self.config)
         self.ldo = LdoModel(self.config)
         self.adpll = AdpllModel(self.config)
+        #: ``rail_move_ns[a, b]`` is :meth:`transition_overhead_ns_batch`
+        #: from rail code ``a`` to rail code ``b`` (code 0 = nominal,
+        #: code ``i + 1`` = table row ``i``), shared per config.
+        self.rail_move_ns = rail_move_ns(self.config,
+                                         self.transition_overhead_ns_batch)
 
     def plan(self, remaining_cycles, target_ns, elapsed_ns):
         """Choose (vdd, freq) for the remaining work of one sentence.
@@ -118,33 +121,26 @@ class DvfsController:
         the scalar planner decision-for-decision; see :class:`BatchPlan`
         for the fallback encoding.
         """
-        remaining, target, elapsed = np.broadcast_arrays(
-            np.asarray(remaining_cycles, dtype=np.float64),
-            np.asarray(target_ns, dtype=np.float64),
-            np.asarray(elapsed_ns, dtype=np.float64))
-        nominal_vdd, nominal_freq = self.table.nominal_point()
-        slack = target - elapsed
+        # Elementwise throughout, so scalar targets and front-end times
+        # broadcast against the (N,) remaining work without copies.
+        remaining = np.asarray(remaining_cycles, dtype=np.float64)
+        slack = (np.asarray(target_ns, dtype=np.float64)
+                 - np.asarray(elapsed_ns, dtype=np.float64))
 
         active = remaining > 0
-        blown = active & (slack <= 0)
         planned = active & (slack > 0)
-
-        request = np.zeros_like(remaining)
-        request[blown] = np.inf
+        blown = active & (slack <= 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            request[planned] = remaining[planned] / slack[planned]
+            request = np.where(planned, remaining / slack,
+                               np.where(blown, np.inf, 0.0))
 
-        idx = np.full(remaining.shape, -1, dtype=np.int64)
-        row = self.table.row_index_for(request[planned])
-        feasible_rows = row < len(self.table)
-        idx[planned] = np.where(feasible_rows, row, -1)
-
-        hit = idx >= 0
-        safe = np.maximum(idx, 0)
-        vdd = np.where(hit, self.table.voltages[safe], nominal_vdd)
-        freq = np.where(hit, self.table.frequencies[safe], nominal_freq)
-        meets = hit | ~active
-        return BatchPlan(vdd=vdd, freq_ghz=freq, meets_target=meets,
+        row = self.table.row_index_for(request)
+        hit = planned & (row < len(self.table))
+        idx = np.where(hit, row, -1)
+        code = idx + 1
+        return BatchPlan(vdd=self.table.rail_voltages[code],
+                         freq_ghz=self.table.rail_frequencies[code],
+                         meets_target=hit | ~active,
                          requested_freq_ghz=request, table_index=idx)
 
     def plan_batch_deadline(self, remaining_cycles, budget, elapsed_ns,

@@ -16,19 +16,22 @@ water-filling over the V/F table**:
 
 1. price today's per-sentence plan (the fallback, and the oracle the
    zero-slack path must reproduce exactly);
-2. sweep a shared *water level* — a table row every sentence is lowered
-   to (never below its per-sentence row… never *above* it either: the
-   level only ever slows sentences) with the whole batch, front ends
-   included, riding the level's rail — and keep the lowest level whose
+2. score every shared *water level* at once — a table row every
+   sentence is lowered to (never below its per-sentence row… never
+   *above* it either: the level only ever slows sentences) with the
+   whole batch, front ends included, riding the level's rail — as one
+   (levels × sentences) array, and keep the lowest level whose
    predicted schedule still meets the deadline;
 3. spend any leftover slack lowering the *earliest* sentences one more
    step (they are the batch's earliest deadlines — the plan tightens as
-   the deadline approaches).
+   the deadline approaches): every prefix is scored in one more
+   (prefixes × sentences) pass, and the plan keeps the longest prefix
+   before the first one that overruns.
 
 When no shared level fits, the planner tries **decoupling the front
 ends** before falling back: layers stay at their per-sentence rows and
-the fronts alone sweep up from the table floor to the lowest
-intermediate V/F row whose schedule still meets the deadline (each
+the fronts alone ride one intermediate V/F row — every row scored in
+one pass, the lowest whose schedule still meets the deadline wins (each
 sentence boundary then pays two rail moves, previous rail → front rail
 → layer rail). That closes the narrow window where the per-sentence
 plan fits but the slowest coupled schedule does not — previously those
@@ -36,17 +39,28 @@ budgets surrendered all front-end savings to the nominal sprint.
 
 When no front level fits either (the budget has no slack over the
 per-sentence plan) the planner returns the per-sentence plan unchanged,
-so the zero-slack path is bit-for-bit today's pricing. Because feasibility of a level never
-depends on anything but its own fixed schedule, a larger budget can only
-move every sentence to an equal-or-lower row — more slack never costs
-more energy, and the invariant is testable componentwise.
+so the zero-slack path is bit-for-bit today's pricing. Because
+feasibility of a level never depends on anything but its own fixed
+schedule, a larger budget can only move every sentence to an
+equal-or-lower row — more slack never costs more energy, and the
+invariant is testable componentwise.
+
+Every candidate is priced by gathers over *rail codes* (code 0 is the
+nominal point, code ``i + 1`` V/F row ``i``): per-sentence layer and
+front-end times per code, and the controller's per-config rail-move
+matrix (:attr:`~repro.dvfs.DvfsController.rail_move_ns`). A plan is
+therefore a fixed handful of array operations whatever the batch size
+or slack, and a candidate's total is the row sum of its sentence times
+— the same pairwise summation a one-candidate ``sum()`` performs.
 
 The planner predicts time from the same per-row tables the engine prices
-with (callers pass ``point_time_ns`` / ``front_point_time_ns`` from
-:class:`~repro.core.engine.PricingTables`), so "the plan meets the
-deadline" and "the priced batch meets the deadline" are the same
-statement — actual exits only come earlier than the predicted layers the
-plan budgeted for.
+with — the engine hands in each sentence's rail-coded layer times from
+its exit columns and the rail-coded front-end times of
+:class:`~repro.core.engine.PricingTables`; other callers may pass
+``point_time_ns`` / ``front_point_time_ns`` instead — so "the plan
+meets the deadline" and "the priced batch meets the deadline" are the
+same statement: actual exits only come earlier than the predicted
+layers the plan budgeted for.
 """
 
 from __future__ import annotations
@@ -122,12 +136,10 @@ class DeadlineBatchPlan(BatchPlan):
     fallback: bool
     feasible: bool
 
-    def gather_front(self, per_row_values, nominal_value):
-        """Per-sentence front-end values from a per-table-row array."""
-        values = np.asarray(per_row_values)
-        hit = self.front_index >= 0
-        return np.where(hit, values[np.maximum(self.front_index, 0)],
-                        nominal_value)
+    @property
+    def front_codes(self):
+        """Each front end's rail code (0 = nominal, ``i + 1`` = row ``i``)."""
+        return self.front_index + 1
 
 
 def _as_budget(budget, target_ns):
@@ -141,134 +153,102 @@ def _as_budget(budget, target_ns):
                           target_ns=float(target_ns))
 
 
-class _Schedule:
-    """Vectorized evaluation of candidate batch rail schedules."""
+def _rail_layer_ns(controller, remaining, layer_cycles, point_time_ns,
+                   nominal_layer_time_ns):
+    """(N, R+1) predicted post-front time per sentence and rail code.
 
-    def __init__(self, controller, remaining, elapsed, layer_cycles,
-                 point_time_ns, front_point_time_ns, nominal_layer_time_ns):
-        self.controller = controller
-        table = controller.table
-        self.num_rows = len(table)
-        self.freqs = table.frequencies
-        self.volts = table.voltages
-        self.nominal_vdd, self.nominal_freq = table.nominal_point()
-        self.remaining = remaining
-        self.elapsed = elapsed
-        n = remaining.size
+    With the engine's per-row layer times (``point_time_ns`` and
+    ``layer_cycles``) a sentence's predicted layers cost exactly what
+    the engine will charge for them; without them, cycles over
+    frequency.
+    """
+    rail_freq = controller.table.rail_frequencies
+    if point_time_ns is None:
+        return remaining[:, None] / rail_freq[None, :]
+    if layer_cycles is None:
+        raise DvfsError("point_time_ns needs layer_cycles")
+    point_time = np.asarray(point_time_ns, dtype=np.float64)
+    if point_time.shape != (rail_freq.size - 1,):
+        raise DvfsError(
+            f"point_time_ns must have one entry per V/F row "
+            f"({rail_freq.size - 1}), got {point_time.shape}")
+    nominal_time = (float(nominal_layer_time_ns)
+                    if nominal_layer_time_ns is not None
+                    else float(layer_cycles) / rail_freq[0])
+    rail_time = np.concatenate(([nominal_time], point_time))
+    return (remaining / float(layer_cycles))[:, None] * rail_time[None, :]
 
-        # Per-sentence, per-row post-front layer time (n, R). When the
-        # engine's pricing tables are handed in, the planner predicts
-        # with the exact numbers the engine will price with.
-        if point_time_ns is not None:
-            if layer_cycles is None:
-                raise DvfsError("point_time_ns needs layer_cycles")
-            point_time = np.asarray(point_time_ns, dtype=np.float64)
-            if point_time.shape != (self.num_rows,):
-                raise DvfsError(
-                    f"point_time_ns must have one entry per V/F row "
-                    f"({self.num_rows}), got {point_time.shape}")
-            layers = remaining / float(layer_cycles)
-            self.layer_time = layers[:, None] * point_time[None, :]
-            nominal_time = (float(nominal_layer_time_ns)
-                            if nominal_layer_time_ns is not None
-                            else float(layer_cycles) / self.nominal_freq)
-            self.nominal_layer = layers * nominal_time
-        else:
-            self.layer_time = remaining[:, None] / self.freqs[None, :]
-            self.nominal_layer = remaining / self.nominal_freq
 
-        # Per-sentence, per-row front-end time (n, R).
-        if front_point_time_ns is not None:
-            front = np.asarray(front_point_time_ns, dtype=np.float64)
-            if front.shape != (self.num_rows,):
-                raise DvfsError(
-                    f"front_point_time_ns must have one entry per V/F row "
-                    f"({self.num_rows}), got {front.shape}")
-            self.front_time = np.broadcast_to(front, (n, self.num_rows))
-        else:
-            self.front_time = (self.elapsed[:, None]
-                               * (self.nominal_freq / self.freqs)[None, :])
+def _rail_front_ns(controller, elapsed, front_point_time_ns):
+    """(N, R+1) front-end time per sentence and rail code.
 
-    def _rail_points(self, rail):
-        hit = rail >= 0
-        safe = np.maximum(rail, 0)
-        vdd = np.where(hit, self.volts[safe], self.nominal_vdd)
-        freq = np.where(hit, self.freqs[safe], self.nominal_freq)
-        return vdd, freq
+    Code 0 is the sentence's own nominal front end (``elapsed``). With
+    the engine's per-row front-end times the other codes read those;
+    without them, the nominal front end's cycles at each row's
+    frequency.
+    """
+    rail_freq = controller.table.rail_frequencies
+    if front_point_time_ns is None:
+        return elapsed[:, None] * (rail_freq[0] / rail_freq)[None, :]
+    front = np.asarray(front_point_time_ns, dtype=np.float64)
+    if front.shape != (rail_freq.size - 1,):
+        raise DvfsError(
+            f"front_point_time_ns must have one entry per V/F row "
+            f"({rail_freq.size - 1}), got {front.shape}")
+    return np.concatenate(
+        (elapsed[:, None], np.broadcast_to(front, (elapsed.size,
+                                                   front.size))), axis=1)
 
-    def evaluate(self, level_rows, base_rows, front_level=None):
-        """Predicted schedule for per-sentence water levels.
 
-        ``level_rows`` is the (n,) candidate level per sentence;
-        ``base_rows`` the per-sentence plan's effective rows (the level
-        only ever *slows* a sentence, so the planned row is the
-        elementwise minimum). By default fronts ride the layer rail;
-        ``front_level`` decouples them onto one intermediate table row
-        — each sentence's boundary then pays two rail moves (previous
-        layer rail → front rail → layer rail) instead of one, which is
-        exactly the one-move schedule again whenever the rows coincide.
-        Returns the full candidate: rows, rails, per-sentence times and
-        the total.
-        """
-        n = self.remaining.size
-        rows = np.minimum(base_rows, level_rows)
-        rail = rows.copy()
-        if self.remaining[0] <= 0:
-            # Sentence 0 has no post-front work: its front runs at the
-            # nominal wake point and the rail first moves for sentence 1.
-            rail[0] = -1
-        if front_level is None:
-            front_index = rows.copy()
-        else:
-            front_index = np.full(n, int(front_level), dtype=np.int64)
-        # The wake transition lands the rail at nominal, exactly where
-        # sentence 0's front end needs it.
-        front_index[0] = -1
+def _score(rows, front, wake, moves, layer_ns, front_ns):
+    """Score candidate rail schedules, one candidate per row.
 
-        cur_vdd, cur_freq = self._rail_points(rail)
-        prev_vdd = np.concatenate([[self.nominal_vdd], cur_vdd[:-1]])
-        prev_freq = np.concatenate([[self.nominal_freq], cur_freq[:-1]])
-        if front_level is None:
-            # Coupled fronts sit on the layer rail (sentence 0's front
-            # is nominal, exactly where the previous rail already is),
-            # so the boundary is a single move — skip the second,
-            # identically-zero transition pass on this hot path.
-            transition = self.controller.transition_overhead_ns_batch(
-                prev_vdd, cur_vdd, prev_freq, cur_freq)
-        else:
-            front_vdd, front_freq = self._rail_points(front_index)
-            transition = (
-                self.controller.transition_overhead_ns_batch(
-                    prev_vdd, front_vdd, prev_freq, front_freq)
-                + self.controller.transition_overhead_ns_batch(
-                    front_vdd, cur_vdd, front_freq, cur_freq))
-        rail_changed = transition > 0
+    ``rows`` is the (K, N) table row each sentence's layers run on —
+    the water level only ever slows a sentence, so it never exceeds the
+    per-sentence row. ``front`` is None when the fronts ride the layer
+    rail (one rail move per sentence boundary), else the (K, N) rail
+    codes of decoupled fronts (two moves: previous rail → front rail →
+    layer rail). Sentence 0's front always runs at the nominal wake
+    point (code 0); ``wake`` says sentence 0 has no post-front work, so
+    its rail stays there too and first moves for sentence 1.
 
-        fronts = np.where(front_index >= 0,
-                          self.front_time[np.arange(n),
-                                          np.maximum(front_index, 0)],
-                          self.elapsed)
-        layers = np.where(rows >= 0,
-                          self.layer_time[np.arange(n),
-                                          np.maximum(rows, 0)],
-                          self.nominal_layer)
-        sentence_ns = fronts + transition + layers
-        return {
-            "rail": rail,
-            "front_index": front_index,
-            "transition_ns": transition,
-            "rail_changed": rail_changed,
-            "sentence_ns": sentence_ns,
-            "total_ns": float(sentence_ns.sum()),
-            "vdd": cur_vdd,
-            "freq": cur_freq,
-        }
+    Returns the rail codes, the front codes, the per-sentence rail-move
+    time and predicted time, and each candidate's total. Totals are row
+    sums of a C-contiguous array, which NumPy reduces with the same
+    pairwise summation as each row's own ``sum()``.
+    """
+    # Each candidate's rail codes behind a leading nominal column, so
+    # one array gives the rail each sentence runs on (codes[:, 1:]) and
+    # the rail it moves from (codes[:, :-1]: the previous sentence's,
+    # or the nominal wake point for sentence 0). Layers read the codes
+    # before the wake fix-up.
+    sentences = np.arange(rows.shape[1])
+    codes = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=np.int64)
+    codes[:, 0] = 0
+    np.add(rows, 1, out=codes[:, 1:])
+    layers = layer_ns[sentences, codes[:, 1:]]
+    if wake:
+        codes[:, 1] = 0
+    rail, prev = codes[:, 1:], codes[:, :-1]
+    if front is None:
+        front = rail.copy()
+        front[:, 0] = 0
+        transition = moves[prev, rail]
+    else:
+        transition = moves[prev, front] + moves[front, rail]
+    if front_ns.ndim == 1:
+        fronts = front_ns[front]
+    else:
+        fronts = front_ns[sentences, front]
+    sentence = fronts + transition + layers
+    return rail, front, transition, sentence, sentence.sum(axis=1)
 
 
 def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
                         target_ns=None, layer_cycles=None,
                         point_time_ns=None, front_point_time_ns=None,
-                        nominal_layer_time_ns=None):
+                        nominal_layer_time_ns=None, rail_layer_ns=None,
+                        rail_front_ns=None):
     """Water-fill a batch's operating points against a shared deadline.
 
     See the module docstring for the algorithm;
@@ -278,72 +258,94 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
     exits); ``budget`` a :class:`DeadlineBudget` (or a ``deadline_ns``
     scalar with ``target_ns``); ``elapsed_ns`` the nominal front-end
     time, broadcast per sentence.
+
+    Times are rail-coded: code 0 is the nominal point and code ``i + 1``
+    V/F row ``i``. Callers that already hold them pass
+    ``rail_layer_ns`` — the (N, R+1) predicted post-front time of each
+    sentence on each code — and ``rail_front_ns``, the front-end time on
+    each code, (R+1,) or per sentence (N, R+1), whose code 0 must equal
+    ``elapsed_ns``. Otherwise they are built from ``layer_cycles`` /
+    ``point_time_ns`` / ``nominal_layer_time_ns`` and
+    ``front_point_time_ns`` (or from cycles over frequency when those
+    are None).
     """
     budget = _as_budget(budget, target_ns)
     remaining = np.atleast_1d(
         np.asarray(remaining_cycles, dtype=np.float64))
     if remaining.ndim != 1:
         raise DvfsError("remaining_cycles must be one-dimensional")
-    elapsed = np.broadcast_to(
-        np.asarray(elapsed_ns, dtype=np.float64),
-        remaining.shape).astype(np.float64)
-
-    base = controller.plan_batch(remaining, budget.target_ns, elapsed)
-    sched = _Schedule(controller, remaining, elapsed, layer_cycles,
-                      point_time_ns, front_point_time_ns,
-                      nominal_layer_time_ns)
+    n = remaining.size
+    elapsed = np.asarray(elapsed_ns, dtype=np.float64)
+    if elapsed.ndim:
+        elapsed = np.broadcast_to(elapsed, remaining.shape)
+    if rail_layer_ns is None:
+        rail_layer_ns = _rail_layer_ns(controller, remaining, layer_cycles,
+                                       point_time_ns,
+                                       nominal_layer_time_ns)
+    if rail_front_ns is None:
+        rail_front_ns = _rail_front_ns(
+            controller, np.broadcast_to(elapsed, remaining.shape),
+            front_point_time_ns)
+    num_codes = len(controller.table) + 1
+    if rail_layer_ns.shape != (n, num_codes) or rail_front_ns.shape \
+            not in ((num_codes,), (n, num_codes)):
+        raise DvfsError(
+            f"rail-coded times must be ({n}, {num_codes}) per sentence "
+            f"and ({num_codes},) or ({n}, {num_codes}) per front, got "
+            f"{rail_layer_ns.shape} and {rail_front_ns.shape}")
 
     # Today's per-sentence plan, timed the way the engine prices it: the
     # nominal front end, one transition down from nominal, then the
     # predicted layers at the planned point.
-    base_transition = controller.transition_overhead_ns_batch(
-        sched.nominal_vdd, base.vdd, sched.nominal_freq, base.freq_ghz)
-    n = remaining.size
-    base_layer = np.where(
-        base.table_index >= 0,
-        sched.layer_time[np.arange(n), np.maximum(base.table_index, 0)],
-        sched.nominal_layer)
-    base_sentence = elapsed + base_transition + base_layer
+    base = controller.plan_batch(remaining, budget.target_ns, elapsed)
+    moves = controller.rail_move_ns
+    base_code = base.rail_codes
+    base_transition = moves[0, base_code]
+    base_sentence = (elapsed + base_transition
+                     + rail_layer_ns[np.arange(n), base_code])
     base_total = float(base_sentence.sum())
-
-    def fallback_plan():
-        return DeadlineBatchPlan(
-            vdd=base.vdd, freq_ghz=base.freq_ghz,
-            meets_target=base.meets_target,
-            requested_freq_ghz=base.requested_freq_ghz,
-            table_index=base.table_index,
-            front_index=np.full(n, -1, dtype=np.int64),
-            transition_ns=base_transition,
-            rail_changed=base_transition > 0,
-            sentence_ns=base_sentence,
-            planned_ns=base_total,
-            deadline_ns=budget.deadline_ns,
-            fallback=True,
-            feasible=base_total <= budget.deadline_ns + DEADLINE_TOL_NS,
-        )
 
     if n == 0 or budget.deadline_ns <= 0:
         # No sentences (nothing to water-fill) or no budget: the
         # per-sentence plan is the answer either way.
-        return fallback_plan()
+        return _fallback_plan(base, base_transition, base_sentence,
+                              base_total, budget)
 
     # Effective per-sentence ceiling: the per-sentence row, with nominal
     # fallbacks (infeasible targets, no work) pinned at the top row — the
     # batch budget, not the blown per-sentence target, now decides
     # whether they fit.
-    num_rows = sched.num_rows
+    num_rows = num_codes - 1
     base_eff = np.where(base.table_index >= 0, base.table_index,
                         num_rows - 1)
+    limit = budget.deadline_ns + DEADLINE_TOL_NS
+    wake = bool(remaining[0] <= 0)
+    levels = np.arange(num_rows)
 
-    chosen = None
-    chosen_level = None
-    for level in range(num_rows):
-        candidate = sched.evaluate(
-            np.full(n, level, dtype=np.int64), base_eff)
-        if candidate["total_ns"] <= budget.deadline_ns + DEADLINE_TOL_NS:
-            chosen, chosen_level = candidate, level
-            break
-    if chosen is None:
+    def score(rows, front=None):
+        return _score(rows, front, wake, moves, rail_layer_ns,
+                      rail_front_ns)
+
+    # Every shared water level at once; the lowest that fits wins.
+    scored = score(np.minimum(base_eff, levels[:, None]))
+    fits = scored[-1] <= limit
+    level = int(fits.argmax())
+    if fits[level]:
+        pick = level
+        if level > 0 and n > 1:
+            # Leftover slack buys the earliest sentences — the batch's
+            # earliest deadlines — one more step down the table; the
+            # plan tightens back to the level as the deadline
+            # approaches. Row j lowers the first j + 1 sentences
+            # (lowering all n is level - 1 itself, already too slow);
+            # keep the prefixes that fit before the first overrun.
+            lowered = np.arange(n) <= np.arange(n - 1)[:, None]
+            trial = score(np.minimum(base_eff, level - lowered))
+            over = trial[-1] > limit
+            keep = int(over.argmax()) if over.any() else n - 1
+            if keep:
+                scored, pick = trial, keep - 1
+    else:
         # Even the fastest level (per-sentence rows, fronts riding the
         # batch rail) overruns the budget. Before surrendering to the
         # per-sentence fallback — which sprints every front end at
@@ -353,43 +355,50 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
         # lowest level whose schedule still fits wins. This closes the
         # window between "per-sentence plan fits" and "slowest schedule
         # fits" where the fallback used to burn nominal front energy.
-        fastest = np.full(n, num_rows - 1, dtype=np.int64)
-        for front_level in range(num_rows):
-            candidate = sched.evaluate(fastest, base_eff,
-                                       front_level=front_level)
-            if candidate["total_ns"] \
-                    <= budget.deadline_ns + DEADLINE_TOL_NS:
-                chosen = candidate
-                break
-    if chosen is None:
-        # No front level fits either: the deadline grants no slack over
-        # today's plan, so return it unchanged.
-        return fallback_plan()
+        front = np.repeat(levels[:, None] + 1, n, axis=1)
+        front[:, 0] = 0
+        scored = score(np.broadcast_to(base_eff, front.shape), front)
+        fits = scored[-1] <= limit
+        pick = int(fits.argmax())
+        if not fits[pick]:
+            # No front level fits either: the deadline grants no slack
+            # over today's plan, so return it unchanged.
+            return _fallback_plan(base, base_transition, base_sentence,
+                                  base_total, budget)
 
-    if chosen_level is not None and chosen_level > 0:
-        # Leftover slack buys the earliest sentences — the batch's
-        # earliest deadlines — one more step down the table; the plan
-        # tightens back to the level as the deadline approaches.
-        level_rows = np.full(n, chosen_level, dtype=np.int64)
-        for prefix in range(1, n + 1):
-            trial_rows = level_rows.copy()
-            trial_rows[:prefix] = chosen_level - 1
-            trial = sched.evaluate(trial_rows, base_eff)
-            if trial["total_ns"] > budget.deadline_ns + DEADLINE_TOL_NS:
-                break
-            chosen = trial
-
+    rail, front, transition, sentence, totals = scored
+    rail = rail[pick]
+    table = controller.table
     return DeadlineBatchPlan(
-        vdd=chosen["vdd"], freq_ghz=chosen["freq"],
+        vdd=table.rail_voltages[rail],
+        freq_ghz=table.rail_frequencies[rail],
         meets_target=np.ones(n, dtype=bool),
         requested_freq_ghz=base.requested_freq_ghz,
-        table_index=chosen["rail"],
-        front_index=chosen["front_index"],
-        transition_ns=chosen["transition_ns"],
-        rail_changed=chosen["rail_changed"],
-        sentence_ns=chosen["sentence_ns"],
-        planned_ns=chosen["total_ns"],
+        table_index=rail - 1,
+        front_index=front[pick] - 1,
+        transition_ns=transition[pick],
+        rail_changed=transition[pick] > 0,
+        sentence_ns=sentence[pick],
+        planned_ns=float(totals[pick]),
         deadline_ns=budget.deadline_ns,
         fallback=False,
         feasible=True,
+    )
+
+
+def _fallback_plan(base, transition, sentence, total, budget):
+    """The per-sentence plan, unchanged, as a :class:`DeadlineBatchPlan`."""
+    return DeadlineBatchPlan(
+        vdd=base.vdd, freq_ghz=base.freq_ghz,
+        meets_target=base.meets_target,
+        requested_freq_ghz=base.requested_freq_ghz,
+        table_index=base.table_index,
+        front_index=np.full(base.table_index.size, -1, dtype=np.int64),
+        transition_ns=transition,
+        rail_changed=transition > 0,
+        sentence_ns=sentence,
+        planned_ns=total,
+        deadline_ns=budget.deadline_ns,
+        fallback=True,
+        feasible=total <= budget.deadline_ns + DEADLINE_TOL_NS,
     )

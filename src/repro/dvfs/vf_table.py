@@ -63,19 +63,63 @@ def _vf_points(config):
     return voltages, frequencies, nominal, standby
 
 
+@functools.lru_cache(maxsize=None)
+def _rail_points(config):
+    """One config's V/F columns in *rail codes*, shared read-only.
+
+    Code 0 is the nominal point and code ``i + 1`` is table row ``i``,
+    so a planner's ``table_index`` (−1 = nominal) becomes a code by
+    adding one, and every per-operating-point value is a plain gather.
+    """
+    voltages, frequencies, nominal, _ = _vf_points(config)
+    rail_vdd = np.concatenate(([nominal[0]], voltages))
+    rail_freq = np.concatenate(([nominal[1]], frequencies))
+    rail_vdd.flags.writeable = False
+    rail_freq.flags.writeable = False
+    return rail_vdd, rail_freq
+
+
+#: One rail-move matrix per DvfsConfig; see :func:`rail_move_ns`.
+_RAIL_MOVES = {}
+
+
+def rail_move_ns(config, settle_ns):
+    """Settle time of every rail move, built once per :class:`DvfsConfig`.
+
+    Entry ``[a, b]`` is ``settle_ns`` — a controller's
+    ``transition_overhead_ns_batch`` — from rail code ``a`` to rail
+    code ``b`` (codes as in :func:`_rail_points`), evaluated
+    elementwise over every pair of points. Every controller on an equal
+    config settles identically, so the first one's matrix is shared,
+    read-only, by all of them.
+    """
+    moves = _RAIL_MOVES.get(config)
+    if moves is None:
+        vdd, freq = _rail_points(config)
+        moves = settle_ns(vdd[:, None], vdd[None, :],
+                          freq[:, None], freq[None, :])
+        moves.flags.writeable = False
+        moves = _RAIL_MOVES.setdefault(config, moves)
+    return moves
+
+
 class VoltageFrequencyTable:
     """Discrete (vdd, f_max) operating points at the LDO's step size.
 
     ``voltages`` and ``frequencies`` are built once per
     :class:`DvfsConfig` and shared, read-only, by every table on an
     equal config (writing into them raises ``ValueError``); so are the
-    :meth:`nominal_point` and :meth:`standby_point` pairs.
+    :meth:`nominal_point` and :meth:`standby_point` pairs and the
+    rail-coded ``rail_voltages`` / ``rail_frequencies`` columns (the
+    nominal point at index 0, row ``i`` at index ``i + 1``).
     """
 
     def __init__(self, config=None):
         self.config = config or DvfsConfig()
         (self.voltages, self.frequencies, self._nominal,
          self._standby) = _vf_points(self.config)
+        self.rail_voltages, self.rail_frequencies = _rail_points(
+            self.config)
 
     def __len__(self):
         return self.voltages.size

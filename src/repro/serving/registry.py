@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import LatencyAwareEngine
+from repro.core.engine import LatencyAwareEngine, lai_exit_columns
 from repro.envm import MLC2, EnvmEmbeddingStore
 from repro.errors import ServingError
 from repro.hw.dram import Lpddr4Model
@@ -51,6 +51,8 @@ class TaskProfile:
     entropy_threshold: float
     labels: np.ndarray | None = None
     weight_bytes: float | None = None
+    _deadline_columns: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.logits.ndim != 3 or self.entropies.ndim != 2:
@@ -72,6 +74,32 @@ class TaskProfile:
     @property
     def num_sentences(self):
         return self.entropies.shape[1]
+
+    def deadline_columns(self):
+        """Every sentence's deadline-pricing exit columns, built once.
+
+        :func:`~repro.core.engine.lai_exit_columns` over the whole
+        profile, with the taken classes and the deadline planner's
+        inputs, as read-only arrays. None of them reads a latency
+        target, so one build serves every SLO class and every slack: a
+        deadline-budget batch (:func:`~repro.serving.price_batch`)
+        gathers its members' rows.
+        A hardware variant (:meth:`for_hw`) is its own profile with its
+        own build, shared by every device of that hardware.
+        """
+        if self._deadline_columns is None:
+            if self.lut is None or self.entropy_threshold is None:
+                raise ServingError(
+                    f"task {self.task!r} needs an exit-predictor LUT and "
+                    "an entropy threshold for lai pricing")
+            columns = lai_exit_columns(
+                self.engine.pricing_tables(), self.entropies, self.lut,
+                self.entropy_threshold,
+                predictions=self.logits.argmax(axis=-1), deadline=True)
+            for column in columns.values():
+                column.flags.writeable = False
+            self._deadline_columns = columns
+        return self._deadline_columns
 
     def for_hw(self, hw_config):
         """This task's profile re-priced on different hardware.

@@ -1,9 +1,11 @@
 """The serving facade: submit requests, run the priced simulation.
 
 ``Server`` drains its queue through the :class:`Scheduler`, prices each
-batch with the engine's vectorized kernels (one
-:meth:`~repro.core.LatencyAwareEngine.simulate_dataset` call per batch),
-charges an encoder-weight swap whenever the resident task changes, and
+batch with the engine's vectorized kernels (one engine call per batch:
+:meth:`~repro.core.LatencyAwareEngine.simulate_dataset`, or
+:meth:`~repro.core.LatencyAwareEngine.price_deadline` for a
+deadline-budget batch), charges an encoder-weight swap whenever the
+resident task changes, and
 returns a :class:`ServingReport` with per-request results plus aggregate
 throughput / energy / SLO-violation statistics.
 """
@@ -91,9 +93,19 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
     batch's sequential compute is planned to fit the budget
     (:func:`batch_deadline_ms` derives it from the members'
     ``Request.deadline_ms``), with per-sentence planning as the
-    zero-slack fallback.
+    zero-slack fallback. That path gathers the members' rows of the
+    profile's exit columns
+    (:meth:`~repro.serving.TaskProfile.deadline_columns`, built once per
+    profile) and prices them with one
+    :meth:`~repro.core.LatencyAwareEngine.price_deadline` call — no
+    sentence's exit is derived again.
     """
     idx = batch.sentence_indices
+    if mode == "lai" and deadline_ms is not None and vectorized:
+        columns = profile.deadline_columns()
+        return profile.engine.price_deadline(
+            {name: column[idx] for name, column in columns.items()},
+            batch.target_ms, max(float(deadline_ms), 0.0))
     logits = profile.logits[:, idx]
     entropies = profile.entropies[:, idx]
     if mode == "lai":
@@ -101,8 +113,7 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
             "lai", logits, entropies, lut=profile.lut,
             entropy_threshold=profile.entropy_threshold,
             target_ms=batch.target_ms, vectorized=vectorized,
-            deadline_ms=(None if deadline_ms is None
-                         else max(float(deadline_ms), 0.0)))
+            deadline_ms=deadline_ms)
     if mode == "base":
         report = profile.engine.simulate_dataset(
             "base", logits, entropies, vectorized=vectorized)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cluster import BatchFormer, ClusterSimulator
-from repro.config import GLUE_TASKS
+from repro.config import GLUE_TASKS, HwConfig
 from repro.errors import ClusterError
-from repro.serving import Request, synthetic_registry
+from repro.serving import Batch, Request, price_batch, synthetic_registry
 
 
 def request(i, target_ms=100.0, arrival_ms=0.0):
@@ -144,3 +144,24 @@ class TestSimulatorIntegration:
                 assert f.work_estimator is not None
             else:
                 assert f.work_estimator is None
+
+    def test_estimates_are_singleton_prices(self, registry):
+        """Each estimate is its sentence's latency priced alone — on the
+        registry's default hardware even in a heterogeneous pool."""
+        sim = ClusterSimulator(registry, policy="fifo",
+                               hw_configs=(HwConfig(mac_vector_size=8),
+                                           HwConfig(mac_vector_size=32)),
+                               deadline_aware=True, deadline_sizing=True)
+        sim.start()
+        task = registry.tasks[0]
+        profile = registry.profile(task)
+        for target_ms in (0.5, 3.0, 150.0):
+            estimate = sim._work_estimator((task, target_ms, "lai"))
+            for sentence in range(profile.num_sentences):
+                member = Request(request_id=sentence, task=task,
+                                 sentence=sentence, target_ms=target_ms,
+                                 mode="lai")
+                alone = price_batch(profile, Batch(
+                    task=task, target_ms=target_ms, requests=(member,)),
+                    "lai")
+                assert estimate(member) == alone.results[0].latency_ms

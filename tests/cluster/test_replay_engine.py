@@ -305,13 +305,3 @@ class TestRunawayGuards:
         sim.MAX_EVENTS = 3
         with pytest.raises(ClusterError, match="exceeded 3 events"):
             sim.run(trace)
-
-    def test_work_cache_is_lru_bounded(self, registry):
-        trace = synthetic_traffic(registry, 60, seed=3, modes=("lai",),
-                                  mean_interarrival_ms=0.2)
-        sim = ClusterSimulator(registry, num_accelerators=2,
-                               deadline_aware=True,
-                               deadline_sizing=True, mode="lai")
-        sim.WORK_CACHE_MAX = 4
-        sim.run(trace)
-        assert 0 < len(sim._work_cache) <= 4

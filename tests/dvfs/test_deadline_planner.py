@@ -1,8 +1,11 @@
 """Deadline-budget planner tests: zero-slack oracle, monotonicity,
 deadline-met invariant, and the water-filling shape."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from deadline_reference import plan_batch_deadline as reference_plan
 
 from repro.config import GLUE_TASKS
 from repro.core.engine import (
@@ -10,6 +13,7 @@ from repro.core.engine import (
     price_latency_aware_deadline_batch,
 )
 from repro.dvfs import DeadlineBudget, DvfsController
+from repro.dvfs.deadline import DeadlineBatchPlan, plan_batch_deadline
 from repro.errors import DvfsError
 from repro.serving import synthetic_registry
 
@@ -383,3 +387,135 @@ class TestEngineIntegration:
                 "lai", profile.logits, profile.entropies, lut=profile.lut,
                 entropy_threshold=profile.entropy_threshold,
                 target_ms=RELAXED_MS, vectorized=False, deadline_ms=1e4)
+
+
+# -- the one-pass planner against the loop-based reference ------------------
+
+
+#: Every branch the water-fill can take. ``prefix-full`` keeps every
+#: prefix short of the whole batch (lowering all n sentences is the
+#: level above, already infeasible); ``zero`` is a zero budget and
+#: ``fallback`` a positive one with no feasible candidate.
+BRANCHES = ("zero", "fallback", "level0", "prefix-none", "prefix-partial",
+            "prefix-full", "decoupled")
+PLAN_FIELDS = tuple(f.name for f in dataclasses.fields(DeadlineBatchPlan))
+
+
+def assert_same_plan(plan, ref):
+    for name in PLAN_FIELDS:
+        got, want = getattr(plan, name), getattr(ref, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        else:
+            assert type(got) is type(want) and got == want, name
+
+
+def reference_deadlines(controller, remaining, elapsed, target_ns, kwargs,
+                        rng):
+    """Budgets that land on candidate schedules' own totals.
+
+    Scored with the reference ``_Schedule``: zero, the level-0 total,
+    one slower level's total with two of its prefix totals (a random one
+    and the longest), the cheapest decoupled-front total, and half of
+    the cheapest candidate's total.
+    """
+    trace = {}
+    reference_plan(controller, remaining, DeadlineBudget(1e18, target_ns),
+                   elapsed, trace=trace, **kwargs)
+    if remaining.size == 0:
+        return [0.0, 1e7]
+    sched, base_eff = trace["schedule"], trace["base_eff"]
+    n, rows = remaining.size, sched.num_rows
+
+    def total(level_rows, front_level=None):
+        return sched.evaluate(np.asarray(level_rows), base_eff,
+                              front_level=front_level)["total_ns"]
+
+    coupled = [total(np.full(n, level)) for level in range(rows)]
+    decoupled = [total(np.full(n, rows - 1), level)
+                 for level in range(rows)]
+    deadlines = [coupled[0], min(decoupled),
+                 min(coupled + decoupled) * 0.5]
+    slower = [level for level in range(1, rows)
+              if coupled[level] < coupled[level - 1]]
+    if slower:
+        level = int(rng.choice(slower))
+        deadlines.append(coupled[level])
+        for prefix in (int(rng.integers(1, n)) if n > 1 else 0, n - 1):
+            if prefix:
+                trial = np.full(n, level)
+                trial[:prefix] = level - 1
+                deadlines.append(total(trial))
+    return [0.0] + deadlines
+
+
+class TestOnePassMatchesReference:
+    """``plan_batch_deadline`` is the loop-based water-fill, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["plain", "engine", "rail"])
+    def test_every_field_matches_the_loop(self, tables, mode):
+        """Seeded batches of 0–64 sentences, every branch reached.
+
+        ``plain`` plans without engine tables (``point_time_ns=None``),
+        ``engine`` with them, and ``rail`` hands in the rail-coded
+        times the engine pricing path passes. Odd batch sizes start
+        with a sentence that exits at layer 1; every third one gets a
+        per-sentence nominal front end instead of a scalar.
+        """
+        controller = DvfsController()
+        rng = np.random.default_rng(17)
+        engine_kwargs = dict(
+            layer_cycles=tables.layer_cycles,
+            point_time_ns=tables.point_time_ns,
+            front_point_time_ns=tables.front_point_time_ns,
+            nominal_layer_time_ns=tables.layer_time_ns)
+        front = tables.embed_time_ns + tables.layer_time_ns
+        reached = {False: set(), True: set()}
+        for n in range(65):
+            wake = bool(n % 2)
+            predicted = rng.integers(2, tables.num_layers + 1, size=n)
+            predicted[rng.random(n) < 0.2] = 1
+            remaining = (predicted - 1) * float(tables.layer_cycles)
+            if n:
+                remaining[0] = 0.0 if wake else tables.layer_cycles
+            target_ns = float(rng.choice([front * 0.5, front * 1.2,
+                                          2e6, 5e6, 50e6]))
+            elapsed = front
+            if mode != "rail" and n % 3 == 1:
+                elapsed = front * rng.uniform(0.9, 1.1, size=n)
+            ref_kwargs = {} if mode == "plain" else engine_kwargs
+            kwargs = ref_kwargs
+            if mode == "rail":
+                kwargs = dict(
+                    rail_layer_ns=(remaining / float(tables.layer_cycles))
+                    [:, None] * tables.rail_layer_time_ns,
+                    rail_front_ns=tables.rail_front_time_ns)
+            for deadline_ns in reference_deadlines(
+                    controller, remaining, elapsed, target_ns,
+                    ref_kwargs, rng):
+                budget = DeadlineBudget(deadline_ns, target_ns)
+                trace = {}
+                ref = reference_plan(controller, remaining, budget,
+                                     elapsed, trace=trace, **ref_kwargs)
+                plan = plan_batch_deadline(controller, remaining, budget,
+                                           elapsed, **kwargs)
+                assert_same_plan(plan, ref)
+                reached[wake].add("zero" if deadline_ns == 0.0
+                                  else trace["branch"])
+        assert reached[False] == set(BRANCHES)
+        # A first sentence with no post-front work keeps its rail at the
+        # nominal wake point, so lowering it changes nothing: its
+        # one-sentence prefix always fits whenever the level does.
+        assert reached[True] == set(BRANCHES) - {"prefix-none"}
+
+    def test_row_sums_are_one_dimensional_sums(self):
+        # Candidate totals are row sums of a C-contiguous block; they
+        # must reduce exactly like one candidate's own 1-D sum().
+        rng = np.random.default_rng(3)
+        for n in [*range(300), 511, 512, 513, 1024, 2049, 4097]:
+            block = rng.uniform(0.0, 5e6, size=(4, n))
+            rows = block.sum(axis=1)
+            each = np.array([row.sum() for row in block])
+            assert np.array_equal(rows.view(np.int64),
+                                  each.view(np.int64)), n

@@ -90,6 +90,28 @@ class TestSharedVfTable:
                               before)
 
     @pytest.mark.parametrize("config", MEMO_CONFIGS)
+    def test_rail_codes_and_moves(self, config):
+        # Code 0 is the nominal point, code i + 1 row i; the move matrix
+        # is the controller's own settle time over every pair of codes,
+        # shared read-only by every controller on an equal config.
+        controller = DvfsController(config)
+        table = controller.table
+        vdd, freq = table.rail_voltages, table.rail_frequencies
+        assert (vdd[0], freq[0]) == table.nominal_point()
+        assert vdd[1:].tolist() == table.voltages.tolist()
+        assert freq[1:].tolist() == table.frequencies.tolist()
+        moves = controller.rail_move_ns
+        for a in range(vdd.size):
+            np.testing.assert_array_equal(
+                moves[a], controller.transition_overhead_ns_batch(
+                    vdd[a], vdd, freq[a], freq))
+        twin = DvfsController(DvfsConfig(vdd_step=config.vdd_step))
+        assert twin.rail_move_ns is moves
+        assert twin.table.rail_voltages is vdd
+        with pytest.raises(ValueError):
+            moves[0, 1] = 0.0
+
+    @pytest.mark.parametrize("config", MEMO_CONFIGS)
     def test_nominal_and_standby_points(self, config):
         table = VoltageFrequencyTable(config)
         assert table.nominal_point() == (
