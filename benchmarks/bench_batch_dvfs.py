@@ -5,7 +5,7 @@ against its SLO deadline buy over planning every sentence independently?
 
 * **Engine level**: one relaxed batch per SLO class, priced by
   :func:`~repro.core.engine.price_latency_aware_batch` (per-sentence)
-  and :func:`~repro.core.engine.price_latency_aware_deadline_batch`
+  and :func:`~repro.core.engine.price_latency_aware_deadline_columns`
   (deadline budget derived the serving way, from the members'
   ``Request.deadline_ms``). This is the controlled before/after joules
   table the README quotes.
@@ -17,7 +17,10 @@ against its SLO deadline buy over planning every sentence independently?
   call for 1-, 8- and 32-sentence batches at two budgets — 4x the
   zero-slack plan's ``planned_ns`` (relaxed: the lowest shared level
   fits) and 0.99x of it (tight: both sweeps fail and the planner falls
-  back to the per-sentence plan).
+  back to the per-sentence plan); and for 32- and 256-sentence batches
+  at a 2 ms per-sentence target, a budget between the level-0 and the
+  next coupled total (slower level: the planner keeps a level above the
+  floor and sweeps the leftover-slack prefixes).
 
 Gates (fail before any reporting):
 
@@ -41,8 +44,9 @@ import numpy as np
 from conftest import RESULTS_DIR, emit
 from repro.cluster import ClusterSimulator, load_trace
 from repro.core.engine import (
+    lai_exit_columns,
     price_latency_aware_batch,
-    price_latency_aware_deadline_batch,
+    price_latency_aware_deadline_columns,
 )
 from repro.dvfs import DeadlineBudget
 from repro.energy.__main__ import reference_pool, reference_workload
@@ -66,6 +70,11 @@ RELAXED_FACTOR = 4.0
 TIGHT_FACTOR = 0.99
 #: The host-independent cost gate: tight over relaxed, same batch.
 TIGHT_OVER_RELAXED_MAX = 4.0
+#: Batch sizes timed at a slower-level budget, and their per-sentence
+#: target: tight enough that per-sentence rows sit above the table
+#: floor, so a level above 0 exists to keep.
+LEVEL_SIZES = (32, 256)
+LEVEL_TARGET_MS = 2.0
 
 
 def _require(condition, message):
@@ -80,6 +89,8 @@ def _engine_sweep(registry):
     profile = registry.profile(task)
     tables = profile.engine.pricing_tables()
     entropies = profile.entropies[:, :BATCH_SIZE]
+    columns = lai_exit_columns(tables, entropies, profile.lut,
+                               profile.entropy_threshold, deadline=True)
 
     rows = []
     for label, target_ms in SLO_CLASSES:
@@ -91,9 +102,8 @@ def _engine_sweep(registry):
         per = price_latency_aware_batch(
             tables, profile.engine.dvfs, entropies, profile.lut,
             profile.entropy_threshold, target_ms)
-        dead = price_latency_aware_deadline_batch(
-            tables, profile.engine.dvfs, entropies, profile.lut,
-            profile.entropy_threshold, target_ms, deadline_ms)
+        dead = price_latency_aware_deadline_columns(
+            tables, profile.engine.dvfs, columns, target_ms, deadline_ms)
         rows.append({
             "slo_class": label,
             "target_ms": target_ms,
@@ -112,9 +122,8 @@ def _engine_sweep(registry):
     per = price_latency_aware_batch(
         tables, profile.engine.dvfs, entropies, profile.lut,
         profile.entropy_threshold, 50.0)
-    zero = price_latency_aware_deadline_batch(
-        tables, profile.engine.dvfs, entropies, profile.lut,
-        profile.entropy_threshold, 50.0, 0.0)
+    zero = price_latency_aware_deadline_columns(
+        tables, profile.engine.dvfs, columns, 50.0, 0.0)
     drift = max(
         float(np.max(np.abs(np.asarray(zero[key], dtype=np.float64)
                             - np.asarray(per[key], dtype=np.float64))))
@@ -164,32 +173,35 @@ def _per_call_us(*calls, repeat=100, rounds=7):
     return [seconds * 1e6 for seconds in best]
 
 
-def _timing_sweep(registry):
-    """µs per deadline-priced batch, relaxed vs tight, per batch size."""
-    task = registry.tasks[0]
-    profile = registry.profile(task)
+def _planner(profile, size, target_ms):
+    """A ``size``-sentence batch and the plan price_batch makes for it."""
+    task = profile.task
     engine = profile.engine
     tables = engine.pricing_tables()
     columns = profile.deadline_columns()
-    target_ms = 50.0
+    batch = Batch(task=task, target_ms=target_ms, requests=tuple(
+        Request(request_id=i, task=task,
+                sentence=i % profile.num_sentences, target_ms=target_ms)
+        for i in range(size)))
+    idx = batch.sentence_indices
+
+    def plan(deadline_ms):
+        return engine.dvfs.plan_batch_deadline(
+            columns["remaining"][idx],
+            DeadlineBudget.from_ms(deadline_ms, target_ms),
+            tables.embed_time_ns + tables.layer_time_ns,
+            rail_layer_ns=columns["layer_ns"][idx],
+            rail_front_ns=tables.rail_front_time_ns)
+
+    return batch, plan
+
+
+def _timing_sweep(registry):
+    """µs per deadline-priced batch, relaxed vs tight, per batch size."""
+    profile = registry.profile(registry.tasks[0])
     rows = []
     for size in TIMED_SIZES:
-        batch = Batch(task=task, target_ms=target_ms, requests=tuple(
-            Request(request_id=i, task=task,
-                    sentence=i % profile.num_sentences,
-                    target_ms=target_ms)
-            for i in range(size)))
-        idx = batch.sentence_indices
-
-        def plan(deadline_ms):
-            # The plan price_batch makes for this batch and budget.
-            return engine.dvfs.plan_batch_deadline(
-                columns["remaining"][idx],
-                DeadlineBudget.from_ms(deadline_ms, target_ms),
-                tables.embed_time_ns + tables.layer_time_ns,
-                rail_layer_ns=columns["layer_ns"][idx],
-                rail_front_ns=tables.rail_front_time_ns)
-
+        batch, plan = _planner(profile, size, 50.0)
         planned_ms = plan(0.0).planned_ns * 1e-6
         relaxed_ms = RELAXED_FACTOR * planned_ms
         tight_ms = TIGHT_FACTOR * planned_ms
@@ -212,6 +224,34 @@ def _timing_sweep(registry):
     return rows
 
 
+def _level_sweep(registry):
+    """µs per deadline-priced batch whose plan keeps a slower level.
+
+    The budget sits halfway between the level-0 coupled total and the
+    plan just below it, so level 0 overruns, a coupled level above it
+    fits, and the planner sweeps the leftover-slack prefixes.
+    """
+    profile = registry.profile(registry.tasks[0])
+    rows = []
+    for size in LEVEL_SIZES:
+        batch, plan = _planner(profile, size, LEVEL_TARGET_MS)
+        floor_ns = plan(1e9).planned_ns
+        below_ns = plan(floor_ns * (1.0 - 1e-12) * 1e-6).planned_ns
+        level_ms = 0.5 * (floor_ns + below_ns) * 1e-6
+        level = plan(level_ms)
+        _require(not level.fallback and level.planned_ns < floor_ns
+                 and np.array_equal(level.front_index[1:],
+                                    level.table_index[1:]),
+                 f"{size}-sentence budget did not keep a slower level")
+        level_us, = _per_call_us(
+            lambda: price_batch(profile, batch, "lai",
+                                deadline_ms=level_ms),
+            repeat=20, rounds=5)
+        rows.append({"batch_size": size, "target_ms": LEVEL_TARGET_MS,
+                     "deadline_ms": level_ms, "level_us": level_us})
+    return rows
+
+
 def run_benchmark(seed=0):
     registry, _ = reference_workload(num_requests=10, n_sentences=64,
                                      seed=seed)
@@ -223,6 +263,7 @@ def run_benchmark(seed=0):
         "zero_slack_max_drift": zero_slack_drift,
         "cluster": cluster,
         "pricing_us": _timing_sweep(registry),
+        "level_pricing_us": _level_sweep(registry),
     }
 
 
@@ -307,7 +348,15 @@ def _build_table(record):
         title=f"Deadline pricing per call — relaxed = "
               f"{RELAXED_FACTOR:g}x, tight = {TIGHT_FACTOR:g}x the "
               "zero-slack plan")
-    return "\n\n".join((engine_table, cluster_table, timing_table))
+    level_table = format_table(
+        ["Batch", "Budget (ms)", "Slower level (us)"],
+        [[str(row["batch_size"]), f"{row['deadline_ms']:.3f}",
+          f"{row['level_us']:.0f}"]
+         for row in record["level_pricing_us"]],
+        title=f"Deadline pricing per call — slower level, "
+              f"{LEVEL_TARGET_MS:g} ms per-sentence target")
+    return "\n\n".join((engine_table, cluster_table, timing_table,
+                        level_table))
 
 
 def test_batch_dvfs():

@@ -568,12 +568,14 @@ class ClusterSimulator:
         quantity whose sum the deadline planner must fit inside the
         earliest member's slack — read as ``latency_ms[sentence]`` from
         the whole-profile price table for ``key`` on the registry's
-        default hardware (one build per key, held in ``_price_tables``
-        beside the tables :meth:`_price` gathers from). Row ``i`` is
-        bit-identical to pricing sentence ``i`` alone as a singleton
-        batch, so arrival order cannot change an estimate.
+        default hardware. Row ``i`` is bit-identical to pricing sentence
+        ``i`` alone as a singleton batch, so arrival order cannot change
+        an estimate. The table is built once per key, when the key's
+        former is created, and only its latency column is kept — inside
+        the returned estimator, so it lives exactly as long as that
+        former.
         """
-        latency_ms = self._table_for(*key, None).latency_ms
+        latency_ms = _build_table(self.registry, *key, None).latency_ms
         return lambda request: latency_ms[request.sentence]
 
     def _swap_for(self, pending_batch, accel, now_ms):
@@ -635,9 +637,7 @@ class ClusterSimulator:
                 # rows from the whole-profile table instead of pricing
                 # this batch's composition (identical rows — the replay
                 # core's table contract).
-                table = self._table_for(
-                    pending_batch.task, pending_batch.batch.target_ms,
-                    pending_batch.mode, accel.hw_config)
+                table = self._table_for(pending_batch, accel.hw_config)
                 rows = table.rows(
                     [r.sentence for r in pending_batch.batch.requests])
             else:
@@ -650,9 +650,10 @@ class ClusterSimulator:
             cache[key] = rows
         return rows
 
-    def _table_for(self, task, target_ms, mode, hw_config):
+    def _table_for(self, pending_batch, hw_config):
         """The whole-profile price table for one batch-key variant."""
-        key = (task, float(target_ms), mode, hw_config)
+        key = (pending_batch.task, float(pending_batch.batch.target_ms),
+               pending_batch.mode, hw_config)
         table = self._price_tables.get(key)
         if table is None:
             table = _build_table(self.registry, *key)

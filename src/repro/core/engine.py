@@ -128,28 +128,20 @@ class PricingTables:
     """Precomputed per-operating-point layer costs for the batch kernels.
 
     Everything the vectorized pricing needs, frozen after one pass over
-    the V/F table: the nominal front-end costs and, for every LDO step,
-    the scaled encoder-layer time/energy (``point_time_ns[i]`` /
-    ``point_energy_pj[i]`` correspond to row ``i`` of the controller's
-    :class:`~repro.dvfs.VoltageFrequencyTable`, which is exactly what
-    :meth:`~repro.dvfs.DvfsController.plan_batch` indexes with
-    ``table_index``).
-
-    The deadline-aware pricing path additionally needs the *front end*
-    (embedding stage + encoder layer 1) per operating point —
-    ``front_point_time_ns[i]`` / ``front_point_energy_pj[i]`` — because a
-    batch planned against a shared deadline runs every front end after
-    the first on the batch rail instead of sprinting it at nominal V/F.
-    The eNVM embedding read (``embedding_read_pj``) stays a per-sentence
-    constant: memory energy does not scale with the logic rail.
-
-    The ``rail_*`` vectors hold the same floats in *rail codes* (index 0
-    is the nominal point, index ``i + 1`` table row ``i``; see
-    :attr:`~repro.dvfs.controller.BatchPlan.rail_codes`), so a kernel
-    prices a plan with one gather per quantity: scaled layer time and
-    energy, the LDO overhead a rail move charges on that layer energy,
-    and the deadline path's front-end time and energy with the eNVM read
-    included.
+    the V/F table: the nominal front-end costs and, per operating point,
+    vectors in *rail codes* — index 0 is the nominal point and index
+    ``i + 1`` row ``i`` of the controller's
+    :class:`~repro.dvfs.VoltageFrequencyTable` (see
+    :attr:`~repro.dvfs.controller.BatchPlan.rail_codes`) — so a kernel
+    prices a plan with one gather per quantity: scaled encoder-layer
+    time and energy, the LDO overhead a rail move charges on that layer
+    energy, and the *front end* (embedding stage + encoder layer 1)
+    time and energy. The deadline-aware path needs the front ends per
+    operating point because a batch planned against a shared deadline
+    runs every front end after the first on the batch rail instead of
+    sprinting it at nominal V/F. ``rail_front_energy_pj`` includes the
+    eNVM embedding read (``embedding_read_pj``), a per-sentence constant
+    that does not scale with the logic rail.
     """
 
     num_layers: int
@@ -161,10 +153,6 @@ class PricingTables:
     layer_time_ns: float
     layer_energy_pj: float
     layer_cycles: int
-    point_time_ns: np.ndarray
-    point_energy_pj: np.ndarray
-    front_point_time_ns: np.ndarray
-    front_point_energy_pj: np.ndarray
     rail_layer_time_ns: np.ndarray
     rail_layer_energy_pj: np.ndarray
     rail_overhead_pj: np.ndarray
@@ -211,6 +199,12 @@ def price_early_exit_batch(tables, exit_layers):
     }
 
 
+def _taken(predictions, priced):
+    """The class each sentence predicts at its priced exit layer."""
+    exits = priced["exit_layer"]
+    return predictions[exits - 1, np.arange(exits.size)]
+
+
 def lai_exit_columns(tables, entropies, lut, entropy_threshold,
                      predictions=None, deadline=False):
     """Algorithm 2's per-sentence exit columns, none of which read a target.
@@ -229,7 +223,7 @@ def lai_exit_columns(tables, entropies, lut, entropy_threshold,
     batches gather rows.
     """
     entropies = np.asarray(entropies, dtype=np.float64)
-    num_layers, n = entropies.shape
+    num_layers = entropies.shape[0]
     if num_layers != tables.num_layers:
         raise PipelineError(
             f"expected {tables.num_layers} entropies, got {num_layers}")
@@ -242,7 +236,7 @@ def lai_exit_columns(tables, entropies, lut, entropy_threshold,
     columns = {"exit1": exit1, "predicted": predicted,
                "exit_layer": exit_layer}
     if predictions is not None:
-        columns["taken"] = predictions[exit_layer - 1, np.arange(n)]
+        columns["taken"] = _taken(predictions, columns)
     if deadline:
         remaining = np.where(exit1, 0.0,
                              (predicted - 1) * float(tables.layer_cycles))
@@ -310,26 +304,6 @@ def price_latency_aware_columns(tables, dvfs, columns, target_ms):
         "freq_ghz": np.where(exit1, tables.nominal_freq_ghz, plan.freq_ghz),
         "met_target": np.where(exit1, front_met, met),
     }
-
-
-def price_latency_aware_deadline_batch(tables, dvfs, entropies, lut,
-                                       entropy_threshold, target_ms,
-                                       deadline_ms):
-    """Vectorized Algorithm 2 planned batch-wide against one deadline.
-
-    Same prediction and exit semantics as
-    :func:`price_latency_aware_batch`, but the DVFS decision is
-    :meth:`~repro.dvfs.DvfsController.plan_batch_deadline`: the whole
-    batch — front ends after the first included — rides a water-filled
-    rail schedule that spends the deadline's slack instead of sprinting
-    every front end at nominal V/F. When the budget grants no slack over
-    the per-sentence plan, this *is* :func:`price_latency_aware_batch`
-    (the zero-slack path reproduces per-sentence pricing exactly).
-    """
-    return price_latency_aware_deadline_columns(
-        tables, dvfs, lai_exit_columns(tables, entropies, lut,
-                                       entropy_threshold, deadline=True),
-        target_ms, deadline_ms)
 
 
 def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
@@ -402,12 +376,6 @@ def results_from_arrays(priced, predictions, index=None):
         columns = [column[index] for column in columns]
     return list(map(SentenceResult,
                     *(column.tolist() for column in columns)))
-
-
-def _taken(predictions, priced):
-    """The class each sentence predicts at its priced exit layer."""
-    exits = priced["exit_layer"]
-    return predictions[exits - 1, np.arange(exits.size)]
 
 
 class LatencyAwareEngine:
@@ -496,48 +464,37 @@ class LatencyAwareEngine:
         evaluation of the scalar path.
         """
         if self._pricing_tables is None:
-            rows = self.dvfs.table.rows()
-            point_time = np.empty(len(rows))
-            point_energy = np.empty(len(rows))
-            front_time = np.empty(len(rows))
-            front_energy = np.empty(len(rows))
-            for i, (vdd, freq) in enumerate(rows):
-                metrics = self._layer_at(vdd, freq)
-                point_time[i] = metrics.time_ns
-                point_energy[i] = metrics.energy_pj
-                embed = self.accelerator.layer_metrics(
+            # Rail code 0 is the nominal point, code i + 1 table row i.
+            points = [(self._layer_nominal, self._embed_nominal)] + [
+                (self._layer_at(vdd, freq), self.accelerator.layer_metrics(
                     self.embed_workload, vdd=vdd, freq_ghz=freq,
-                    sparse_execution=self.sparse_execution)
-                front_time[i] = embed.time_ns + metrics.time_ns
-                front_energy[i] = embed.energy_pj + metrics.energy_pj
-            nominal_vdd, nominal_freq = self._nominal
-            layer, embed = self._layer_nominal, self._embed_nominal
+                    sparse_execution=self.sparse_execution))
+                for vdd, freq in self.dvfs.table.rows()]
+            layer_energy = np.array([layer.energy_pj
+                                     for layer, _ in points])
             read = self._embedding_read_energy_pj()
-            rail_energy = np.concatenate(([layer.energy_pj], point_energy))
+            nominal_vdd, nominal_freq = self._nominal
             self._pricing_tables = PricingTables(
                 num_layers=self.model_config.num_layers,
                 nominal_vdd=nominal_vdd,
                 nominal_freq_ghz=nominal_freq,
                 embed_time_ns=self._embed_nominal.time_ns,
                 embed_energy_pj=self._embed_nominal.energy_pj,
-                embedding_read_pj=self._embedding_read_energy_pj(),
+                embedding_read_pj=read,
                 layer_time_ns=self._layer_nominal.time_ns,
                 layer_energy_pj=self._layer_nominal.energy_pj,
                 layer_cycles=self._layer_nominal.cycles,
-                point_time_ns=point_time,
-                point_energy_pj=point_energy,
-                front_point_time_ns=front_time,
-                front_point_energy_pj=front_energy,
-                rail_layer_time_ns=np.concatenate(
-                    ([layer.time_ns], point_time)),
-                rail_layer_energy_pj=rail_energy,
+                rail_layer_time_ns=np.array([layer.time_ns
+                                             for layer, _ in points]),
+                rail_layer_energy_pj=layer_energy,
                 rail_overhead_pj=self.dvfs.ldo.overhead_energy_pj(
-                    rail_energy * 0.02, self.dvfs.table.rail_voltages),
-                rail_front_time_ns=np.concatenate(
-                    ([embed.time_ns + layer.time_ns], front_time)),
-                rail_front_energy_pj=np.concatenate(
-                    ([embed.energy_pj + layer.energy_pj],
-                     front_energy)) + read,
+                    layer_energy * 0.02, self.dvfs.table.rail_voltages),
+                rail_front_time_ns=np.array(
+                    [embed.time_ns + layer.time_ns
+                     for layer, embed in points]),
+                rail_front_energy_pj=np.array(
+                    [embed.energy_pj + layer.energy_pj
+                     for layer, embed in points]) + read,
             )
         return self._pricing_tables
 

@@ -28,8 +28,9 @@ import numpy as np
 
 from repro.config import GLUE_TASKS
 from repro.core.engine import (
+    lai_exit_columns,
     price_latency_aware_batch,
-    price_latency_aware_deadline_batch,
+    price_latency_aware_deadline_columns,
 )
 from repro.errors import DvfsError, ReproError
 from repro.serving import synthetic_registry
@@ -52,18 +53,21 @@ def run_smoke(n_sentences=24, seed=0, verbose=True):
     engine = profile.engine
     tables = engine.pricing_tables()
 
+    columns = lai_exit_columns(tables, profile.entropies, profile.lut,
+                               profile.entropy_threshold, deadline=True)
+
     def price(deadline_ms=None):
         if deadline_ms is None:
             return price_latency_aware_batch(
                 tables, engine.dvfs, profile.entropies, profile.lut,
                 profile.entropy_threshold, RELAXED_MS)
-        return price_latency_aware_deadline_batch(
-            tables, engine.dvfs, profile.entropies, profile.lut,
-            profile.entropy_threshold, RELAXED_MS, deadline_ms)
+        return price_latency_aware_deadline_columns(
+            tables, engine.dvfs, columns, RELAXED_MS, deadline_ms)
 
-    _check(np.all(np.diff(tables.point_energy_pj) > 0),
+    # Rail code 0 is the nominal point; codes 1.. are the table rows.
+    _check(np.all(np.diff(tables.rail_layer_energy_pj[1:]) > 0),
            "per-row layer energy is not monotone in voltage")
-    _check(np.all(np.diff(tables.front_point_energy_pj) > 0),
+    _check(np.all(np.diff(tables.rail_front_energy_pj[1:]) > 0),
            "per-row front-end energy is not monotone in voltage")
 
     per = price()

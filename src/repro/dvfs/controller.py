@@ -13,6 +13,7 @@ idle).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from repro.config import DvfsConfig
 from repro.dvfs.adpll import AdpllModel
 from repro.dvfs.ldo import LdoModel, VoltageTrace
-from repro.dvfs.vf_table import VoltageFrequencyTable, rail_move_ns
+from repro.dvfs.vf_table import VoltageFrequencyTable
 from repro.errors import DvfsError
 
 
@@ -75,6 +76,30 @@ class BatchPlan:
         return self.table_index + 1
 
 
+def _settle_ns(ldo, adpll, v_from, v_to, f_from, f_to):
+    """Elementwise settling time before compute may resume (LDO ∥ ADPLL)."""
+    return np.maximum(ldo.transition_time_ns(v_from, v_to),
+                      adpll.relock_time_ns_batch(f_from, f_to))
+
+
+@functools.lru_cache(maxsize=None)
+def _rail_move_ns(config):
+    """Settle time of every rail move, built once per :class:`DvfsConfig`.
+
+    Entry ``[a, b]`` is the move from rail code ``a`` to rail code ``b``
+    (code 0 = nominal, code ``i + 1`` = table row ``i``), evaluated
+    elementwise over every pair of points and shared read-only by every
+    controller on an equal config.
+    """
+    table = VoltageFrequencyTable(config)
+    vdd, freq = table.rail_voltages, table.rail_frequencies
+    moves = _settle_ns(LdoModel(config), AdpllModel(config),
+                       vdd[:, None], vdd[None, :],
+                       freq[:, None], freq[None, :])
+    moves.flags.writeable = False
+    return moves
+
+
 class DvfsController:
     """Plans per-sentence operating points and voltage schedules."""
 
@@ -86,8 +111,7 @@ class DvfsController:
         #: ``rail_move_ns[a, b]`` is :meth:`transition_overhead_ns_batch`
         #: from rail code ``a`` to rail code ``b`` (code 0 = nominal,
         #: code ``i + 1`` = table row ``i``), shared per config.
-        self.rail_move_ns = rail_move_ns(self.config,
-                                         self.transition_overhead_ns_batch)
+        self.rail_move_ns = _rail_move_ns(self.config)
 
     def plan(self, remaining_cycles, target_ns, elapsed_ns):
         """Choose (vdd, freq) for the remaining work of one sentence.
@@ -156,10 +180,10 @@ class DvfsController:
         ``budget`` is a :class:`~repro.dvfs.deadline.DeadlineBudget`, or
         a ``deadline_ns`` scalar together with a ``target_ns`` keyword;
         ``remaining_cycles`` / ``elapsed_ns`` are as in
-        :meth:`plan_batch`. Callers pricing with engine tables pass
-        ``layer_cycles`` / ``point_time_ns`` / ``front_point_time_ns``
-        so the plan predicts with the exact per-row costs the engine
-        charges. Returns a
+        :meth:`plan_batch`. Callers pricing with engine tables pass the
+        rail-coded ``rail_layer_ns`` (per sentence) and
+        ``rail_front_ns`` so the plan predicts with the exact per-row
+        costs the engine charges. Returns a
         :class:`~repro.dvfs.deadline.DeadlineBatchPlan`.
         """
         # Imported lazily: the deadline module subclasses this module's
@@ -175,8 +199,7 @@ class DvfsController:
 
     def transition_overhead_ns_batch(self, v_from, v_to, f_from, f_to):
         """Vectorized :meth:`transition_overhead_ns` over V/F arrays."""
-        return np.maximum(self.ldo.transition_time_ns(v_from, v_to),
-                          self.adpll.relock_time_ns_batch(f_from, f_to))
+        return _settle_ns(self.ldo, self.adpll, v_from, v_to, f_from, f_to)
 
     def schedule_trace(self, sentence_plans, target_ns, standby_gap_ns=100.0):
         """Fig. 7-style V(t) trace over consecutive sentence inferences.

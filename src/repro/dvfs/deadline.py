@@ -24,9 +24,9 @@ water-filling over the V/F table**:
    predicted schedule still meets the deadline;
 3. spend any leftover slack lowering the *earliest* sentences one more
    step (they are the batch's earliest deadlines — the plan tightens as
-   the deadline approaches): every prefix is scored in one more
-   (prefixes × sentences) pass, and the plan keeps the longest prefix
-   before the first one that overruns.
+   the deadline approaches): the prefixes are scored as (prefixes ×
+   sentences) blocks — one block up to 256 sentences — and the plan
+   keeps the longest prefix before the first one that overruns.
 
 When no shared level fits, the planner tries **decoupling the front
 ends** before falling back: layers stay at their per-sentence rows and
@@ -48,19 +48,19 @@ invariant is testable componentwise.
 Every candidate is priced by gathers over *rail codes* (code 0 is the
 nominal point, code ``i + 1`` V/F row ``i``): per-sentence layer and
 front-end times per code, and the controller's per-config rail-move
-matrix (:attr:`~repro.dvfs.DvfsController.rail_move_ns`). A plan is
-therefore a fixed handful of array operations whatever the batch size
-or slack, and a candidate's total is the row sum of its sentence times
-— the same pairwise summation a one-candidate ``sum()`` performs.
+matrix (:attr:`~repro.dvfs.DvfsController.rail_move_ns`). A plan of up
+to 256 sentences is therefore a fixed handful of array operations
+whatever its slack, and a candidate's total is the row sum of its
+sentence times — the same pairwise summation a one-candidate ``sum()``
+performs.
 
 The planner predicts time from the same per-row tables the engine prices
 with — the engine hands in each sentence's rail-coded layer times from
 its exit columns and the rail-coded front-end times of
-:class:`~repro.core.engine.PricingTables`; other callers may pass
-``point_time_ns`` / ``front_point_time_ns`` instead — so "the plan
-meets the deadline" and "the priced batch meets the deadline" are the
-same statement: actual exits only come earlier than the predicted
-layers the plan budgeted for.
+:class:`~repro.core.engine.PricingTables` — so "the plan meets the
+deadline" and "the priced batch meets the deadline" are the same
+statement: actual exits only come earlier than the predicted layers the
+plan budgeted for.
 """
 
 from __future__ import annotations
@@ -75,6 +75,12 @@ from repro.errors import DvfsError
 
 #: Feasibility tolerance (ns) — matches the engine's met-target check.
 DEADLINE_TOL_NS = 1e-6
+
+#: Most (candidates x sentences) elements one prefix block scores: one
+#: block covers every prefix of a batch of up to 256 sentences, and a
+#: larger batch keeps its temporaries bounded while the sweep stops at
+#: the first block holding an overrun.
+PREFIX_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,53 +159,6 @@ def _as_budget(budget, target_ns):
                           target_ns=float(target_ns))
 
 
-def _rail_layer_ns(controller, remaining, layer_cycles, point_time_ns,
-                   nominal_layer_time_ns):
-    """(N, R+1) predicted post-front time per sentence and rail code.
-
-    With the engine's per-row layer times (``point_time_ns`` and
-    ``layer_cycles``) a sentence's predicted layers cost exactly what
-    the engine will charge for them; without them, cycles over
-    frequency.
-    """
-    rail_freq = controller.table.rail_frequencies
-    if point_time_ns is None:
-        return remaining[:, None] / rail_freq[None, :]
-    if layer_cycles is None:
-        raise DvfsError("point_time_ns needs layer_cycles")
-    point_time = np.asarray(point_time_ns, dtype=np.float64)
-    if point_time.shape != (rail_freq.size - 1,):
-        raise DvfsError(
-            f"point_time_ns must have one entry per V/F row "
-            f"({rail_freq.size - 1}), got {point_time.shape}")
-    nominal_time = (float(nominal_layer_time_ns)
-                    if nominal_layer_time_ns is not None
-                    else float(layer_cycles) / rail_freq[0])
-    rail_time = np.concatenate(([nominal_time], point_time))
-    return (remaining / float(layer_cycles))[:, None] * rail_time[None, :]
-
-
-def _rail_front_ns(controller, elapsed, front_point_time_ns):
-    """(N, R+1) front-end time per sentence and rail code.
-
-    Code 0 is the sentence's own nominal front end (``elapsed``). With
-    the engine's per-row front-end times the other codes read those;
-    without them, the nominal front end's cycles at each row's
-    frequency.
-    """
-    rail_freq = controller.table.rail_frequencies
-    if front_point_time_ns is None:
-        return elapsed[:, None] * (rail_freq[0] / rail_freq)[None, :]
-    front = np.asarray(front_point_time_ns, dtype=np.float64)
-    if front.shape != (rail_freq.size - 1,):
-        raise DvfsError(
-            f"front_point_time_ns must have one entry per V/F row "
-            f"({rail_freq.size - 1}), got {front.shape}")
-    return np.concatenate(
-        (elapsed[:, None], np.broadcast_to(front, (elapsed.size,
-                                                   front.size))), axis=1)
-
-
 def _score(rows, front, wake, moves, layer_ns, front_ns):
     """Score candidate rail schedules, one candidate per row.
 
@@ -244,10 +203,36 @@ def _score(rows, front, wake, moves, layer_ns, front_ns):
     return rail, front, transition, sentence, sentence.sum(axis=1)
 
 
+def _longest_prefix(score, base_eff, level, limit):
+    """The longest prefix lowered one row below ``level`` that still fits.
+
+    Candidate ``j`` lowers the first ``j + 1`` sentences (lowering all
+    of them is ``level - 1`` itself, already too slow). Candidates are
+    scored in row blocks of at most :data:`PREFIX_BLOCK_ELEMENTS`
+    elements, in order, and the sweep stops at the first block holding
+    an overrun: the pick is the last candidate before the first
+    overrun. Returns ``(scored, row)`` — the block holding the pick and
+    its row there — or None when even the one-sentence prefix overruns.
+    """
+    n = base_eff.size
+    sentences = np.arange(n)
+    block = max(1, PREFIX_BLOCK_ELEMENTS // n)
+    kept = None
+    for start in range(0, n - 1, block):
+        prefixes = np.arange(start, min(start + block, n - 1))
+        trial = score(np.minimum(
+            base_eff, level - (sentences <= prefixes[:, None])))
+        over = trial[-1] > limit
+        fitting = int(over.argmax()) if over.any() else prefixes.size
+        if fitting:
+            kept = trial, fitting - 1
+        if fitting < prefixes.size:
+            break
+    return kept
+
+
 def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
-                        target_ns=None, layer_cycles=None,
-                        point_time_ns=None, front_point_time_ns=None,
-                        nominal_layer_time_ns=None, rail_layer_ns=None,
+                        target_ns=None, rail_layer_ns=None,
                         rail_front_ns=None):
     """Water-fill a batch's operating points against a shared deadline.
 
@@ -260,14 +245,14 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
     time, broadcast per sentence.
 
     Times are rail-coded: code 0 is the nominal point and code ``i + 1``
-    V/F row ``i``. Callers that already hold them pass
-    ``rail_layer_ns`` — the (N, R+1) predicted post-front time of each
-    sentence on each code — and ``rail_front_ns``, the front-end time on
-    each code, (R+1,) or per sentence (N, R+1), whose code 0 must equal
-    ``elapsed_ns``. Otherwise they are built from ``layer_cycles`` /
-    ``point_time_ns`` / ``nominal_layer_time_ns`` and
-    ``front_point_time_ns`` (or from cycles over frequency when those
-    are None).
+    V/F row ``i``. ``rail_layer_ns`` is the (N, R+1) predicted
+    post-front time of each sentence on each code and ``rail_front_ns``
+    the front-end time on each code, (R+1,) or per sentence (N, R+1),
+    whose code 0 must equal ``elapsed_ns``. The engine passes both from
+    its exit columns and :class:`~repro.core.engine.PricingTables`, so
+    the plan predicts with the exact per-row costs it will be priced
+    with; left None, they are cycles over each code's frequency and the
+    nominal front end's cycles at each code's frequency.
     """
     budget = _as_budget(budget, target_ns)
     remaining = np.atleast_1d(
@@ -278,15 +263,12 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
     elapsed = np.asarray(elapsed_ns, dtype=np.float64)
     if elapsed.ndim:
         elapsed = np.broadcast_to(elapsed, remaining.shape)
+    rail_freq = controller.table.rail_frequencies
     if rail_layer_ns is None:
-        rail_layer_ns = _rail_layer_ns(controller, remaining, layer_cycles,
-                                       point_time_ns,
-                                       nominal_layer_time_ns)
+        rail_layer_ns = remaining[:, None] / rail_freq[None, :]
     if rail_front_ns is None:
-        rail_front_ns = _rail_front_ns(
-            controller, np.broadcast_to(elapsed, remaining.shape),
-            front_point_time_ns)
-    num_codes = len(controller.table) + 1
+        rail_front_ns = elapsed[..., None] * (rail_freq[0] / rail_freq)
+    num_codes = rail_freq.size
     if rail_layer_ns.shape != (n, num_codes) or rail_front_ns.shape \
             not in ((num_codes,), (n, num_codes)):
         raise DvfsError(
@@ -336,15 +318,11 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
             # Leftover slack buys the earliest sentences — the batch's
             # earliest deadlines — one more step down the table; the
             # plan tightens back to the level as the deadline
-            # approaches. Row j lowers the first j + 1 sentences
-            # (lowering all n is level - 1 itself, already too slow);
-            # keep the prefixes that fit before the first overrun.
-            lowered = np.arange(n) <= np.arange(n - 1)[:, None]
-            trial = score(np.minimum(base_eff, level - lowered))
-            over = trial[-1] > limit
-            keep = int(over.argmax()) if over.any() else n - 1
-            if keep:
-                scored, pick = trial, keep - 1
+            # approaches. Keep the longest prefix that fits before the
+            # first overrun.
+            kept = _longest_prefix(score, base_eff, level, limit)
+            if kept is not None:
+                scored, pick = kept
     else:
         # Even the fastest level (per-sentence rows, fronts riding the
         # batch rail) overruns the budget. Before surrendering to the

@@ -79,30 +79,6 @@ def _rail_points(config):
     return rail_vdd, rail_freq
 
 
-#: One rail-move matrix per DvfsConfig; see :func:`rail_move_ns`.
-_RAIL_MOVES = {}
-
-
-def rail_move_ns(config, settle_ns):
-    """Settle time of every rail move, built once per :class:`DvfsConfig`.
-
-    Entry ``[a, b]`` is ``settle_ns`` — a controller's
-    ``transition_overhead_ns_batch`` — from rail code ``a`` to rail
-    code ``b`` (codes as in :func:`_rail_points`), evaluated
-    elementwise over every pair of points. Every controller on an equal
-    config settles identically, so the first one's matrix is shared,
-    read-only, by all of them.
-    """
-    moves = _RAIL_MOVES.get(config)
-    if moves is None:
-        vdd, freq = _rail_points(config)
-        moves = settle_ns(vdd[:, None], vdd[None, :],
-                          freq[:, None], freq[None, :])
-        moves.flags.writeable = False
-        moves = _RAIL_MOVES.setdefault(config, moves)
-    return moves
-
-
 class VoltageFrequencyTable:
     """Discrete (vdd, f_max) operating points at the LDO's step size.
 

@@ -189,13 +189,17 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
                         nominal_layer_time_ns=None, trace=None):
     """The loop-based water-fill: one ``_Schedule.evaluate`` per candidate.
 
-    Same arguments and result as
-    :func:`repro.dvfs.deadline.plan_batch_deadline`. ``trace``, when a
-    dict, receives the branch taken under ``"branch"`` (``"fallback"``,
-    ``"level0"``, ``"prefix-none"``, ``"prefix-partial"``,
-    ``"prefix-full"`` or ``"decoupled"``), the chosen ``"level"`` and
-    ``"prefix"`` length, and the ``_Schedule`` the candidates were
-    scored on.
+    Same result as :func:`repro.dvfs.deadline.plan_batch_deadline`, from
+    the times it took before rail codes: the engine's per-row layer
+    times ``point_time_ns`` (with ``layer_cycles`` and
+    ``nominal_layer_time_ns``) and front-end times
+    ``front_point_time_ns`` — rail codes ``1..`` of the rail-coded
+    vectors — or cycles over frequency when those are None. ``trace``,
+    when a dict, receives the branch taken under ``"branch"``
+    (``"fallback"``, ``"level0"``, ``"prefix-none"``,
+    ``"prefix-partial"``, ``"prefix-full"`` or ``"decoupled"``), the
+    chosen ``"level"`` and ``"prefix"`` length, and the ``_Schedule``
+    the candidates were scored on.
     """
     if trace is None:
         trace = {}

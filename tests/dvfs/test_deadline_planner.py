@@ -9,8 +9,9 @@ from deadline_reference import plan_batch_deadline as reference_plan
 
 from repro.config import GLUE_TASKS
 from repro.core.engine import (
+    lai_exit_columns,
     price_latency_aware_batch,
-    price_latency_aware_deadline_batch,
+    price_latency_aware_deadline_columns,
 )
 from repro.dvfs import DeadlineBudget, DvfsController
 from repro.dvfs.deadline import DeadlineBatchPlan, plan_batch_deadline
@@ -31,10 +32,20 @@ def tables(profile):
     return profile.engine.pricing_tables()
 
 
-def price_deadline(profile, tables, target_ms, deadline_ms):
-    return price_latency_aware_deadline_batch(
-        tables, profile.engine.dvfs, profile.entropies, profile.lut,
-        profile.entropy_threshold, target_ms, deadline_ms)
+def price_deadline(profile, tables, target_ms, deadline_ms,
+                   entropies=None):
+    columns = lai_exit_columns(
+        tables, profile.entropies if entropies is None else entropies,
+        profile.lut, profile.entropy_threshold, deadline=True)
+    return price_latency_aware_deadline_columns(
+        tables, profile.engine.dvfs, columns, target_ms, deadline_ms)
+
+
+def rail_kwargs(tables, remaining):
+    """The engine's rail-coded planner inputs for ``remaining`` cycles."""
+    return dict(rail_layer_ns=(remaining / float(tables.layer_cycles))
+                [:, None] * tables.rail_layer_time_ns,
+                rail_front_ns=tables.rail_front_time_ns)
 
 
 def price_per_sentence(profile, tables, target_ms):
@@ -119,10 +130,7 @@ class TestMonotonicity:
         remaining = np.array([2, 5, 8, 11], dtype=np.float64) \
             * tables.layer_cycles
         front = tables.embed_time_ns + tables.layer_time_ns
-        kwargs = dict(layer_cycles=tables.layer_cycles,
-                      point_time_ns=tables.point_time_ns,
-                      front_point_time_ns=tables.front_point_time_ns,
-                      nominal_layer_time_ns=tables.layer_time_ns)
+        kwargs = rail_kwargs(tables, remaining)
         prev = None
         for deadline_ms in (6.0, 8.0, 12.0, 20.0, 60.0):
             plan = engine.dvfs.plan_batch_deadline(
@@ -165,10 +173,7 @@ class TestDeadlineMetInvariant:
         remaining = np.array([6, 6, 6], dtype=np.float64) \
             * tables.layer_cycles
         front = tables.embed_time_ns + tables.layer_time_ns
-        kwargs = dict(layer_cycles=tables.layer_cycles,
-                      point_time_ns=tables.point_time_ns,
-                      front_point_time_ns=tables.front_point_time_ns,
-                      nominal_layer_time_ns=tables.layer_time_ns)
+        kwargs = rail_kwargs(tables, remaining)
         # Huge budget: everything sinks to the bottom row.
         plan = engine.dvfs.plan_batch_deadline(
             remaining, DeadlineBudget.from_ms(1e6, 2.0), front, **kwargs)
@@ -195,10 +200,7 @@ class TestWaterFillingShape:
         engine = profile.engine
         remaining = np.full(6, 6.0) * tables.layer_cycles
         front = tables.embed_time_ns + tables.layer_time_ns
-        kwargs = dict(layer_cycles=tables.layer_cycles,
-                      point_time_ns=tables.point_time_ns,
-                      front_point_time_ns=tables.front_point_time_ns,
-                      nominal_layer_time_ns=tables.layer_time_ns)
+        kwargs = rail_kwargs(tables, remaining)
         # Sweep budgets between two levels until a split plan appears.
         split = None
         for deadline_ms in np.linspace(4.0, 30.0, 200):
@@ -230,13 +232,11 @@ class TestWaterFillingShape:
         assert np.all(priced["energy_mj"][1:] < per["energy_mj"][1:])
 
     def test_exit1_sentences_budget_no_layers(self, profile, tables):
-        engine = profile.engine
         # All sentences exit at layer 1: the plan owes only front ends.
         entropies = np.full_like(profile.entropies, 10.0)
         entropies[0] = 0.0  # below any threshold
-        priced = price_latency_aware_deadline_batch(
-            tables, engine.dvfs, entropies, profile.lut,
-            profile.entropy_threshold, RELAXED_MS, 1e4)
+        priced = price_deadline(profile, tables, RELAXED_MS, 1e4,
+                                entropies=entropies)
         assert np.all(priced["exit_layer"] == 1)
         assert np.all(priced["predicted_layer"] == 1)
         # Fronts 2..N run scaled: cheaper than the nominal front.
@@ -257,10 +257,7 @@ class TestDecoupledFrontRail:
         engine = profile.engine
         remaining = np.full(6, 6.0) * tables.layer_cycles
         front = tables.embed_time_ns + tables.layer_time_ns
-        kwargs = dict(layer_cycles=tables.layer_cycles,
-                      point_time_ns=tables.point_time_ns,
-                      front_point_time_ns=tables.front_point_time_ns,
-                      nominal_layer_time_ns=tables.layer_time_ns)
+        kwargs = rail_kwargs(tables, remaining)
         return engine, remaining, front, kwargs
 
     def _window_bounds(self, planner_inputs):
@@ -371,9 +368,8 @@ class TestEngineIntegration:
         # A zero-sentence slice must degrade exactly like the
         # per-sentence kernel does, not crash in the water-fill.
         empty = profile.entropies[:, :0]
-        priced = price_latency_aware_deadline_batch(
-            tables, profile.engine.dvfs, empty, profile.lut,
-            profile.entropy_threshold, RELAXED_MS, 40.0)
+        priced = price_deadline(profile, tables, RELAXED_MS, 40.0,
+                                entropies=empty)
         assert priced["exit_layer"].size == 0
         plan = profile.engine.dvfs.plan_batch_deadline(
             np.empty(0), DeadlineBudget.from_ms(40.0, RELAXED_MS),
@@ -450,64 +446,89 @@ def reference_deadlines(controller, remaining, elapsed, target_ns, kwargs,
     return [0.0] + deadlines
 
 
+def match_reference(tables, mode, seed=17):
+    """Hold the planner to the loop reference on seeded 0–64 batches.
+
+    ``plain`` plans from cycles over frequency (no rail-coded inputs);
+    ``engine`` hands in the rail-coded times the engine pricing path
+    passes, and the reference the same floats as per-row tables. Odd
+    batch sizes start with a sentence that exits at layer 1; every
+    third one gets a per-sentence nominal front end instead of a
+    scalar. Returns the branches reached, keyed by that first-sentence
+    exit.
+    """
+    controller = DvfsController()
+    rng = np.random.default_rng(seed)
+    ref_kwargs = {} if mode == "plain" else dict(
+        layer_cycles=tables.layer_cycles,
+        point_time_ns=tables.rail_layer_time_ns[1:],
+        front_point_time_ns=tables.rail_front_time_ns[1:],
+        nominal_layer_time_ns=tables.layer_time_ns)
+    front = tables.embed_time_ns + tables.layer_time_ns
+    reached = {False: set(), True: set()}
+    for n in range(65):
+        wake = bool(n % 2)
+        predicted = rng.integers(2, tables.num_layers + 1, size=n)
+        predicted[rng.random(n) < 0.2] = 1
+        remaining = (predicted - 1) * float(tables.layer_cycles)
+        if n:
+            remaining[0] = 0.0 if wake else tables.layer_cycles
+        target_ns = float(rng.choice([front * 0.5, front * 1.2,
+                                      2e6, 5e6, 50e6]))
+        elapsed = front
+        if n % 3 == 1:
+            elapsed = front * rng.uniform(0.9, 1.1, size=n)
+        kwargs = {}
+        if mode == "engine":
+            kwargs = rail_kwargs(tables, remaining)
+            if np.ndim(elapsed):
+                kwargs["rail_front_ns"] = np.column_stack(
+                    (elapsed, np.broadcast_to(
+                        tables.rail_front_time_ns[1:],
+                        (n, tables.rail_front_time_ns.size - 1))))
+        for deadline_ns in reference_deadlines(
+                controller, remaining, elapsed, target_ns, ref_kwargs,
+                rng):
+            budget = DeadlineBudget(deadline_ns, target_ns)
+            trace = {}
+            ref = reference_plan(controller, remaining, budget, elapsed,
+                                 trace=trace, **ref_kwargs)
+            plan = plan_batch_deadline(controller, remaining, budget,
+                                       elapsed, **kwargs)
+            assert_same_plan(plan, ref)
+            reached[wake].add("zero" if deadline_ns == 0.0
+                              else trace["branch"])
+    return reached
+
+
 class TestOnePassMatchesReference:
     """``plan_batch_deadline`` is the loop-based water-fill, bit for bit."""
 
-    @pytest.mark.parametrize("mode", ["plain", "engine", "rail"])
+    @pytest.mark.parametrize("mode", ["plain", "engine"])
     def test_every_field_matches_the_loop(self, tables, mode):
-        """Seeded batches of 0–64 sentences, every branch reached.
-
-        ``plain`` plans without engine tables (``point_time_ns=None``),
-        ``engine`` with them, and ``rail`` hands in the rail-coded
-        times the engine pricing path passes. Odd batch sizes start
-        with a sentence that exits at layer 1; every third one gets a
-        per-sentence nominal front end instead of a scalar.
-        """
-        controller = DvfsController()
-        rng = np.random.default_rng(17)
-        engine_kwargs = dict(
-            layer_cycles=tables.layer_cycles,
-            point_time_ns=tables.point_time_ns,
-            front_point_time_ns=tables.front_point_time_ns,
-            nominal_layer_time_ns=tables.layer_time_ns)
-        front = tables.embed_time_ns + tables.layer_time_ns
-        reached = {False: set(), True: set()}
-        for n in range(65):
-            wake = bool(n % 2)
-            predicted = rng.integers(2, tables.num_layers + 1, size=n)
-            predicted[rng.random(n) < 0.2] = 1
-            remaining = (predicted - 1) * float(tables.layer_cycles)
-            if n:
-                remaining[0] = 0.0 if wake else tables.layer_cycles
-            target_ns = float(rng.choice([front * 0.5, front * 1.2,
-                                          2e6, 5e6, 50e6]))
-            elapsed = front
-            if mode != "rail" and n % 3 == 1:
-                elapsed = front * rng.uniform(0.9, 1.1, size=n)
-            ref_kwargs = {} if mode == "plain" else engine_kwargs
-            kwargs = ref_kwargs
-            if mode == "rail":
-                kwargs = dict(
-                    rail_layer_ns=(remaining / float(tables.layer_cycles))
-                    [:, None] * tables.rail_layer_time_ns,
-                    rail_front_ns=tables.rail_front_time_ns)
-            for deadline_ns in reference_deadlines(
-                    controller, remaining, elapsed, target_ns,
-                    ref_kwargs, rng):
-                budget = DeadlineBudget(deadline_ns, target_ns)
-                trace = {}
-                ref = reference_plan(controller, remaining, budget,
-                                     elapsed, trace=trace, **ref_kwargs)
-                plan = plan_batch_deadline(controller, remaining, budget,
-                                           elapsed, **kwargs)
-                assert_same_plan(plan, ref)
-                reached[wake].add("zero" if deadline_ns == 0.0
-                                  else trace["branch"])
+        """Seeded batches of 0–64 sentences, every branch reached."""
+        reached = match_reference(tables, mode)
         assert reached[False] == set(BRANCHES)
         # A first sentence with no post-front work keeps its rail at the
         # nominal wake point, so lowering it changes nothing: its
         # one-sentence prefix always fits whenever the level does.
         assert reached[True] == set(BRANCHES) - {"prefix-none"}
+
+    @pytest.mark.parametrize("elements", [1, 7, 64])
+    def test_prefix_blocks_match_the_loop(self, tables, monkeypatch,
+                                          elements):
+        """Prefixes scored over many small blocks pick the same plan.
+
+        With at most ``elements`` per block, a batch's prefixes span
+        several blocks, so an overrun lands inside a block, on a
+        block's first row (the pick is then the previous block's last
+        row) or nowhere.
+        """
+        monkeypatch.setattr("repro.dvfs.deadline.PREFIX_BLOCK_ELEMENTS",
+                            elements)
+        reached = match_reference(tables, "engine", seed=elements)
+        assert {"prefix-none", "prefix-partial",
+                "prefix-full"} <= reached[False]
 
     def test_row_sums_are_one_dimensional_sums(self):
         # Candidate totals are row sums of a C-contiguous block; they
