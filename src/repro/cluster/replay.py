@@ -48,6 +48,18 @@ with per-*batch* cost instead, in four moves:
    (:meth:`~repro.serving.TaskProfile.deadline_columns`, built once per
    profile and hardware) and planning them in one pass.
 
+Observation happens after the drain. The hot loop appends one tuple to
+one log at each commit point an observer reads: the queue depth after
+an enqueue and after a dispatch, a swap, a finished run (with the
+free-device count), a throttle, the budget headroom and a window close.
+Once the heap is dry, :func:`_feed_observers` feeds the monitor and then
+the metrics from that log, each in commit order, doing the per-run
+latency, queueing-delay and violation math once over concatenated
+columns; :func:`_emit_spans` builds the spans from the same log in one
+bulk pass. Nothing reads observer state mid-replay: the monitor
+feedback of ``health_routing`` lives in the fleet loop, which drives the
+per-event loop.
+
 Energy-budget admission (``energy_budget_mw``) replays exactly: the
 same :class:`~repro.energy.EnergyBudget` object is driven at the same
 instants — commits before each ``begin``, ``note_throttle`` +
@@ -102,6 +114,15 @@ from repro.serving.server import price_batch, validate_request, within_target
 #: (time_ms, seq, kind, payload) — (time, seq) is already unique, so
 #: kind/payload never get compared.
 _OPEN, _CLOSE, _DONE, _RETRY = 0, 1, 2, 3
+
+#: Observation-log kinds, one per commit point an observer reads:
+#: ``(_QUEUED, t, depth)`` after an enqueue, ``(_DISPATCHED, t, depth)``
+#: after a dispatch, ``(_SWAPPED, t, task, accel_id)``,
+#: ``(_HEADROOM, t, fraction)``, ``(_THROTTLED, t, relief_ms)``,
+#: ``(_FINISHED, t, run, energies, pos, free_devices)`` and
+#: ``(_WINDOW, opened, closed, task, mode, trigger, target, pos)``.
+(_QUEUED, _DISPATCHED, _SWAPPED, _HEADROOM, _THROTTLED, _FINISHED,
+ _WINDOW) = range(7)
 
 
 def replay_ineligible_reason(sim):
@@ -244,57 +265,180 @@ class _KeyPlan:
         self.n = len(times)
 
 
-def _drain_monitor_log(mon, scope, log, arr_o, dead_eps_o, ids_o):
-    """Replay deferred monitor feeds with the latency math done in bulk.
+def _feed_observers(sim, log, arr_o, dead_o, ids_o):
+    """Feed the monitor, then the metrics, from the replay's log.
 
-    The hot loop records ``(kind, ...)`` tuples at the exact commit
-    points the live path would feed the monitor — kind 0 a queue-depth
-    sample ``(t, depth)``, kind 1 a swap ``(t, task, accel_id)``,
-    kind 2 a completed run ``(t, task, target_ms, pos, finish)``,
-    kind 3 a budget throttle ``(t, relief)``. The per-run
-    latency/violation arithmetic runs here once over whole-trace
-    arrays: concatenating the runs' finish columns and gathering
-    arrivals/deadlines once yields elementwise the identical float64
-    subtract/compare the live path does per run, so the alert stream is
-    bit-identical to a live-fed (metered) replay and to the event
-    engine. Latency slices handed to the monitor are views into one
-    contiguous array — no per-run allocation survives.
+    Each observer sees its feeds in commit order, with the values the
+    per-event loop hands it live. The per-run arithmetic runs once over
+    whole-trace arrays: concatenating the runs' finish columns and
+    gathering arrivals and deadlines once yields, elementwise, the same
+    float64 subtracts and compares a per-run pass would do. Latency
+    slices handed to the monitor are views into one contiguous array.
+    One ``observe_many`` over the run-ordered concatenation folds the
+    same left-to-right histogram total as one call per run, and one
+    counter increment by the sum equals the per-run increments.
     """
-    runs = [e for e in log if e[0] == 2]
+    runs = [e for e in log if e[0] == _FINISHED]
     if runs:
         lengths = np.fromiter((len(e[4]) for e in runs),
                               dtype=np.intp, count=len(runs))
         all_pos = np.concatenate([e[4] for e in runs])
-        finish_all = np.concatenate([e[5] for e in runs])
-        lat_all = finish_all - arr_o[all_pos]
-        vm_all = finish_all > dead_eps_o[all_pos]
+        finish_all = np.concatenate([e[2].finish_ms for e in runs])
+        arr_all = arr_o[all_pos]
+        lat_all = finish_all - arr_all
+        vm_all = finish_all > dead_o[all_pos] + 1e-9
         offsets = np.zeros(len(runs), dtype=np.intp)
         np.cumsum(lengths[:-1], out=offsets[1:])
         nv_all = np.add.reduceat(vm_all.astype(np.int64), offsets)
-    observe_done = mon.observe_completions
-    observe_queue = mon.observe_queue_depth
-    observe_swap = mon.observe_swap
-    observe_throttle = mon.observe_throttle
-    i = 0
-    for event in log:
-        kind = event[0]
-        if kind == 2:
-            start = offsets[i]
-            stop = start + lengths[i]
-            nv = int(nv_all[i])
-            viol = ((lambda s=start, e=stop:
-                     ids_o[all_pos[s:e]][vm_all[s:e]])
-                    if nv else ())
-            observe_done(scope, event[2], event[3], event[1],
-                         int(lengths[i]), nv, lat_all[start:stop],
-                         viol)
-            i += 1
-        elif kind == 0:
-            observe_queue(scope, event[1], event[2])
-        elif kind == 3:
-            observe_throttle(scope, event[1], event[2])
-        else:
-            observe_swap(scope, event[1], event[2], event[3])
+
+    mon = sim._mon
+    if mon is not None:
+        scope = sim.trace_scope
+        observe_done = mon.observe_completions
+        observe_queue = mon.observe_queue_depth
+        observe_swap = mon.observe_swap
+        observe_throttle = mon.observe_throttle
+        i = 0
+        for event in log:
+            kind = event[0]
+            if kind == _FINISHED:
+                start = offsets[i]
+                stop = start + lengths[i]
+                nv = int(nv_all[i])
+                # Violator ids feed alert evidence, which only
+                # materializes if a burn alert opens: hand the monitor
+                # a thunk instead of gathering ids per run.
+                viol = ((lambda s=start, e=stop:
+                         ids_o[all_pos[s:e]][vm_all[s:e]])
+                        if nv else ())
+                run = event[2]
+                observe_done(scope, run.pending.task,
+                             float(run.pending.batch.target_ms),
+                             event[1], int(lengths[i]), nv,
+                             lat_all[start:stop], viol)
+                i += 1
+            elif kind == _QUEUED or kind == _DISPATCHED:
+                observe_queue(scope, event[1], event[2])
+            elif kind == _SWAPPED:
+                observe_swap(scope, event[1], event[2], event[3])
+            elif kind == _THROTTLED:
+                observe_throttle(scope, event[1], event[2])
+
+    if sim._m_served is not None:
+        set_queue = sim._m_queue.set
+        set_free = sim._m_free.set
+        set_headroom = sim._m_headroom.set
+        throttles = 0
+        for event in log:
+            kind = event[0]
+            if kind == _QUEUED:
+                set_queue(event[1], event[2])
+            elif kind == _FINISHED:
+                set_free(event[1], event[5])
+            elif kind == _HEADROOM:
+                set_headroom(event[1], event[2])
+            elif kind == _THROTTLED:
+                throttles += 1
+        if throttles:
+            sim._m_throttles.inc(throttles)
+        if runs:
+            starts = np.fromiter((e[2].start_ms for e in runs),
+                                 dtype=np.float64, count=len(runs))
+            sim._m_served.inc(int(lengths.sum()))
+            sim._m_latency.observe_many(lat_all)
+            sim._m_qdelay.observe_many(np.repeat(starts, lengths)
+                                       - arr_all)
+            sim._m_violations.inc(int(np.count_nonzero(vm_all)))
+
+
+def _compute_span(task, start_ms, finish_ms, track, seq, rids, energies):
+    """One run's compute span row: the shape both cores emit.
+
+    ``batch:<task>`` from ``start_ms`` (the end of the swap) to the last
+    member's finish. Its args carry the members' ids, their exact
+    finish instants (``start + dur`` would re-round them) and their
+    energies, and its energy is their left-to-right sum, the ledger's
+    order. The journey stitcher decomposes the run from these columns.
+    """
+    return (f"batch:{task}", "compute", start_ms,
+            float(finish_ms[-1]) - start_ms, track, sum(energies),
+            {"requests": len(energies), "batch": seq, "rids": rids,
+             "finish": finish_ms, "energy": energies})
+
+
+def _emit_spans(sim, log, ids_o, arr_o):
+    """Build the batch-granular spans from the replay's log in one pass.
+
+    Windows first, then per run its dispatch wait, swap and one compute
+    span, each group in commit order. Every float is the exact value
+    the per-event loop emits (dispatch, ready and finish instants are
+    shared plan state; the batch energy is the same left-to-right sum),
+    so the two cores' span logs agree and the 1e-9 rollup
+    reconciliation holds while the hot loop pays only a tuple append
+    per batch.
+    """
+    windows = [e for e in log if e[0] == _WINDOW]
+    runs = [e for e in log if e[0] == _FINISHED]
+    accels = sim._accels
+    trk_former = sim._trk_former
+    trk_queue = sim._trk_queue
+    swap_names = {task: f"swap:{task}" for task in {e[3] for e in windows}}
+    tracks = [a.track for a in accels]
+    hw_of = [a.hw_config.mac_vector_size
+             if a.hw_config is not None else None for a in accels]
+    # Span args carry the plan's numpy columns as-is (member ids,
+    # arrivals, per-request finish instants): the serialization
+    # boundaries — ``Span.to_dict``, the spill writer, the Chrome
+    # exporter, the journey stitcher — convert them to plain lists on
+    # demand via ``jsonable_args``/``_column``, so the traced replay
+    # never pays a per-member scalar boxing. Each run's member set is
+    # its window's (the same ``pos`` array object flows from window
+    # close to dispatch), so all member columns come from two whole-run
+    # gathers sliced into one view per window.
+    member_cache = {}
+    if windows:
+        window_pos = [e[7] for e in windows]
+        big = np.concatenate(window_pos)
+        ids_all = ids_o[big]
+        arr_all = arr_o[big]
+        offset = 0
+        for pos in window_pos:
+            end = offset + pos.size
+            member_cache[id(pos)] = (ids_all[offset:end],
+                                     arr_all[offset:end])
+            offset = end
+
+    rows = []
+    emit = rows.append
+    for _, opened, closed, task, mode, trigger, target, pos in windows:
+        rids, arrivals = member_cache[id(pos)]
+        emit(("window", "window", opened, closed - opened, trk_former,
+              0.0,
+              {"task": task, "mode": mode, "size": len(rids),
+               "trigger": trigger, "target": target, "rids": rids,
+               "arrivals": arrivals}))
+    # Columnize at C speed: one attrgetter call per run replaces ~20
+    # interpreted attribute chases across the span builds.
+    fields = attrgetter("pending.ready_ms", "start_ms", "swap_ms",
+                        "swap_energy_mj", "accel_id", "pending.task",
+                        "pending.seq", "finish_ms")
+    for (ready, start, swap_ms, swap_mj, accel_id, task, seq,
+         finish), (_, _, _, engs, pos, _) in zip(
+            map(fields, map(itemgetter(2), runs)), runs):
+        rids = member_cache[id(pos)][0]
+        emit(("dispatch-wait", "queue", ready, start - ready, trk_queue,
+              0.0,
+              {"batch": seq, "size": len(engs), "accel": accel_id,
+               "rids": rids, "hw": hw_of[accel_id]}))
+        track = tracks[accel_id]
+        if swap_ms > 0.0 or swap_mj != 0.0:
+            emit((swap_names[task], "swap", start, swap_ms, track,
+                  swap_mj, {"batch": seq}))
+        # ``engs`` is already a plain float list (the plan's pricing
+        # column); share it rather than copy it.
+        emit(_compute_span(task, start + swap_ms, finish, track, seq,
+                           rids, engs))
+    sim.tracer.extend_rows(rows)
 
 
 def _precheck(sim, requests, ids, arrivals, keymap, key_max_sent):
@@ -493,49 +637,17 @@ def run_vectorized(sim, requests):
         heapify(free_pool)
     else:
         free_pool = [a for a in accels if a.dispatchable]
-    # Telemetry is batch-granular here: one window/queue/swap span per
-    # batch and one compute span per run, reconstructed from the plan —
-    # the per-request detail only the event engine pays for. The hot
-    # loop only *retains* (cheap tuple appends of already-live
-    # objects); the spans themselves are built in one bulk pass after
-    # the drain (``Tracer.extend_rows``), which is what keeps a traced
-    # replay within a few percent of an untraced one. All hooks are
-    # read-only and fire after state commits, so a traced replay's
-    # report stays bit-identical to an untraced one.
-    tracer = sim.tracer
-    traced = tracer.enabled
+    # Observers read the commit-ordered ``log`` only after the drain
+    # (see the module docstring), so an observed replay's report stays
+    # bit-identical to an unobserved one.
+    traced = sim.tracer.enabled
     metered = sim._m_served is not None
-    mon = sim._mon
-    monitored = mon is not None
+    monitored = sim._mon is not None
     # Monitor feeds and the queue gauge both need the running
     # closed-batch request count.
     sampled = metered or monitored
-    scope = sim.trace_scope
-    # Traced replays also need the ordered id column: reconstructed
-    # spans carry the member request ids the journey stitcher
-    # (repro.telemetry.analysis) links legs with.
-    ids_o = ids[order] if (monitored or traced) else None
-    # Bound monitor feeds, hoisted out of the hot loop.
-    mon_queue = mon.observe_queue_depth if monitored else None
-    mon_done = mon.observe_completions if monitored else None
-    mon_swap = mon.observe_swap if monitored else None
-    mon_throttle = mon.observe_throttle if monitored else None
-    # Monitor-only replays defer their feeds: nothing reads monitor
-    # state mid-replay (health feedback lives in the fleet loop, which
-    # drives the event engine), so the hot loop records cheap event
-    # tuples and _drain_monitor_log replays them in commit order after
-    # the heap drains, with the per-run latency math done in bulk.
-    # Metered runs keep live feeds (metrics share the per-run arrays).
-    defer_mon = monitored and not metered
-    mon_log = [] if defer_mon else None
-    # Violation predicate, hoisted: (dead + eps)[pos] is elementwise
-    # identical to dead[pos] + eps, so one bulk add here replaces a
-    # temp-array add per completed run on the sampled hot path.
-    dead_eps_o = dead_o + 1e-9 if sampled else None
-    trk_former = sim._trk_former
-    trk_queue = sim._trk_queue
-    win_log = []  # (opened_ms, closed_ms, task, mode, trigger, target, pos)
-    run_log = []  # (run, energies, pos); queue/swap/compute off the run
+    log = []
+    log_append = log.append
     queued_reqs = 0  # running total of requests across `pending`
 
     def table_for(task, target_ms, mode, hw_config):
@@ -587,16 +699,13 @@ def run_vectorized(sim, requests):
                           swap_cost)
         if monitored \
                 and (run.swap_ms > 0.0 or run.swap_energy_mj != 0.0):
-            if defer_mon:
-                mon_log.append((1, now, batch.task, accel.accel_id))
-            else:
-                mon_swap(scope, now, batch.task, accel.accel_id)
+            log_append((_SWAPPED, now, batch.task, accel.accel_id))
         sim._price_cache.pop(pending_batch.seq, None)
         report.num_batches += 1
         if metered and budget is not None:
             # Pure read: the commit above already expired the window at
             # `now`, so headroom_fraction re-expires nothing.
-            sim._m_headroom.set(now, budget.headroom_fraction(now))
+            log_append((_HEADROOM, now, budget.headroom_fraction(now)))
         heappush(events, (run.end_ms, dyn_seq, _DONE,
                           (accel, run, energies, pos)))
         dyn_seq += 1
@@ -612,13 +721,8 @@ def run_vectorized(sim, requests):
                           _RETRY, None))
         dyn_seq += 1
         budget_armed = True
-        if metered:
-            sim._m_throttles.inc()
-        if monitored:
-            if defer_mon:
-                mon_log.append((3, now, relief))
-            else:
-                mon_throttle(scope, now, relief)
+        if sampled:
+            log_append((_THROTTLED, now, relief))
 
     def dispatch(now):
         nonlocal queued_reqs, budget_recheck
@@ -644,11 +748,8 @@ def run_vectorized(sim, requests):
                 free_pool.remove(accel)
             if sampled:
                 queued_reqs -= len(pending_batch)
-            if monitored:
-                if defer_mon:
-                    mon_log.append((0, now, queued_reqs))
-                else:
-                    mon_queue(scope, now, queued_reqs)
+                if monitored:
+                    log_append((_DISPATCHED, now, queued_reqs))
             start_batch(pending_batch, accel, now)
 
     def enqueue(pending_batch, pos, now):
@@ -660,13 +761,7 @@ def run_vectorized(sim, requests):
         pending.append(pending_batch)
         if sampled:
             queued_reqs += len(pending_batch)
-            if defer_mon:
-                mon_log.append((0, now, queued_reqs))
-            else:
-                if metered:
-                    sim._m_queue.set(now, queued_reqs)
-                if monitored:
-                    mon_queue(scope, now, queued_reqs)
+            log_append((_QUEUED, now, queued_reqs))
 
     def plan_key_window(kp):
         """Plan the window opening now; push its _CLOSE into the heap.
@@ -761,10 +856,9 @@ def run_vectorized(sim, requests):
                     members, now, sim._next_batch_seq())
                 enqueue(pending_batch, pos, now)
                 if traced:
-                    win_log.append((opened, pending_batch.ready_ms,
-                                    kp.former.task, kp.former.mode,
-                                    trigger,
-                                    float(kp.former.target_ms), pos))
+                    log_append((_WINDOW, opened, pending_batch.ready_ms,
+                                kp.former.task, kp.former.mode, trigger,
+                                float(kp.former.target_ms), pos))
                 if reopened:
                     # The newcomer's window arms its timer now — the
                     # same processing point _on_arrival re-arms at —
@@ -791,12 +885,11 @@ def run_vectorized(sim, requests):
                     seq=sim._next_batch_seq())
                 enqueue(pending_batch, pos, now)
                 if traced:
-                    win_log.append((float(arr_o[pos[0]]),
-                                    pending_batch.ready_ms, payload.task,
-                                    payload.mode,
-                                    "size" if payload.by_size
-                                    else "timeout",
-                                    float(payload.target_ms), pos))
+                    log_append((_WINDOW, float(arr_o[pos[0]]),
+                                pending_batch.ready_ms, payload.task,
+                                payload.mode,
+                                "size" if payload.by_size else "timeout",
+                                float(payload.target_ms), pos))
                 dispatch(now)
         elif kind == _DONE:
             accel, run, energies, pos = payload
@@ -816,130 +909,21 @@ def run_vectorized(sim, requests):
             served_pos.append(pos)
             if run.end_ms > makespan:
                 makespan = run.end_ms
-            if traced:
-                run_log.append((run, energies, pos))
-            if defer_mon:
-                mon_log.append((2, now, run.pending.task,
-                                float(run.pending.batch.target_ms),
-                                pos, run.finish_ms))
-            elif sampled:
-                n_served = len(energies)
-                arr = arr_o[pos]
-                lat = run.finish_ms - arr
-                vm = run.finish_ms > dead_eps_o[pos]
-                nv = int(np.count_nonzero(vm))
-                if metered:
-                    sim._m_served.inc(n_served)
-                    sim._m_free.set(now, len(free_pool))
-                    sim._m_latency.observe_many(lat)
-                    sim._m_qdelay.observe_many(run.start_ms - arr)
-                    sim._m_violations.inc(nv)
-                if monitored:
-                    # Violator ids feed alert evidence, which only
-                    # materializes if a burn alert opens — hand the
-                    # monitor a thunk instead of gathering ids per run.
-                    viol_ids = ((lambda p=pos, m=vm: ids_o[p][m])
-                                if nv else ())
-                    mon_done(
-                        scope, run.pending.task,
-                        float(run.pending.batch.target_ms), now,
-                        n_served, nv, lat, viol_ids)
+            if traced or sampled:
+                log_append((_FINISHED, now, run, energies, pos,
+                            len(free_pool)))
             dispatch(now)
         else:  # _RETRY — the budget's DispatchRetry recheck
             budget_armed = False
             dispatch(now)
 
-    if defer_mon and mon_log:
-        _drain_monitor_log(mon, scope, mon_log, arr_o, dead_eps_o,
-                           ids_o)
-
+    # Traced spans carry member request ids (the journey stitcher links
+    # legs with them), and so does alert evidence.
+    ids_o = ids[order] if monitored or traced else None
+    if sampled:
+        _feed_observers(sim, log, arr_o, dead_o, ids_o)
     if traced:
-        # Reconstruct the batch-granular spans from the retained plan
-        # in one bulk pass: every float here is the exact value the
-        # per-event engine would have emitted (dispatch/ready/finish
-        # instants are shared plan state; the batch energy is the same
-        # plain left-to-right sum), so cross-engine span parity and the
-        # 1e-9 rollup reconciliation both hold while the hot loop pays
-        # only a tuple append per batch.
-        tasks = {task for _, _, task, _, _, _, _ in win_log}
-        swap_names = {task: f"swap:{task}" for task in tasks}
-        batch_names = {task: f"batch:{task}" for task in tasks}
-        tracks = [a.track for a in accels]
-        hw_of = [a.hw_config.mac_vector_size
-                 if a.hw_config is not None else None for a in accels]
-        # Span args carry the plan's numpy columns as-is (member ids,
-        # arrivals, per-request finish instants): the serialization
-        # boundaries — ``Span.to_dict``, the spill writer, the Chrome
-        # exporter, the journey stitcher — convert them to plain lists
-        # on demand via ``jsonable_args``/``_column``, so the traced
-        # replay never pays a per-member scalar boxing. A window's
-        # member set is its batch's member set (the same ``pos`` array
-        # object flows from window close to dispatch), so all member
-        # columns come from two whole-run gathers sliced into views,
-        # one per distinct ``pos``.
-        member_cache = {}
-        uniq = []
-        for pos in map(itemgetter(6), win_log):
-            if id(pos) not in member_cache:
-                member_cache[id(pos)] = None
-                uniq.append(pos)
-        for _, _, pos in run_log:
-            if id(pos) not in member_cache:
-                member_cache[id(pos)] = None
-                uniq.append(pos)
-        if uniq:
-            big = np.concatenate(uniq)
-            ids_all = ids_o[big]
-            arr_all = arr_o[big]
-            offset = 0
-            for pos in uniq:
-                end = offset + pos.size
-                member_cache[id(pos)] = (ids_all[offset:end],
-                                         arr_all[offset:end])
-                offset = end
-
-        rows = []
-        emit = rows.append
-        for opened, closed, task, mode, trigger, target, pos in win_log:
-            rids, arrivals = member_cache[id(pos)]
-            emit(("window", "window", opened, closed - opened,
-                  trk_former, 0.0,
-                  {"task": task, "mode": mode, "size": len(rids),
-                   "trigger": trigger, "target": target,
-                   "rids": rids, "arrivals": arrivals}))
-        # Columnize at C speed: one attrgetter call per run replaces
-        # ~20 interpreted attribute chases across the span builds.
-        fields = attrgetter("pending.ready_ms", "start_ms", "swap_ms",
-                            "swap_energy_mj", "end_ms", "accel_id",
-                            "pending.task", "pending.seq")
-        # builtin sum over each batch's energies is the same strict
-        # left-to-right addition the event engine's per-request ledger
-        # performs, at C speed. The compute span carries the member
-        # ids plus the exact per-request finish/energy columns — the
-        # same plan floats the event engine's per-request spans emit —
-        # so the journey stitcher decomposes the batch losslessly.
-        for (ready, start, swap_ms, swap_mj, end, accel_id, task,
-             seq), (run_obj, engs, pos) in zip(
-                map(fields, map(itemgetter(0), run_log)), run_log):
-            n_req = len(engs)
-            rids = member_cache[id(pos)][0]
-            emit(("dispatch-wait", "queue", ready, start - ready,
-                  trk_queue, 0.0,
-                  {"batch": seq, "size": n_req, "accel": accel_id,
-                   "rids": rids, "hw": hw_of[accel_id]}))
-            track = tracks[accel_id]
-            if swap_ms > 0.0 or swap_mj != 0.0:
-                emit((swap_names[task], "swap", start, swap_ms, track,
-                      swap_mj, {"batch": seq}))
-            compute_start = start + swap_ms
-            # ``engs`` is already a plain float list (the plan's
-            # pricing column); share it rather than copy it.
-            emit((batch_names[task], "compute", compute_start,
-                  end - compute_start, track, sum(engs),
-                  {"requests": n_req, "batch": seq, "rids": rids,
-                   "finish": run_obj.finish_ms,
-                   "energy": engs}))
-        tracer.extend_rows(rows)
+        _emit_spans(sim, log, ids_o, arr_o)
 
     # -- finalization (column-wise) ------------------------------------------------
     served = (np.sort(np.concatenate(served_pos))

@@ -70,6 +70,7 @@ from repro.cluster.events import (
 from repro.cluster.policies import make_policy
 from repro.cluster.replay import (
     _build_table,
+    _compute_span,
     replay_ineligible_reason,
     run_vectorized,
 )
@@ -544,6 +545,9 @@ class ClusterSimulator:
         if accel.run is None or accel.run.run_id != event.run_id:
             return  # stale completion from a preempted run
         run = accel.complete(self._loop.now_ms)
+        if self._m_served is not None:
+            self._m_free.set(self._loop.now_ms,
+                             sum(1 for a in self._accels if a.dispatchable))
         self._budget_tokens.pop((accel.accel_id, run.run_id), None)
         self._record_run(run, len(run.results))
         self._dispatch()
@@ -689,15 +693,17 @@ class ClusterSimulator:
 
     def _enqueue(self, pending_batch):
         self._pending.append(pending_batch)
+        if self._m_served is None and self._mon is None:
+            return
+        # Closed-batch depth only (no open formers): the quantity both
+        # cores sample, so the gauge and queue-depth alerts are
+        # engine-invariant.
+        depth = sum(len(pb) for pb in self._pending)
         if self._m_served is not None:
-            self._m_queue.set(self._loop.now_ms, self.queue_depth())
+            self._m_queue.set(self._loop.now_ms, depth)
         if self._mon is not None:
-            # Closed-batch depth only (no open formers): the quantity
-            # both engines maintain identically, so queue-depth alerts
-            # are engine-invariant.
-            self._mon.observe_queue_depth(
-                self.trace_scope, self._loop.now_ms,
-                sum(len(pb) for pb in self._pending))
+            self._mon.observe_queue_depth(self.trace_scope,
+                                          self._loop.now_ms, depth)
 
     def _budget_throttled(self):
         """True while admission must stall; arms the retry event."""
@@ -803,14 +809,10 @@ class ClusterSimulator:
                 and (run.swap_ms > 0.0 or run.swap_energy_mj != 0.0):
             self._mon.observe_swap(self.trace_scope, now, batch.task,
                                    accel.accel_id)
-        if self._m_served is not None:
-            self._m_free.set(now, sum(1 for a in self._accels
-                                      if a.dispatchable))
-            if self._budget is not None:
-                # Pure read: _start's commit already expired the window
-                # at `now`, so headroom_fraction re-expires nothing.
-                self._m_headroom.set(
-                    now, self._budget.headroom_fraction(now))
+        if self._m_served is not None and self._budget is not None:
+            # Pure read: _start's commit already expired the window at
+            # `now`, so headroom_fraction re-expires nothing.
+            self._m_headroom.set(now, self._budget.headroom_fraction(now))
         self._loop.schedule(run.end_ms, BatchDone(accel.accel_id,
                                                   run.run_id))
 
@@ -908,59 +910,55 @@ class ClusterSimulator:
                 seq=self._next_batch_seq()))
 
     def _record_run(self, run, n_done):
-        """Record the first ``n_done`` completed requests of ``run``."""
+        """Record the first ``n_done`` completed requests of ``run``.
+
+        Feeds the metrics and the monitor live: fleet sites run this
+        loop, and ``health_routing`` reads monitor state mid-run. A
+        traced run emits the vector core's one compute span per run
+        (:func:`~repro.cluster.replay._compute_span`) over the completed
+        members; a run preempted before its first sentence completed
+        records nothing and emits no compute span.
+        """
+        if not n_done:
+            return
         accel = self._accels[run.accel_id]
         stats = accel.stats
-        traced = self.tracer.enabled
         metered = self._m_served is not None
         monitored = self._mon is not None
-        mon_lats = [] if monitored else None
-        mon_viol = 0
-        mon_ids = []
-        boundary = run.start_ms + run.swap_ms
-        for request, result, finish in zip(
-                run.pending.batch.requests[:n_done],
-                run.results[:n_done], run.finish_ms[:n_done]):
+        requests = run.pending.batch.requests[:n_done]
+        results = run.results[:n_done]
+        finish = run.finish_ms[:n_done]
+        records = self._report.records
+        lats = []
+        viol_ids = []
+        for request, result, at in zip(requests, results, finish):
             stats.compute_energy_mj += result.energy_mj
-            completion = float(finish)
-            self._report.records.append(ClusterRecord(
+            completion = float(at)
+            records.append(ClusterRecord(
                 request=request, result=result, accel_id=run.accel_id,
                 dispatch_ms=run.start_ms, completion_ms=completion))
-            if traced:
-                # ``finish`` rides in args because the span's own
-                # (start, dur) pair cannot round-trip the completion
-                # instant bit-exactly (start + dur re-rounds); the
-                # journey stitcher needs the same float the record and
-                # the vector engine's finish column carry.
-                self.tracer.span(
-                    f"req:{request.request_id}", "compute", boundary,
-                    completion - boundary, accel.track,
-                    energy_mj=result.energy_mj,
-                    args={"task": request.task,
-                          "sentence": request.sentence,
-                          "rid": request.request_id,
-                          "batch": run.pending.seq,
-                          "finish": completion})
-            if metered:
-                in_system = completion - request.arrival_ms
-                self._m_served.inc()
-                self._m_latency.observe(in_system)
-                self._m_qdelay.observe(run.start_ms
-                                       - request.arrival_ms)
-                if in_system > request.target_ms + 1e-9:
-                    self._m_violations.inc()
-            if monitored:
-                mon_lats.append(completion - request.arrival_ms)
-                # Deadline-based predicate (arrival + target computed
-                # as one float64 add): the exact comparison the vector
-                # engine vectorizes, so violation counts — and the
-                # alerts they drive — are engine-invariant.
+            if metered or monitored:
+                lats.append(completion - request.arrival_ms)
+                # Deadline predicate (arrival + target as one float64
+                # add): the comparison the vector core vectorizes, so
+                # violation counts and the alerts they drive are
+                # engine-invariant.
                 if completion > request.deadline_ms + 1e-9:
-                    mon_viol += 1
-                    mon_ids.append(request.request_id)
-            boundary = completion
-        if monitored and n_done:
+                    viol_ids.append(request.request_id)
+        if metered:
+            self._m_served.inc(n_done)
+            for request, latency in zip(requests, lats):
+                self._m_latency.observe(latency)
+                self._m_qdelay.observe(run.start_ms - request.arrival_ms)
+            self._m_violations.inc(len(viol_ids))
+        if monitored:
             self._mon.observe_completions(
                 self.trace_scope, run.pending.task,
                 float(run.pending.batch.target_ms), self._loop.now_ms,
-                n_done, mon_viol, mon_lats, mon_ids)
+                n_done, len(viol_ids), lats, viol_ids)
+        if self.tracer.enabled:
+            self.tracer.span(*_compute_span(
+                run.pending.task, run.start_ms + run.swap_ms, finish,
+                accel.track, run.pending.seq,
+                [r.request_id for r in requests],
+                [r.energy_mj for r in results]))

@@ -13,7 +13,9 @@ engines and through the fleet orchestrator, then self-checks the
 contracts this subsystem promises —
 
 * tracing is read-only: every traced report is bit-identical to its
-  untraced twin (and the two engines agree with each other);
+  untraced twin;
+* the two engines agree: the same report, the same span rows (one
+  compute span per run on both) and the same metric summaries;
 * the span-energy rollup reconciles against the run's energy ledgers
   at 1e-9, per category, per scope, and fleet-wide;
 * a spilling tracer (bounded memory) replays the same span log and the
@@ -79,6 +81,8 @@ def _run_cluster(registry, trace, engine, tracer=None, metrics=None,
 def _smoke_cluster(registry, trace, workdir):
     """Traced == untraced on both engines + reconciliation + spill."""
     summaries = {}
+    span_rows = {}
+    metric_summaries = {}
     for engine in ("event", "vector"):
         untraced = _canonical(_run_cluster(registry, trace, engine))
 
@@ -114,6 +118,9 @@ def _smoke_cluster(registry, trace, workdir):
                    f"{engine}: spilled span log diverges from in-memory")
             _check(spiller.rollup() == tracer.rollup(),
                    f"{engine}: spilled rollup diverges")
+        span_rows[engine] = sorted(json.dumps(row, sort_keys=True)
+                                   for row in full)
+        metric_summaries[engine] = metrics.summary()
 
         # Lossless JSONL round trip and a schema-valid Chrome export.
         log_path = os.path.join(workdir, f"spans_{engine}.jsonl")
@@ -133,6 +140,10 @@ def _smoke_cluster(registry, trace, workdir):
     # The engines already emit identical reports; make it explicit.
     _check(summaries["event"] == summaries["vector"],
            "event and vector engines disagree under tracing")
+    _check(span_rows["event"] == span_rows["vector"],
+           "event and vector span rows differ")
+    _check(metric_summaries["event"] == metric_summaries["vector"],
+           "event and vector metric summaries differ")
     return summaries
 
 

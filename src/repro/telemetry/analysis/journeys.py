@@ -321,7 +321,7 @@ class TraceAnalysis:
 
 
 def _column(values):
-    """A plain list for ``values`` (live vector spans carry ndarrays)."""
+    """A plain list for ``values`` (live spans carry ndarrays)."""
     return values.tolist() if hasattr(values, "tolist") else values
 
 
@@ -417,8 +417,8 @@ def analyze(source):
             if span.name == "wasted-compute":
                 spill(span.scope, "compute", float(span.energy_mj))
             elif args and "rids" in args:
-                # Vector engine: one batch-granular span carrying the
-                # exact per-member finish/energy columns.
+                # One span per run (both cores) carrying the exact
+                # per-member finish/energy columns.
                 key = (span.scope, args["batch"])
                 base = float(span.start_ms)
                 comp_base[key] = base
@@ -429,17 +429,6 @@ def analyze(source):
                     comp_req[rid] = (key, boundary, float(finish),
                                      float(energy))
                     boundary = float(finish)
-            elif args and "rid" in args:
-                # Event engine: one span per member; start is the
-                # member's boundary, ``finish`` its exact completion.
-                key = (span.scope, args["batch"])
-                boundary = float(span.start_ms)
-                base = comp_base.get(key)
-                if base is None or boundary < base:
-                    comp_base[key] = boundary
-                comp_req[args["rid"]] = (key, boundary,
-                                         float(args["finish"]),
-                                         float(span.energy_mj))
             elif span.energy_mj:
                 spill(span.scope, "compute", float(span.energy_mj))
         elif cat == "idle":

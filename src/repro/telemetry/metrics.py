@@ -27,7 +27,6 @@ separate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -177,47 +176,33 @@ class Histogram:
             self.max = value
 
     def observe_many(self, values):
-        """Bulk :meth:`observe`: same sequential float accumulation
-        (``total`` grows strictly left-to-right, so a bulk call equals
-        the per-value loop bit-for-bit), with the bucket search done in
-        bulk — the replay engine feeds whole batches through here on
-        its hot path. A float64 ndarray takes the vectorized route
-        (one :func:`numpy.searchsorted` + :func:`numpy.bincount` per
-        call; ``searchsorted(..., side="left")`` places every value in
-        exactly the bucket :func:`bisect.bisect_left` would); anything
-        else falls back to the per-value C-level bisect loop. Both
-        routes keep the strictly left-to-right ``total``, so engines
-        mixing per-value and bulk observation stay bit-identical."""
-        if isinstance(values, np.ndarray):
-            if not values.size:
-                return
-            idx = np.searchsorted(self.bounds_arr, values, side="left")
-            counts = self.counts
-            for bucket, n in zip(*np.unique(idx, return_counts=True)):
-                counts[bucket] += int(n)
-            total = self.total
-            values = values.tolist()
-            for value in values:
-                total += value
-            self.total = total
-            self.count += len(values)
-            lo = min(values)
-            hi = max(values)
-        else:
-            if not isinstance(values, (list, tuple)):
-                values = [float(v) for v in values]
-            if not values:
-                return
-            counts = self.counts
-            bounds = self.bounds
-            total = self.total
-            for value in values:
-                counts[bisect_left(bounds, value)] += 1
-                total += value
-            self.total = total
-            self.count += len(values)
-            lo = min(values)
-            hi = max(values)
+        """Bulk :meth:`observe`, bit-identical to the per-value loop.
+
+        One :func:`numpy.searchsorted` places every value in the bucket
+        :meth:`observe` would (``side="left"`` matches its ``<=``
+        bisection) and one :func:`numpy.bincount` tallies them; ``total``
+        still grows strictly left-to-right, so one call over a
+        concatenation equals one call per part. The replay core passes
+        float64 arrays; any other iterable goes through
+        :func:`numpy.fromiter` first.
+        """
+        if not isinstance(values, np.ndarray):
+            values = np.fromiter(values, dtype=np.float64)
+        if not values.size:
+            return
+        idx = np.searchsorted(self.bounds_arr, values, side="left")
+        counts = self.counts
+        for bucket, n in enumerate(
+                np.bincount(idx, minlength=len(counts)).tolist()):
+            counts[bucket] += n
+        total = self.total
+        values = values.tolist()
+        for value in values:
+            total += value
+        self.total = total
+        self.count += len(values)
+        lo = min(values)
+        hi = max(values)
         if self.min is None or lo < self.min:
             self.min = lo
         if self.max is None or hi > self.max:

@@ -4,9 +4,10 @@ An :class:`Alert` is one rule or watchdog firing on the simulated
 clock: it opens at the first observation instant its condition holds,
 closes at the first later instant it stops holding (or at the run
 horizon when :meth:`~repro.telemetry.monitor.TelemetryMonitor.finalize`
-sweeps it shut), and carries *evidence* — span locators (``req:42`` on
-an accelerator track, ``throttle`` on a budget lane) that tie the
-firing back to the span log that explains it.
+sweeps it shut), and carries *evidence* — locators that tie the
+firing back to the span log that explains it: ``req:42`` names a
+violating request, which appears in the ``rids`` of its batch's
+compute span, and ``throttle`` points at a budget lane.
 
 An :class:`Incident` groups overlapping alerts on one scope into a
 single operational event with open/close instants, the worst member

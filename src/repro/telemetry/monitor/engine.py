@@ -485,8 +485,8 @@ class TelemetryMonitor:
         ``swap:*``, ``park-device``/``wake-device`` instants, and queue
         depth from ``window`` closes (+size) against ``dispatch-wait``
         ends (−size). SLO burn rules get no signal here: span logs are
-        batch-granular on the vector engine and carry no per-request
-        deadline outcome, so burn/latency rules need the live feeds.
+        batch-granular on both cores and carry no per-request deadline
+        outcome, so burn/latency rules need the live feeds.
         Spans may be :class:`~repro.telemetry.Span` objects, dict rows,
         or a JSONL path (anything
         :func:`repro.telemetry.render_timeline` accepts).

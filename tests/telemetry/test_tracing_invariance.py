@@ -4,7 +4,8 @@ Reports must be bit-identical with tracing on or off — on the event
 engine, the vectorized replay engine, and the fleet orchestrator — and
 the traced span-energy rollup must reconcile against the run's energy
 ledgers at 1e-9 (the same tolerance every ledger audit in this repo
-uses)."""
+uses). Both cores also observe alike: the same span rows, metric
+samples and alert stream."""
 
 import json
 import os
@@ -16,13 +17,46 @@ from repro.fleet import FleetAutoscaler, FleetOrchestrator
 from repro.fleet.__main__ import reference_fleet, reference_workload
 from repro.serving import synthetic_registry
 from repro.telemetry import (
+    Gauge,
     MetricsRegistry,
+    TelemetryMonitor,
     Tracer,
     reconcile_cluster,
     reconcile_fleet,
 )
+from repro.telemetry.monitor import (
+    BurnRateRule,
+    LatencyQuantileRule,
+    QueueDepthRule,
+    SwapThrashRule,
+    ThrottleStormRule,
+)
 
 REFERENCE_TASKS = ("sst2", "mnli", "qqp", "qnli")
+
+#: Rules tight enough that the bursty trace fires them, so comparing
+#: the two cores' alert streams is not vacuous.
+TIGHT_RULES = (
+    BurnRateRule("burn", slo_target=0.999, fast_window_ms=50.0,
+                 slow_window_ms=250.0, fast_burn=2.0, slow_burn=1.0,
+                 min_samples=5),
+    LatencyQuantileRule("p95", q=0.95, threshold_ms=20.0,
+                        window_ms=100.0, min_samples=5),
+    QueueDepthRule("queue", depth=4, sustain_ms=5.0),
+    SwapThrashRule("thrash", window_ms=100.0, threshold=2),
+    ThrottleStormRule("storm", window_ms=100.0, threshold=2),
+)
+
+#: Configurations the cross-core identity test runs on both cores.
+CORE_SETUPS = {
+    "affinity-4": dict(policy="affinity", num_accelerators=4),
+    "fifo-8-budget": dict(policy="fifo", num_accelerators=8,
+                          energy_budget_mw=150.0,
+                          standby_timeout_ms=20.0),
+    "fifo-4-deadline": dict(policy="fifo", num_accelerators=4,
+                            deadline_aware=True, deadline_sizing=True,
+                            adaptive_timeout=True),
+}
 
 
 @pytest.fixture(scope="module")
@@ -70,19 +104,53 @@ class TestClusterInvariance:
         assert tracer.energy_mj(cat="compute", scope="cluster") > 0
         assert tracer.energy_mj(cat="idle", scope="cluster") > 0
 
-    def test_engines_emit_identical_window_queue_swap_spans(
-            self, registry, bursty):
-        """Batch-granular spans agree across engines by construction;
-        only compute differs (per-request vs per-batch)."""
-        logs = {}
+    @pytest.mark.parametrize("setup", sorted(CORE_SETUPS))
+    def test_cores_observe_identically(self, registry, bursty, setup):
+        """Both cores emit the same span rows (one compute span per
+        run), sample the same metrics and raise the same alerts."""
+        seen = {}
         for engine in ("event", "vector"):
             tracer = Tracer()
-            run_cluster(registry, bursty, engine, tracer=tracer)
-            logs[engine] = sorted(
-                (json.dumps(s.to_dict(), sort_keys=True)
-                 for s in tracer.iter_spans()
-                 if s.cat in ("window", "queue", "swap")))
-        assert logs["event"] == logs["vector"]
+            metrics = MetricsRegistry()
+            monitor = TelemetryMonitor(TIGHT_RULES)
+            run_cluster(registry, bursty, engine, tracer=tracer,
+                        metrics=metrics, monitor=monitor,
+                        **CORE_SETUPS[setup])
+            seen[engine] = {
+                "spans": sorted(json.dumps(s.to_dict(), sort_keys=True)
+                                for s in tracer.iter_spans()),
+                "metrics": metrics.summary(),
+                "series": {(name, labels): list(inst.series)
+                           for name, labels, inst in metrics.instruments()
+                           if isinstance(inst, Gauge)},
+                "alerts": monitor.report().summary(),
+            }
+        vector = seen["vector"]
+        cats = {json.loads(row)["cat"] for row in vector["spans"]}
+        assert {"window", "queue", "swap", "compute"} <= cats
+        assert vector["alerts"]["alerts"]
+        for key, observed in seen["event"].items():
+            assert observed == vector[key], key
+
+    def test_preempted_runs_span_their_completed_members(self, registry,
+                                                         bursty):
+        """Under EDF preemption a run's compute span covers only the
+        members that completed: each served request sits in exactly
+        one span, and span energy still reconciles with the ledgers."""
+        tracer = Tracer()
+        report = run_cluster(registry, bursty, "event", tracer=tracer,
+                             policy="edf")
+        assert report.preemptions > 0
+        assert reconcile_cluster(tracer, report, tol=1e-9)
+        served = []
+        for span in tracer.iter_spans():
+            args = span.to_dict().get("args", {})
+            if span.cat == "compute" and "rids" in args:
+                assert args["requests"] == len(args["rids"]) \
+                    == len(args["finish"]) == len(args["energy"])
+                served.extend(args["rids"])
+        assert sorted(served) == sorted(
+            rec.request.request_id for rec in report.records)
 
     def test_event_engine_traces_budget_and_preemption_paths(
             self, registry, bursty):
