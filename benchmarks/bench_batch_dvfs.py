@@ -35,13 +35,13 @@ Run:  pytest benchmarks/bench_batch_dvfs.py -s
  or:  python benchmarks/bench_batch_dvfs.py
 """
 
-import json
 import os
+import sys
 import time
 
 import numpy as np
 
-from conftest import RESULTS_DIR, emit
+from conftest import require, run_bench
 from repro.cluster import ClusterSimulator, load_trace
 from repro.core.engine import (
     lai_exit_columns,
@@ -49,8 +49,8 @@ from repro.core.engine import (
     price_latency_aware_deadline_columns,
 )
 from repro.dvfs import DeadlineBudget
-from repro.energy.__main__ import reference_pool, reference_workload
 from repro.serving import Batch, Request, batch_deadline_ms, price_batch
+from repro.smoke import reference_pool, reference_workload
 from repro.utils import format_table
 
 #: SLO classes priced at the engine level: (label, per-sentence target).
@@ -75,12 +75,6 @@ TIGHT_OVER_RELAXED_MAX = 4.0
 #: floor, so a level above 0 exists to keep.
 LEVEL_SIZES = (32, 256)
 LEVEL_TARGET_MS = 2.0
-
-
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
 
 
 def _engine_sweep(registry):
@@ -140,8 +134,8 @@ def _cluster_sweep(registry, pool):
         report = ClusterSimulator(registry, policy="fifo",
                                   hw_configs=pool,
                                   deadline_aware=deadline_aware).run(trace)
-        _require(report.num_requests == len(trace),
-                 f"{label} run failed to serve the whole trace")
+        require(report.num_requests == len(trace),
+                f"{label} run failed to serve the whole trace")
         report.energy.reconcile(report.serving, tol=1e-9)
         lai = [rec for rec in report.records if rec.request.mode == "lai"]
         out[label] = {
@@ -205,10 +199,10 @@ def _timing_sweep(registry):
         planned_ms = plan(0.0).planned_ns * 1e-6
         relaxed_ms = RELAXED_FACTOR * planned_ms
         tight_ms = TIGHT_FACTOR * planned_ms
-        _require(not plan(relaxed_ms).fallback,
-                 f"{size}-sentence relaxed budget fell back")
-        _require(plan(tight_ms).fallback,
-                 f"{size}-sentence tight budget found a feasible sweep")
+        require(not plan(relaxed_ms).fallback,
+                f"{size}-sentence relaxed budget fell back")
+        require(plan(tight_ms).fallback,
+                f"{size}-sentence tight budget found a feasible sweep")
         relaxed_us, tight_us = _per_call_us(
             lambda: price_batch(profile, batch, "lai",
                                 deadline_ms=relaxed_ms),
@@ -239,10 +233,10 @@ def _level_sweep(registry):
         below_ns = plan(floor_ns * (1.0 - 1e-12) * 1e-6).planned_ns
         level_ms = 0.5 * (floor_ns + below_ns) * 1e-6
         level = plan(level_ms)
-        _require(not level.fallback and level.planned_ns < floor_ns
-                 and np.array_equal(level.front_index[1:],
-                                    level.table_index[1:]),
-                 f"{size}-sentence budget did not keep a slower level")
+        require(not level.fallback and level.planned_ns < floor_ns
+                and np.array_equal(level.front_index[1:],
+                                   level.table_index[1:]),
+                f"{size}-sentence budget did not keep a slower level")
         level_us, = _per_call_us(
             lambda: price_batch(profile, batch, "lai",
                                 deadline_ms=level_ms),
@@ -268,46 +262,38 @@ def run_benchmark(seed=0):
 
 
 def _check_gates(record):
-    _require(record["zero_slack_max_drift"] <= 1e-9,
-             "zero-slack path drifts from per-sentence pricing by "
-             f"{record['zero_slack_max_drift']:.3e}")
+    require(record["zero_slack_max_drift"] <= 1e-9,
+            "zero-slack path drifts from per-sentence pricing by "
+            f"{record['zero_slack_max_drift']:.3e}")
     for row in record["engine_rows"]:
-        _require(row["deadline_violations"]
-                 <= row["per_sentence_violations"],
-                 f"{row['slo_class']}: deadline planning added SLO "
-                 "violations")
+        require(row["deadline_violations"]
+                <= row["per_sentence_violations"],
+                f"{row['slo_class']}: deadline planning added SLO "
+                "violations")
         if row["slo_class"] in ("relaxed", "very-relaxed"):
-            _require(row["deadline_mj"]
-                     < row["per_sentence_mj"] - 1e-12,
-                     f"{row['slo_class']}: deadline planning is not "
-                     "strictly cheaper: "
-                     f"{row['deadline_mj']:.6f} vs "
-                     f"{row['per_sentence_mj']:.6f} mJ")
-        _require(row["deadline_mj"] <= row["per_sentence_mj"] + 1e-12,
-                 f"{row['slo_class']}: deadline planning costs more")
+            require(row["deadline_mj"]
+                    < row["per_sentence_mj"] - 1e-12,
+                    f"{row['slo_class']}: deadline planning is not "
+                    "strictly cheaper: "
+                    f"{row['deadline_mj']:.6f} vs "
+                    f"{row['per_sentence_mj']:.6f} mJ")
+        require(row["deadline_mj"] <= row["per_sentence_mj"] + 1e-12,
+                f"{row['slo_class']}: deadline planning costs more")
     cluster = record["cluster"]
     per, dead = cluster["per_sentence"], cluster["deadline"]
-    _require(dead["deadline_violations"] <= per["deadline_violations"],
-             "deadline-aware dispatch added cluster SLO violations: "
-             f"{dead['deadline_violations']} vs "
-             f"{per['deadline_violations']}")
-    _require(dead["lai_compute_mj"] < per["lai_compute_mj"] - 1e-9,
-             "deadline-aware dispatch did not cut lai compute energy: "
-             f"{dead['lai_compute_mj']:.6f} vs "
-             f"{per['lai_compute_mj']:.6f} mJ")
+    require(dead["deadline_violations"] <= per["deadline_violations"],
+            "deadline-aware dispatch added cluster SLO violations: "
+            f"{dead['deadline_violations']} vs "
+            f"{per['deadline_violations']}")
+    require(dead["lai_compute_mj"] < per["lai_compute_mj"] - 1e-9,
+            "deadline-aware dispatch did not cut lai compute energy: "
+            f"{dead['lai_compute_mj']:.6f} vs "
+            f"{per['lai_compute_mj']:.6f} mJ")
     for row in record["pricing_us"]:
-        _require(row["tight_over_relaxed"] <= TIGHT_OVER_RELAXED_MAX,
-                 f"{row['batch_size']}-sentence tight deadline batch "
-                 f"costs {row['tight_over_relaxed']:.2f}x the relaxed "
-                 f"one (gate {TIGHT_OVER_RELAXED_MAX:.0f}x)")
-
-
-def _write_result(record):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "batch_dvfs.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return path
+        require(row["tight_over_relaxed"] <= TIGHT_OVER_RELAXED_MAX,
+                f"{row['batch_size']}-sentence tight deadline batch "
+                f"costs {row['tight_over_relaxed']:.2f}x the relaxed "
+                f"one (gate {TIGHT_OVER_RELAXED_MAX:.0f}x)")
 
 
 def _build_table(record):
@@ -360,15 +346,8 @@ def _build_table(record):
 
 
 def test_batch_dvfs():
-    record = run_benchmark()
-    _check_gates(record)
-    _write_result(record)
-    emit("batch_dvfs", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    _check_gates(result)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_batch_dvfs()

@@ -18,10 +18,9 @@ Run:  pytest benchmarks/bench_cluster_scaling.py -s
  or:  python benchmarks/bench_cluster_scaling.py
 """
 
-import json
-import os
+import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import require, run_bench
 from repro.cluster import ClusterSimulator
 from repro.config import GLUE_TASKS
 from repro.serving import synthetic_registry, synthetic_traffic
@@ -32,12 +31,6 @@ N_SENTENCES = 128
 MEAN_INTERARRIVAL_MS = 1.0
 POOL_SIZES = (1, 2, 4, 8)
 POLICIES = ("fifo", "affinity")
-
-
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
 
 
 def run_benchmark(num_requests=NUM_REQUESTS, seed=0):
@@ -79,27 +72,19 @@ def _check_gates(record):
     fifo = _rows_for(record, "fifo")
     # Monotone throughput scaling 1 -> 2 -> 4 (acceptance criterion).
     thr = [affinity[p]["throughput_rps"] for p in (1, 2, 4)]
-    _require(thr[0] < thr[1] < thr[2],
-             f"affinity throughput not monotone 1->2->4: {thr}")
+    require(thr[0] < thr[1] < thr[2],
+            f"affinity throughput not monotone 1->2->4: {thr}")
     # 4x affinity beats 1x FIFO on throughput and violations.
-    _require(affinity[4]["throughput_rps"] > fifo[1]["throughput_rps"],
-             "4x affinity throughput does not beat 1x FIFO")
-    _require(affinity[4]["deadline_violations"]
-             < fifo[1]["deadline_violations"],
-             "4x affinity violations not below 1x FIFO")
+    require(affinity[4]["throughput_rps"] > fifo[1]["throughput_rps"],
+            "4x affinity throughput does not beat 1x FIFO")
+    require(affinity[4]["deadline_violations"]
+            < fifo[1]["deadline_violations"],
+            "4x affinity violations not below 1x FIFO")
     # Tail queueing never grows with the pool.
     for policy, rows in (("affinity", affinity), ("fifo", fifo)):
         p95 = [rows[p]["p95_queueing_delay_ms"] for p in POOL_SIZES]
-        _require(all(a >= b - 1e-9 for a, b in zip(p95, p95[1:])),
-                 f"{policy} p95 queueing delay grew with pool size: {p95}")
-
-
-def _write_result(record):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "cluster_scaling.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return path
+        require(all(a >= b - 1e-9 for a, b in zip(p95, p95[1:])),
+                f"{policy} p95 queueing delay grew with pool size: {p95}")
 
 
 def _build_table(record):
@@ -119,15 +104,8 @@ def _build_table(record):
 
 
 def test_cluster_scaling():
-    record = run_benchmark()
-    _check_gates(record)
-    _write_result(record)
-    emit("cluster_scaling", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    _check_gates(result)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_cluster_scaling()

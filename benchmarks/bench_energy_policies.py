@@ -27,12 +27,12 @@ Run:  pytest benchmarks/bench_energy_policies.py -s
  or:  python benchmarks/bench_energy_policies.py
 """
 
-import json
 import os
+import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import RESULTS_DIR, require, run_bench
 from repro.cluster import ClusterSimulator, load_trace
-from repro.energy.__main__ import reference_pool, reference_workload
+from repro.smoke import reference_pool, reference_workload
 from repro.utils import format_table
 
 NUM_REQUESTS = 400
@@ -42,12 +42,6 @@ BURSTY_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "traces", "reference_bursty.jsonl")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
 def _sweep_policies(registry, trace, pool, label):
     """Run every policy on one trace with the accounting gates."""
     rows = []
@@ -55,11 +49,11 @@ def _sweep_policies(registry, trace, pool, label):
         report = ClusterSimulator(registry, policy=policy,
                                   hw_configs=pool).run(trace)
         energy = report.energy
-        _require(report.num_requests == len(trace),
-                 f"{policy} failed to serve the whole {label} trace")
-        _require(abs(energy.total_mj
-                     - sum(d.total_mj for d in energy.devices)) <= 1e-9,
-                 f"{policy} per-device energy does not sum to the total")
+        require(report.num_requests == len(trace),
+                f"{policy} failed to serve the whole {label} trace")
+        require(abs(energy.total_mj
+                    - sum(d.total_mj for d in energy.devices)) <= 1e-9,
+                f"{policy} per-device energy does not sum to the total")
         energy.reconcile(report.serving, tol=1e-9)
         rows.append({
             "policy": policy,
@@ -107,23 +101,15 @@ def _check_gates(record):
     for key, label in (("rows", "poisson"), ("bursty_rows", "bursty")):
         fifo = _row_for(record, "fifo", key)
         governor = _row_for(record, "energy", key)
-        _require(governor["total_energy_mj"] <= fifo["total_energy_mj"],
-                 f"energy policy burns more joules than FIFO ({label}): "
-                 f"{governor['total_energy_mj']:.6f} vs "
-                 f"{fifo['total_energy_mj']:.6f} mJ")
-        _require(governor["deadline_violations"]
-                 <= fifo["deadline_violations"],
-                 f"energy policy misses more SLOs than FIFO ({label}): "
-                 f"{governor['deadline_violations']} vs "
-                 f"{fifo['deadline_violations']}")
-
-
-def _write_result(record):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "energy_policies.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return path
+        require(governor["total_energy_mj"] <= fifo["total_energy_mj"],
+                f"energy policy burns more joules than FIFO ({label}): "
+                f"{governor['total_energy_mj']:.6f} vs "
+                f"{fifo['total_energy_mj']:.6f} mJ")
+        require(governor["deadline_violations"]
+                <= fifo["deadline_violations"],
+                f"energy policy misses more SLOs than FIFO ({label}): "
+                f"{governor['deadline_violations']} vs "
+                f"{fifo['deadline_violations']}")
 
 
 def _build_table(record):
@@ -151,15 +137,8 @@ def _build_table(record):
 
 
 def test_energy_policies():
-    record = run_benchmark()
-    _check_gates(record)
-    _write_result(record)
-    emit("energy_policies", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    _check_gates(result)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_energy_policies()

@@ -28,13 +28,11 @@ Run:  pytest benchmarks/bench_fleet_replay.py -s
  or:  python benchmarks/bench_fleet_replay.py
 """
 
-import gc
-import json
 import os
-import resource
-import time
+import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import (best_of, peak_rss_mb, require,
+                      require_throughput_floor, run_bench)
 from repro.cluster import generate_diurnal_trace
 from repro.fleet import FleetOrchestrator, SiteConfig
 from repro.serving import synthetic_registry
@@ -61,12 +59,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BENCH_fleet_replay.json")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
 def _site_configs():
     caps = (None, None, CAPPED_SITE_BUDGET_MW)
     return [
@@ -81,28 +73,12 @@ def _site_configs():
     ]
 
 
-def _peak_rss_mb():
-    # ru_maxrss is KB on Linux.
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def _timed_run(registry, trace, repeats=1):
-    """Best-of-``repeats`` wall clock with the GC parked outside the
-    timed window."""
-    wall = None
-    for _ in range(repeats):
-        fleet = FleetOrchestrator(registry, _site_configs(),
-                                  routing="energy")
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            report = fleet.run(trace)
-            elapsed = time.perf_counter() - started
-        finally:
-            gc.enable()
-        if wall is None or elapsed < wall:
-            wall = elapsed
+    """Best-of-``repeats`` energy-routed replay of ``trace``."""
+    wall, report = best_of(
+        lambda fleet: fleet.run(trace), repeats,
+        setup=lambda: FleetOrchestrator(registry, _site_configs(),
+                                        routing="energy"))
     summary = report.summary()
     return {
         "num_requests": len(trace),
@@ -122,7 +98,7 @@ def run_benchmark(seed=0):
         REPLAY_REQUESTS, seed=seed,
         mean_interarrival_ms=MEAN_INTERARRIVAL_MS)
     replay = _timed_run(registry, trace)
-    replay["peak_rss_mb"] = _peak_rss_mb()
+    replay["peak_rss_mb"] = peak_rss_mb()
 
     return {
         "config": {
@@ -143,34 +119,11 @@ def run_benchmark(seed=0):
 
 def _check_gates(record, baseline=None):
     replay = record["replay_1m"]
-    _require(replay["wall_seconds"] <= MAX_REPLAY_SECONDS,
-             f"1M fleet replay took {replay['wall_seconds']:.1f}s "
-             f"(gate: <= {MAX_REPLAY_SECONDS:.0f}s)")
-    if baseline is not None:
-        base_rps = baseline["replay_1m"]["requests_per_second"]
-        fresh_rps = replay["requests_per_second"]
-        floor = base_rps * (1.0 - REGRESSION_TOLERANCE)
-        _require(fresh_rps >= floor,
-                 f"fleet replay throughput regressed: "
-                 f"{fresh_rps:,.0f} req/s vs baseline "
-                 f"{base_rps:,.0f} (floor {floor:,.0f})")
-
-
-def _load_baseline():
-    if not os.path.exists(BASELINE_PATH):
-        return None
-    with open(BASELINE_PATH, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _write_result(record):
-    with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "fleet_replay.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return BASELINE_PATH
+    require(replay["wall_seconds"] <= MAX_REPLAY_SECONDS,
+            f"1M fleet replay took {replay['wall_seconds']:.1f}s "
+            f"(gate: <= {MAX_REPLAY_SECONDS:.0f}s)")
+    require_throughput_floor("fleet replay", record, baseline,
+                             REGRESSION_TOLERANCE)
 
 
 def _build_table(record):
@@ -192,17 +145,8 @@ def _build_table(record):
 
 
 def test_fleet_replay():
-    baseline = _load_baseline()
-    record = run_benchmark()
-    _check_gates(record, baseline)
-    _write_result(record)
-    emit("fleet_replay", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    result = run_benchmark()
-    _check_gates(result, baseline)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_fleet_replay()

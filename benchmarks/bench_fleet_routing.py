@@ -25,15 +25,13 @@ Run:  pytest benchmarks/bench_fleet_routing.py -s
  or:  python benchmarks/bench_fleet_routing.py
 """
 
-import json
 import os
+import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import RESULTS_DIR, require, run_bench
 from repro.cluster import load_trace
-from repro.config import GLUE_TASKS
 from repro.fleet import FleetAutoscaler, FleetOrchestrator
-from repro.fleet.__main__ import reference_fleet
-from repro.serving import synthetic_registry
+from repro.smoke import reference_fleet, trace_registry
 from repro.utils import format_table
 
 POLICIES = ("round-robin", "least-loaded", "energy")
@@ -42,26 +40,18 @@ BURSTY_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "traces", "reference_bursty.jsonl")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
 def run_benchmark(seed=0):
     """Sweep the routing policies on the bursty replay; returns JSON."""
     trace = load_trace(BURSTY_TRACE)
-    n_sentences = max(r.sentence for r in trace) + 1
-    registry = synthetic_registry(GLUE_TASKS, n=max(8, n_sentences),
-                                  seed=seed)
+    registry = trace_registry(trace, seed)
     rows = []
     for policy in POLICIES:
         fleet = FleetOrchestrator(registry, reference_fleet(),
                                   routing=policy,
                                   autoscaler=FleetAutoscaler())
         report = fleet.run(trace)
-        _require(report.num_requests == len(trace),
-                 f"{policy} failed to serve the whole bursty trace")
+        require(report.num_requests == len(trace),
+                f"{policy} failed to serve the whole bursty trace")
         report.reconcile(tol=1e-9)
         capped = report.site(CAPPED_SITE).report
         stats = report.autoscaler
@@ -105,25 +95,17 @@ def _row_for(record, policy):
 def _check_gates(record):
     rr = _row_for(record, "round-robin")
     energy = _row_for(record, "energy")
-    _require(energy["total_energy_mj"] < rr["total_energy_mj"],
-             "energy routing does not strictly beat round-robin on "
-             f"joules: {energy['total_energy_mj']:.6f} vs "
-             f"{rr['total_energy_mj']:.6f} mJ")
-    _require(energy["deadline_violations"] <= rr["deadline_violations"],
-             "energy routing misses more SLOs than round-robin: "
-             f"{energy['deadline_violations']} vs "
-             f"{rr['deadline_violations']}")
-    _require(energy["capped_site_overshoots"] == 0,
-             "the power-capped site exceeded its cap under energy "
-             f"routing ({energy['capped_site_overshoots']} overshoots)")
-
-
-def _write_result(record):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "fleet_routing.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return path
+    require(energy["total_energy_mj"] < rr["total_energy_mj"],
+            "energy routing does not strictly beat round-robin on "
+            f"joules: {energy['total_energy_mj']:.6f} vs "
+            f"{rr['total_energy_mj']:.6f} mJ")
+    require(energy["deadline_violations"] <= rr["deadline_violations"],
+            "energy routing misses more SLOs than round-robin: "
+            f"{energy['deadline_violations']} vs "
+            f"{rr['deadline_violations']}")
+    require(energy["capped_site_overshoots"] == 0,
+            "the power-capped site exceeded its cap under energy "
+            f"routing ({energy['capped_site_overshoots']} overshoots)")
 
 
 def _build_table(record):
@@ -147,15 +129,8 @@ def _build_table(record):
 
 
 def test_fleet_routing():
-    record = run_benchmark()
-    _check_gates(record)
-    _write_result(record)
-    emit("fleet_routing", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    _check_gates(result)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_fleet_routing()

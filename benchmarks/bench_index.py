@@ -1,10 +1,10 @@
 """Perf-trajectory index: one machine-readable view of BENCH_*.json.
 
 Each perf bench that gates a trajectory persists its committed
-artifact as ``benchmarks/BENCH_<name>.json`` (currently the replay
-engine and telemetry overhead benches). This script folds every such
-artifact into ``benchmarks/BENCH_index.json`` so tooling can read the
-whole trajectory from one file — per artifact it records the source
+artifact as ``benchmarks/BENCH_<name>.json`` (the five benches in
+:data:`GATED_BENCHES`). This script folds every such artifact into
+``benchmarks/BENCH_index.json`` so tooling can read the whole
+trajectory from one file — per artifact it records the source
 file and the flattened scalar leaves (dotted keys), which is exactly
 the set of numbers a trend plot or regression diff would want.
 
@@ -13,9 +13,9 @@ each artifact, and no timestamps are stamped (the sim-clock rule —
 artifacts change only when a bench reruns and commits new numbers).
 
 ``--check`` turns the index into a gatekeeper: every gated bench
-(the modules in :data:`GATED_BENCHES`, which all expose the
-``run_benchmark`` / ``_check_gates`` / ``_load_baseline`` convention)
-is re-run fresh and its gates re-evaluated; any violation exits 1.
+(the modules in :data:`GATED_BENCHES`, which follow the gated-bench
+convention documented on ``conftest.run_bench``) is re-run fresh and
+its gates re-evaluated; any violation exits 1.
 ``--check --quick`` skips the fresh runs and instead re-evaluates each
 committed baseline against its own absolute gates — a seconds-fast
 parse-and-validate pass suited to tier-1 CI (a committed artifact that
@@ -33,16 +33,14 @@ import json
 import os
 import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import RESULTS_DIR, emit, load_baseline
 from repro.utils import format_table
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 INDEX_PATH = os.path.join(BENCH_DIR, "BENCH_index.json")
 
-#: Committed artifact name -> bench module that gates it. Every module
-#: listed here follows the shared convention: ``BASELINE_PATH``,
-#: ``run_benchmark(seed=0)``, ``_check_gates(record, baseline=None)``
-#: raising AssertionError on violation, and ``_load_baseline()``.
+#: Committed artifact name -> bench module that gates it (a gated bench
+#: in the sense of ``conftest.run_bench``).
 GATED_BENCHES = {
     "replay": "bench_replay_engine",
     "replay_budget": "bench_replay_budget",
@@ -120,7 +118,7 @@ def check_gates(quick=False):
     rows, failures = [], []
     for name in sorted(GATED_BENCHES):
         module = importlib.import_module(GATED_BENCHES[name])
-        baseline = module._load_baseline()
+        baseline = load_baseline(module.BASELINE_PATH)
         if baseline is None:
             detail = f"missing {os.path.basename(module.BASELINE_PATH)}"
             rows.append([name, "FAIL", detail])

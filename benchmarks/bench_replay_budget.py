@@ -30,13 +30,12 @@ Run:  pytest benchmarks/bench_replay_budget.py -s
  or:  python benchmarks/bench_replay_budget.py
 """
 
-import gc
 import json
 import os
-import resource
-import time
+import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import (best_of, peak_rss_mb, require,
+                      require_throughput_floor, run_bench)
 from repro.cluster import ClusterSimulator, generate_diurnal_trace
 from repro.serving import synthetic_registry
 from repro.utils import format_table
@@ -64,12 +63,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BENCH_replay_budget.json")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
 def _simulator(registry):
     return ClusterSimulator(
         registry, num_accelerators=POOL, policy="fifo",
@@ -77,30 +70,16 @@ def _simulator(registry):
         energy_budget_mw=BUDGET_MW, budget_window_ms=BUDGET_WINDOW_MS)
 
 
-def _peak_rss_mb():
-    # ru_maxrss is KB on Linux.
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def _timed_replay(registry, trace, engine, repeats=1):
-    """Best-of-``repeats`` wall clock with the GC parked outside the
-    timed window (both engines get the same treatment)."""
-    wall = None
-    for _ in range(repeats):
-        sim = _simulator(registry)
-        replay = sim.run if engine == "vector" else sim.run_events
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            report = replay(trace)
-            elapsed = time.perf_counter() - started
-        finally:
-            gc.enable()
-        _require(report.engine == engine,
-                 f"asked for the {engine} core, {report.engine} ran")
-        if wall is None or elapsed < wall:
-            wall = elapsed
+    """Best-of-``repeats`` replay of ``trace`` on the ``engine`` core."""
+
+    def replay(sim):
+        return sim.run(trace) if engine == "vector" else sim.run_events(trace)
+
+    wall, report = best_of(replay, repeats,
+                           setup=lambda: _simulator(registry))
+    require(report.engine == engine,
+            f"asked for the {engine} core, {report.engine} ran")
     return report, {
         "engine": report.engine,
         "num_requests": len(trace),
@@ -124,20 +103,20 @@ def run_benchmark(seed=0):
                                        repeats=3)
     event_report, event = _timed_replay(registry, small, "event")
     # The speedup only counts because the replays agree exactly.
-    _require(json.dumps(vec_report.summary(), sort_keys=True)
-             == json.dumps(event_report.summary(), sort_keys=True),
-             "vector and event reports differ under the energy budget")
-    _require(json.dumps(vec_report.budget.summary(), sort_keys=True)
-             == json.dumps(event_report.budget.summary(),
-                           sort_keys=True),
-             "vector and event budget ledgers differ")
+    require(json.dumps(vec_report.summary(), sort_keys=True)
+            == json.dumps(event_report.summary(), sort_keys=True),
+            "vector and event reports differ under the energy budget")
+    require(json.dumps(vec_report.budget.summary(), sort_keys=True)
+            == json.dumps(event_report.budget.summary(),
+                          sort_keys=True),
+            "vector and event budget ledgers differ")
     del small, vec_report, event_report
 
     trace = generate_diurnal_trace(
         REPLAY_REQUESTS, seed=seed,
         mean_interarrival_ms=MEAN_INTERARRIVAL_MS)
     _, replay = _timed_replay(registry, trace, "vector", repeats=2)
-    replay["peak_rss_mb"] = _peak_rss_mb()
+    replay["peak_rss_mb"] = peak_rss_mb()
 
     return {
         "config": {
@@ -163,41 +142,18 @@ def run_benchmark(seed=0):
 
 def _check_gates(record, baseline=None):
     replay = record["replay_1m"]
-    _require(replay["wall_seconds"] <= MAX_REPLAY_SECONDS,
-             f"1M budgeted replay took {replay['wall_seconds']:.1f}s "
-             f"(gate: <= {MAX_REPLAY_SECONDS:.0f}s)")
+    require(replay["wall_seconds"] <= MAX_REPLAY_SECONDS,
+            f"1M budgeted replay took {replay['wall_seconds']:.1f}s "
+            f"(gate: <= {MAX_REPLAY_SECONDS:.0f}s)")
     speedup = record["speedup_100k"]["speedup"]
-    _require(speedup >= MIN_SPEEDUP,
-             f"vector engine only {speedup:.1f}x over the event engine "
-             f"at N={SPEEDUP_REQUESTS:,} (gate: >= {MIN_SPEEDUP:.0f}x)")
-    _require(replay["throttle_events"] > 0,
-             "brownout bench ran unthrottled; the budget path was "
-             "not exercised")
-    if baseline is not None:
-        base_rps = baseline["replay_1m"]["requests_per_second"]
-        fresh_rps = replay["requests_per_second"]
-        floor = base_rps * (1.0 - REGRESSION_TOLERANCE)
-        _require(fresh_rps >= floor,
-                 f"budgeted replay throughput regressed: "
-                 f"{fresh_rps:,.0f} req/s vs baseline "
-                 f"{base_rps:,.0f} (floor {floor:,.0f})")
-
-
-def _load_baseline():
-    if not os.path.exists(BASELINE_PATH):
-        return None
-    with open(BASELINE_PATH, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _write_result(record):
-    with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "replay_budget.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return BASELINE_PATH
+    require(speedup >= MIN_SPEEDUP,
+            f"vector engine only {speedup:.1f}x over the event engine "
+            f"at N={SPEEDUP_REQUESTS:,} (gate: >= {MIN_SPEEDUP:.0f}x)")
+    require(replay["throttle_events"] > 0,
+            "brownout bench ran unthrottled; the budget path was "
+            "not exercised")
+    require_throughput_floor("budgeted replay", record, baseline,
+                             REGRESSION_TOLERANCE)
 
 
 def _build_table(record):
@@ -227,17 +183,8 @@ def _build_table(record):
 
 
 def test_replay_budget():
-    baseline = _load_baseline()
-    record = run_benchmark()
-    _check_gates(record, baseline)
-    _write_result(record)
-    emit("replay_budget", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    result = run_benchmark()
-    _check_gates(result, baseline)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_replay_budget()

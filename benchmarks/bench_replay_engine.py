@@ -25,13 +25,11 @@ Run:  pytest benchmarks/bench_replay_engine.py -s
  or:  python benchmarks/bench_replay_engine.py
 """
 
-import gc
-import json
 import os
-import resource
-import time
+import sys
 
-from conftest import RESULTS_DIR, emit
+from conftest import (best_of, peak_rss_mb, require,
+                      require_throughput_floor, run_bench)
 from repro.cluster import ClusterSimulator, generate_diurnal_trace
 from repro.serving import synthetic_registry
 from repro.utils import format_table
@@ -60,12 +58,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BENCH_replay.json")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
 def _simulator(registry, engine):
     # The oracle is the same configuration on the scalar kernels, which
     # run() can only replay on the per-event loop.
@@ -75,34 +67,12 @@ def _simulator(registry, engine):
         vectorized=engine != "oracle")
 
 
-def _peak_rss_mb():
-    # ru_maxrss is KB on Linux.
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def _timed_replay(registry, trace, engine, repeats=1):
-    """Best-of-``repeats`` wall clock (the standard noise filter for
-    short timing windows; the runs are deterministic, so only the
-    fastest one reflects the engine rather than the machine)."""
-    wall = None
-    for _ in range(repeats):
-        sim = _simulator(registry, engine)
-        # Collect, then keep the collector out of the timed window: a
-        # cyclic-GC pass over the host process's heap (pytest holds a
-        # big one) lands arbitrarily inside short windows. Both
-        # engines get the same treatment.
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            report = sim.run(trace)
-            elapsed = time.perf_counter() - started
-        finally:
-            gc.enable()
-        _require(report.engine == engine,
-                 f"asked for the {engine} core, {report.engine} ran")
-        if wall is None or elapsed < wall:
-            wall = elapsed
+    """Best-of-``repeats`` replay of ``trace`` on the ``engine`` core."""
+    wall, report = best_of(lambda sim: sim.run(trace), repeats,
+                           setup=lambda: _simulator(registry, engine))
+    require(report.engine == engine,
+            f"asked for the {engine} core, {report.engine} ran")
     return {
         "engine": report.engine,
         "num_requests": len(trace),
@@ -135,7 +105,7 @@ def run_benchmark(seed=0):
     # Best-of-2 so the committed trajectory baseline and every future
     # comparison both measure the engine, not transient machine load.
     replay = _timed_replay(registry, trace, "vector", repeats=2)
-    replay["peak_rss_mb"] = _peak_rss_mb()
+    replay["peak_rss_mb"] = peak_rss_mb()
 
     return {
         "config": {
@@ -158,37 +128,15 @@ def run_benchmark(seed=0):
 
 def _check_gates(record, baseline=None):
     replay = record["replay_1m"]
-    _require(replay["wall_seconds"] <= MAX_REPLAY_SECONDS,
-             f"1M-request replay took {replay['wall_seconds']:.1f}s "
-             f"(gate: <= {MAX_REPLAY_SECONDS:.0f}s)")
+    require(replay["wall_seconds"] <= MAX_REPLAY_SECONDS,
+            f"1M-request replay took {replay['wall_seconds']:.1f}s "
+            f"(gate: <= {MAX_REPLAY_SECONDS:.0f}s)")
     speedup = record["speedup_100k"]["speedup"]
-    _require(speedup >= MIN_SPEEDUP,
-             f"vector engine only {speedup:.1f}x over the oracle at "
-             f"N={SPEEDUP_REQUESTS:,} (gate: >= {MIN_SPEEDUP:.0f}x)")
-    if baseline is not None:
-        base_rps = baseline["replay_1m"]["requests_per_second"]
-        fresh_rps = replay["requests_per_second"]
-        floor = base_rps * (1.0 - REGRESSION_TOLERANCE)
-        _require(fresh_rps >= floor,
-                 f"replay throughput regressed: {fresh_rps:,.0f} req/s "
-                 f"vs baseline {base_rps:,.0f} (floor {floor:,.0f})")
-
-
-def _load_baseline():
-    if not os.path.exists(BASELINE_PATH):
-        return None
-    with open(BASELINE_PATH, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _write_result(record):
-    with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "replay_engine.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return BASELINE_PATH
+    require(speedup >= MIN_SPEEDUP,
+            f"vector engine only {speedup:.1f}x over the oracle at "
+            f"N={SPEEDUP_REQUESTS:,} (gate: >= {MIN_SPEEDUP:.0f}x)")
+    require_throughput_floor("replay", record, baseline,
+                             REGRESSION_TOLERANCE)
 
 
 def _build_table(record):
@@ -214,17 +162,8 @@ def _build_table(record):
 
 
 def test_replay_engine():
-    baseline = _load_baseline()
-    record = run_benchmark()
-    _check_gates(record, baseline)
-    _write_result(record)
-    emit("replay_engine", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    result = run_benchmark()
-    _check_gates(result, baseline)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_replay_engine()

@@ -12,11 +12,10 @@ Run:  pytest benchmarks/bench_serving_throughput.py -s
  or:  python benchmarks/bench_serving_throughput.py
 """
 
-import json
-import os
+import sys
 import time
 
-from conftest import RESULTS_DIR, emit
+from conftest import require, run_bench
 from repro.config import HwConfig, ModelConfig
 from repro.core import LatencyAwareEngine
 from repro.earlyexit import ExitPredictorLUT, true_exit_layers
@@ -27,12 +26,6 @@ N_SENTENCES = 2000
 TARGET_MS = 75.0
 THRESHOLD = 0.25
 MIN_SPEEDUP = 5.0
-
-
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
 
 
 def _setup(n=N_SENTENCES, seed=0):
@@ -64,10 +57,10 @@ def run_benchmark(n=N_SENTENCES, seed=0):
                                    vectorized=True)
 
     for a, b in zip(loop_report.results, vec_report.results):
-        _require(a.exit_layer == b.exit_layer, "exit layer diverged")
-        _require(abs(a.energy_mj - b.energy_mj) <= 1e-9, "energy diverged")
-        _require(abs(a.latency_ms - b.latency_ms) <= 1e-9,
-                 "latency diverged")
+        require(a.exit_layer == b.exit_layer, "exit layer diverged")
+        require(abs(a.energy_mj - b.energy_mj) <= 1e-9, "energy diverged")
+        require(abs(a.latency_ms - b.latency_ms) <= 1e-9,
+                "latency diverged")
 
     return {
         "n_sentences": n,
@@ -81,12 +74,8 @@ def run_benchmark(n=N_SENTENCES, seed=0):
     }
 
 
-def _write_result(record):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "serving_throughput.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return path
+def _check_gates(record):
+    require(record["speedup"] >= MIN_SPEEDUP, record)
 
 
 def _build_table(record):
@@ -104,15 +93,8 @@ def _build_table(record):
 
 
 def test_serving_throughput():
-    record = run_benchmark()
-    _write_result(record)
-    emit("serving_throughput", _build_table(record))
-    _require(record["speedup"] >= MIN_SPEEDUP, record)
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
-    _require(result["speedup"] >= MIN_SPEEDUP, result)
+    test_serving_throughput()

@@ -44,15 +44,14 @@ Run:  pytest benchmarks/bench_telemetry_overhead.py -s
  or:  python benchmarks/bench_telemetry_overhead.py
 """
 
-import gc
-import json
 import os
+import sys
 import tempfile
-import time
 
-from conftest import RESULTS_DIR, emit
+from conftest import best_of, require, run_bench
 from repro.cluster import ClusterSimulator, generate_diurnal_trace
 from repro.serving import synthetic_registry
+from repro.smoke import canonical
 from repro.telemetry import (MetricsRegistry, TelemetryMonitor, Tracer,
                              default_rules, reconcile_cluster)
 from repro.utils import format_table
@@ -100,16 +99,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BENCH_telemetry.json")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
-def _canonical(report):
-    return json.dumps(report.summary(), sort_keys=True)
-
-
 def _one_run(registry, trace, tracer=None, metrics=False,
              monitor=None):
     """One timed replay; returns (elapsed_seconds, report)."""
@@ -119,16 +108,9 @@ def _one_run(registry, trace, tracer=None, metrics=False,
         tracer=tracer,
         metrics=MetricsRegistry() if metrics else None,
         monitor=monitor)
-    gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        report = sim.run(trace)
-        elapsed = time.perf_counter() - started
-    finally:
-        gc.enable()
-    _require(report.engine == "vector",
-             f"the bench times the vector core, {report.engine} ran")
+    elapsed, report = best_of(lambda: sim.run(trace))
+    require(report.engine == "vector",
+            f"the bench times the vector core, {report.engine} ran")
     return elapsed, report
 
 
@@ -174,15 +156,15 @@ def run_benchmark(seed=0):
                 tracers[name] = tracer
 
         # Contract checks at bench scale, while the tracers are live.
-        base = _canonical(reports["untraced"])
+        base = canonical(reports["untraced"])
         for name in ("traced", "traced_spilling",
                      "traced_with_metrics", "monitored"):
-            _require(_canonical(reports[name]) == base,
-                     f"{name} perturbed the 100k replay report")
+            require(canonical(reports[name]) == base,
+                    f"{name} perturbed the 100k replay report")
         reconcile_cluster(tracers["traced"], reports["traced"],
                           tol=1e-9)
-        _require(tracers["traced_spilling"].spilled > 0,
-                 "spill cap never engaged at 100k")
+        require(tracers["traced_spilling"].spilled > 0,
+                "spill cap never engaged at 100k")
         emitted = tracers["traced"].emitted
         for tracer in tracers.values():
             if tracer is not None:
@@ -230,13 +212,13 @@ def run_benchmark(seed=0):
 
 def _check_gates(record, baseline=None):
     ratio = record["overhead_ratio"]
-    _require(ratio <= MAX_OVERHEAD,
-             f"traced replay costs {ratio:.3f}x untraced "
-             f"(gate: <= {MAX_OVERHEAD:.2f}x)")
+    require(ratio <= MAX_OVERHEAD,
+            f"traced replay costs {ratio:.3f}x untraced "
+            f"(gate: <= {MAX_OVERHEAD:.2f}x)")
     monitored = record["overhead_monitored_ratio"]
-    _require(monitored <= MAX_MONITOR_OVERHEAD,
-             f"monitored replay costs {monitored:.3f}x untraced "
-             f"(gate: <= {MAX_MONITOR_OVERHEAD:.2f}x)")
+    require(monitored <= MAX_MONITOR_OVERHEAD,
+            f"monitored replay costs {monitored:.3f}x untraced "
+            f"(gate: <= {MAX_MONITOR_OVERHEAD:.2f}x)")
     if baseline is not None:
         for key, margin in (("overhead_ratio", REGRESSION_MARGIN),
                             ("overhead_spilling_ratio",
@@ -246,26 +228,9 @@ def _check_gates(record, baseline=None):
                 continue
             ceiling = base_ratio + margin
             fresh = record[key]
-            _require(fresh <= ceiling,
-                     f"{key} regressed: {fresh:.3f}x vs baseline "
-                     f"{base_ratio:.3f}x (ceiling {ceiling:.3f}x)")
-
-
-def _load_baseline():
-    if not os.path.exists(BASELINE_PATH):
-        return None
-    with open(BASELINE_PATH, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _write_result(record):
-    with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "telemetry_overhead.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return BASELINE_PATH
+            require(fresh <= ceiling,
+                    f"{key} regressed: {fresh:.3f}x vs baseline "
+                    f"{base_ratio:.3f}x (ceiling {ceiling:.3f}x)")
 
 
 def _build_table(record):
@@ -292,17 +257,8 @@ def _build_table(record):
 
 
 def test_telemetry_overhead():
-    baseline = _load_baseline()
-    record = run_benchmark()
-    _check_gates(record, baseline)
-    _write_result(record)
-    emit("telemetry_overhead", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    result = run_benchmark()
-    _check_gates(result, baseline)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_telemetry_overhead()

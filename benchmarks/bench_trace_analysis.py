@@ -34,13 +34,12 @@ Run:  pytest benchmarks/bench_trace_analysis.py -s
  or:  python benchmarks/bench_trace_analysis.py
 """
 
-import gc
 import json
 import os
+import sys
 import tempfile
-import time
 
-from conftest import RESULTS_DIR, emit
+from conftest import best_of, require, run_bench
 from repro.cluster import ClusterSimulator, generate_diurnal_trace
 from repro.serving import synthetic_registry
 from repro.telemetry import Tracer, write_spans_jsonl
@@ -73,23 +72,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BENCH_trace_analysis.json")
 
 
-def _require(condition, message):
-    # Explicit check (not assert): the gate must still fire under -O.
-    if not condition:
-        raise AssertionError(message)
-
-
-def _timed(fn):
-    gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        result = fn()
-        return time.perf_counter() - started, result
-    finally:
-        gc.enable()
-
-
 def run_benchmark(seed=0):
     """Stitch + profile a 100k-request span log; returns the record."""
     registry = synthetic_registry(TASKS, n=N_SENTENCES, seed=seed)
@@ -102,35 +84,32 @@ def run_benchmark(seed=0):
         max_batch_size=MAX_BATCH, batch_timeout_ms=TIMEOUT_MS,
         tracer=tracer)
     report = sim.run(trace)
-    _require(report.engine == "vector",
-             f"the bench traces the vector core, {report.engine} ran")
+    require(report.engine == "vector",
+            f"the bench traces the vector core, {report.engine} ran")
 
     with tempfile.TemporaryDirectory(prefix="bench_analysis_") as tmp:
         log = os.path.join(tmp, "spans.jsonl")
         n_spans = write_spans_jsonl(tracer, log)
         analyze(log)  # warm caches outside the clock
-        analyze_wall, analysis = min(
-            (_timed(lambda: analyze(log)) for _ in range(REPEATS)),
-            key=lambda pair: pair[0])
+        analyze_wall, analysis = best_of(lambda: analyze(log), REPEATS)
 
-    profile_wall, _ = min(
-        (_timed(lambda: (hot_paths(analysis),
-                         flamegraph_lines(analysis, weight="time"),
-                         flamegraph_lines(analysis, weight="energy")))
-         for _ in range(REPEATS)),
-        key=lambda pair: pair[0])
+    profile_wall, _ = best_of(
+        lambda: (hot_paths(analysis),
+                 flamegraph_lines(analysis, weight="time"),
+                 flamegraph_lines(analysis, weight="energy")),
+        REPEATS)
 
     # Contract checks at bench scale, on the file-fed analysis.
-    _require(len(analysis) == NUM_REQUESTS,
-             f"stitched {len(analysis)} journeys for "
-             f"{NUM_REQUESTS} requests")
+    require(len(analysis) == NUM_REQUESTS,
+            f"stitched {len(analysis)} journeys for "
+            f"{NUM_REQUESTS} requests")
     analysis.reconcile(report, tol=1e-9)
     for journey in analysis.journeys:
         journey.critical_path(tol=1e-9)
     live = analyze(tracer)
-    _require(json.dumps(analysis.to_dict(), sort_keys=True)
-             == json.dumps(live.to_dict(), sort_keys=True),
-             "file-fed analysis diverges from the live tracer's")
+    require(json.dumps(analysis.to_dict(), sort_keys=True)
+            == json.dumps(live.to_dict(), sort_keys=True),
+            "file-fed analysis diverges from the live tracer's")
 
     return {
         "config": {
@@ -154,39 +133,22 @@ def run_benchmark(seed=0):
 
 def _check_gates(record, baseline=None):
     wall = record["analyze_seconds"]
-    _require(wall <= MAX_ANALYZE_SECONDS,
-             f"stitching 100k journeys took {wall:.2f}s "
-             f"(gate: <= {MAX_ANALYZE_SECONDS:.1f}s)")
+    require(wall <= MAX_ANALYZE_SECONDS,
+            f"stitching 100k journeys took {wall:.2f}s "
+            f"(gate: <= {MAX_ANALYZE_SECONDS:.1f}s)")
     profile = record["profile_seconds"]
-    _require(profile <= MAX_PROFILE_SECONDS,
-             f"profiling rollup took {profile:.2f}s "
-             f"(gate: <= {MAX_PROFILE_SECONDS:.1f}s)")
+    require(profile <= MAX_PROFILE_SECONDS,
+            f"profiling rollup took {profile:.2f}s "
+            f"(gate: <= {MAX_PROFILE_SECONDS:.1f}s)")
     if baseline is not None:
         for key in ("analyze_seconds", "profile_seconds"):
             base_wall = baseline.get(key)
             if base_wall is None:
                 continue
             ceiling = base_wall * REGRESSION_FACTOR
-            _require(record[key] <= ceiling,
-                     f"{key} regressed: {record[key]:.2f}s vs baseline "
-                     f"{base_wall:.2f}s (ceiling {ceiling:.2f}s)")
-
-
-def _load_baseline():
-    if not os.path.exists(BASELINE_PATH):
-        return None
-    with open(BASELINE_PATH, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _write_result(record):
-    with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "trace_analysis.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return BASELINE_PATH
+            require(record[key] <= ceiling,
+                    f"{key} regressed: {record[key]:.2f}s vs baseline "
+                    f"{base_wall:.2f}s (ceiling {ceiling:.2f}s)")
 
 
 def _build_table(record):
@@ -203,17 +165,8 @@ def _build_table(record):
 
 
 def test_trace_analysis():
-    baseline = _load_baseline()
-    record = run_benchmark()
-    _check_gates(record, baseline)
-    _write_result(record)
-    emit("trace_analysis", _build_table(record))
+    run_bench(sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    result = run_benchmark()
-    _check_gates(result, baseline)
-    path = _write_result(result)
-    print(_build_table(result))
-    print(f"\nwrote {path}")
+    test_trace_analysis()

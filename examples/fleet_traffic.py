@@ -36,7 +36,7 @@ import os
 
 from repro.cluster import generate_diurnal_trace
 from repro.fleet import FleetAutoscaler, FleetOrchestrator
-from repro.fleet.__main__ import reference_fleet, reference_workload
+from repro.smoke import reference_fleet, reference_workload
 from repro.telemetry import (MetricsRegistry, TelemetryMonitor, Tracer,
                              default_rules, reconcile_fleet,
                              render_metrics, render_timeline,

@@ -20,7 +20,6 @@ diurnal benchmark trace (:func:`repro.cluster.generate_diurnal_trace`).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -31,15 +30,9 @@ from repro.cluster import (
     save_trace_jsonl,
 )
 from repro.config import GLUE_TASKS
-from repro.errors import ClusterError, ReproError
+from repro.errors import ClusterError
 from repro.serving import Request, synthetic_registry, synthetic_traffic
-
-
-def _check(condition, message):
-    # Explicit check (not assert): the smoke gate must still gate under
-    # ``python -O``, which strips assert statements.
-    if not condition:
-        raise ClusterError(f"smoke check failed: {message}")
+from repro.smoke import check, cli_parser, run_cli, trace_registry
 
 
 def _run(registry, trace, **kwargs):
@@ -47,23 +40,23 @@ def _run(registry, trace, **kwargs):
 
 
 def _check_accounting(report, trace):
-    _check(report.num_requests == len(trace), "request count mismatch")
+    check(report.num_requests == len(trace), "request count mismatch")
     served = sorted(rec.request.request_id for rec in report.records)
-    _check(served == sorted(r.request_id for r in trace),
-           "served ids diverge from the trace")
+    check(served == sorted(r.request_id for r in trace),
+          "served ids diverge from the trace")
     for rec in report.records:
-        _check(rec.queueing_delay_ms >= -1e-9,
-               f"negative queueing delay on {rec.request.request_id}")
-        _check(rec.time_in_system_ms >= rec.result.latency_ms - 1e-9,
-               "time in system below compute latency")
+        check(rec.queueing_delay_ms >= -1e-9,
+              f"negative queueing delay on {rec.request.request_id}")
+        check(rec.time_in_system_ms >= rec.result.latency_ms - 1e-9,
+              "time in system below compute latency")
     breakdown = report.violation_breakdown()
-    _check(sum(breakdown.values()) == report.num_requests,
-           "violation breakdown does not partition the trace")
-    _check(breakdown["compute"] + breakdown["queueing"]
-           == report.deadline_violations, "violation totals disagree")
+    check(sum(breakdown.values()) == report.num_requests,
+          "violation breakdown does not partition the trace")
+    check(breakdown["compute"] + breakdown["queueing"]
+          == report.deadline_violations, "violation totals disagree")
     util = report.per_accelerator()
-    _check(all(0.0 <= u["utilization"] <= 1.0 + 1e-9
-               for u in util.values()), "utilization out of range")
+    check(all(0.0 <= u["utilization"] <= 1.0 + 1e-9
+              for u in util.values()), "utilization out of range")
 
 
 def _preemption_trace(registry):
@@ -99,35 +92,35 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
     mixed = synthetic_traffic(registry, num_requests, seed=seed + 1,
                               mean_interarrival_ms=1.0,
                               modes=("base", "lai"))
-    _check(any(r.mode == "base" for r in mixed)
-           and any(r.mode == "lai" for r in mixed),
-           "mode mix missing from the generated trace")
+    check(any(r.mode == "base" for r in mixed)
+          and any(r.mode == "lai" for r in mixed),
+          "mode mix missing from the generated trace")
     edf_mixed = _run(registry, mixed, num_accelerators=2, policy="edf")
     _check_accounting(edf_mixed, mixed)
     summaries["edfx2"] = edf_mixed.summary()
 
     # Determinism: the same trace, pool and policy replay identically.
     again = _run(registry, trace, num_accelerators=4, policy="affinity")
-    _check(json.dumps(again.summary(), sort_keys=True)
-           == json.dumps(summaries["affinityx4"], sort_keys=True),
-           "simulation is not deterministic")
+    check(json.dumps(again.summary(), sort_keys=True)
+          == json.dumps(summaries["affinityx4"], sort_keys=True),
+          "simulation is not deterministic")
 
     # The scaling claim: 4 accelerators with affinity routing beat the
     # single-accelerator FIFO baseline on throughput AND SLO violations.
     base, scaled = summaries["fifox1"], summaries["affinityx4"]
-    _check(scaled["throughput_rps"] > base["throughput_rps"],
-           "4-accelerator affinity throughput does not beat 1x FIFO")
-    _check(scaled["deadline_violations"] < base["deadline_violations"],
-           "4-accelerator affinity violations not below 1x FIFO")
+    check(scaled["throughput_rps"] > base["throughput_rps"],
+          "4-accelerator affinity throughput does not beat 1x FIFO")
+    check(scaled["deadline_violations"] < base["deadline_violations"],
+          "4-accelerator affinity violations not below 1x FIFO")
     # Affinity routing exists to save swaps relative to FIFO at equal pool.
-    _check(summaries["affinityx4"]["task_switches"]
-           <= summaries["fifox4"]["task_switches"],
-           "affinity routing pays more swaps than FIFO")
+    check(summaries["affinityx4"]["task_switches"]
+          <= summaries["fifox4"]["task_switches"],
+          "affinity routing pays more swaps than FIFO")
 
     # EDF must actually preempt on the crafted mixed-criticality trace.
     edf = _run(registry, _preemption_trace(registry), num_accelerators=1,
                policy="edf", max_batch_size=32, batch_timeout_ms=2.0)
-    _check(edf.preemptions > 0, "EDF never preempted the base batch")
+    check(edf.preemptions > 0, "EDF never preempted the base batch")
     summaries["edf_preemption"] = edf.summary()
 
     if verbose:
@@ -148,14 +141,7 @@ def run_trace(path, policy="fifo", num_accelerators=4, seed=0,
     ``engine_fallback_reason`` names the scalar kernels.
     """
     trace = load_trace(path)
-    unknown = sorted({r.task for r in trace} - set(GLUE_TASKS))
-    if unknown:
-        raise ClusterError(
-            f"trace references unregistered task(s) {unknown}; "
-            f"known tasks: {GLUE_TASKS}")
-    n_sentences = max(r.sentence for r in trace) + 1
-    registry = synthetic_registry(GLUE_TASKS, n=max(8, n_sentences),
-                                  seed=seed)
+    registry = trace_registry(trace, seed, ClusterError)
     report = ClusterSimulator(registry, num_accelerators=num_accelerators,
                               policy=policy, mode=mode,
                               vectorized=vectorized).run(trace)
@@ -180,11 +166,10 @@ def run_gen_trace(num_requests, out, seed=0, verbose=True):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster",
-        description="EdgeBERT multi-accelerator cluster simulator driver")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the self-checking cluster smoke pass")
+    parser = cli_parser(
+        "python -m repro.cluster",
+        "EdgeBERT multi-accelerator cluster simulator driver",
+        "run the self-checking cluster smoke pass")
     parser.add_argument("--trace", metavar="FILE",
                         help="replay a CSV/JSONL request log")
     parser.add_argument("--oracle", action="store_true",
@@ -205,12 +190,9 @@ def main(argv=None):
     parser.add_argument("--requests", type=int, default=400,
                         help="trace length for the smoke pass")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if not args.smoke and not args.trace and args.gen_trace is None:
-        parser.error("nothing to do; pass --smoke, --trace FILE or "
-                     "--gen-trace N")
-    try:
+
+    def body():
         if args.smoke:
             run_smoke(num_requests=args.requests, seed=args.seed,
                       verbose=not args.quiet)
@@ -224,12 +206,11 @@ def main(argv=None):
                       mode=args.mode,
                       vectorized=not args.oracle,
                       verbose=not args.quiet)
-    except (AssertionError, ReproError, OSError) as exc:
-        print(f"RUN FAILED: {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet and args.smoke:
-        print("cluster smoke: OK")
-    return 0
+
+    return run_cli(parser, args, "cluster", body,
+                   asked=(args.smoke or args.trace
+                          or args.gen_trace is not None),
+                   usage="--smoke, --trace FILE or --gen-trace N")
 
 
 if __name__ == "__main__":

@@ -23,39 +23,12 @@ stack, mirroring ``python -m repro.serving`` and ``repro.cluster``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 from repro.cluster import ClusterSimulator
-from repro.config import GLUE_TASKS, HwConfig
-from repro.errors import EnergyError, ReproError
-from repro.serving import synthetic_registry, synthetic_traffic
-
-#: The reference heterogeneous pool: one big device for tight SLOs, two
-#: energy-optimal n=16 devices, one small low-power device.
-REFERENCE_POOL = (32, 16, 16, 8)
-
-
-def reference_pool():
-    """Per-accelerator ``HwConfig``s of the reference pool."""
-    return tuple(HwConfig(mac_vector_size=n) for n in REFERENCE_POOL)
-
-
-def reference_workload(num_requests=400, n_sentences=64, seed=0):
-    """Registry + mixed-SLO mixed-criticality trace for the gates."""
-    registry = synthetic_registry(GLUE_TASKS, n=n_sentences, seed=seed)
-    trace = synthetic_traffic(registry, num_requests, seed=seed,
-                              mean_interarrival_ms=1.0,
-                              modes=("base", "lai"))
-    return registry, trace
-
-
-def _check(condition, message):
-    # Explicit check (not assert): the smoke gate must still gate under
-    # ``python -O``, which strips assert statements.
-    if not condition:
-        raise EnergyError(f"smoke check failed: {message}")
+from repro.smoke import (check, cli_parser, reference_pool,
+                         reference_workload, run_cli)
 
 
 def _check_energy_accounting(report):
@@ -63,22 +36,22 @@ def _check_energy_accounting(report):
     total = energy.total_mj
     by_column = (energy.compute_mj + energy.swap_mj + energy.idle_mj
                  + energy.transition_mj)
-    _check(abs(total - by_column) <= 1e-9,
-           "column totals do not sum to the cluster total")
+    check(abs(total - by_column) <= 1e-9,
+          "column totals do not sum to the cluster total")
     by_device = sum(d.total_mj for d in energy.devices)
-    _check(abs(total - by_device) <= 1e-9,
-           "per-accelerator breakdowns do not sum to the cluster total")
+    check(abs(total - by_device) <= 1e-9,
+          "per-accelerator breakdowns do not sum to the cluster total")
     for device in energy.devices:
-        _check(min(device.compute_mj, device.swap_mj, device.idle_mj,
-                   device.transition_mj) >= 0.0,
-               f"negative energy column on accelerator {device.accel_id}")
+        check(min(device.compute_mj, device.swap_mj, device.idle_mj,
+                  device.transition_mj) >= 0.0,
+              f"negative energy column on accelerator {device.accel_id}")
     energy.reconcile(report.serving, tol=1e-9)
     per_class = energy.per_class
-    _check(sum(c["requests"] for c in per_class.values())
-           == report.num_requests,
-           "per-class request counts do not partition the trace")
-    _check(all(c["mj_per_request"] > 0 for c in per_class.values()),
-           "non-positive per-request energy in a class")
+    check(sum(c["requests"] for c in per_class.values())
+          == report.num_requests,
+          "per-class request counts do not partition the trace")
+    check(all(c["mj_per_request"] > 0 for c in per_class.values()),
+          "non-positive per-request energy in a class")
 
 
 def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
@@ -98,12 +71,12 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
     # The headline claim: the governor spends no more joules than FIFO
     # on the same heterogeneous pool at no more SLO violations.
     fifo, gov = reports["fifo"], reports["energy"]
-    _check(gov.energy.total_mj < fifo.energy.total_mj,
-           f"governor energy {gov.energy.total_mj:.6f} mJ not below "
-           f"fifo {fifo.energy.total_mj:.6f} mJ")
-    _check(gov.deadline_violations <= fifo.deadline_violations,
-           f"governor SLO violations {gov.deadline_violations} exceed "
-           f"fifo {fifo.deadline_violations}")
+    check(gov.energy.total_mj < fifo.energy.total_mj,
+          f"governor energy {gov.energy.total_mj:.6f} mJ not below "
+          f"fifo {fifo.energy.total_mj:.6f} mJ")
+    check(gov.deadline_violations <= fifo.deadline_violations,
+          f"governor SLO violations {gov.deadline_violations} exceed "
+          f"fifo {fifo.deadline_violations}")
 
     # Heterogeneity is real: the per-device profile variants must make
     # the same sentences cost different latency AND energy on the n=32
@@ -117,12 +90,12 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
             "base", profile.logits[:, :4], profile.entropies[:, :4])
         for name, profile in (("big", big), ("small", small))
     }
-    _check(priced["big"].total_latency_ms
-           < priced["small"].total_latency_ms - 1e-9,
-           "n=32 device does not price faster than n=8")
-    _check(abs(priced["big"].total_energy_mj
-               - priced["small"].total_energy_mj) > 1e-9,
-           "per-device pricing collapsed to identical energy")
+    check(priced["big"].total_latency_ms
+          < priced["small"].total_latency_ms - 1e-9,
+          "n=32 device does not price faster than n=8")
+    check(abs(priced["big"].total_energy_mj
+              - priced["small"].total_energy_mj) > 1e-9,
+          "per-device pricing collapsed to identical energy")
 
     # Budget throttling: cap the cluster at half the governor's average
     # power; the run must stall at least once, stretch the makespan,
@@ -133,33 +106,33 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
         energy_budget_mw=avg_power_mw * 0.5,
         budget_window_ms=50.0).run(trace)
     _check_energy_accounting(budget)
-    _check(budget.budget is not None, "budget stats missing")
-    _check(budget.budget.throttle_events > 0,
-           "tight energy budget never throttled admission")
-    _check(budget.budget.throttled_ms > 0, "throttle stalls took no time")
-    _check(budget.num_requests == len(trace),
-           "budgeted run failed to serve the whole trace")
-    _check(budget.makespan_ms > gov.makespan_ms,
-           "throttling did not stretch the makespan")
+    check(budget.budget is not None, "budget stats missing")
+    check(budget.budget.throttle_events > 0,
+          "tight energy budget never throttled admission")
+    check(budget.budget.throttled_ms > 0, "throttle stalls took no time")
+    check(budget.num_requests == len(trace),
+          "budgeted run failed to serve the whole trace")
+    check(budget.makespan_ms > gov.makespan_ms,
+          "throttling did not stretch the makespan")
     summaries["energy_budgeted"] = budget.summary()
 
     # A generous budget must be invisible: no stalls, same placements.
     roomy = ClusterSimulator(
         registry, policy="energy", hw_configs=pool,
         energy_budget_mw=avg_power_mw * 50.0).run(trace)
-    _check(roomy.budget.throttle_events == 0,
-           "a 50x budget still throttled")
-    _check(roomy.energy.total_mj == gov.energy.total_mj,
-           "a never-binding budget changed the schedule")
+    check(roomy.budget.throttle_events == 0,
+          "a 50x budget still throttled")
+    check(roomy.energy.total_mj == gov.energy.total_mj,
+          "a never-binding budget changed the schedule")
 
     # Determinism: the governor replays bit-for-bit.
     again = ClusterSimulator(registry, policy="energy",
                              hw_configs=pool).run(trace).summary()
     for record in (again, summaries["energy"]):
         record.pop("wall_seconds", None)
-    _check(json.dumps(again, sort_keys=True)
-           == json.dumps(summaries["energy"], sort_keys=True),
-           "governor simulation is not deterministic")
+    check(json.dumps(again, sort_keys=True)
+          == json.dumps(summaries["energy"], sort_keys=True),
+          "governor simulation is not deterministic")
 
     if verbose:
         print(json.dumps(summaries, indent=2, sort_keys=True))
@@ -167,27 +140,15 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.energy",
-        description="EdgeBERT energy governor / budget smoke driver")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the self-checking energy smoke pass")
+    parser = cli_parser("python -m repro.energy",
+                        "EdgeBERT energy governor / budget smoke driver",
+                        "run the self-checking energy smoke pass")
     parser.add_argument("--requests", type=int, default=400,
                         help="trace length for the smoke pass")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("nothing to do; pass --smoke")
-    try:
-        run_smoke(num_requests=args.requests, seed=args.seed,
-                  verbose=not args.quiet)
-    except (AssertionError, ReproError) as exc:
-        print(f"SMOKE FAILED: {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print("energy smoke: OK")
-    return 0
+    return run_cli(parser, args, "energy", lambda: run_smoke(
+        num_requests=args.requests, seed=args.seed, verbose=not args.quiet))
 
 
 if __name__ == "__main__":

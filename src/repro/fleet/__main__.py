@@ -16,83 +16,35 @@ the report summary.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 from repro.cluster import load_trace
-from repro.config import GLUE_TASKS, HwConfig
-from repro.errors import FleetError, ReproError
-from repro.fleet import FleetAutoscaler, FleetOrchestrator, SiteConfig
-from repro.serving import synthetic_registry, synthetic_traffic
-
-#: The reference fleet: a close-by site with the big tight-SLO device,
-#: a mid-distance energy-optimal site, and a far small site under a
-#: power cap — the heterogeneous topology every gate runs against.
-REFERENCE_SITES = (
-    ("edge-a", (32, 16), 2.0, None),
-    ("edge-b", (16, 16), 5.0, None),
-    ("edge-c", (16, 8), 8.0, 30.0),  # power-capped (mW over 100 ms)
-)
-
-
-def reference_fleet(num_sites=3, policy="energy"):
-    """``SiteConfig``s of the reference fleet (cycled past 3 sites)."""
-    if num_sites < 1:
-        raise FleetError("num_sites must be >= 1")
-    configs = []
-    for i in range(num_sites):
-        name, sizes, rtt_ms, cap_mw = REFERENCE_SITES[
-            i % len(REFERENCE_SITES)]
-        if i >= len(REFERENCE_SITES):
-            name = f"{name}-{i // len(REFERENCE_SITES) + 1}"
-        configs.append(SiteConfig(
-            site_id=name,
-            hw_configs=tuple(HwConfig(mac_vector_size=n) for n in sizes),
-            rtt_ms=rtt_ms,
-            policy=policy,
-            energy_budget_mw=cap_mw,
-            budget_window_ms=100.0,
-            deadline_aware=True,
-        ))
-    return tuple(configs)
-
-
-def reference_workload(num_requests=400, n_sentences=64, seed=0):
-    """Registry + mixed-SLO mixed-criticality trace for the gates."""
-    registry = synthetic_registry(GLUE_TASKS, n=n_sentences, seed=seed)
-    trace = synthetic_traffic(registry, num_requests, seed=seed,
-                              mean_interarrival_ms=1.0,
-                              modes=("base", "lai"))
-    return registry, trace
-
-
-def _check(condition, message):
-    # Explicit check (not assert): the smoke gate must still gate under
-    # ``python -O``, which strips assert statements.
-    if not condition:
-        raise FleetError(f"smoke check failed: {message}")
+from repro.errors import FleetError
+from repro.fleet import FleetAutoscaler, FleetOrchestrator
+from repro.smoke import (check, cli_parser, reference_fleet,
+                         reference_workload, run_cli, trace_registry)
 
 
 def _check_fleet_accounting(report, trace):
-    _check(report.num_requests == len(trace), "request count mismatch")
+    check(report.num_requests == len(trace), "request count mismatch")
     served = sorted(rec.request.request_id for rec in report.records)
-    _check(served == sorted(r.request_id for r in trace),
-           "served ids diverge from the trace")
+    check(served == sorted(r.request_id for r in trace),
+          "served ids diverge from the trace")
     report.reconcile(tol=1e-9)
     for rec in report.records:
-        _check(abs(rec.completion_ms
-                   - rec.site_record.completion_ms
-                   - rec.rtt_ms / 2.0) <= 1e-9,
-               "fleet completion is not site completion + egress leg")
-        _check(rec.routing_delay_ms >= -1e-9,
-               f"negative routing delay on {rec.request.request_id}")
-        _check(rec.time_in_system_ms
-               >= rec.site_record.result.latency_ms + rec.rtt_ms - 1e-9,
-               "time in system below compute + round trip")
+        check(abs(rec.completion_ms
+                  - rec.site_record.completion_ms
+                  - rec.rtt_ms / 2.0) <= 1e-9,
+              "fleet completion is not site completion + egress leg")
+        check(rec.routing_delay_ms >= -1e-9,
+              f"negative routing delay on {rec.request.request_id}")
+        check(rec.time_in_system_ms
+              >= rec.site_record.result.latency_ms + rec.rtt_ms - 1e-9,
+              "time in system below compute + round trip")
     routed_sites = {rec.site_id for rec in report.records}
-    _check(len(routed_sites) > 1,
-           "routing collapsed onto a single site")
+    check(len(routed_sites) > 1,
+          "routing collapsed onto a single site")
 
 
 def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
@@ -110,35 +62,35 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
     # The headline claim: joules-scored, deadline-feasible, budget-
     # shaped routing beats blind rotation on energy at no SLO cost.
     rr, energy = summaries["round-robin"], summaries["energy"]
-    _check(energy["total_energy_mj"] < rr["total_energy_mj"],
-           f"energy routing {energy['total_energy_mj']:.6f} mJ not "
-           f"below round-robin {rr['total_energy_mj']:.6f} mJ")
-    _check(energy["deadline_violations"] <= rr["deadline_violations"],
-           f"energy routing violations {energy['deadline_violations']} "
-           f"exceed round-robin {rr['deadline_violations']}")
+    check(energy["total_energy_mj"] < rr["total_energy_mj"],
+          f"energy routing {energy['total_energy_mj']:.6f} mJ not "
+          f"below round-robin {rr['total_energy_mj']:.6f} mJ")
+    check(energy["deadline_violations"] <= rr["deadline_violations"],
+          f"energy routing violations {energy['deadline_violations']} "
+          f"exceed round-robin {rr['deadline_violations']}")
 
     # The power cap binds without breaking anything: the capped site
     # admitted work, never overshot its window, and the run conserved.
     capped = energy["per_site"]["edge-c"]
-    _check(capped["budget"] is not None, "capped site lost its budget")
-    _check(capped["budget"]["overshoots"] == 0,
-           "capped site overshot its power window")
+    check(capped["budget"] is not None, "capped site lost its budget")
+    check(capped["budget"]["overshoots"] == 0,
+          "capped site overshot its power window")
 
     # Determinism 1: the same fleet replays bit-for-bit.
     again = FleetOrchestrator(registry, reference_fleet(),
                               routing="energy").run(trace)
-    _check(json.dumps(again.summary(), sort_keys=True)
-           == json.dumps(energy, sort_keys=True),
-           "fleet simulation is not deterministic")
+    check(json.dumps(again.summary(), sort_keys=True)
+          == json.dumps(energy, sort_keys=True),
+          "fleet simulation is not deterministic")
 
     # Determinism 2: handing the site configs in a different order
     # changes nothing (sites are canonicalized by site_id).
     shuffled = tuple(reversed(reference_fleet()))
     permuted = FleetOrchestrator(registry, shuffled,
                                  routing="energy").run(trace)
-    _check(json.dumps(permuted.summary(), sort_keys=True)
-           == json.dumps(energy, sort_keys=True),
-           "fleet report depends on site-config ordering")
+    check(json.dumps(permuted.summary(), sort_keys=True)
+          == json.dumps(energy, sort_keys=True),
+          "fleet report depends on site-config ordering")
 
     # Autoscaling: the same trace with the autoscaler must still serve
     # everything, park devices across the quiet tail, and reconcile.
@@ -147,10 +99,10 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
         autoscaler=FleetAutoscaler()).run(trace)
     _check_fleet_accounting(scaled, trace)
     stats = scaled.autoscaler
-    _check(stats is not None and stats.ticks > 0,
-           "autoscaler never ticked")
-    _check(sum(stats.parks.values()) > 0,
-           "autoscaler never parked a device")
+    check(stats is not None and stats.ticks > 0,
+          "autoscaler never ticked")
+    check(sum(stats.parks.values()) > 0,
+          "autoscaler never parked a device")
     summaries["energy_autoscaled"] = scaled.summary()
 
     if verbose:
@@ -162,14 +114,7 @@ def run_trace(path, policy="energy", num_sites=3, seed=0, autoscale=False,
               verbose=True):
     """Replay a trace file across the reference fleet; returns summary."""
     trace = load_trace(path)
-    unknown = sorted({r.task for r in trace} - set(GLUE_TASKS))
-    if unknown:
-        raise FleetError(
-            f"trace references unregistered task(s) {unknown}; "
-            f"known tasks: {GLUE_TASKS}")
-    n_sentences = max(r.sentence for r in trace) + 1
-    registry = synthetic_registry(GLUE_TASKS, n=max(8, n_sentences),
-                                  seed=seed)
+    registry = trace_registry(trace, seed, FleetError)
     fleet = FleetOrchestrator(
         registry, reference_fleet(num_sites), routing=policy,
         autoscaler=FleetAutoscaler() if autoscale else None)
@@ -182,11 +127,9 @@ def run_trace(path, policy="energy", num_sites=3, seed=0, autoscale=False,
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fleet",
-        description="EdgeBERT multi-site fleet orchestrator driver")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the self-checking fleet smoke pass")
+    parser = cli_parser("python -m repro.fleet",
+                        "EdgeBERT multi-site fleet orchestrator driver",
+                        "run the self-checking fleet smoke pass")
     parser.add_argument("--trace", metavar="FILE",
                         help="replay a CSV/JSONL request log")
     parser.add_argument("--policy", default="energy",
@@ -199,11 +142,9 @@ def main(argv=None):
     parser.add_argument("--requests", type=int, default=400,
                         help="trace length for the smoke pass")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if not args.smoke and not args.trace:
-        parser.error("nothing to do; pass --smoke or --trace FILE")
-    try:
+
+    def body():
         if args.smoke:
             run_smoke(num_requests=args.requests, seed=args.seed,
                       verbose=not args.quiet)
@@ -211,12 +152,10 @@ def main(argv=None):
             run_trace(args.trace, policy=args.policy,
                       num_sites=args.sites, seed=args.seed,
                       autoscale=args.autoscale, verbose=not args.quiet)
-    except (AssertionError, ReproError, OSError) as exc:
-        print(f"RUN FAILED: {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet and args.smoke:
-        print("fleet smoke: OK")
-    return 0
+
+    return run_cli(parser, args, "fleet", body,
+                   asked=args.smoke or args.trace,
+                   usage="--smoke or --trace FILE")
 
 
 if __name__ == "__main__":

@@ -8,20 +8,12 @@ Intended as the cheap CI gate for the serving/engine stack.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 from repro.config import GLUE_TASKS
-from repro.errors import ReproError, ServingError
 from repro.serving import Server, synthetic_registry, synthetic_traffic
-
-
-def _check(condition, message):
-    # Explicit check (not assert): the smoke gate must still gate under
-    # ``python -O``, which strips assert statements.
-    if not condition:
-        raise ServingError(f"smoke check failed: {message}")
+from repro.smoke import check, cli_parser, run_cli
 
 
 def run_smoke(num_requests=200, n_sentences=128, seed=0, verbose=True):
@@ -40,23 +32,23 @@ def run_smoke(num_requests=200, n_sentences=128, seed=0, verbose=True):
         reports[vectorized] = server.run()
 
     fast, slow = reports[True], reports[False]
-    _check(fast.num_requests == slow.num_requests == num_requests,
-           "request count mismatch")
+    check(fast.num_requests == slow.num_requests == num_requests,
+          "request count mismatch")
     for a, b in zip(fast.results, slow.results):
-        _check(a.request.request_id == b.request.request_id,
-               "result ordering diverged")
+        check(a.request.request_id == b.request.request_id,
+              "result ordering diverged")
         for name in ("exit_layer", "predicted_layer", "prediction",
                      "met_target"):
-            _check(getattr(a.result, name) == getattr(b.result, name),
-                   f"{name} mismatch on request {a.request.request_id}")
+            check(getattr(a.result, name) == getattr(b.result, name),
+                  f"{name} mismatch on request {a.request.request_id}")
         for name in ("latency_ms", "energy_mj", "vdd", "freq_ghz"):
             delta = abs(getattr(a.result, name) - getattr(b.result, name))
-            _check(delta <= 1e-9,
-                   f"{name} off by {delta} on request "
-                   f"{a.request.request_id}")
-    _check(fast.task_switches <= len(GLUE_TASKS), "excess task switches")
-    _check(fast.total_energy_mj > 0 and fast.simulated_time_ms > 0,
-           "degenerate accounting totals")
+            check(delta <= 1e-9,
+                  f"{name} off by {delta} on request "
+                  f"{a.request.request_id}")
+    check(fast.task_switches <= len(GLUE_TASKS), "excess task switches")
+    check(fast.total_energy_mj > 0 and fast.simulated_time_ms > 0,
+          "degenerate accounting totals")
 
     if verbose:
         summary = fast.summary()
@@ -67,27 +59,15 @@ def run_smoke(num_requests=200, n_sentences=128, seed=0, verbose=True):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serving",
-        description="EdgeBERT multi-task serving driver")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the self-checking serving smoke pass")
+    parser = cli_parser("python -m repro.serving",
+                        "EdgeBERT multi-task serving driver",
+                        "run the self-checking serving smoke pass")
     parser.add_argument("--requests", type=int, default=200,
                         help="trace length for the smoke pass")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("nothing to do; pass --smoke")
-    try:
-        run_smoke(num_requests=args.requests, seed=args.seed,
-                  verbose=not args.quiet)
-    except (AssertionError, ReproError) as exc:
-        print(f"SMOKE FAILED: {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print("serving smoke: OK")
-    return 0
+    return run_cli(parser, args, "serving", lambda: run_smoke(
+        num_requests=args.requests, seed=args.seed, verbose=not args.quiet))
 
 
 if __name__ == "__main__":

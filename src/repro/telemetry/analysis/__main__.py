@@ -23,27 +23,20 @@ Exits non-zero on any regression.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 
-from repro.errors import ReproError, TelemetryError
+from repro.cluster import ClusterSimulator
+from repro.errors import TelemetryError
+from repro.smoke import (check, cli_parser, reference_workload, run_cli,
+                         run_cluster, run_reference_fleet)
 from repro.telemetry import Tracer, write_spans_jsonl
 from repro.telemetry.analysis import (RegressionReport, analyze,
-                                      diff_runs, flamegraph_lines,
-                                      render_hot_paths,
-                                      render_waterfall,
-                                      waterfall_json,
+                                      diff_runs, render_hot_paths,
+                                      render_waterfall, waterfall_json,
                                       write_flamegraph)
-
-
-def _check(condition, message):
-    # Explicit check (not assert): the smoke gate must still gate under
-    # ``python -O``, which strips assert statements.
-    if not condition:
-        raise TelemetryError(f"smoke check failed: {message}")
 
 
 def _canonical(analysis):
@@ -52,19 +45,16 @@ def _canonical(analysis):
 
 def _smoke_cluster(workdir):
     """Journeys bit-identical across engines and span sources."""
-    from repro.telemetry.__main__ import (_run_cluster,
-                                          reference_workload)
-
-    registry, trace = reference_workload()
+    registry, trace = reference_workload(num_requests=300)
     digests = {}
     reports = {}
     for engine in ("event", "vector"):
         tracer = Tracer()
-        report = _run_cluster(registry, trace, engine, tracer=tracer)
+        report = run_cluster(registry, trace, engine, tracer=tracer)
         live = analyze(tracer)
-        _check(len(live) == len(report.records),
-               f"{engine}: {len(live)} journeys != "
-               f"{len(report.records)} records")
+        check(len(live) == len(report.records),
+              f"{engine}: {len(live)} journeys != "
+              f"{len(report.records)} records")
         for journey in live.journeys:
             journey.critical_path(tol=1e-9)  # raises on tiling gaps
         live.reconcile(report, tol=1e-9)
@@ -72,74 +62,63 @@ def _smoke_cluster(workdir):
         # The spilled log and the written log must stitch identically.
         spill = os.path.join(workdir, f"spill_{engine}.jsonl")
         with Tracer(max_spans=64, spill_path=spill) as spiller:
-            _run_cluster(registry, trace, engine, tracer=spiller)
-            _check(spiller.spilled > 0,
-                   f"{engine}: spill cap never triggered")
-            _check(_canonical(analyze(spiller)) == _canonical(live),
-                   f"{engine}: spilled analysis diverges from live")
+            run_cluster(registry, trace, engine, tracer=spiller)
+            check(spiller.spilled > 0,
+                  f"{engine}: spill cap never triggered")
+            check(_canonical(analyze(spiller)) == _canonical(live),
+                  f"{engine}: spilled analysis diverges from live")
         log = os.path.join(workdir, f"spans_{engine}.jsonl")
         write_spans_jsonl(tracer, log)
-        _check(_canonical(analyze(log)) == _canonical(live),
-               f"{engine}: JSONL analysis diverges from live")
+        check(_canonical(analyze(log)) == _canonical(live),
+              f"{engine}: JSONL analysis diverges from live")
         digests[engine] = _canonical(live)
         reports[engine] = (tracer, report)
 
-    _check(digests["event"] == digests["vector"],
-           "event and vector engines stitch different journeys")
+    check(digests["event"] == digests["vector"],
+          "event and vector engines stitch different journeys")
 
     # Per-record cross-check: completions/violations match the report.
     tracer, report = reports["event"]
     run = analyze(tracer)
     for record in report.records:
         journey = run.by_request[record.request.request_id]
-        _check(journey.completion_ms == record.completion_ms,
-               f"journey completion diverges for "
-               f"{record.request.request_id}")
-        _check(journey.violated == (not record.deadline_met),
-               f"journey violation flag diverges for "
-               f"{record.request.request_id}")
+        check(journey.completion_ms == record.completion_ms,
+              f"journey completion diverges for "
+              f"{record.request.request_id}")
+        check(journey.violated == (not record.deadline_met),
+              f"journey violation flag diverges for "
+              f"{record.request.request_id}")
     return digests["event"]
 
 
 def _smoke_fleet():
     """Fleet journeys: RTT legs, fleet-level tiling, ledger audit."""
-    from repro.fleet import FleetAutoscaler, FleetOrchestrator
-    from repro.fleet.__main__ import reference_fleet
-    from repro.telemetry.__main__ import reference_workload
-
-    registry, trace = reference_workload()
+    registry, trace = reference_workload(num_requests=300)
     tracer = Tracer()
-    fleet = FleetOrchestrator(registry, reference_fleet(),
-                              routing="energy",
-                              autoscaler=FleetAutoscaler(),
-                              tracer=tracer)
-    report = fleet.run(trace)
+    report = run_reference_fleet(registry, trace, tracer=tracer)
     run = analyze(tracer)
-    _check(len(run) == len(report.records),
-           f"fleet: {len(run)} journeys != {len(report.records)} "
-           "records")
+    check(len(run) == len(report.records),
+          f"fleet: {len(run)} journeys != {len(report.records)} "
+          "records")
     run.reconcile(report, tol=1e-9)
     by_id = {r.request.request_id: r for r in report.records}
     saw_rtt = False
     for journey in run.journeys:
         journey.critical_path(tol=1e-9)
         record = by_id[journey.request_id]
-        _check(journey.completion_ms == record.completion_ms,
-               f"fleet journey completion diverges for "
-               f"{journey.request_id}")
+        check(journey.completion_ms == record.completion_ms,
+              f"fleet journey completion diverges for "
+              f"{journey.request_id}")
         names = {leg.name for leg in journey.legs}
         if "ingress" in names or "egress" in names:
             saw_rtt = True
-    _check(saw_rtt, "fleet: no journey carries a network leg")
+    check(saw_rtt, "fleet: no journey carries a network leg")
     return run
 
 
 def _smoke_diff():
     """diff_runs: same-trace alignment + JSON round trip."""
-    from repro.cluster import ClusterSimulator
-    from repro.telemetry.__main__ import reference_workload
-
-    registry, trace = reference_workload()
+    registry, trace = reference_workload(num_requests=300)
     runs = {}
     for policy in ("fifo", "energy"):
         tracer = Tracer()
@@ -150,18 +129,18 @@ def _smoke_diff():
         run.reconcile(report, tol=1e-9)
         runs[policy] = (run, report)
     diff = diff_runs(runs["fifo"][0], runs["energy"][0])
-    _check(diff.requests == len(trace), "diff dropped requests")
-    _check(not diff.only_a and not diff.only_b,
-           "same-trace diff found unmatched requests")
+    check(diff.requests == len(trace), "diff dropped requests")
+    check(not diff.only_a and not diff.only_b,
+          "same-trace diff found unmatched requests")
     # The attributed total-joules delta is exactly the ledger delta.
     ledger_delta = (runs["energy"][1].energy.total_mj
                     - runs["fifo"][1].energy.total_mj)
     gap = abs(diff.total_energy_mj["delta"] - ledger_delta)
-    _check(gap <= 1e-9,
-           f"diff joules delta off ledger by {gap:.3e}")
+    check(gap <= 1e-9,
+          f"diff joules delta off ledger by {gap:.3e}")
     round_trip = RegressionReport.from_json(diff.to_json())
-    _check(round_trip.to_json() == diff.to_json(),
-           "RegressionReport JSON round trip is lossy")
+    check(round_trip.to_json() == diff.to_json(),
+          "RegressionReport JSON round trip is lossy")
     return diff
 
 
@@ -175,14 +154,15 @@ def run_smoke(verbose=True):
         print(render_hot_paths(fleet_run, limit=8))
         print()
         print(diff.render())
+        print()
     return diff
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.analysis",
-        description="Stitch span logs into per-request journeys, "
-                    "profiles, and run-to-run diffs")
+    parser = cli_parser("python -m repro.telemetry.analysis",
+                        "Stitch span logs into per-request journeys, "
+                        "profiles, and run-to-run diffs",
+                        "run the analysis self-check gate")
     parser.add_argument("spans", nargs="?", metavar="SPANS.jsonl",
                         help="JSONL span log to analyze")
     parser.add_argument("--journeys", metavar="OUT.jsonl",
@@ -205,18 +185,11 @@ def main(argv=None):
                              "tables")
     parser.add_argument("--top", type=int, default=5,
                         help="critical paths to print (default 5)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the analysis self-check gate")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if not (args.smoke or args.spans or args.diff):
-        parser.error("nothing to do; pass SPANS.jsonl, --diff A B, "
-                     "or --smoke")
-    try:
+
+    def body():
         if args.smoke:
             run_smoke(verbose=not args.quiet)
-            if not args.quiet:
-                print("\ntrace analysis smoke: OK")
         if args.diff:
             diff = diff_runs(analyze(args.diff[0]),
                              analyze(args.diff[1]))
@@ -246,6 +219,9 @@ def main(argv=None):
                         print(f"\n{render_waterfall(journey)}")
             if args.waterfall is not None:
                 if args.waterfall == "__worst__":
+                    if not run.journeys:
+                        raise TelemetryError(
+                            "span log holds no journeys to render")
                     journey = max(run.journeys,
                                   key=lambda j: j.time_in_system_ms)
                 else:
@@ -266,10 +242,10 @@ def main(argv=None):
                     or args.waterfall is not None):
                 # Bare span log: the hot-path table is the overview.
                 print(render_hot_paths(run))
-    except (AssertionError, ReproError, OSError) as exc:
-        print(f"RUN FAILED: {exc}", file=sys.stderr)
-        return 1
-    return 0
+
+    return run_cli(parser, args, "trace analysis", body,
+                   asked=args.smoke or args.spans or args.diff,
+                   usage="SPANS.jsonl, --diff A B, or --smoke")
 
 
 if __name__ == "__main__":

@@ -32,31 +32,28 @@ Exits non-zero on any regression.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 
-from repro.errors import ReproError, TelemetryError
-from repro.fleet import FleetAutoscaler, FleetOrchestrator
 from repro.serving import synthetic_registry, synthetic_traffic
+from repro.smoke import (canonical, check, cli_parser, reference_workload,
+                         run_cli, run_cluster, run_reference_fleet)
 from repro.telemetry import (MetricsRegistry, Tracer,
                              reconcile_cluster, reconcile_fleet,
                              render_openmetrics, render_timeline)
-from repro.telemetry.__main__ import (_canonical, _check, _run_cluster,
-                                      reference_workload)
 from repro.telemetry.monitor import (BurnRateRule, IncidentReport,
                                      LatencyQuantileRule,
                                      SwapThrashRule, TelemetryMonitor,
-                                     default_rules, parse_rules)
+                                     parse_rules)
 
 
 def _monitor_report(registry, trace, engine, rules=None, tracer=None,
                     metrics=None):
     monitor = TelemetryMonitor(rules, registry=metrics)
-    report = _run_cluster(registry, trace, engine, tracer=tracer,
-                          metrics=metrics, monitor=monitor)
+    report = run_cluster(registry, trace, engine, tracer=tracer,
+                         metrics=metrics, monitor=monitor)
     monitor.finalize(report.makespan_ms)
     return report, monitor.report()
 
@@ -65,12 +62,12 @@ def _smoke_cluster(registry, trace, workdir):
     """Bit-identity + engine-invariant alert streams + spill."""
     streams = {}
     for engine in ("event", "vector"):
-        plain = _canonical(_run_cluster(registry, trace, engine))
+        plain = canonical(run_cluster(registry, trace, engine))
         metrics = MetricsRegistry()
         report, mon_report = _monitor_report(registry, trace, engine,
                                              metrics=metrics)
-        _check(_canonical(report) == plain,
-               f"{engine}: monitoring perturbed the report")
+        check(canonical(report) == plain,
+              f"{engine}: monitoring perturbed the report")
         streams[engine] = json.dumps(mon_report.summary(),
                                      sort_keys=True)
 
@@ -80,16 +77,16 @@ def _smoke_cluster(registry, trace, workdir):
         with Tracer(max_spans=64, spill_path=spill) as spiller:
             spilled, spilled_mon = _monitor_report(
                 registry, trace, engine, tracer=spiller)
-            _check(_canonical(spilled) == plain,
-                   f"{engine}: monitored+spilling perturbed the report")
-            _check(spiller.spilled > 0,
-                   f"{engine}: spill cap never triggered")
-            _check(json.dumps(spilled_mon.summary(), sort_keys=True)
-                   == streams[engine],
-                   f"{engine}: span spill changed the alert stream")
+            check(canonical(spilled) == plain,
+                  f"{engine}: monitored+spilling perturbed the report")
+            check(spiller.spilled > 0,
+                  f"{engine}: spill cap never triggered")
+            check(json.dumps(spilled_mon.summary(), sort_keys=True)
+                  == streams[engine],
+                  f"{engine}: span spill changed the alert stream")
             reconcile_cluster(spiller, spilled, tol=1e-9)
-    _check(streams["event"] == streams["vector"],
-           "event and vector engines disagree on the alert stream")
+    check(streams["event"] == streams["vector"],
+          "event and vector engines disagree on the alert stream")
     return streams["vector"]
 
 
@@ -112,65 +109,56 @@ def _smoke_alerts(workdir):
         _, mon_report = _monitor_report(registry, trace, engine,
                                         rules=rules)
         kinds = {a.kind for a in mon_report.alerts}
-        _check("burn_rate" in kinds,
-               f"{engine}: burn-rate rule never fired under overload")
-        _check("latency_quantile" in kinds,
-               f"{engine}: latency rule never fired under overload")
-        _check(mon_report.num_incidents > 0,
-               f"{engine}: alerts never grouped into incidents")
+        check("burn_rate" in kinds,
+              f"{engine}: burn-rate rule never fired under overload")
+        check("latency_quantile" in kinds,
+              f"{engine}: latency rule never fired under overload")
+        check(mon_report.num_incidents > 0,
+              f"{engine}: alerts never grouped into incidents")
         for incident in mon_report.incidents:
-            _check(incident.root_cause.get("rule"),
-                   f"{engine}: incident without a root cause")
+            check(incident.root_cause.get("rule"),
+                  f"{engine}: incident without a root cause")
         streams[engine] = json.dumps(mon_report.summary(),
                                      sort_keys=True)
 
         # Lossless JSONL round trip + renderable timeline lanes.
         path = os.path.join(workdir, f"alerts_{engine}.jsonl")
         rows = mon_report.to_jsonl(path)
-        _check(rows == 1 + mon_report.num_alerts
-               + mon_report.num_incidents,
-               f"{engine}: alert JSONL dropped rows")
+        check(rows == 1 + mon_report.num_alerts
+              + mon_report.num_incidents,
+              f"{engine}: alert JSONL dropped rows")
         reread = IncidentReport.from_jsonl(path)
-        _check(json.dumps(reread.summary(), sort_keys=True)
-               == streams[engine],
-               f"{engine}: alert JSONL round trip is lossy")
+        check(json.dumps(reread.summary(), sort_keys=True)
+              == streams[engine],
+              f"{engine}: alert JSONL round trip is lossy")
         rendered = render_timeline(mon_report.spans())
-        _check("alerts" in rendered,
-               f"{engine}: alert lanes missing from the timeline")
-    _check(streams["event"] == streams["vector"],
-           "overloaded engines disagree on the alert stream")
+        check("alerts" in rendered,
+              f"{engine}: alert lanes missing from the timeline")
+    check(streams["event"] == streams["vector"],
+          "overloaded engines disagree on the alert stream")
     return streams["vector"]
 
 
 def _smoke_fleet(registry, trace):
     """Monitored fleet: bit-identity, health gauges, 1e-9 ledgers."""
-    from repro.fleet.__main__ import reference_fleet
-
-    def run(tracer=None, metrics=None, monitor=None):
-        fleet = FleetOrchestrator(registry, reference_fleet(),
-                                  routing="energy",
-                                  autoscaler=FleetAutoscaler(),
-                                  tracer=tracer, metrics=metrics,
-                                  monitor=monitor)
-        return fleet.run(trace)
-
-    plain = _canonical(run())
+    plain = canonical(run_reference_fleet(registry, trace))
     tracer = Tracer()
     metrics = MetricsRegistry()
     monitor = TelemetryMonitor(registry=metrics)
-    report = run(tracer=tracer, metrics=metrics, monitor=monitor)
-    _check(_canonical(report) == plain,
-           "fleet: monitoring perturbed the report")
+    report = run_reference_fleet(registry, trace, tracer=tracer,
+                                 metrics=metrics, monitor=monitor)
+    check(canonical(report) == plain,
+          "fleet: monitoring perturbed the report")
     reconcile_fleet(tracer, report, tol=1e-9)
     monitor.finalize(max(r.completion_ms for r in report.records))
     mon_report = monitor.report()
     for outcome in report.sites:
-        _check(outcome.site_id in mon_report.health,
-               f"fleet: no health score for {outcome.site_id}")
+        check(outcome.site_id in mon_report.health,
+              f"fleet: no health score for {outcome.site_id}")
         gauge = metrics.gauge("health_score", scope=outcome.site_id)
-        _check(gauge.value is not None,
-               f"fleet: health gauge never sampled for "
-               f"{outcome.site_id}")
+        check(gauge.value is not None,
+              f"fleet: health gauge never sampled for "
+              f"{outcome.site_id}")
     return json.dumps(mon_report.summary(), sort_keys=True)
 
 
@@ -180,17 +168,17 @@ def _smoke_openmetrics(registry, trace):
     report, _ = _monitor_report(registry, trace, "vector",
                                 metrics=metrics)
     text = render_openmetrics(metrics)
-    _check(text.endswith("# EOF\n"), "openmetrics: missing # EOF")
-    _check("# TYPE requests_served counter" in text,
-           "openmetrics: counter family untyped")
-    _check(f'requests_served_total{{scope="cluster"}} '
-           f"{len(report.records)}" in text,
-           "openmetrics: served total wrong or unsuffixed")
-    _check('time_in_system_ms_bucket{scope="cluster",le="+Inf"} '
-           f"{len(report.records)}" in text,
-           "openmetrics: histogram +Inf bucket must equal count")
-    _check(text == render_openmetrics(metrics),
-           "openmetrics: exposition not deterministic")
+    check(text.endswith("# EOF\n"), "openmetrics: missing # EOF")
+    check("# TYPE requests_served counter" in text,
+          "openmetrics: counter family untyped")
+    check(f'requests_served_total{{scope="cluster"}} '
+          f"{len(report.records)}" in text,
+          "openmetrics: served total wrong or unsuffixed")
+    check('time_in_system_ms_bucket{scope="cluster",le="+Inf"} '
+          f"{len(report.records)}" in text,
+          "openmetrics: histogram +Inf bucket must equal count")
+    check(text == render_openmetrics(metrics),
+          "openmetrics: exposition not deterministic")
     return text.count("\n")
 
 
@@ -240,10 +228,10 @@ def run_replay(path, rules=None, alerts_out=None, openmetrics=False,
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.monitor",
-        description="SLO monitoring: replay rules over span logs and "
-                    "self-check the alerting stack")
+    parser = cli_parser("python -m repro.telemetry.monitor",
+                        "SLO monitoring: replay rules over span logs and "
+                        "self-check the alerting stack",
+                        "run the monitoring self-check gate")
     parser.add_argument("--replay", metavar="SPANS.jsonl",
                         help="run the watchdogs over a JSONL span log")
     parser.add_argument("--rules", metavar="RULES.json",
@@ -252,17 +240,12 @@ def main(argv=None):
                         help="persist the incident report as JSONL")
     parser.add_argument("--openmetrics", action="store_true",
                         help="print the registry in OpenMetrics text")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the monitoring self-check gate")
     parser.add_argument("--requests", type=int, default=300,
                         help="trace length for the smoke pass")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if not args.smoke and args.replay is None:
-        parser.error("nothing to do; pass --replay SPANS.jsonl or "
-                     "--smoke")
-    try:
+
+    def body():
         rules = parse_rules(args.rules) if args.rules else None
         if args.smoke:
             run_smoke(num_requests=args.requests, seed=args.seed,
@@ -272,12 +255,10 @@ def main(argv=None):
                        alerts_out=args.alerts,
                        openmetrics=args.openmetrics,
                        verbose=not args.quiet)
-    except (AssertionError, ReproError, OSError) as exc:
-        print(f"RUN FAILED: {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet and args.smoke:
-        print("telemetry monitor smoke: OK")
-    return 0
+
+    return run_cli(parser, args, "telemetry monitor", body,
+                   asked=args.smoke or args.replay is not None,
+                   usage="--replay SPANS.jsonl or --smoke")
 
 
 if __name__ == "__main__":

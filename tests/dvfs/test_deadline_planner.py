@@ -14,6 +14,7 @@ from repro.core.engine import (
     price_latency_aware_deadline_columns,
 )
 from repro.dvfs import DeadlineBudget, DvfsController
+from repro.dvfs.__main__ import run_smoke
 from repro.dvfs.deadline import DeadlineBatchPlan, plan_batch_deadline
 from repro.errors import DvfsError
 from repro.serving import synthetic_registry
@@ -540,3 +541,7 @@ class TestOnePassMatchesReference:
             each = np.array([row.sum() for row in block])
             assert np.array_equal(rows.view(np.int64),
                                   each.view(np.int64)), n
+
+
+def test_smoke_target():
+    run_smoke(n_sentences=8, verbose=False)

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import ClusterSimulator, make_policy
 from repro.config import HwConfig
 from repro.energy import EnergyGovernor
+from repro.energy.__main__ import run_smoke
 from repro.errors import EnergyError
 from repro.serving import Request, synthetic_registry, synthetic_traffic
 
@@ -117,3 +118,7 @@ class TestHeadlineClaim:
                                hw_configs=POOL).run(trace)
         assert gov.energy.total_mj < fifo.energy.total_mj
         assert gov.deadline_violations <= fifo.deadline_violations
+
+
+def test_smoke_target():
+    run_smoke(num_requests=120, n_sentences=32, verbose=False)

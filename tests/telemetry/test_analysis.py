@@ -21,8 +21,8 @@ import pytest
 from repro.cluster import ClusterSimulator, load_trace
 from repro.errors import TelemetryError
 from repro.fleet import FleetAutoscaler, FleetOrchestrator
-from repro.fleet.__main__ import reference_fleet, reference_workload
 from repro.serving import synthetic_registry
+from repro.smoke import reference_fleet, reference_workload
 from repro.telemetry import Tracer, write_spans_jsonl
 from repro.telemetry.analysis import (
     LEG_GROUPS,
@@ -361,3 +361,18 @@ class TestCLI:
 
         assert main([str(tmp_path / "nope.jsonl")]) == 1
         assert "RUN FAILED" in capsys.readouterr().err
+
+    def test_waterfall_without_journeys_fails_cleanly(self, tmp_path,
+                                                      capsys):
+        from repro.telemetry.analysis.__main__ import main
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main([str(empty), "--waterfall"]) == 1
+        assert "RUN FAILED" in capsys.readouterr().err
+
+    def test_smoke_gate_passes(self):
+        from repro.telemetry.analysis.__main__ import run_smoke
+
+        diff = run_smoke(verbose=False)
+        assert diff.requests == 300

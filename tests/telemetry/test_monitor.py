@@ -390,3 +390,10 @@ class TestEndToEnd:
                                    monitor=mon).run_events(trace)
         assert json.dumps(watched.summary(), sort_keys=True) == \
             json.dumps(plain.summary(), sort_keys=True)
+
+    def test_smoke_gate_passes(self):
+        from repro.telemetry.monitor.__main__ import run_smoke
+
+        streams = run_smoke(num_requests=150, verbose=False)
+        assert set(streams) == {"cluster", "overload", "fleet",
+                                "openmetrics_lines"}

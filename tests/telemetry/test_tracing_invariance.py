@@ -14,8 +14,8 @@ import pytest
 
 from repro.cluster import ClusterSimulator, load_trace
 from repro.fleet import FleetAutoscaler, FleetOrchestrator
-from repro.fleet.__main__ import reference_fleet, reference_workload
 from repro.serving import synthetic_registry
+from repro.smoke import reference_fleet, reference_workload
 from repro.telemetry import (
     Gauge,
     MetricsRegistry,
