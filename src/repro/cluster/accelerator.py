@@ -126,6 +126,10 @@ class AcceleratorSim:
     def __init__(self, accel_id, hw_config=None, energy_model=None):
         self.accel_id = int(accel_id)
         self.hw_config = hw_config
+        #: Small integer naming ``hw_config`` within its pool (the
+        #: simulator numbers distinct configs in pool order); the key
+        #: per-decision lookups use in place of the config itself.
+        self.hw_slot = 0
         self.energy = energy_model  # repro.energy.DeviceEnergyModel | None
         self.resident_task = None
         self.run = None

@@ -24,7 +24,12 @@ accel_id) so every policy is deterministic given the same trace.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.errors import ClusterError
+
+#: The lowest-id tie-break every built-in policy ends on.
+_by_id = attrgetter("accel_id")
 
 
 class SchedulingPolicy:
@@ -59,7 +64,7 @@ class FifoPolicy(SchedulingPolicy):
 
     def next_placement(self, pending, free_accels, now_ms):
         batch = min(pending, key=lambda pb: pb.seq)
-        accel = min(free_accels, key=lambda a: a.accel_id)
+        accel = min(free_accels, key=_by_id)
         return batch, accel
 
 
@@ -82,7 +87,7 @@ class FewestSwapsPolicy(SchedulingPolicy):
             matches = [a for a in free_accels
                        if a.resident_task == pb.task]
             if matches:
-                return pb, min(matches, key=lambda a: a.accel_id)
+                return pb, min(matches, key=_by_id)
         pb = min(pending, key=lambda pb: pb.seq)
         return pb, min(free_accels,
                        key=lambda a: (a.resident_task is not None,
@@ -127,7 +132,7 @@ class EdfPolicy(SchedulingPolicy):
         pb = min(pending, key=lambda pb: (pb.deadline_ms, pb.seq))
         matches = [a for a in free_accels if a.resident_task == pb.task]
         pool = matches or free_accels
-        return pb, min(pool, key=lambda a: a.accel_id)
+        return pb, min(pool, key=_by_id)
 
     def _feasible_after_eviction(self, pb, victim, now_ms):
         """Would ``pb`` still meet its deadline if ``victim`` is evicted?"""

@@ -650,12 +650,12 @@ def run_vectorized(sim, requests):
     log_append = log.append
     queued_reqs = 0  # running total of requests across `pending`
 
-    def table_for(task, target_ms, mode, hw_config):
-        key = (task, target_ms, mode, hw_config)
+    def table_for(task, target_ms, mode, accel):
+        key = (task, target_ms, mode, accel.hw_slot)
         table = tables.get(key)
         if table is None:
             table = tables[key] = _build_table(registry, task, target_ms,
-                                               mode, hw_config)
+                                               mode, accel.hw_config)
         return table
 
     def start_batch(pending_batch, accel, now):
@@ -671,7 +671,7 @@ def run_vectorized(sim, requests):
             energies = [r.energy_mj for r in results]
         else:
             table = table_for(batch.task, batch.target_ms,
-                              pending_batch.mode, accel.hw_config)
+                              pending_batch.mode, accel)
             sent = sent_o[pos]
             results = table.rows(sent.tolist())
             # begin() cumsums the latencies; handing it the float64

@@ -68,6 +68,7 @@ from repro.cluster.events import (
     EventLoop,
 )
 from repro.cluster.policies import make_policy
+from repro.cluster.pool import PoolIndex
 from repro.cluster.replay import (
     _build_table,
     _compute_span,
@@ -246,11 +247,13 @@ class ClusterSimulator:
         self._loop.on(BatchDone, self._on_done)
         self._loop.on(DispatchRetry, self._on_dispatch_retry)
         self._accels = self._build_pool()
+        self._index = PoolIndex(self._accels)
         self._formers = {}
         self._pending = []
         self._batch_seq = 0
         self._price_cache = {}
         self._price_tables = {}
+        self._profiles = {}
         self._budget = None
         self._budget_retry_armed = False
         self._budget_tokens = {}
@@ -348,6 +351,16 @@ class ClusterSimulator:
         return self._accels
 
     @property
+    def pool_index(self):
+        """The per-event loop's :class:`~repro.cluster.pool.PoolIndex`.
+
+        Current after every event, park and wake of an incremental or
+        :meth:`run_events` run; the vector core keeps its own free pool
+        and leaves it at its :meth:`start` state.
+        """
+        return self._index
+
+    @property
     def budget(self):
         """The run's :class:`~repro.energy.EnergyBudget` (or None)."""
         return self._budget
@@ -396,6 +409,7 @@ class ClusterSimulator:
                 raise ClusterError(
                     f"cannot park busy accelerator {accel_id}")
             accel.online = False
+            self._index.park(accel)
             if accel.energy is not None:
                 accel.energy.force_standby(self._loop.now_ms)
             if self.tracer.enabled:
@@ -407,6 +421,7 @@ class ClusterSimulator:
                                         "park")
         else:
             accel.online = True
+            self._index.wake(accel)
             if self.tracer.enabled:
                 self.tracer.instant("wake-device", "scale",
                                     self._loop.now_ms, accel.track)
@@ -422,8 +437,12 @@ class ClusterSimulator:
 
         Valid only once every scheduled event has been processed; raises
         if any injected request was not served exactly once (the
-        conservation invariant ``run`` has always enforced).
+        conservation invariant ``run`` has always enforced), or if the
+        pool index disagrees with a walk of the pool. The index is
+        checked before finalization accrues the devices' tail idle
+        intervals, which may drop a standby rail and so move a class key.
         """
+        self._index.check()
         report = self._report
         report.makespan_ms = max(
             (rec.completion_ms for rec in report.records), default=0.0)
@@ -481,15 +500,31 @@ class ClusterSimulator:
             .engine.hw_config
 
     def _build_pool(self):
+        """One device per accelerator, numbered into hardware slots.
+
+        Distinct hardware configs get slots 0, 1, … in pool order, and
+        per-decision keys use ``accel.hw_slot`` in place of the config.
+        Devices on one slot twin one energy model
+        (:meth:`~repro.energy.DeviceEnergyModel.twin`).
+        """
         default_hw = None if self.hw_configs else self._default_hw_config()
+        slots = {}
+        models = []
         accels = []
         estimator = self._estimate_placement
         for i in range(self.num_accelerators):
             hw = self.hw_configs[i] if self.hw_configs else None
-            energy = DeviceEnergyModel(
-                hw or default_hw,
-                standby_timeout_ms=self.standby_timeout_ms)
+            slot = slots.get(hw)
+            if slot is None:
+                slot = slots[hw] = len(models)
+                energy = DeviceEnergyModel(
+                    hw or default_hw,
+                    standby_timeout_ms=self.standby_timeout_ms)
+                models.append(energy)
+            else:
+                energy = models[slot].twin()
             accel = AcceleratorSim(i, hw_config=hw, energy_model=energy)
+            accel.hw_slot = slot
             accel.attach_estimator(estimator)
             accels.append(accel)
         return accels
@@ -545,9 +580,11 @@ class ClusterSimulator:
         if accel.run is None or accel.run.run_id != event.run_id:
             return  # stale completion from a preempted run
         run = accel.complete(self._loop.now_ms)
+        # After complete(): the rail has just parked, so the class key
+        # reads the device's resting state.
+        self._index.release(accel)
         if self._m_served is not None:
-            self._m_free.set(self._loop.now_ms,
-                             sum(1 for a in self._accels if a.dispatchable))
+            self._m_free.set(self._loop.now_ms, len(self._index.free))
         self._budget_tokens.pop((accel.accel_id, run.run_id), None)
         self._record_run(run, len(run.results))
         self._dispatch()
@@ -621,10 +658,10 @@ class ClusterSimulator:
         """``pending_batch``'s result rows on ``accel``'s hardware (cached).
 
         One :class:`~repro.core.SentenceResult` per member, in batch
-        order. The cache is keyed by batch seq, then (device HwConfig,
-        deadline budget): distinct PendingBatch objects always carry
-        distinct seqs, and every device sharing a hardware profile *and*
-        seeing the same remaining slack prices identically — so the
+        order. The cache is keyed by batch seq, then (device hardware
+        slot, deadline budget): distinct PendingBatch objects always
+        carry distinct seqs, and every device sharing a hardware slot
+        *and* seeing the same remaining slack prices identically — so the
         governor scoring k devices and the eventual placement share one
         engine call per variant. A batch's entries are evicted wholesale
         when it starts (:meth:`_start`), so the footprint stays
@@ -632,7 +669,7 @@ class ClusterSimulator:
         """
         deadline_ms = self._deadline_budget_ms(pending_batch, accel,
                                                now_ms)
-        key = (accel.hw_config, deadline_ms)
+        key = (accel.hw_slot, deadline_ms)
         cache = self._price_cache.setdefault(pending_batch.seq, {})
         rows = cache.get(key)
         if rows is None:
@@ -641,12 +678,11 @@ class ClusterSimulator:
                 # rows from the whole-profile table instead of pricing
                 # this batch's composition (identical rows — the replay
                 # core's table contract).
-                table = self._table_for(pending_batch, accel.hw_config)
+                table = self._table_for(pending_batch, accel)
                 rows = table.rows(
                     [r.sentence for r in pending_batch.batch.requests])
             else:
-                profile = self.registry.profile_for(pending_batch.task,
-                                                    accel.hw_config)
+                profile = self._profile_for(pending_batch.task, accel)
                 rows = price_batch(profile, pending_batch.batch,
                                    pending_batch.mode,
                                    vectorized=self.vectorized,
@@ -654,15 +690,24 @@ class ClusterSimulator:
             cache[key] = rows
         return rows
 
-    def _table_for(self, pending_batch, hw_config):
+    def _table_for(self, pending_batch, accel):
         """The whole-profile price table for one batch-key variant."""
         key = (pending_batch.task, float(pending_batch.batch.target_ms),
-               pending_batch.mode, hw_config)
+               pending_batch.mode, accel.hw_slot)
         table = self._price_tables.get(key)
         if table is None:
-            table = _build_table(self.registry, *key)
+            table = _build_table(self.registry, *key[:3], accel.hw_config)
             self._price_tables[key] = table
         return table
+
+    def _profile_for(self, task, accel):
+        """The registry's profile for ``task`` on ``accel``'s slot."""
+        key = (task, accel.hw_slot)
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = self._profiles[key] = self.registry.profile_for(
+                task, accel.hw_config)
+        return profile
 
     def _estimate_placement(self, accel, pending_batch, now_ms):
         """Back :meth:`AcceleratorSim.estimate` with cached pricing."""
@@ -729,7 +774,7 @@ class ClusterSimulator:
         while self._pending:
             if self._budget_throttled():
                 return
-            free = [a for a in self._accels if a.dispatchable]
+            free = list(map(self._accels.__getitem__, self._index.free))
             if free:
                 placement = self.policy.next_placement(
                     self._pending, free, self._loop.now_ms)
@@ -737,6 +782,7 @@ class ClusterSimulator:
                     return
                 pending_batch, accel = placement
                 self._pending.remove(pending_batch)
+                self._index.take(accel)
                 if self._mon is not None:
                     self._mon.observe_queue_depth(
                         self.trace_scope, self._loop.now_ms,

@@ -65,18 +65,36 @@ class DeviceEnergyModel:
         # that voltage sustains. Devices power up parked there.
         self.standby_vdd, self.standby_freq_ghz = \
             self.dvfs.table.standby_point()
-        self.parked_vdd = self.standby_vdd
-        self.parked_freq_ghz = self.standby_freq_ghz
         self.standby_timeout_ms = (None if standby_timeout_ms is None
                                    else float(standby_timeout_ms))
-        self._idle_since_ms = float(start_ms)
-        self._busy = False
-        self._finalized_ms = None
         # Transition memo: (from_vdd, from_freq, to_vdd, to_freq) →
         # (settle_ms, energy_mj). The rail moves between a handful of
         # operating points but is priced at every run begin/park of a
         # replay; the memo returns the identical floats either way.
         self._transition_cache = {}
+        self._reset(start_ms)
+
+    def twin(self):
+        """A fresh device on this model's hardware, parked at standby.
+
+        The twin shares the accelerator power model, the DVFS controller
+        and the transition memo — all pure or only memoizing — and
+        starts its own ledger at t = 0 with this model's standby
+        timeout, so a pool builds them once per distinct hardware
+        config instead of once per device.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._reset(0.0)
+        return twin
+
+    def _reset(self, start_ms):
+        """Start an empty ledger, parked at the retention point."""
+        self.parked_vdd = self.standby_vdd
+        self.parked_freq_ghz = self.standby_freq_ghz
+        self._idle_since_ms = float(start_ms)
+        self._busy = False
+        self._finalized_ms = None
 
         # Telemetry: idle spans and transition instants land on _track;
         # emission reuses the exact floats added to the ledgers below,

@@ -89,15 +89,15 @@ class FleetAutoscaler:
         return self._ewma.get(site.site_id, 0.0)
 
     def _sample(self, site):
-        online = site.online_devices()
-        if not online:
+        index = site.sim.pool_index
+        if not index.online:
             return 1.0  # nothing up: maximum pressure, wake something
         if site.sim.queue_depth() > 0:
             return 1.0  # queued work saturates the pool by definition
         if self.health_of is not None \
                 and self.health_of(site.site_id) < self.HEALTH_SATURATION:
             return 1.0  # alerting site: hold capacity up, never park
-        return len(site.busy_devices()) / len(online)
+        return (index.online - len(index.free)) / index.online
 
     def tick(self, site, now_ms):
         """Fold one sample for ``site`` and apply at most one action."""
@@ -107,9 +107,9 @@ class FleetAutoscaler:
             else previous + self.alpha * (sample - previous)
         self._ewma[site.site_id] = ewma
 
-        accels = site.sim.accelerators
         if ewma > self.high_utilization:
-            parked = [a for a in accels if not a.online]
+            # Waking runs once per tick, not per decision, so it walks.
+            parked = [a for a in site.sim.accelerators if not a.online]
             if parked:
                 woken = min(parked, key=lambda a: a.accel_id)
                 site.set_device_online(woken.accel_id, True,
@@ -117,11 +117,9 @@ class FleetAutoscaler:
                 self.stats.wakes[site.site_id] = \
                     self.stats.wakes.get(site.site_id, 0) + 1
         elif ewma < self.low_utilization:
-            online = [a for a in accels if a.online]
-            idle = [a for a in online if a.idle]
-            if len(online) > self.min_online and idle:
-                victim = max(idle, key=lambda a: a.accel_id)
-                site.set_device_online(victim.accel_id, False,
+            index = site.sim.pool_index
+            if index.online > self.min_online and index.free:
+                site.set_device_online(index.free[-1], False,
                                        now_ms=now_ms)
                 self.stats.parks[site.site_id] = \
                     self.stats.parks.get(site.site_id, 0) + 1

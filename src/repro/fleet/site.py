@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.cluster.pool import class_key
 from repro.cluster.replay import _build_table
 from repro.cluster.simulator import ClusterSimulator
 from repro.errors import FleetError
@@ -160,9 +161,12 @@ class FleetSite:
 
     def start(self):
         self.sim.start()
+        # The event core builds a fresh pool index at every start.
+        self._index = self.sim.pool_index
         self.admitted = 0
         self.late_admissions = 0
         self._memo = {}
+        self._routes = {}
         self._epoch_key = None
         self._rekey()
         return self
@@ -254,16 +258,9 @@ class FleetSite:
 
     # -- routing-facing observables -----------------------------------------------
 
-    def online_devices(self):
-        return [a for a in self.sim.accelerators if a.online]
-
-    def busy_devices(self):
-        return [a for a in self.sim.accelerators
-                if a.online and not a.idle]
-
     def load(self):
         """In-system requests per online device (the least-loaded key)."""
-        return self.sim.in_system() / (self._online or 1)
+        return self.sim.in_system() / (self._index.online or 1)
 
     def headroom(self, now_ms):
         """Power-cap window headroom in [0, 1]; 1.0 when uncapped."""
@@ -290,7 +287,6 @@ class FleetSite:
 
     def _rekey(self):
         """New epoch after the online pool may have changed."""
-        self._online = len(self.online_devices())
         self._fingerprint = self.routing_fingerprint()
         self._census = None  # rescanned by the next estimate
 
@@ -301,53 +297,30 @@ class FleetSite:
             self._fingerprint = fingerprint
             self._census = None
 
-    @staticmethod
-    def _class_key(accel):
-        """Everything a placement estimate reads off one device.
-
-        :meth:`_device_estimate` is a price-table row (pure in task,
-        slack bucket, mode and hardware) + the switch cost from the
-        resident task + the wake-transition estimate, so two devices
-        agreeing on this key price every request identically. Without
-        a standby timeout the transition term is a cached pure function
-        of the parked→nominal rail points, read here raw.
-        """
-        energy = accel.energy
-        if energy is None:
-            return (accel.hw_config, accel.resident_task)
-        return (accel.hw_config, accel.resident_task,
-                energy.parked_vdd, energy.parked_freq_ghz,
-                energy.nominal_vdd, energy.nominal_freq_ghz)
-
     def _scan(self):
         """Census this epoch's pricing set: ``(idle reps, online pool)``.
 
         With a device idle the estimate is a min over the idle pool,
-        and a min over prices that agree within a class equals the min
-        over one representative per *distinct* class — so a 384-device
-        pool collapses to the handful of (hardware, resident task, rail
-        point) classes actually present. With nothing idle it is the
-        order-sensitive mean over the online pool. The epoch key is
-        exactly what the estimate reads, so memoized estimates survive
-        fingerprint churn (batch starts and completions) that leaves
-        the class structure unchanged — the common case under load.
+        and a min over prices that agree within a class
+        (:func:`~repro.cluster.pool.class_key`) equals the min over one
+        representative per *distinct* class — so a 384-device pool
+        collapses to the handful of (hardware slot, resident task, rail
+        point) classes the pool index already keeps. With nothing idle
+        it is the order-sensitive mean over the online pool, in device
+        order. The epoch key is exactly what the estimate reads, so
+        memoized estimates survive fingerprint churn (batch starts and
+        completions) that leaves the class structure unchanged — the
+        common case under load.
         """
-        class_key = self._class_key
-        classes = set()
-        reps = []
-        online = []
-        for accel in self.sim.accelerators:
-            if not accel.online:
-                continue
-            online.append(accel)
-            if accel.idle:
-                key = class_key(accel)
-                if key not in classes:
-                    classes.add(key)
-                    reps.append(accel)
-        if reps:
+        accels = self.sim.accelerators
+        classes = self._index.classes
+        if classes:
+            reps = [accels[ids[0]] for ids in classes.values()]
+            online = []
             epoch_key = (True, frozenset(classes))
         else:
+            reps = []
+            online = [a for a in accels if a.online]
             epoch_key = (False, tuple(class_key(a) for a in online))
         if epoch_key != self._epoch_key:
             self._memo.clear()
@@ -356,9 +329,13 @@ class FleetSite:
 
     def _device_estimate(self, request, mode, bucket, accel, now_ms):
         """(energy_mj, latency_ms) of ``request`` on one device, now."""
-        energies, latencies = route_table(
-            self.registry, request.task, bucket, mode, accel.hw_config,
-            self.sim.vectorized)
+        key = (request.task, bucket, mode, accel.hw_slot)
+        columns = self._routes.get(key)
+        if columns is None:
+            columns = self._routes[key] = route_table(
+                self.registry, request.task, bucket, mode,
+                accel.hw_config, self.sim.vectorized)
+        energies, latencies = columns
         energy_mj = energies[request.sentence]
         latency_ms = latencies[request.sentence]
         cost = self.registry.switch_cost(accel.resident_task,
@@ -375,8 +352,9 @@ class FleetSite:
 
         Per-device compute is one row of the registry's shared price
         table for (task, target bucket, mode, hw) — built once per
-        variant, never priced per request — and the live swap and
-        wake-transition terms are added per device. The site-level
+        variant, never priced per request, and held per hardware slot
+        by the site — and the live swap and wake-transition terms are
+        added per device. The site-level
         prediction honors dispatch reality: with a device idle *now*,
         the request lands on the cheapest idle device (the site's own
         energy governor picks min-joules too); with every device busy
@@ -390,13 +368,13 @@ class FleetSite:
         miss prices one representative per idle device class
         (:meth:`_scan`). Standby sites price the full pool every call.
         """
-        if not self._online:
+        if not self._index.online:
             return None
         slack = self.remaining_slack_ms(request, now_ms)
         grid = ESTIMATE_TARGET_GRID_MS
         bucket = max(grid, (slack // grid) * grid)
         if self._standby:
-            online = self.online_devices()
+            online = [a for a in self.sim.accelerators if a.online]
             return self._pool_estimate(request, bucket, now_ms,
                                        [a for a in online if a.idle],
                                        online)

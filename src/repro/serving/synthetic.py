@@ -68,6 +68,9 @@ def synthetic_task_profile(task, n=256, num_layers=12, seed=None,
     """
     if task not in TASK_NUM_LABELS:
         raise ServingError(f"unknown task {task!r}")
+    if n < 1:
+        raise ServingError(f"a task profile needs n >= 1 sentences, "
+                           f"got {n}")
     num_classes = TASK_NUM_LABELS[task]
     if seed is None:
         # Stable per-task default (str hash is randomized per process).

@@ -14,7 +14,7 @@ from repro.core.engine import (
     price_latency_aware_deadline_columns,
 )
 from repro.dvfs import DeadlineBudget, DvfsController
-from repro.dvfs.__main__ import run_smoke
+from repro.dvfs.__main__ import main, run_smoke
 from repro.dvfs.deadline import DeadlineBatchPlan, plan_batch_deadline
 from repro.errors import DvfsError
 from repro.serving import synthetic_registry
@@ -545,3 +545,9 @@ class TestOnePassMatchesReference:
 
 def test_smoke_target():
     run_smoke(n_sentences=8, verbose=False)
+
+
+@pytest.mark.parametrize("sentences", ["0", "-3"])
+def test_smoke_rejects_empty_profiles(sentences, capsys):
+    assert main(["--smoke", "--sentences", sentences]) == 1
+    assert "RUN FAILED" in capsys.readouterr().err

@@ -57,8 +57,7 @@ def probe_estimates(registry, request, mode="lai"):
 
     sim = ClusterSimulator(registry, policy="energy", hw_configs=POOL,
                            batch_timeout_ms=0.0)
-    sim._price_cache = {}
-    accels = sim._build_pool()
+    accels = sim.start().accelerators
     former = BatchFormer((request.task, request.target_ms, mode),
                          max_batch_size=1)
     pb = former.make_pending(former.add(request, 0.0), 0.0, 0)

@@ -8,7 +8,9 @@
   actually ran.
 * :func:`pool_estimate` and :func:`pool_load` recompute
   ``FleetSite.estimate_request`` and ``FleetSite.load`` from the live
-  pool on every call, with no memo and no cached online count.
+  pool on every call, with no memo and no pool index.
+* :func:`online_devices` and :func:`busy_devices` list the online and
+  the busy online devices by walking the pool.
 
 Imported by the fleet tests (``from fleet_reference import ...``).
 """
@@ -63,9 +65,17 @@ def run_reference(fleet, requests):
     return report
 
 
+def online_devices(site):
+    return [a for a in site.sim.accelerators if a.online]
+
+
+def busy_devices(site):
+    return [a for a in site.sim.accelerators if a.online and not a.idle]
+
+
 def pool_estimate(site, request, now_ms):
     """``site.estimate_request`` priced over the live pool, unmemoized."""
-    online = site.online_devices()
+    online = online_devices(site)
     if not online:
         return None
     slack = site.remaining_slack_ms(request, now_ms)
@@ -83,4 +93,4 @@ def pool_estimate(site, request, now_ms):
 
 def pool_load(site):
     """``site.load()`` from a fresh count of the online pool."""
-    return site.sim.in_system() / max(1, len(site.online_devices()))
+    return site.sim.in_system() / max(1, len(online_devices(site)))

@@ -23,7 +23,13 @@ import random
 from dataclasses import replace
 
 import pytest
-from fleet_reference import pool_estimate, pool_load, run_reference
+from fleet_reference import (
+    busy_devices,
+    online_devices,
+    pool_estimate,
+    pool_load,
+    run_reference,
+)
 
 from repro.config import HwConfig
 from repro.fleet import FleetAutoscaler, FleetOrchestrator, SiteConfig
@@ -243,13 +249,13 @@ class TestEstimateMemo:
     def test_parking_mid_run_rekeys_the_memo(self, registry):
         site = _one_request_site(registry, hw_configs=(
             HwConfig(mac_vector_size=16), HwConfig(mac_vector_size=8)))
-        while not site.busy_devices():
+        while not busy_devices(site):
             assert site.step()
         now = site.sim.now_ms
         probe = Request(request_id=1, task="mnli", sentence=3,
                         target_ms=60.0, arrival_ms=now)
         before = (site.estimate_request(probe, now), site.load())
-        idle = [a for a in site.online_devices() if a.idle]
+        idle = [a for a in online_devices(site) if a.idle]
         assert len(idle) == 1
         site.set_device_online(idle[0].accel_id, False, now_ms=now)
         after = (site.estimate_request(probe, now), site.load())
