@@ -3,9 +3,9 @@
 Dispatch, fleet routing and autoscaling all ask the same questions of a
 pool — which devices are free, which distinct kinds of free device
 exist, how many devices are online — once per decision. A
-:class:`PoolIndex` answers them without walking the pool. The per-event
-loop of :class:`~repro.cluster.ClusterSimulator` keeps it current at the
-only four transitions that change the answers:
+:class:`PoolIndex` answers them without walking the pool. Both cores of
+:class:`~repro.cluster.ClusterSimulator` keep it current at the only
+four transitions that change the answers:
 
 * **dispatch** (:meth:`PoolIndex.take`) — a free device starts a batch;
 * **completion** (:meth:`PoolIndex.release`) — a device finishes its

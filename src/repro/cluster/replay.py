@@ -60,9 +60,15 @@ bulk pass. Nothing reads observer state mid-replay: the monitor
 feedback of ``health_routing`` lives in the fleet loop, which drives the
 per-event loop.
 
+The core keeps no run state of its own beside the simulator's: free
+devices come from and return to the simulator's
+:class:`~repro.cluster.pool.PoolIndex`, price tables from
+``_table_for``, batch formers from ``_new_former``, and every batch
+starts through ``_begin``, the start the per-event loop runs too.
+
 Energy-budget admission (``energy_budget_mw``) replays exactly: the
 same :class:`~repro.energy.EnergyBudget` object is driven at the same
-instants — commits before each ``begin``, ``note_throttle`` +
+instants — ``_begin`` commits before each ``begin``, ``note_throttle`` +
 ``DispatchRetry`` arming mirrored as ``_RETRY`` heap events consuming
 the same schedule seqs — so throttle spans, budget ledgers and
 ``BudgetStats`` agree with the event loop bit-for-bit.
@@ -79,11 +85,13 @@ the scalar loop stays available as the determinism oracle
 (``vectorized=False``).
 
 Eligibility is a property of the configuration alone: ``run()`` uses
-this core under a non-preemptive built-in policy (fifo / affinity) with
-vectorized pricing. Preemptive or custom policies run the per-event
-loop (their dispatch state can change at arbitrary arrival instants),
-and so do the scalar kernels; :func:`replay_ineligible_reason` names
-the reason on the report.
+this core under a non-preemptive built-in policy (fifo, affinity or the
+energy governor) with vectorized pricing. Each of them places a batch
+whenever a device is free. Preemptive policies run the per-event loop
+(their dispatch state can change at arbitrary arrival instants), and so
+do custom policies (one may return None and wait) and the scalar
+kernels; :func:`replay_ineligible_reason` names the reason on the
+report.
 """
 
 from __future__ import annotations
@@ -94,12 +102,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from repro.cluster.batcher import (
-    AdaptiveTimeout,
-    BatchFormer,
-    PendingBatch,
-    plan_batches,
-)
+from repro.cluster.batcher import PendingBatch, plan_batches
 from repro.cluster.policies import FewestSwapsPolicy, FifoPolicy
 from repro.cluster.report import ClusterRecord, LazyRecords
 from repro.core.engine import results_from_arrays
@@ -129,15 +132,20 @@ def replay_ineligible_reason(sim):
     """Why this configuration cannot use the batch-granular core.
 
     Returns None when the vector core applies: vectorized pricing under
-    a non-preemptive built-in policy (fifo / affinity), whose dispatch
-    state provably changes only at close/done/budget-relief instants.
-    Otherwise returns a human-readable reason — surfaced as
+    a non-preemptive built-in policy (fifo, affinity or the energy
+    governor). Each always places a batch when a device is free, so
+    dispatch state provably changes only at close/done/budget-relief
+    instants. Otherwise returns a human-readable reason — surfaced as
     ``ClusterReport.engine_fallback_reason`` so silent vector→event
     downgrades are diagnosable.
     """
+    # Imported here: repro.energy.governor imports repro.cluster.policies.
+    from repro.energy.governor import EnergyGovernor
+
     if not sim.vectorized:
         return "scalar (non-vectorized) pricing kernels"
-    if type(sim.policy) not in (FifoPolicy, FewestSwapsPolicy):
+    if type(sim.policy) not in (FifoPolicy, FewestSwapsPolicy,
+                                EnergyGovernor):
         return (f"policy {sim.policy.name!r} (preemptive or custom "
                 "policies can act on arbitrary arrival instants)")
     return None
@@ -489,7 +497,6 @@ def run_vectorized(sim, requests):
     if not n:
         raise ClusterError("no requests to simulate")
     sim.start()
-    registry = sim.registry
     policy = sim.policy
     accels = sim._accels
     report = sim._report
@@ -547,7 +554,6 @@ def run_vectorized(sim, requests):
     # open instant — through a real BatchFormer per key, the reference
     # trigger implementation. Static keys keep the offline scan.
     incremental = sim.adaptive_timeout or sim.deadline_sizing
-    keyplans = {} if incremental else None
 
     events = []
     for key, kid in keymap.items():
@@ -556,29 +562,15 @@ def run_vectorized(sim, requests):
         tlist = arr_o[pos_k].tolist()
         slist = order[pos_k].tolist()
         if incremental:
-            controller = None
-            if sim.adaptive_timeout:
-                controller = AdaptiveTimeout(
-                    base_ms=sim.batch_timeout_ms, target_ms=target_ms)
-            estimator = None
-            if sim.deadline_sizing and mode == "lai":
-                estimator = sim._work_estimator(key)
-            former = BatchFormer(
-                key, max_batch_size=max_batch,
-                timeout_ms=sim.batch_timeout_ms,
-                timeout_controller=controller,
-                work_estimator=estimator)
             if n > 1:
                 kreqs = itemgetter(*pos_k.tolist())(reqs_o) \
                     if len(pos_k) > 1 else (reqs_o[pos_k[0]],)
             else:
                 kreqs = reqs_o
-            kp = keyplans[key] = _KeyPlan(former, tlist, slist, pos_k,
-                                          kreqs)
-            # Mirror the event loop's former registry so post-run
-            # inspection (controller state, deadline-close counters)
-            # works identically on both engines.
-            sim._formers[key] = former
+            # The simulator's own former registry: _begin feeds it the
+            # dispatch delays, and post-run inspection (controller state,
+            # deadline-close counters) works identically on both cores.
+            kp = _KeyPlan(sim._new_former(key), tlist, slist, pos_k, kreqs)
             events.append((tlist[0], slist[0], _OPEN, kp))
             continue
         for start, end, by_size in plan_batches(tlist, max_batch,
@@ -612,31 +604,20 @@ def run_vectorized(sim, requests):
     # per-dispatch recheck on that, saving a ledger walk per event in
     # the common unthrottled case.
     budget_recheck = budget is not None
-    tables = {}
     # FIFO's placement keys (close seq, accel_id) make its choices pure
-    # head-of-queue / min-id: a deque of batches plus a heap of free
-    # device ids replays them in O(1) per placement where the generic
-    # path scans ``pending`` — the structure, not the policy, is what
-    # changes under multi-thousand-batch budget backlogs.
+    # head-of-queue / min-id: a deque of batches plus the index's
+    # ascending free ids replay them in O(1) per placement where the
+    # generic path scans ``pending`` — the structure, not the policy, is
+    # what changes under multi-thousand-batch budget backlogs.
     fast_fifo = type(policy) is FifoPolicy
     pending = deque() if fast_fifo else []
+    free = sim._index.free
+    take = sim._index.take
+    release = sim._index.release
     pend_pos = {}
     done_batches = []
     served_pos = []
     makespan = 0.0
-    # Incrementally-maintained free pool: inside a replay devices leave
-    # it only at ``begin`` and rejoin only at ``complete`` (``online``
-    # never changes without a fleet autoscaler), so the per-dispatch
-    # O(pool) ``dispatchable`` scan of the event loop collapses to list
-    # bookkeeping. Both built-in policies pick by unique keys
-    # (batch seq, accel_id), so membership — not order — determines the
-    # placement. The fast path stores ids, the generic path devices;
-    # len() is the free count either way.
-    if fast_fifo:
-        free_pool = [a.accel_id for a in accels if a.dispatchable]
-        heapify(free_pool)
-    else:
-        free_pool = [a for a in accels if a.dispatchable]
     # Observers read the commit-ordered ``log`` only after the drain
     # (see the module docstring), so an observed replay's report stays
     # bit-identical to an unobserved one.
@@ -650,18 +631,8 @@ def run_vectorized(sim, requests):
     log_append = log.append
     queued_reqs = 0  # running total of requests across `pending`
 
-    def table_for(task, target_ms, mode, accel):
-        key = (task, target_ms, mode, accel.hw_slot)
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _build_table(registry, task, target_ms,
-                                               mode, accel.hw_config)
-        return table
-
     def start_batch(pending_batch, accel, now):
         nonlocal dyn_seq, budget_recheck
-        batch = pending_batch.batch
-        swap_cost = registry.switch_cost(accel.resident_task, batch.task)
         pos = pend_pos.pop(pending_batch.seq)
         if deadline_aware and pending_batch.mode == "lai":
             # Deadline-budget pricing is batch-coupled (the plan spreads
@@ -670,40 +641,24 @@ def run_vectorized(sim, requests):
             latencies = [r.latency_ms for r in results]
             energies = [r.energy_mj for r in results]
         else:
-            table = table_for(batch.task, batch.target_ms,
-                              pending_batch.mode, accel)
+            table = sim._table_for(pending_batch, accel)
             sent = sent_o[pos]
             results = table.rows(sent.tolist())
             # begin() cumsums the latencies; handing it the float64
             # column directly skips a list round trip (same bits).
             latencies = table.latency_ms[sent]
             energies = table.energy_mj[sent].tolist()
-        if budget is not None:
-            # Commit the placement's predicted energy before begin, as
-            # the event loop does: compute (the same left-to-right
-            # float sum) + swap when actually paid + the wake
-            # transition the device will charge.
-            committed = sum(energies)
-            if accel.resident_task != batch.task:
-                committed += swap_cost.energy_mj
-            committed += accel.energy.estimate_transition(now_ms=now)[1]
-            budget.commit(now, committed)
-            budget_recheck = True
-        if incremental:
-            # Feed the adaptive controller its dispatch delay at the
-            # same instant the event loop's _start would.
-            keyplans[(batch.task, batch.target_ms,
-                      pending_batch.mode)].former.observe_dispatch_delay(
-                now - pending_batch.ready_ms)
-        run = accel.begin(pending_batch, results, latencies, now,
-                          swap_cost)
+        run = sim._begin(pending_batch, accel, now, results, latencies,
+                         energies)[0]
+        # A budget commit can exhaust the window: recheck it before the
+        # next placement.
+        budget_recheck = budget is not None
         if monitored \
                 and (run.swap_ms > 0.0 or run.swap_energy_mj != 0.0):
-            log_append((_SWAPPED, now, batch.task, accel.accel_id))
-        sim._price_cache.pop(pending_batch.seq, None)
-        report.num_batches += 1
+            log_append((_SWAPPED, now, pending_batch.task,
+                        accel.accel_id))
         if metered and budget is not None:
-            # Pure read: the commit above already expired the window at
+            # Pure read: _begin's commit already expired the window at
             # `now`, so headroom_fraction re-expires nothing.
             log_append((_HEADROOM, now, budget.headroom_fraction(now)))
         heappush(events, (run.end_ms, dyn_seq, _DONE,
@@ -733,19 +688,16 @@ def run_vectorized(sim, requests):
                         arm_retry(now)
                     return
                 budget_recheck = False
-            if not free_pool:
+            if not free:
                 return
             if fast_fifo:
                 pending_batch = pending.popleft()
-                accel = accels[heappop(free_pool)]
+                accel = accels[free[0]]
             else:
-                placement = policy.next_placement(pending, free_pool,
-                                                  now)
-                if placement is None:
-                    return
-                pending_batch, accel = placement
+                pending_batch, accel = policy.next_placement(
+                    pending, [accels[i] for i in free], now)
                 pending.remove(pending_batch)
-                free_pool.remove(accel)
+            take(accel)
             if sampled:
                 queued_reqs -= len(pending_batch)
                 if monitored:
@@ -894,10 +846,8 @@ def run_vectorized(sim, requests):
         elif kind == _DONE:
             accel, run, energies, pos = payload
             accel.complete(now)
-            if fast_fifo:
-                heappush(free_pool, accel.accel_id)
-            else:
-                free_pool.append(accel)
+            # After complete(): the class key reads the resting state.
+            release(accel)
             stats = accel.stats
             total = stats.compute_energy_mj
             for energy in energies:
@@ -911,7 +861,7 @@ def run_vectorized(sim, requests):
                 makespan = run.end_ms
             if traced or sampled:
                 log_append((_FINISHED, now, run, energies, pos,
-                            len(free_pool)))
+                            len(free)))
             dispatch(now)
         else:  # _RETRY — the budget's DispatchRetry recheck
             budget_armed = False

@@ -102,10 +102,18 @@ class ClusterSimulator:
                 f"unknown mode {mode!r}; expected one of {SERVING_MODES}")
         if max_batch_size < 1:
             raise ClusterError("max_batch_size must be >= 1")
-        if batch_timeout_ms < 0:
-            raise ClusterError("batch_timeout_ms must be non-negative")
-        if standby_timeout_ms is not None and standby_timeout_ms < 0:
-            raise ClusterError("standby_timeout_ms must be non-negative")
+        # Chained bounds: NaN fails every comparison, and an infinite
+        # value fails the ``< math.inf`` end.
+        if not 0 <= batch_timeout_ms < math.inf:
+            raise ClusterError("batch_timeout_ms must be finite and >= 0")
+        if standby_timeout_ms is not None \
+                and not 0 <= standby_timeout_ms < math.inf:
+            raise ClusterError("standby_timeout_ms must be finite and >= 0")
+        if energy_budget_mw is not None \
+                and not 0 < energy_budget_mw < math.inf:
+            raise ClusterError("energy_budget_mw must be finite and > 0")
+        if not 0 < budget_window_ms < math.inf:
+            raise ClusterError("budget_window_ms must be finite and > 0")
         if deadline_aware and not vectorized:
             # Fail at construction, not mid-simulation: the deadline
             # path is batch-level and has no scalar reference loop.
@@ -139,8 +147,6 @@ class ClusterSimulator:
         self.batch_timeout_ms = float(batch_timeout_ms)
         self.vectorized = vectorized
         self.hw_configs = hw_configs
-        if energy_budget_mw is not None and energy_budget_mw <= 0:
-            raise ClusterError("energy_budget_mw must be positive")
         self.energy_budget_mw = energy_budget_mw
         self.budget_window_ms = float(budget_window_ms)
         #: Plan lai batches against their remaining deadline slack at
@@ -201,7 +207,8 @@ class ClusterSimulator:
         reports, per-batch instead of per-request cost. Otherwise it
         runs the per-event loop (:meth:`run_events`), and the reason
         lands in ``report.engine_fallback_reason``. The report's
-        ``engine`` field says which core actually ran.
+        ``engine`` field says which core actually ran. Either core leaves
+        :attr:`pool_index` current and audits it once, at finalization.
         """
         reason = replay_ineligible_reason(self)
         if reason is None:
@@ -352,11 +359,11 @@ class ClusterSimulator:
 
     @property
     def pool_index(self):
-        """The per-event loop's :class:`~repro.cluster.pool.PoolIndex`.
+        """The run's :class:`~repro.cluster.pool.PoolIndex`.
 
-        Current after every event, park and wake of an incremental or
-        :meth:`run_events` run; the vector core keeps its own free pool
-        and leaves it at its :meth:`start` state.
+        Both cores keep it: current after every event, park and wake of
+        an incremental or :meth:`run_events` run, and after every batch
+        start and completion of the vector core.
         """
         return self._index
 
@@ -438,11 +445,8 @@ class ClusterSimulator:
         Valid only once every scheduled event has been processed; raises
         if any injected request was not served exactly once (the
         conservation invariant ``run`` has always enforced), or if the
-        pool index disagrees with a walk of the pool. The index is
-        checked before finalization accrues the devices' tail idle
-        intervals, which may drop a standby rail and so move a class key.
+        pool index disagrees with a walk of the pool.
         """
-        self._index.check()
         report = self._report
         report.makespan_ms = max(
             (rec.completion_ms for rec in report.records), default=0.0)
@@ -463,8 +467,12 @@ class ClusterSimulator:
         Shared by :meth:`finish` and the vectorized replay core
         (:mod:`repro.cluster.replay`) so both engines settle idle
         leakage, device ledgers and budget stats through the same code —
-        ``report.makespan_ms`` must already be set.
+        ``report.makespan_ms`` must already be set. It first audits the
+        pool index against a walk of the pool (both cores keep it), before
+        finalization accrues the devices' tail idle intervals, which may
+        drop a standby rail and so move a class key.
         """
+        self._index.check()
         report.accelerators = [a.stats for a in self._accels]
         for accel in self._accels:
             accel.energy.finalize(report.makespan_ms)
@@ -541,19 +549,7 @@ class ClusterSimulator:
                self._resolve_mode(request))
         former = self._formers.get(key)
         if former is None:
-            controller = None
-            if self.adaptive_timeout:
-                controller = AdaptiveTimeout(
-                    base_ms=self.batch_timeout_ms, target_ms=key[1])
-            estimator = None
-            if self.deadline_sizing and key[2] == "lai":
-                estimator = self._work_estimator(key)
-            former = self._formers[key] = BatchFormer(
-                key, max_batch_size=self.max_batch_size,
-                timeout_ms=self.batch_timeout_ms,
-                timeout_controller=controller,
-                work_estimator=estimator,
-                tracer=self.tracer, track=self._trk_former)
+            former = self._new_former(key, self.tracer)
         was_open = former.is_open
         closed = former.add(request, now)
         if closed is not None:
@@ -566,6 +562,29 @@ class ClusterSimulator:
             self._loop.schedule(former.timeout_deadline_ms(),
                                 BatchTimeout(key, former.generation))
         self._dispatch()
+
+    def _new_former(self, key, tracer=None):
+        """Build and register the batch former of ``key``.
+
+        ``key`` is (task, SLO target, mode). The former gets an adaptive
+        controller under ``adaptive_timeout`` and a work estimator for
+        ``lai`` keys under ``deadline_sizing``. Both cores call this;
+        the vector core passes no tracer, because it emits window spans
+        from its log.
+        """
+        controller = None
+        if self.adaptive_timeout:
+            controller = AdaptiveTimeout(base_ms=self.batch_timeout_ms,
+                                         target_ms=key[1])
+        estimator = None
+        if self.deadline_sizing and key[2] == "lai":
+            estimator = self._work_estimator(key)
+        former = self._formers[key] = BatchFormer(
+            key, max_batch_size=self.max_batch_size,
+            timeout_ms=self.batch_timeout_ms,
+            timeout_controller=controller, work_estimator=estimator,
+            tracer=tracer, track=self._trk_former)
+        return former
 
     def _on_timeout(self, event):
         former = self._formers[event.key]
@@ -803,20 +822,22 @@ class ClusterSimulator:
                     sum(len(pb) for pb in self._pending))
             self._start(pending_batch, victim)
 
-    def _start(self, pending_batch, accel):
-        """Price the batch and occupy the accelerator with its schedule."""
-        now = self._loop.now_ms
+    def _begin(self, pending_batch, accel, now, rows, latencies, energies):
+        """Occupy ``accel`` with the priced batch: the start both cores run.
+
+        Commits the placement's predicted energy against the rolling
+        budget window (the left-to-right sum of ``energies``, plus the
+        swap when actually paid, plus the wake transition the device
+        charges at begin), feeds the dispatch delay to the key's former,
+        begins the run and evicts the batch's priced variants. Returns
+        ``(run, budget_token)``; the token is None without a budget.
+        """
         batch = pending_batch.batch
         swap_cost = self.registry.switch_cost(accel.resident_task,
                                               batch.task)
-        rows = self._price(pending_batch, accel, now)
-        latencies = [r.latency_ms for r in rows]
         budget_token = None
         if self._budget is not None:
-            # Commit the placement's predicted energy against the
-            # rolling window: compute + swap (when actually paid) +
-            # the wake transition the device charges at begin.
-            committed = float(sum(r.energy_mj for r in rows))
+            committed = sum(energies)
             if accel.resident_task != batch.task:
                 committed += swap_cost.energy_mj
             committed += accel.energy.estimate_transition(now_ms=now)[1]
@@ -826,12 +847,23 @@ class ClusterSimulator:
         if former is not None:
             former.observe_dispatch_delay(now - pending_batch.ready_ms)
         run = accel.begin(pending_batch, rows, latencies, now, swap_cost)
-        if budget_token is not None:
-            self._budget_tokens[(accel.accel_id, run.run_id)] = budget_token
         # The batch is placed; its priced variants can never be needed
         # again (requeued remainders get fresh seqs).
         self._price_cache.pop(pending_batch.seq, None)
         self._report.num_batches += 1
+        return run, budget_token
+
+    def _start(self, pending_batch, accel):
+        """Price the batch and occupy the accelerator with its schedule."""
+        now = self._loop.now_ms
+        batch = pending_batch.batch
+        rows = self._price(pending_batch, accel, now)
+        run, budget_token = self._begin(
+            pending_batch, accel, now, rows, [r.latency_ms for r in rows],
+            [r.energy_mj for r in rows])
+        if budget_token is not None:
+            # Preemption refunds the unexecuted share through the token.
+            self._budget_tokens[(accel.accel_id, run.run_id)] = budget_token
         if self.tracer.enabled:
             # Member ids + the device's hw class ride on the queue leg
             # so every dispatch attempt (including requeued preemption

@@ -220,8 +220,15 @@ def generate_diurnal_trace(num_requests, seed=0, tasks=None,
         raise ClusterError("diurnal_amplitude must be in [0, 1)")
     if num_epochs < 1:
         raise ClusterError("num_epochs must be >= 1")
+    # NaN and infinity fail the chained bound.
+    if not 0 <= mean_interarrival_ms < math.inf:
+        raise ClusterError("mean_interarrival_ms must be finite and >= 0")
+    if n_sentences < 1:
+        raise ClusterError("n_sentences must be >= 1")
     if tasks is None:
         tasks = ("sst2", "mnli", "qqp", "qnli")
+    if not (tasks and targets_ms and modes):
+        raise ClusterError("tasks, targets_ms and modes must be non-empty")
     rng = np.random.default_rng(seed)
     span_ms = float(num_requests) * float(mean_interarrival_ms)
     epoch_ms = span_ms / num_epochs

@@ -79,10 +79,11 @@ class EnergyBudget:
     """Joules/sec cap over a rolling window of committed batch energy."""
 
     def __init__(self, power_mw, window_ms=100.0):
-        if power_mw <= 0:
-            raise EnergyError("energy budget power must be positive")
-        if window_ms <= 0:
-            raise EnergyError("energy budget window must be positive")
+        # Chained bounds reject NaN and infinite values too.
+        if not 0 < power_mw < math.inf:
+            raise EnergyError("energy budget power must be finite and > 0")
+        if not 0 < window_ms < math.inf:
+            raise EnergyError("energy budget window must be finite and > 0")
         self.power_mw = float(power_mw)
         self.window_ms = float(window_ms)
         self.cap_mj = self.power_mw * self.window_ms * 1e-3

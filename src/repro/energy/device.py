@@ -32,6 +32,8 @@ totals flow into the per-accelerator
 
 from __future__ import annotations
 
+import math
+
 from repro.config import HwConfig
 from repro.dvfs import DvfsController
 from repro.errors import EnergyError
@@ -54,8 +56,9 @@ class DeviceEnergyModel:
 
     def __init__(self, hw_config=None, start_ms=0.0,
                  standby_timeout_ms=None):
-        if standby_timeout_ms is not None and standby_timeout_ms < 0:
-            raise EnergyError("standby_timeout_ms must be non-negative")
+        if standby_timeout_ms is not None \
+                and not 0 <= standby_timeout_ms < math.inf:
+            raise EnergyError("standby_timeout_ms must be finite and >= 0")
         self.hw_config = hw_config or HwConfig.energy_optimal()
         self.accelerator = AcceleratorModel(self.hw_config)
         self.dvfs = DvfsController(self.hw_config.dvfs)

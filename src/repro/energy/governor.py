@@ -40,6 +40,8 @@ throttling.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster.policies import SchedulingPolicy
 from repro.errors import EnergyError
 
@@ -51,8 +53,8 @@ class EnergyGovernor(SchedulingPolicy):
     preemptive = False
 
     def __init__(self, slack_ms=0.0):
-        if slack_ms < 0:
-            raise EnergyError("slack_ms must be non-negative")
+        if not 0 <= slack_ms < math.inf:
+            raise EnergyError("slack_ms must be finite and >= 0")
         #: Extra tolerance added to deadlines in the feasibility test
         #: (0 = strict: predicted completion must meet the SLO).
         self.slack_ms = float(slack_ms)

@@ -26,6 +26,7 @@ devices — the autoscaler sheds capacity, it never aborts work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import FleetError
@@ -63,8 +64,8 @@ class FleetAutoscaler:
 
     def __init__(self, interval_ms=25.0, low_utilization=0.35,
                  high_utilization=0.85, alpha=0.5, min_online=1):
-        if interval_ms <= 0:
-            raise FleetError("autoscaler interval must be positive")
+        if not 0 < interval_ms < math.inf:
+            raise FleetError("autoscaler interval must be finite and > 0")
         if not 0.0 <= low_utilization < high_utilization <= 1.0:
             raise FleetError(
                 "need 0 <= low_utilization < high_utilization <= 1")

@@ -38,6 +38,7 @@ clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.pool import class_key
@@ -112,8 +113,8 @@ class SiteConfig:
     def __post_init__(self):
         if not self.site_id:
             raise FleetError("site_id must be a non-empty string")
-        if self.rtt_ms < 0:
-            raise FleetError("rtt_ms must be non-negative")
+        if not 0 <= self.rtt_ms < math.inf:
+            raise FleetError("rtt_ms must be finite and >= 0")
 
 
 class FleetSite:

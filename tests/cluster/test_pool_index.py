@@ -1,13 +1,14 @@
-"""The event core's device-pool index, checked against a walk per step.
+"""The cluster cores' device-pool index, checked against a walk of the pool.
 
 ``ClusterSimulator`` keeps one :class:`~repro.cluster.pool.PoolIndex`
-current at dispatch, completion, park and wake, and the fleet's census,
-dispatcher and autoscaler read it instead of walking the pool. These
-tests step runs one event at a time and, after every step, rebuild what
-the index claims — the free ids, the free ids of each class, the online
-count — from a plain walk of the pool. Fleet runs also hold each site's
-live census (the class representatives its estimates price) to the
-walk's idle classes.
+current at dispatch, completion, park and wake, on both cores, and the
+fleet's census, dispatcher and autoscaler read it instead of walking the
+pool. These tests step runs one event at a time and, after every step,
+rebuild what the index claims — the free ids, the free ids of each
+class, the online count — from a plain walk of the pool. Fleet runs also
+hold each site's live census (the class representatives its estimates
+price) to the walk's idle classes. Vector-core runs are checked once,
+after the run.
 """
 
 import os
@@ -15,7 +16,7 @@ import os
 import pytest
 
 from repro.cluster import ClusterSimulator, load_trace
-from repro.cluster.pool import class_key
+from repro.cluster.pool import PoolIndex, class_key
 from repro.config import HwConfig
 from repro.errors import ClusterError
 from repro.fleet import FleetAutoscaler, FleetOrchestrator, SiteConfig
@@ -87,6 +88,35 @@ def test_index_drift_fails_finish(registry, bursty):
     sim.pool_index.online -= 1
     with pytest.raises(ClusterError, match="pool index drifted: online"):
         sim.finish()
+
+
+@pytest.mark.parametrize("policy", ["fifo", "affinity", "energy"])
+def test_vector_core_index_matches_walk_after_run(registry, bursty,
+                                                  policy):
+    sim = ClusterSimulator(registry, hw_configs=reference_pool(),
+                           policy=policy)
+    report = sim.run(bursty)
+    assert report.engine == "vector"
+    assert report.num_batches > sim.num_accelerators
+    assert_index_matches_walk(sim)
+
+
+def test_index_drift_fails_vector_run(registry, bursty, monkeypatch):
+    real_release = PoolIndex.release
+    calls = []
+
+    def release(self, accel):
+        # start() walks the idle pool through release, one call per
+        # device; the next call is the vector core's first completion,
+        # whose device the index then loses.
+        calls.append(accel.accel_id)
+        if len(calls) != len(reference_pool()) + 1:
+            real_release(self, accel)
+
+    monkeypatch.setattr(PoolIndex, "release", release)
+    sim = ClusterSimulator(registry, hw_configs=reference_pool())
+    with pytest.raises(ClusterError, match="pool index drifted"):
+        sim.run(bursty)
 
 
 def test_fleet_index_and_census_match_walk_after_every_step(

@@ -1,12 +1,14 @@
 """Randomized property suite for the energy-aware vector replay.
 
-The acceptance bar for the PR-9 vector-core extensions: with
+The acceptance bar for the vector core's extensions: with
 ``energy_budget_mw``, ``adaptive_timeout`` and ``deadline_sizing``
 each toggled, ``run()`` must select the vector core and
 replay the reference bursty trace bit-identically to the event
 engine — the ClusterReport *and* the monitor's alert stream (the
 alerts observe every commit point, so an identical stream means the
-engines agree on the full event timeline, not just the totals).
+engines agree on the full event timeline, not just the totals). The
+energy governor is held to the same bar on the reference
+heterogeneous pool.
 
 On top of the reference checks, a seeded fuzzer draws random cluster
 shapes (pool size, batch former limits, budget caps, policy) and
@@ -25,7 +27,9 @@ from repro.cluster import (
     generate_diurnal_trace,
     load_trace,
 )
+from repro.config import HwConfig
 from repro.serving import synthetic_registry, synthetic_traffic
+from repro.smoke import REFERENCE_POOL, reference_pool
 from repro.telemetry import TelemetryMonitor
 from repro.telemetry.monitor import (
     BurnRateRule,
@@ -44,6 +48,18 @@ FEATURE_TOGGLES = {
     "deadline_sizing": {"deadline_sizing": True, "deadline_aware": True},
     "all": {"energy_budget_mw": 200.0, "adaptive_timeout": True,
             "deadline_sizing": True, "deadline_aware": True},
+}
+
+#: The energy governor's toggles on the reference heterogeneous pool.
+#: 100 mW throttles this pool on the bursty trace; 300 mW never does.
+GOVERNOR_TOGGLES = {
+    "plain": {},
+    "deadline_aware": {"deadline_aware": True},
+    "budget": {"energy_budget_mw": 100.0},
+    "deadline_budget": {"deadline_aware": True, "energy_budget_mw": 100.0},
+    "sizing_adaptive": {"deadline_aware": True, "deadline_sizing": True,
+                        "adaptive_timeout": True},
+    "standby": {"standby_timeout_ms": 20.0},
 }
 
 
@@ -167,3 +183,52 @@ class TestRandomizedEquivalence:
         assert canonical(vec) == canonical(event)
         assert canonical(vec_mon.report()) \
             == canonical(event_mon.report())
+
+
+class TestGovernorEquivalence:
+    """The energy governor on the vector core, against the event loop."""
+
+    @pytest.mark.parametrize("toggle", sorted(GOVERNOR_TOGGLES))
+    def test_reference_pool_matches_event(self, registry, bursty, toggle):
+        kwargs = dict(GOVERNOR_TOGGLES[toggle], policy="energy",
+                      hw_configs=reference_pool())
+        auto, auto_mon = monitored_run(registry, bursty, "auto", **kwargs)
+        event, event_mon = monitored_run(registry, bursty, "event",
+                                         **kwargs)
+        assert auto.engine == "vector"
+        assert auto.engine_fallback_reason is None
+        assert canonical(auto) == canonical(event)
+        assert record_ids(auto) == record_ids(event)
+        assert canonical(auto_mon.report()) \
+            == canonical(event_mon.report())
+        assert auto_mon.num_alerts > 0
+        if "energy_budget_mw" in kwargs:
+            assert auto.budget.throttle_events > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_governor_shape(self, registry, seed):
+        rng = np.random.default_rng(4000 + seed)
+        # One draw each under a budget, incremental planning and sleep.
+        toggle = ("deadline_budget", "sizing_adaptive", "standby")[seed]
+        kwargs = dict(GOVERNOR_TOGGLES[toggle], policy="energy")
+        if "energy_budget_mw" in kwargs:
+            kwargs["energy_budget_mw"] = float(rng.uniform(40.0, 400.0))
+            kwargs["budget_window_ms"] = float(rng.uniform(25.0, 200.0))
+        pool = rng.choice(REFERENCE_POOL, size=int(rng.integers(2, 7)))
+        kwargs["hw_configs"] = tuple(HwConfig(mac_vector_size=int(n))
+                                     for n in pool)
+        kwargs["num_accelerators"] = len(pool)
+        kwargs["max_batch_size"] = int(2 ** rng.integers(2, 5))
+        kwargs["batch_timeout_ms"] = float(rng.uniform(2.0, 12.0))
+        trace = generate_diurnal_trace(
+            int(rng.integers(150, 400)), seed=5000 + seed,
+            mean_interarrival_ms=float(rng.uniform(0.3, 2.0)),
+            modes=(None, "base", "lai"))
+        vec, vec_mon = monitored_run(registry, trace, "auto", **kwargs)
+        event, event_mon = monitored_run(registry, trace, "event",
+                                         **kwargs)
+        assert vec.engine == "vector", (toggle, kwargs)
+        assert canonical(vec) == canonical(event), (toggle, kwargs)
+        assert record_ids(vec) == record_ids(event)
+        assert canonical(vec_mon.report()) \
+            == canonical(event_mon.report()), (toggle, kwargs)

@@ -1,6 +1,7 @@
 """End-to-end cluster-simulator tests: determinism, accounting, EDF."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -292,6 +293,17 @@ class TestValidation:
             ClusterSimulator(registry, policy="warp")
         with pytest.raises(ClusterError):
             ClusterSimulator(registry, batch_timeout_ms=-1.0)
+        # Non-finite values fail no ordered guard by themselves.
+        for bad in ({"batch_timeout_ms": math.nan},
+                    {"batch_timeout_ms": math.inf},
+                    {"energy_budget_mw": math.nan},
+                    {"energy_budget_mw": math.inf},
+                    {"budget_window_ms": math.nan},
+                    {"budget_window_ms": math.inf},
+                    {"standby_timeout_ms": math.nan},
+                    {"standby_timeout_ms": math.inf}):
+            with pytest.raises(ClusterError, match="finite"):
+                ClusterSimulator(registry, **bad)
 
 
 def test_smoke_target():

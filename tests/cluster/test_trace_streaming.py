@@ -2,6 +2,7 @@
 ``--gen-trace`` / ``--oracle`` driver plumbing."""
 
 import json
+import math
 import types
 
 import numpy as np
@@ -120,6 +121,14 @@ class TestDiurnalGenerator:
             generate_diurnal_trace(0)
         with pytest.raises(ClusterError, match="amplitude"):
             generate_diurnal_trace(10, diurnal_amplitude=1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ClusterError, match="mean_interarrival_ms"):
+                generate_diurnal_trace(10, mean_interarrival_ms=bad)
+        with pytest.raises(ClusterError, match="n_sentences"):
+            generate_diurnal_trace(10, n_sentences=0)
+        for empty in ({"tasks": ()}, {"targets_ms": ()}):
+            with pytest.raises(ClusterError, match="non-empty"):
+                generate_diurnal_trace(10, **empty)
 
 
 class TestDriver:

@@ -1,5 +1,7 @@
 """EnergyBudget unit tests: rolling window, relief times, stats."""
 
+import math
+
 import pytest
 
 from repro.energy import EnergyBudget
@@ -192,6 +194,10 @@ class TestValidation:
             EnergyBudget(0.0)
         with pytest.raises(EnergyError):
             EnergyBudget(10.0, window_ms=0.0)
+        for power_mw, window_ms in ((math.nan, 100.0), (math.inf, 100.0),
+                                    (100.0, math.nan), (100.0, math.inf)):
+            with pytest.raises(EnergyError, match="finite"):
+                EnergyBudget(power_mw, window_ms)
 
     def test_negative_commit_raises(self):
         with pytest.raises(EnergyError):

@@ -1,6 +1,7 @@
 """EnergyGovernor placement tests: determinism, scoring, feasibility."""
 
 import json
+import math
 
 import pytest
 
@@ -37,6 +38,10 @@ class TestFactory:
     def test_negative_slack_raises(self):
         with pytest.raises(EnergyError):
             EnergyGovernor(slack_ms=-1.0)
+        # A NaN slack would make every placement infeasible.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(EnergyError, match="finite"):
+                EnergyGovernor(slack_ms=bad)
 
 
 class TestDeterminism:

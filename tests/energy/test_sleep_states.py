@@ -1,5 +1,7 @@
 """Device sleep states: idle-timeout standby, wake pricing, cluster use."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterSimulator
@@ -26,6 +28,9 @@ class TestStandbyAccrual:
     def test_validation(self):
         with pytest.raises(EnergyError):
             DeviceEnergyModel(standby_timeout_ms=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(EnergyError, match="finite"):
+                DeviceEnergyModel(standby_timeout_ms=bad)
 
     def test_no_timeout_parks_forever(self):
         model = parked_at_nominal(DeviceEnergyModel())

@@ -1,5 +1,7 @@
 """Autoscaler tests: park/wake decisions, energy charging, liveness."""
 
+import math
+
 import pytest
 
 from repro.config import GLUE_TASKS, HwConfig
@@ -26,6 +28,9 @@ class TestValidation:
     def test_bad_parameters_raise(self):
         with pytest.raises(FleetError):
             FleetAutoscaler(interval_ms=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(FleetError, match="finite"):
+                FleetAutoscaler(interval_ms=bad)
         with pytest.raises(FleetError):
             FleetAutoscaler(low_utilization=0.9, high_utilization=0.5)
         with pytest.raises(FleetError):

@@ -2,6 +2,7 @@
 energy reconciliation, conservation."""
 
 import json
+import math
 
 import pytest
 
@@ -146,6 +147,9 @@ class TestValidation:
     def test_negative_rtt_raises(self):
         with pytest.raises(FleetError):
             SiteConfig(site_id="x", rtt_ms=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(FleetError, match="finite"):
+                SiteConfig(site_id="x", rtt_ms=bad)
 
     def test_site_affinity_routes_to_the_pinned_site(self, registry):
         pinned = [Request(request_id=i, task=GLUE_TASKS[0], sentence=i,
