@@ -31,7 +31,9 @@ Two pricing paths produce those bars:
   :func:`lai_exit_columns`: the layer-1 exit, LUT prediction and bounded
   exit never read the latency target, so the deadline-budget path
   (:meth:`LatencyAwareEngine.price_deadline`) prices columns a profile
-  derived once and each batch merely gathers;
+  derived once and each batch merely gathers, and a one-member batch
+  picks its row from per-rail-code columns
+  (:func:`lai_singleton_columns`) without planning;
 * the original **scalar reference path** (``vectorized=False`` or the
   ``run_*`` methods), kept as the oracle the batch kernels are tested
   against to 1e-9.
@@ -45,6 +47,7 @@ import numpy as np
 
 from repro.config import HwConfig
 from repro.dvfs import DeadlineBudget, DvfsController
+from repro.dvfs.deadline import DEADLINE_TOL_NS
 from repro.earlyexit.algorithms import bounded_exit_layers
 from repro.earlyexit.predictor import true_exit_layers
 from repro.errors import PipelineError
@@ -246,6 +249,44 @@ def lai_exit_columns(tables, entropies, lut, entropy_threshold,
     return columns
 
 
+def lai_singleton_columns(tables, dvfs, columns):
+    """Per-rail-code deadline pricing of each sentence as a lone batch.
+
+    ``columns`` are a whole profile's :func:`lai_exit_columns` with
+    ``taken`` and the planner's inputs. Each (N, R+1) column holds code
+    ``c`` in column ``c``: ``time_ns``, the planner's predicted time of
+    the shared level on ``c`` (a sentence with no post-front work holds
+    the nominal rail); ``deadline_ns``/``deadline_pj``, the deadline row
+    with its layers on ``c``; ``per_sentence_ns``/``per_sentence_pj``,
+    the per-sentence fallback row planned at ``c``, whose front energy
+    and LDO charge differ. Built with the kernels' own elementwise
+    formulas, so each entry is the kernel's float for that sentence and
+    code; :func:`price_singleton_deadline` picks from them.
+    """
+    codes = np.arange(tables.rail_layer_time_ns.size)
+    moves = dvfs.rail_move_ns[0, codes]
+    remaining = columns["remaining"]
+    wake = (remaining <= 0)[:, None]
+    scaled = (columns["exit_layer"] - 1)[:, None]
+    deadline_ns, deadline_pj = _deadline_rows(tables, scaled, codes, 0,
+                                              moves, moves > 0)
+    per_ns, per_pj = _per_sentence_rows(
+        tables, dvfs, columns["exit1"][:, None], scaled, codes)
+    return {
+        "time_ns": (tables.rail_front_time_ns[0]
+                    + np.where(wake, moves[0], moves) + columns["layer_ns"]),
+        "deadline_ns": deadline_ns,
+        "deadline_pj": deadline_pj,
+        "per_sentence_ns": per_ns,
+        "per_sentence_pj": per_pj,
+        "predicted_layer": np.where(columns["exit1"], 1,
+                                    columns["predicted"]),
+        "exit_layer": columns["exit_layer"],
+        "taken": columns["taken"],
+        "remaining": remaining,
+    }
+
+
 def price_latency_aware_batch(tables, dvfs, entropies, lut,
                               entropy_threshold, target_ms):
     """Vectorized Algorithm 2 over all N sentences at once.
@@ -274,36 +315,62 @@ def price_latency_aware_columns(tables, dvfs, columns, target_ms):
     predicted = columns["predicted"]
     target_ns = target_ms * 1e6
 
-    front_time = tables.embed_time_ns + tables.layer_time_ns
-    front_energy = (tables.embed_energy_pj + tables.embedding_read_pj
-                    + tables.layer_energy_pj)
     remaining = (predicted - 1) * tables.layer_cycles
-    plan = dvfs.plan_batch(remaining, target_ns, front_time)
-    rail = plan.rail_codes
-    transition = dvfs.rail_move_ns[0, rail]
-    scaled_time = tables.rail_layer_time_ns[rail]
-    scaled_energy = tables.rail_layer_energy_pj[rail]
-
-    # Layers 2..exit run at the planned point.
-    scaled_layers = columns["exit_layer"] - 1
-    elapsed = front_time + transition + scaled_layers * scaled_time
-    energy = (front_energy + scaled_layers * scaled_energy
-              + tables.rail_overhead_pj[rail])
-    met = (elapsed <= target_ns + 1e-6) & plan.meets_target
-
+    plan = dvfs.plan_batch(remaining, target_ns, _front_time_ns(tables))
+    elapsed, energy = _per_sentence_rows(
+        tables, dvfs, exit1, columns["exit_layer"] - 1, plan.rail_codes)
     # Sentences whose layer-1 entropy already cleared the threshold never
     # consult the predictor or the DVFS controller; they still miss an
     # infeasible target (the front end ran at nominal V/F regardless).
-    front_met = front_time <= target_ns + 1e-6
+    met = (elapsed <= target_ns + 1e-6) & (exit1 | plan.meets_target)
     return {
         "exit_layer": columns["exit_layer"],
         "predicted_layer": np.where(exit1, 1, predicted),
-        "latency_ms": np.where(exit1, front_time, elapsed) * 1e-6,
-        "energy_mj": np.where(exit1, front_energy, energy) * 1e-9,
+        "latency_ms": elapsed * 1e-6,
+        "energy_mj": energy * 1e-9,
         "vdd": np.where(exit1, tables.nominal_vdd, plan.vdd),
         "freq_ghz": np.where(exit1, tables.nominal_freq_ghz, plan.freq_ghz),
-        "met_target": np.where(exit1, front_met, met),
+        "met_target": met,
     }
+
+
+def _front_time_ns(tables):
+    """Embedding stage + encoder layer 1 at nominal V/F."""
+    return tables.embed_time_ns + tables.layer_time_ns
+
+
+def _per_sentence_rows(tables, dvfs, exit1, scaled_layers, rail):
+    """Per-sentence ``lai`` (elapsed ns, energy pJ) on rail codes ``rail``.
+
+    The nominal front end, one rail move down, the ``scaled_layers`` on
+    ``rail`` and the move's LDO overhead; layer-1 exits pay the front
+    end only. Elementwise, so arguments broadcast.
+    """
+    front_time = _front_time_ns(tables)
+    front_energy = (tables.embed_energy_pj + tables.embedding_read_pj
+                    + tables.layer_energy_pj)
+    elapsed = (front_time + dvfs.rail_move_ns[0, rail]
+               + scaled_layers * tables.rail_layer_time_ns[rail])
+    energy = (front_energy + scaled_layers * tables.rail_layer_energy_pj[rail]
+              + tables.rail_overhead_pj[rail])
+    return (np.where(exit1, front_time, elapsed),
+            np.where(exit1, front_energy, energy))
+
+
+def _deadline_rows(tables, scaled_layers, rail, front, transition,
+                   rail_changed):
+    """Deadline-plan (elapsed ns, energy pJ) of a rail schedule.
+
+    Fronts on code ``front``, the planner's ``transition``, then the
+    ``scaled_layers`` on ``rail``; LDO overhead only where the rail
+    changes. Elementwise, so arguments broadcast.
+    """
+    overhead = np.where(rail_changed, tables.rail_overhead_pj[rail], 0.0)
+    elapsed = (tables.rail_front_time_ns[front] + transition
+               + scaled_layers * tables.rail_layer_time_ns[rail])
+    energy = (tables.rail_front_energy_pj[front]
+              + scaled_layers * tables.rail_layer_energy_pj[rail] + overhead)
+    return elapsed, energy
 
 
 def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
@@ -323,37 +390,69 @@ def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
     deadline_ns = max(float(deadline_ms), 0.0) * 1e6
     plan = dvfs.plan_batch_deadline(
         columns["remaining"], DeadlineBudget(deadline_ns, target_ns),
-        tables.embed_time_ns + tables.layer_time_ns,
+        _front_time_ns(tables),
         rail_layer_ns=columns["layer_ns"],
         rail_front_ns=tables.rail_front_time_ns)
     if plan.fallback:
         return price_latency_aware_columns(tables, dvfs, columns,
                                            target_ms)
 
-    exit1 = columns["exit1"]
-    scaled_layers = columns["exit_layer"] - 1  # 0 for layer-1 exits
-    rail = plan.rail_codes
-    front = plan.front_codes
-    scaled_time = tables.rail_layer_time_ns[rail]
-    scaled_energy = tables.rail_layer_energy_pj[rail]
-    # One rail move per boundary where the schedule actually changes the
-    # point — a batch holding its rail pays no per-sentence LDO overhead.
-    overhead = np.where(plan.rail_changed, tables.rail_overhead_pj[rail],
-                        0.0)
-
-    elapsed = (tables.rail_front_time_ns[front] + plan.transition_ns
-               + scaled_layers * scaled_time)
-    energy = (tables.rail_front_energy_pj[front]
-              + scaled_layers * scaled_energy + overhead)
+    elapsed, energy = _deadline_rows(
+        tables, columns["exit_layer"] - 1,  # 0 for layer-1 exits
+        plan.rail_codes, plan.front_codes, plan.transition_ns,
+        plan.rail_changed)
     return {
         "exit_layer": columns["exit_layer"],
-        "predicted_layer": np.where(exit1, 1, columns["predicted"]),
+        "predicted_layer": np.where(columns["exit1"], 1,
+                                    columns["predicted"]),
         "latency_ms": elapsed * 1e-6,
         "energy_mj": energy * 1e-9,
         "vdd": plan.vdd,
         "freq_ghz": plan.freq_ghz,
         "met_target": plan.meets_target.copy(),
     }
+
+
+def price_singleton_deadline(tables, dvfs, singles, sentence, target_ms,
+                             deadline_ms):
+    """One sentence's deadline-budget row, picked from its columns.
+
+    The row :func:`price_latency_aware_deadline_columns` prices for a
+    one-member batch of ``sentence``, read from ``singles``
+    (:func:`lai_singleton_columns`): with ``b`` the controller's own
+    per-sentence row (:meth:`~repro.dvfs.DvfsController.plan_row`), the
+    first level code in ``1..b + 1`` whose time fits the budget, else
+    the per-sentence row. :mod:`repro.dvfs.deadline` shows why that is
+    the planner's answer for n = 1.
+    """
+    budget = DeadlineBudget(max(float(deadline_ms), 0.0) * 1e6,
+                            float(target_ms) * 1e6)
+    remaining = singles["remaining"].item(sentence)
+    row, meets, _ = dvfs.plan_row(remaining, budget.target_ns,
+                                  _front_time_ns(tables))
+    rail = row + 1
+    planned = False
+    if budget.deadline_ns > 0:
+        top = row if row >= 0 else len(dvfs.table) - 1
+        fits = (singles["time_ns"][sentence, 1:top + 2]
+                <= budget.deadline_ns + DEADLINE_TOL_NS)
+        level = int(fits.argmax())
+        if fits[level]:
+            # A sentence with no post-front work holds the nominal rail.
+            rail = level + 1 if remaining > 0 else 0
+            planned = True
+    kind = "deadline" if planned else "per_sentence"
+    elapsed = singles[kind + "_ns"].item(sentence, rail)
+    energy = singles[kind + "_pj"].item(sentence, rail)
+    return SentenceResult(
+        exit_layer=singles["exit_layer"].item(sentence),
+        predicted_layer=singles["predicted_layer"].item(sentence),
+        prediction=singles["taken"].item(sentence),
+        latency_ms=elapsed * 1e-6, energy_mj=energy * 1e-9,
+        vdd=dvfs.table.rail_voltages.item(rail),
+        freq_ghz=dvfs.table.rail_frequencies.item(rail),
+        met_target=planned or (elapsed <= budget.target_ns + 1e-6
+                               and meets))
 
 
 #: :class:`SentenceResult` fields in constructor order; all but
@@ -366,8 +465,9 @@ def results_from_arrays(priced, predictions, index=None):
 
     ``priced`` is a kernel's column dict and ``predictions`` the class
     taken at each sentence's exit layer. ``index`` picks the rows to box
-    (all of them when None). This is the only place pricing columns turn
-    into row objects: ``tolist`` hands back exactly the Python
+    (all of them when None). This is the only place kernel columns turn
+    into row objects (:func:`price_singleton_deadline` boxes its one
+    picked row with ``item``): ``tolist`` hands back exactly the Python
     int/float/bool an elementwise ``int()``/``float()``/``bool()`` would.
     """
     columns = [predictions if name == "prediction" else priced[name]
@@ -413,14 +513,16 @@ class LatencyAwareEngine:
             model_config, seq_len=self.seq_len,
             embedding_density=embedding_density)
 
+        # Each workload's PU/SFU activity is simulated once; every
+        # operating point the engine prices evaluates it (metrics_at).
+        self._layer_activity = self.accelerator.simulate_activity(
+            self.layer_workload, sparse_execution=sparse_execution)
+        self._embed_activity = self.accelerator.simulate_activity(
+            self.embed_workload, sparse_execution=sparse_execution)
         nominal_vdd, nominal_freq = self.dvfs.table.nominal_point()
         self._nominal = (nominal_vdd, nominal_freq)
-        self._layer_nominal = self.accelerator.layer_metrics(
-            self.layer_workload, vdd=nominal_vdd, freq_ghz=nominal_freq,
-            sparse_execution=sparse_execution)
-        self._embed_nominal = self.accelerator.layer_metrics(
-            self.embed_workload, vdd=nominal_vdd, freq_ghz=nominal_freq,
-            sparse_execution=sparse_execution)
+        self._layer_nominal = self._layer_at(nominal_vdd, nominal_freq)
+        self._embed_nominal = self._embed_at(nominal_vdd, nominal_freq)
         self._pricing_tables = None
 
     # -- building blocks ---------------------------------------------------------
@@ -433,9 +535,12 @@ class LatencyAwareEngine:
         return self.reram.read_energy_pj(data, mask)
 
     def _layer_at(self, vdd, freq_ghz):
-        return self.accelerator.layer_metrics(
-            self.layer_workload, vdd=vdd, freq_ghz=freq_ghz,
-            sparse_execution=self.sparse_execution)
+        return self.accelerator.metrics_at(self._layer_activity, vdd=vdd,
+                                           freq_ghz=freq_ghz)
+
+    def _embed_at(self, vdd, freq_ghz):
+        return self.accelerator.metrics_at(self._embed_activity, vdd=vdd,
+                                           freq_ghz=freq_ghz)
 
     @property
     def layer_cycles(self):
@@ -459,16 +564,15 @@ class LatencyAwareEngine:
         """Precomputed :class:`PricingTables` for the batch kernels.
 
         Built lazily on first vectorized call: one
-        :meth:`~repro.hw.accelerator.AcceleratorModel.layer_metrics`
-        evaluation per V/F-table row (≈13 rows) replaces the per-sentence
-        evaluation of the scalar path.
+        :meth:`~repro.hw.accelerator.AcceleratorModel.metrics_at`
+        evaluation of each workload's activity (simulated once, at
+        construction) per V/F-table row (≈13 rows) replaces the
+        per-sentence evaluation of the scalar path.
         """
         if self._pricing_tables is None:
             # Rail code 0 is the nominal point, code i + 1 table row i.
             points = [(self._layer_nominal, self._embed_nominal)] + [
-                (self._layer_at(vdd, freq), self.accelerator.layer_metrics(
-                    self.embed_workload, vdd=vdd, freq_ghz=freq,
-                    sparse_execution=self.sparse_execution))
+                (self._layer_at(vdd, freq), self._embed_at(vdd, freq))
                 for vdd, freq in self.dvfs.table.rows()]
             layer_energy = np.array([layer.energy_pj
                                      for layer, _ in points])
@@ -651,6 +755,17 @@ class LatencyAwareEngine:
             self.pricing_tables(), self.dvfs, columns, target_ms,
             deadline_ms)
         return self._report(priced, columns["taken"])
+
+    def price_deadline_alone(self, singles, sentence, target_ms,
+                             deadline_ms):
+        """:meth:`price_deadline` of a one-member batch, without planning.
+
+        ``singles`` are the profile's :func:`lai_singleton_columns`;
+        returns the :class:`EngineReport` of the one picked row.
+        """
+        return EngineReport([price_singleton_deadline(
+            self.pricing_tables(), self.dvfs, singles, sentence, target_ms,
+            deadline_ms)])
 
     def price_columns(self, mode, layer_logits, entropies, lut=None,
                       entropy_threshold=None, target_ms=None):

@@ -14,7 +14,15 @@ the serving/cluster/energy smoke-gate pattern:
   the V/F table;
 * **the headline claim** — a relaxed batch prices strictly fewer joules
   under the deadline plan than per-sentence, at zero violations;
-* **determinism** — the deadline kernel replays bit-for-bit.
+* **determinism** — the deadline kernel replays bit-for-bit;
+* **one-member batches** — every sentence priced alone by
+  :func:`repro.serving.price_batch` (a pick over the profile's
+  per-rail-code columns) equals
+  :meth:`~repro.core.LatencyAwareEngine.price_deadline` on its gathered
+  exit columns, field and type, at zero, tight (0.99x its zero-slack
+  plan: the planner falls back), level-0 (the level-0 schedule's own
+  total) and relaxed (4x) budgets — on the profile and on a variant
+  with layer-1 exits.
 
 Exits non-zero on any regression; the cheap CI gate for the DVFS stack.
 """
@@ -22,6 +30,7 @@ Exits non-zero on any regression; the cheap CI gate for the DVFS stack.
 from __future__ import annotations
 
 import sys
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -31,10 +40,14 @@ from repro.core.engine import (
     price_latency_aware_batch,
     price_latency_aware_deadline_columns,
 )
-from repro.serving import synthetic_registry
+from repro.dvfs import DeadlineBudget
+from repro.serving import Batch, Request, price_batch, synthetic_registry
 from repro.smoke import check, cli_parser, run_cli
 
 RELAXED_MS = 50.0
+#: One-member budgets as multiples of the sentence's zero-slack plan.
+TIGHT_FACTOR = 0.99
+RELAXED_FACTOR = 4.0
 
 
 def run_smoke(n_sentences=24, seed=0, verbose=True):
@@ -106,17 +119,74 @@ def run_smoke(n_sentences=24, seed=0, verbose=True):
                              np.asarray(corner_lo[key])),
               "deadline pricing is not deterministic")
 
+    # The synthetic profile has no layer-1 exits; a variant whose
+    # threshold sends half its sentences out at layer 1 covers them.
+    regimes = _check_one_member_batches(profile)
+    exits = _check_one_member_batches(replace(
+        profile, entropy_threshold=float(np.median(profile.entropies[0]))))
+    for key in regimes:
+        regimes[key] += exits[key]
+
     summary = {
         "sentences": n_sentences,
         "per_sentence_mj": per_total_mj,
         "deadline_relaxed_mj": floor_mj,
         "saving_pct": 100.0 * (1.0 - floor_mj / per_total_mj),
+        "one_member_rows": sum(regimes.values()),
     }
     if verbose:
         print(f"per-sentence: {per_total_mj:.6f} mJ | deadline "
               f"(relaxed): {floor_mj:.6f} mJ | saving "
-              f"{summary['saving_pct']:.1f}%")
+              f"{summary['saving_pct']:.1f}% | one-member rows: "
+              f"{regimes['planned']} planned, {regimes['fallback']} "
+              "fallback, all equal to the planner's")
     return summary
+
+
+def _check_one_member_batches(profile):
+    """Hold every one-member batch's row to the array planner's.
+
+    Returns how many checked rows the planner priced from a plan and
+    how many from its per-sentence fallback; both must occur.
+    """
+    engine = profile.engine
+    tables = engine.pricing_tables()
+    gathered = profile.deadline_columns()
+    regimes = {"planned": 0, "fallback": 0}
+    for sentence in range(profile.num_sentences):
+        columns = {name: column[[sentence]]
+                   for name, column in gathered.items()}
+
+        def plan(deadline_ms):
+            return engine.dvfs.plan_batch_deadline(
+                columns["remaining"],
+                DeadlineBudget.from_ms(deadline_ms, RELAXED_MS),
+                tables.embed_time_ns + tables.layer_time_ns,
+                rail_layer_ns=columns["layer_ns"],
+                rail_front_ns=tables.rail_front_time_ns)
+
+        planned_ms = plan(0.0).planned_ns * 1e-6
+        batch = Batch(task=profile.task, target_ms=RELAXED_MS, requests=(
+            Request(request_id=0, task=profile.task, sentence=sentence,
+                    target_ms=RELAXED_MS),))
+        for deadline_ms in (0.0, TIGHT_FACTOR * planned_ms,
+                            plan(1e9).planned_ns * 1e-6,
+                            RELAXED_FACTOR * planned_ms):
+            got = price_batch(profile, batch, "lai",
+                              deadline_ms=deadline_ms).results
+            want = engine.price_deadline(columns, RELAXED_MS,
+                                         deadline_ms).results
+            check(len(got) == 1 and all(
+                type(a) is type(b) and a == b
+                for a, b in zip(astuple(got[0]), astuple(want[0]))),
+                f"one-member batch of sentence {sentence} at a "
+                f"{deadline_ms:.6f} ms budget priced {got} instead of "
+                f"the planner's {want}")
+            regimes["fallback" if plan(deadline_ms).fallback
+                    else "planned"] += 1
+    check(regimes["planned"] and regimes["fallback"],
+          f"one-member budgets missed a regime: {regimes}")
+    return regimes
 
 
 def main(argv=None):

@@ -22,7 +22,6 @@ from repro.config import DvfsConfig
 from repro.dvfs.adpll import AdpllModel
 from repro.dvfs.ldo import LdoModel, VoltageTrace
 from repro.dvfs.vf_table import VoltageFrequencyTable
-from repro.errors import DvfsError
 
 
 @dataclass(frozen=True)
@@ -121,20 +120,32 @@ class DvfsController:
         falls back to the nominal point and flags ``meets_target=False`` —
         the paper's remedy for such targets is a larger MAC vector size.
         """
-        nominal_vdd, nominal_freq = self.table.nominal_point()
-        slack_ns = target_ns - elapsed_ns
+        row, meets, request = self.plan_row(remaining_cycles, target_ns,
+                                            elapsed_ns)
+        code = row + 1
+        return OperatingPoint(float(self.table.rail_voltages[code]),
+                              float(self.table.rail_frequencies[code]),
+                              meets, request)
+
+    def plan_row(self, remaining_cycles, target_ns, elapsed_ns):
+        """:meth:`plan`'s decision for one sentence, as a table row.
+
+        Returns ``(row, meets_target, requested_freq_ghz)``: ``row`` is
+        the V/F-table row backing the decision, or −1 where the
+        controller falls back to the nominal point (no remaining work,
+        blown budget, or infeasible request) — :class:`BatchPlan`'s
+        ``table_index`` encoding, so ``row + 1`` is the rail code.
+        """
         if remaining_cycles <= 0:
-            return OperatingPoint(nominal_vdd, nominal_freq, True, 0.0)
+            return -1, True, 0.0
+        slack_ns = target_ns - elapsed_ns
         if slack_ns <= 0:
-            return OperatingPoint(nominal_vdd, nominal_freq, False,
-                                  float("inf"))
+            return -1, False, float("inf")
         freq_request = remaining_cycles / slack_ns  # cycles per ns = GHz
-        try:
-            vdd, freq = self.table.lowest_voltage_for(freq_request)
-        except DvfsError:
-            return OperatingPoint(nominal_vdd, nominal_freq, False,
-                                  freq_request)
-        return OperatingPoint(vdd, freq, True, freq_request)
+        row = int(self.table.row_index_for(freq_request))
+        if row < len(self.table):
+            return row, True, freq_request
+        return -1, False, freq_request
 
     def plan_batch(self, remaining_cycles, target_ns, elapsed_ns):
         """Vectorized :meth:`plan` over arrays of sentences.

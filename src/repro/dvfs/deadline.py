@@ -61,6 +61,15 @@ its exit columns and the rail-coded front-end times of
 deadline" and "the priced batch meets the deadline" are the same
 statement: actual exits only come earlier than the predicted layers the
 plan budgeted for.
+
+For a one-member batch the planner reduces to a table pick
+(:func:`repro.core.engine.price_singleton_deadline`). Level ``l`` runs
+the sentence on code ``min(b, l) + 1`` (``b`` its per-sentence row, the
+top row for a nominal fallback), and a one-element sum is the element.
+The prefix sweep needs two sentences; the decoupled sweep's one front
+is at nominal and ``rail_move_ns[0, 0] == 0``, so it repeats the
+level-``b`` candidate. The plan is the first code in ``1..b + 1`` whose
+time fits, else the per-sentence fallback.
 """
 
 from __future__ import annotations

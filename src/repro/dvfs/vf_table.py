@@ -110,27 +110,28 @@ class VoltageFrequencyTable:
         Returns ``(vdd, f_max)``; raises :class:`DvfsError` if the request
         exceeds the table's top frequency.
         """
-        feasible = self.frequencies >= freq_ghz - 1e-12
-        if not feasible.any():
+        idx = int(self.row_index_for(freq_ghz))
+        if idx >= len(self):
             raise DvfsError(
                 f"requested {freq_ghz:.3f} GHz exceeds f_max "
                 f"{self.frequencies[-1]:.3f} GHz at vdd_max"
             )
-        idx = int(np.argmax(feasible))
         return float(self.voltages[idx]), float(self.frequencies[idx])
 
     def row_index_for(self, freq_ghz):
-        """Vectorized row lookup: index of the lowest feasible voltage.
+        """Row lookup: index of the lowest feasible voltage.
 
-        ``freq_ghz`` is an array of frequency requests; the result holds,
-        per request, the index of the first table row whose f_max meets it
-        (the same row :meth:`lowest_voltage_for` returns), or ``len(self)``
-        where the request exceeds f_max at vdd_max (infeasible).
+        ``freq_ghz`` is one frequency request (a float) or an array of
+        them; the result holds, per request, the index of the first
+        table row whose f_max meets it (the row
+        :meth:`lowest_voltage_for` returns), or ``len(self)`` where the
+        request exceeds f_max at vdd_max (infeasible). The one home of
+        the row rule: the controller's scalar and batch planners both
+        call it.
         """
-        req = np.asarray(freq_ghz, dtype=np.float64)
         # frequencies are strictly increasing in vdd, so the first feasible
         # row is a sorted insertion point.
-        return np.searchsorted(self.frequencies, req - 1e-12, side="left")
+        return self.frequencies.searchsorted(freq_ghz - 1e-12, side="left")
 
     def nominal_point(self):
         """(vdd_nominal, freq at nominal) — where every sentence starts."""

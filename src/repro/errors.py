@@ -74,5 +74,9 @@ class FleetError(ReproError):
     inconsistently."""
 
 
+class SiteConfigError(FleetError, ClusterError):
+    """A fleet site's configuration failed its simulator's checks."""
+
+
 class TelemetryError(ReproError):
     """The tracing/metrics layer was configured or driven inconsistently."""

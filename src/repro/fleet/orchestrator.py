@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.events import EventLoop
-from repro.errors import FleetError
+from repro.errors import ClusterError, FleetError, SiteConfigError
 from repro.fleet.autoscaler import FleetAutoscaler
 from repro.fleet.report import FleetRecord, FleetReport
 from repro.fleet.router import make_routing_policy
@@ -93,6 +93,18 @@ class FleetOrchestrator:
             self.routing.health_of = monitor.health
             if self.autoscaler is not None:
                 self.autoscaler.health_of = monitor.health
+        # Built once, so each site's simulator checks its configuration
+        # at construction; run() restarts the same sites.
+        self._sites = [self._build_site(config)
+                       for config in self.site_configs]
+
+    def _build_site(self, config):
+        try:
+            return FleetSite(config, self.registry, tracer=self.tracer,
+                             metrics=self.metrics, monitor=self.monitor)
+        except ClusterError as exc:
+            raise SiteConfigError(
+                f"site {config.site_id!r}: {exc}") from exc
 
     # -- public API --------------------------------------------------------------
 
@@ -112,11 +124,8 @@ class FleetOrchestrator:
         self.routing.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        self._sites = [FleetSite(config, self.registry,
-                                 tracer=self.tracer,
-                                 metrics=self.metrics,
-                                 monitor=self.monitor).start()
-                       for config in self.site_configs]
+        for site in self._sites:
+            site.start()
         self._loop = EventLoop()
         self._loop.on(RouteRequest, self._on_route)
         self._loop.on(AutoscaleTick, self._on_tick)

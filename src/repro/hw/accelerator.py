@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from repro.config import HwConfig
 from repro.dvfs import AdpllModel
 from repro.errors import HardwareError
-from repro.hw.pu import ProcessingUnit
-from repro.hw.sfu import SpecialFunctionUnit
+from repro.hw.pu import ProcessingUnit, PuMetrics
+from repro.hw.sfu import SfuMetrics, SpecialFunctionUnit
 from repro.hw.tech import TechnologyParams
 
 #: Per-cycle clock-tree energy (pJ) per block at n=16, calibrated so that
@@ -70,6 +70,14 @@ class LayerMetrics:
     @property
     def time_ms(self):
         return self.time_ns * 1e-6
+
+
+@dataclass(frozen=True)
+class LayerActivity:
+    """One workload's PU/SFU simulation, independent of the V/F point."""
+
+    pu: PuMetrics
+    sfu: SfuMetrics
 
 
 class AcceleratorModel:
@@ -128,14 +136,32 @@ class AcceleratorModel:
     def layer_metrics(self, workload, vdd=None, freq_ghz=None,
                       sparse_execution=True):
         """Simulate one layer's workload at an operating point."""
+        return self.metrics_at(
+            self.simulate_activity(workload,
+                                   sparse_execution=sparse_execution),
+            vdd=vdd, freq_ghz=freq_ghz)
+
+    def simulate_activity(self, workload, sparse_execution=True):
+        """The PU and SFU activity of one layer's workload.
+
+        Cycle counts and nominal-voltage datapath energies: neither reads
+        the operating point, so a caller pricing one workload at many
+        V/F points simulates it once and evaluates each point with
+        :meth:`metrics_at`.
+        """
+        return LayerActivity(
+            pu=self.pu.simulate(workload.matmuls,
+                                sparse_execution=sparse_execution),
+            sfu=self.sfu.simulate(workload.sfu_ops))
+
+    def metrics_at(self, activity, vdd=None, freq_ghz=None):
+        """:class:`LayerMetrics` of simulated ``activity`` at (vdd, f)."""
         vdd = vdd if vdd is not None else self.hw_config.dvfs.vdd_nominal
         freq_ghz = freq_ghz if freq_ghz is not None \
             else self.hw_config.dvfs.freq_max_ghz
         if freq_ghz <= 0:
             raise HardwareError("frequency must be positive")
-        pu = self.pu.simulate(workload.matmuls,
-                              sparse_execution=sparse_execution)
-        sfu = self.sfu.simulate(workload.sfu_ops)
+        pu, sfu = activity.pu, activity.sfu
         cycles = pu.cycles + sfu.cycles
         time_ns = cycles / freq_ghz
         v2 = self._voltage_scale(vdd)

@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import LatencyAwareEngine, lai_exit_columns
+from repro.core.engine import (
+    LatencyAwareEngine,
+    lai_exit_columns,
+    lai_singleton_columns,
+)
 from repro.envm import MLC2, EnvmEmbeddingStore
 from repro.errors import ServingError
 from repro.hw.dram import Lpddr4Model
@@ -41,7 +45,14 @@ def encoder_weight_bytes(model_config, weight_density=1.0):
 
 @dataclass
 class TaskProfile:
-    """Everything the server needs to price one task's traffic."""
+    """Everything the server needs to price one task's traffic.
+
+    Deadline-budget batches of two or more members gather
+    :meth:`deadline_columns` and water-fill; a one-member batch shares
+    its budget with nobody, so its plan depends only on (sentence,
+    hardware, target, budget) and is one pick over
+    :meth:`singleton_columns`.
+    """
 
     task: str
     engine: LatencyAwareEngine
@@ -52,6 +63,8 @@ class TaskProfile:
     labels: np.ndarray | None = None
     weight_bytes: float | None = None
     _deadline_columns: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _singleton_columns: dict | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,6 +113,22 @@ class TaskProfile:
                 column.flags.writeable = False
             self._deadline_columns = columns
         return self._deadline_columns
+
+    def singleton_columns(self):
+        """(sentence x rail code) one-member pricing columns, built once.
+
+        :func:`~repro.core.engine.lai_singleton_columns` as read-only
+        arrays; no entry reads a target or a budget. Kept apart from
+        :meth:`deadline_columns`, which larger batches gather.
+        """
+        if self._singleton_columns is None:
+            columns = lai_singleton_columns(
+                self.engine.pricing_tables(), self.engine.dvfs,
+                self.deadline_columns())
+            for column in columns.values():
+                column.flags.writeable = False
+            self._singleton_columns = columns
+        return self._singleton_columns
 
     def for_hw(self, hw_config):
         """This task's profile re-priced on different hardware.

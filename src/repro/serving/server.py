@@ -93,19 +93,27 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
     batch's sequential compute is planned to fit the budget
     (:func:`batch_deadline_ms` derives it from the members'
     ``Request.deadline_ms``), with per-sentence planning as the
-    zero-slack fallback. That path gathers the members' rows of the
-    profile's exit columns
-    (:meth:`~repro.serving.TaskProfile.deadline_columns`, built once per
-    profile) and prices them with one
-    :meth:`~repro.core.LatencyAwareEngine.price_deadline` call — no
-    sentence's exit is derived again.
+    zero-slack fallback. No sentence's exit is derived again: a batch of
+    two or more gathers its members' rows of the profile's exit columns
+    (:meth:`~repro.serving.TaskProfile.deadline_columns`) for one
+    :meth:`~repro.core.LatencyAwareEngine.price_deadline` call. A
+    one-member batch has no co-member to share slack with, so it is one
+    pick over the profile's per-rail-code columns and one boxed row, at
+    every budget
+    (:meth:`~repro.core.LatencyAwareEngine.price_deadline_alone`).
     """
-    idx = batch.sentence_indices
     if mode == "lai" and deadline_ms is not None and vectorized:
+        deadline_ms = max(float(deadline_ms), 0.0)
+        if len(batch.requests) == 1:
+            return profile.engine.price_deadline_alone(
+                profile.singleton_columns(), batch.requests[0].sentence,
+                batch.target_ms, deadline_ms)
+        idx = batch.sentence_indices
         columns = profile.deadline_columns()
         return profile.engine.price_deadline(
             {name: column[idx] for name, column in columns.items()},
-            batch.target_ms, max(float(deadline_ms), 0.0))
+            batch.target_ms, deadline_ms)
+    idx = batch.sentence_indices
     logits = profile.logits[:, idx]
     entropies = profile.entropies[:, idx]
     if mode == "lai":

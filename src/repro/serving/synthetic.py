@@ -11,6 +11,7 @@ FP8 embedding table, and a mixed-task Poisson-ish arrival trace.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -117,6 +118,9 @@ def synthetic_traffic(registry, num_requests, targets_ms=(50.0, 75.0, 100.0),
     """
     if num_requests <= 0:
         raise ServingError("num_requests must be positive")
+    # NaN and infinity fail the chained bound.
+    if not 0 <= mean_interarrival_ms < math.inf:
+        raise ServingError("mean_interarrival_ms must be finite and >= 0")
     tasks = registry.tasks
     if not tasks:
         raise ServingError("registry has no tasks")

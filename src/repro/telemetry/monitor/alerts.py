@@ -23,6 +23,7 @@ their own lanes next to the traced run).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import TelemetryError
@@ -155,6 +156,13 @@ class Incident:
                 f"malformed incident row {row!r}: {exc}")
 
 
+def check_join_gap(join_gap_ms):
+    """Reject a negative, NaN or infinite incident join gap."""
+    if not 0 <= join_gap_ms < math.inf:
+        raise TelemetryError(
+            f"join_gap_ms must be finite and >= 0, got {join_gap_ms}")
+
+
 def group_incidents(alerts, join_gap_ms=0.0, end_ms=None):
     """Fuse time-overlapping alerts per scope into incidents.
 
@@ -164,8 +172,7 @@ def group_incidents(alerts, join_gap_ms=0.0, end_ms=None):
     when no horizon is given). Deterministic: scopes in sorted order,
     members by (opened_ms, alert_id), incident ids dense from 0.
     """
-    if join_gap_ms < 0:
-        raise TelemetryError("join_gap_ms must be non-negative")
+    check_join_gap(join_gap_ms)
     by_scope = {}
     for alert in alerts:
         by_scope.setdefault(alert.scope, []).append(alert)

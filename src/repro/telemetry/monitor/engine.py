@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import TelemetryError
 from repro.telemetry.metrics import DEFAULT_BUCKETS_MS, estimate_quantile
 from repro.telemetry.monitor.alerts import (Alert, IncidentReport,
+                                            check_join_gap,
                                             group_incidents)
 from repro.telemetry.monitor.rules import (BurnRateRule,
                                            LatencyQuantileRule,
@@ -235,8 +236,7 @@ class TelemetryMonitor:
     """
 
     def __init__(self, rules=None, registry=None, join_gap_ms=10.0):
-        if join_gap_ms < 0:
-            raise TelemetryError("join_gap_ms must be non-negative")
+        check_join_gap(join_gap_ms)
         self.rules = default_rules() if rules is None else tuple(rules)
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):

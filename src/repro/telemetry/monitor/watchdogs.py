@@ -13,6 +13,7 @@ evidence (the throttle/swap/transition instants that tripped it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import TelemetryError
@@ -67,9 +68,11 @@ class QueueDepthRule:
     def __post_init__(self):
         severity_rank(self.severity)
         _positive("depth", self.depth)
-        if self.sustain_ms < 0:
+        # NaN and infinity fail the chained bound: either would build a
+        # rule that never fires.
+        if not 0 <= self.sustain_ms < math.inf:
             raise TelemetryError(
-                f"sustain_ms must be non-negative, got {self.sustain_ms}")
+                f"sustain_ms must be finite and >= 0, got {self.sustain_ms}")
 
     def matches(self, scope, task=None, slo_ms=None):
         return self.scope is None or self.scope == scope

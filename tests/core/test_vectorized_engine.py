@@ -6,6 +6,8 @@ three modes — including the sparse/adaptive-span engine variant and the
 DVFS corner cases (blown budgets, infeasible requests, layer-1 exits).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,10 @@ class TestBatchPlan:
         for i in range(200):
             assert plan.point(i) == dvfs.plan(remaining[i], target_ns,
                                               elapsed[i])
+            # The scalar decision as a table row (-1 = nominal).
+            assert dvfs.plan_row(float(remaining[i]), target_ns,
+                                 float(elapsed[i]))[:2] \
+                == (plan.table_index[i], plan.meets_target[i])
 
     def test_table_index_points_at_planned_row(self):
         dvfs = DvfsController()
@@ -171,6 +177,71 @@ class TestBatchPlan:
         for i in range(vdd.size):
             assert batch[i] == pytest.approx(dvfs.transition_overhead_ns(
                 nominal_vdd, vdd[i], nominal_freq, freq[i]), abs=1e-12)
+
+
+def tables_from_layer_metrics(engine):
+    """:class:`PricingTables` fields built from one layer_metrics call
+    (a fresh PU/SFU simulation) per workload and operating point."""
+    table = engine.dvfs.table
+    points = [table.nominal_point()] + table.rows()
+
+    def at(workload):
+        return [engine.accelerator.layer_metrics(
+            workload, vdd=vdd, freq_ghz=freq,
+            sparse_execution=engine.sparse_execution)
+            for vdd, freq in points]
+
+    layer, embed = at(engine.layer_workload), at(engine.embed_workload)
+    layer_energy = np.array([m.energy_pj for m in layer])
+    read = engine._embedding_read_energy_pj()
+    return {
+        "num_layers": CONFIG.num_layers,
+        "nominal_vdd": points[0][0],
+        "nominal_freq_ghz": points[0][1],
+        "embed_time_ns": embed[0].time_ns,
+        "embed_energy_pj": embed[0].energy_pj,
+        "embedding_read_pj": read,
+        "layer_time_ns": layer[0].time_ns,
+        "layer_energy_pj": layer[0].energy_pj,
+        "layer_cycles": layer[0].cycles,
+        "rail_layer_time_ns": np.array([m.time_ns for m in layer]),
+        "rail_layer_energy_pj": layer_energy,
+        "rail_overhead_pj": engine.dvfs.ldo.overhead_energy_pj(
+            layer_energy * 0.02, table.rail_voltages),
+        "rail_front_time_ns": np.array(
+            [e.time_ns + m.time_ns for m, e in zip(layer, embed)]),
+        "rail_front_energy_pj": np.array(
+            [e.energy_pj + m.energy_pj for m, e in zip(layer, embed)])
+        + read,
+    }
+
+
+class TestPricingTables:
+    @pytest.mark.parametrize("mac", [8, 16, 32])
+    def test_one_simulation_per_workload(self, monkeypatch, mac):
+        from repro.hw.pu import ProcessingUnit
+
+        calls = []
+        simulate = ProcessingUnit.simulate
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessingUnit, "simulate", counting)
+        engine = LatencyAwareEngine(CONFIG, HwConfig(mac_vector_size=mac),
+                                    spans=MNLI_SPANS, use_adaptive_span=True,
+                                    sparse_execution=True)
+        tables = engine.pricing_tables()
+        # Layer and embedding workloads, each simulated once, for the
+        # nominal point and every V/F row.
+        assert len(calls) <= 2
+        monkeypatch.undo()
+
+        want = tables_from_layer_metrics(engine)
+        for field in dataclasses.fields(tables):
+            got = getattr(tables, field.name)
+            assert np.array_equal(got, want[field.name]), field.name
 
 
 class TestBoundedExitLayers:

@@ -1,6 +1,7 @@
 """Fleet determinism and accounting: bit-identical replays, RTT math,
 energy reconciliation, conservation."""
 
+import dataclasses
 import json
 import math
 
@@ -150,6 +151,22 @@ class TestValidation:
         for bad in (math.nan, math.inf):
             with pytest.raises(FleetError, match="finite"):
                 SiteConfig(site_id="x", rtt_ms=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_timeout_ms", math.nan),
+        ("max_batch_size", 0),
+        ("energy_budget_mw", -1.0),
+        ("budget_window_ms", math.inf),
+        ("num_accelerators", 0),
+        ("policy", "bogus"),
+        ("mode", "bogus"),
+    ])
+    def test_bad_site_configuration_fails_at_construction(
+            self, registry, field, value):
+        config = dataclasses.replace(
+            SiteConfig("edge", num_accelerators=2), **{field: value})
+        with pytest.raises(FleetError, match="site 'edge'"):
+            FleetOrchestrator(registry, (site_configs()[0], config))
 
     def test_site_affinity_routes_to_the_pinned_site(self, registry):
         pinned = [Request(request_id=i, task=GLUE_TASKS[0], sentence=i,

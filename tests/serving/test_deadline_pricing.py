@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import repro.core.engine
+import repro.serving.registry as registry_module
 from repro.config import HwConfig
-from repro.dvfs import DeadlineBudget
-from repro.errors import ServingError
+from repro.dvfs import DeadlineBudget, DvfsController
+from repro.errors import DvfsError, ServingError
 from repro.serving import (
     Batch,
     Request,
@@ -253,3 +254,141 @@ class TestGatheredColumns:
         after = [price_batch(profile, batch, "lai", deadline_ms=d).results
                  for d in deadlines]
         assert after == before
+
+
+def lone(task, sentence, target_ms):
+    """A one-member batch of ``sentence``."""
+    return Batch(task=task, target_ms=target_ms, requests=(
+        Request(request_id=0, task=task, sentence=sentence,
+                target_ms=target_ms),))
+
+
+def lone_cases(profile):
+    """(sentence, target, budget) over every sentence of ``profile``.
+
+    Targets: one below the nominal front time (blown: the per-sentence
+    plan falls back to nominal), 2 ms and 60 ms. Budgets: a negative
+    one, then :func:`regime_deadlines` of the one-member batch (zero,
+    relaxed and a spread around its zero-slack plan).
+    """
+    tables = profile.engine.pricing_tables()
+    blown_ms = 0.5e-6 * (tables.embed_time_ns + tables.layer_time_ns)
+    for sentence in range(profile.num_sentences):
+        for target_ms in (blown_ms, 2.0, 60.0):
+            batch = lone(profile.task, sentence, target_ms)
+            deadlines = regime_deadlines(profile, batch)
+            for deadline_ms in [-1.0] + deadlines[:2] + deadlines[2::10]:
+                yield sentence, target_ms, batch, deadline_ms
+
+
+def with_layer1_exits(profile):
+    """``profile`` with half its sentences exiting at layer 1.
+
+    The synthetic profiles have none; a sentence with no post-front work
+    holds the nominal rail even when a slower level fits.
+    """
+    return dataclasses.replace(
+        profile, entropy_threshold=float(np.median(profile.entropies[0])))
+
+
+class TestOneMemberBatches:
+    """One-member deadline batches are a pick over per-profile columns."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_rows_equal_simulate_dataset(self, registry, task):
+        seen = set()
+        small = registry.profile_for(task, HwConfig(mac_vector_size=8))
+        for profile in (registry.profile(task), small,
+                        with_layer1_exits(small)):
+            columns = profile.deadline_columns()
+            for sentence, target_ms, batch, deadline_ms in lone_cases(
+                    profile):
+                got = price_batch(profile, batch, "lai",
+                                  deadline_ms=deadline_ms).results
+                idx = [sentence]
+                want = profile.engine.simulate_dataset(
+                    "lai", profile.logits[:, idx],
+                    profile.entropies[:, idx], lut=profile.lut,
+                    entropy_threshold=profile.entropy_threshold,
+                    target_ms=target_ms, deadline_ms=deadline_ms).results
+                assert len(got) == len(want) == 1
+                for field in dataclasses.fields(want[0]):
+                    a = getattr(got[0], field.name)
+                    b = getattr(want[0], field.name)
+                    assert type(a) is type(b) and a == b, (
+                        field.name, sentence, target_ms, deadline_ms)
+                kind = regime(profile, {name: column[idx]
+                                        for name, column in columns.items()},
+                              target_ms, max(deadline_ms, 0.0))
+                if columns["remaining"][sentence] <= 0 and kind in (
+                        "level-0", "slower-level"):
+                    kind = "layer-1 exit"
+                seen.add(kind)
+        # One sentence has no co-member to decouple a front from.
+        assert seen == {"zero", "fallback", "level-0", "slower-level",
+                        "layer-1 exit"}
+
+    def test_no_planner_runs(self, registry, monkeypatch):
+        profile = with_layer1_exits(
+            registry.profile_for("mnli", HwConfig(mac_vector_size=8)))
+        cases = list(lone_cases(profile))
+        before = [price_batch(profile, batch, "lai",
+                              deadline_ms=deadline_ms).results
+                  for _, _, batch, deadline_ms in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-member batch ran the planner")
+
+        monkeypatch.setattr(DvfsController, "plan_batch_deadline", forbidden)
+        monkeypatch.setattr(DvfsController, "plan_batch", forbidden)
+        after = [price_batch(profile, batch, "lai",
+                             deadline_ms=deadline_ms).results
+                 for _, _, batch, deadline_ms in cases]
+        assert after == before
+        assert all(len(rows) == 1 for rows in after)
+
+    def test_columns_built_once_per_profile(self, monkeypatch):
+        registry = synthetic_registry(TASKS, n=16, seed=2)
+        builds = []
+        build = registry_module.lai_singleton_columns
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(registry_module, "lai_singleton_columns",
+                            counting)
+        profile = registry.profile("sst2")
+        # Batches of two or more gather the exit columns only.
+        price_batch(profile, make_batch(n=2), "lai", deadline_ms=5.0)
+        price_batch(profile, make_batch(n=8), "lai", deadline_ms=0.0)
+        assert not builds
+        for sentence in range(profile.num_sentences):
+            for deadline_ms in (0.0, 5.0, 1e4):
+                price_batch(profile, lone("sst2", sentence, 60.0), "lai",
+                            deadline_ms=deadline_ms)
+        assert len(builds) == 1
+        columns = profile.singleton_columns()
+        assert profile.singleton_columns() is columns
+        for name, column in columns.items():
+            assert column.dtype in (np.float64, np.int64), name
+            assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            columns["deadline_ns"][0, 0] = 0.0
+        assert columns["time_ns"].shape == (
+            profile.num_sentences, len(profile.engine.dvfs.table) + 1)
+        variant = registry.profile_for("sst2", HwConfig(mac_vector_size=8))
+        price_batch(variant, lone("sst2", 0, 60.0), "lai", deadline_ms=5.0)
+        assert len(builds) == 2
+        assert variant.singleton_columns() is not columns
+
+    def test_non_finite_budget_or_target_raises(self, registry):
+        profile = registry.profile("sst2")
+        batch = lone("sst2", 0, 60.0)
+        for deadline_ms in (float("nan"), float("inf")):
+            with pytest.raises(DvfsError):
+                price_batch(profile, batch, "lai", deadline_ms=deadline_ms)
+        blown = Batch(task="sst2", target_ms=float("inf"),
+                      requests=batch.requests)
+        with pytest.raises(DvfsError):
+            price_batch(profile, blown, "lai", deadline_ms=5.0)

@@ -144,6 +144,14 @@ class TestServer:
         with pytest.raises(ServingError, match=message):
             Request(**fields)
 
+    @pytest.mark.parametrize("mean_interarrival_ms", [
+        -1.0, float("nan"), float("inf")])
+    def test_synthetic_traffic_rejects_bad_interarrival(
+            self, registry, mean_interarrival_ms):
+        with pytest.raises(ServingError, match="mean_interarrival_ms"):
+            synthetic_traffic(registry, 4,
+                              mean_interarrival_ms=mean_interarrival_ms)
+
     def test_run_empty_queue_raises(self, registry):
         with pytest.raises(ServingError):
             Server(registry).run()

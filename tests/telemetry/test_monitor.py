@@ -8,6 +8,7 @@ where deliberately hostile traffic fires the SLO rules.
 """
 
 import json
+import math
 
 import pytest
 
@@ -99,6 +100,10 @@ class TestRules:
           {"kind": "swap_thrash", "name": "x"}], "duplicate rule"),
         ("not json [", "not valid JSON"),
         ('{"rules": [{"kind": "queue_depth"}]}', "JSON array"),
+        ([{"kind": "queue_depth", "name": "x", "sustain_ms": math.nan}],
+         "sustain_ms must be finite"),
+        ([{"kind": "queue_depth", "name": "x", "sustain_ms": math.inf}],
+         "sustain_ms must be finite"),
     ])
     def test_parse_errors(self, rows, message):
         with pytest.raises(TelemetryError, match=message):
@@ -282,8 +287,12 @@ class TestIncidents:
         assert [i.scope for i in incidents] == ["edge-a", "edge-b"]
 
     def test_negative_gap_rejected(self):
-        with pytest.raises(TelemetryError):
-            group_incidents([], join_gap_ms=-1.0)
+        # NaN would silently keep every alert its own incident.
+        for gap in (-1.0, math.nan, math.inf):
+            with pytest.raises(TelemetryError, match="join_gap_ms"):
+                group_incidents([], join_gap_ms=gap)
+            with pytest.raises(TelemetryError, match="join_gap_ms"):
+                TelemetryMonitor(join_gap_ms=gap)
 
 
 class TestHealthAndReport:
