@@ -637,7 +637,9 @@ def run_vectorized(sim, requests):
         if deadline_aware and pending_batch.mode == "lai":
             # Deadline-budget pricing is batch-coupled (the plan spreads
             # the members' shared slack), so no table applies.
-            results = sim._price(pending_batch, accel, now)
+            results = sim._price(
+                pending_batch, accel, now,
+                sim._swap_for(pending_batch, accel, now)[0])
             latencies = [r.latency_ms for r in results]
             energies = [r.energy_mj for r in results]
         else:

@@ -655,38 +655,40 @@ class ClusterSimulator:
         cost = self.registry.switch_cost(resident, pending_batch.task)
         return cost.latency_ms, cost.energy_mj
 
-    def _deadline_budget_ms(self, pending_batch, accel, now_ms):
+    def _deadline_budget_ms(self, pending_batch, swap_ms, now_ms):
         """The slack the deadline planner gets for this placement.
 
         The batch's actual remaining budget at dispatch time: its
         earliest member's absolute deadline, minus the current instant
         (so window time and dispatcher queueing already spent come off
-        the top), minus the encoder swap this device would pay first —
-        floored to :data:`DEADLINE_SLACK_GRID_MS` and clamped at zero
-        (an already-late batch plans per-sentence). Returns None when
+        the top), minus ``swap_ms``, the encoder swap this device would
+        pay first (:meth:`_swap_for`) — floored to
+        :data:`DEADLINE_SLACK_GRID_MS` and clamped at zero (an
+        already-late batch plans per-sentence). Returns None when
         deadline-aware planning is off or the batch is not ``lai``-mode.
         """
         if not self.deadline_aware or pending_batch.mode != "lai":
             return None
-        swap_ms, _ = self._swap_for(pending_batch, accel, now_ms)
         slack = pending_batch.deadline_ms - now_ms - swap_ms
         grid = self.DEADLINE_SLACK_GRID_MS
         return max(math.floor(slack / grid) * grid, 0.0)
 
-    def _price(self, pending_batch, accel, now_ms):
+    def _price(self, pending_batch, accel, now_ms, swap_ms):
         """``pending_batch``'s result rows on ``accel``'s hardware (cached).
 
         One :class:`~repro.core.SentenceResult` per member, in batch
-        order. The cache is keyed by batch seq, then (device hardware
-        slot, deadline budget): distinct PendingBatch objects always
-        carry distinct seqs, and every device sharing a hardware slot
-        *and* seeing the same remaining slack prices identically — so the
-        governor scoring k devices and the eventual placement share one
-        engine call per variant. A batch's entries are evicted wholesale
+        order; ``swap_ms`` is the device's :meth:`_swap_for` latency,
+        computed once by the caller. The cache is keyed by batch seq,
+        then (device hardware slot, deadline budget): distinct
+        PendingBatch objects always carry distinct seqs, and every
+        device sharing a hardware slot *and* seeing the same remaining
+        slack prices identically — so the governor scoring k devices and
+        the eventual placement share one engine call per variant. A
+        batch's entries are evicted wholesale
         when it starts (:meth:`_start`), so the footprint stays
         O(pending batches x variants) on long traces.
         """
-        deadline_ms = self._deadline_budget_ms(pending_batch, accel,
+        deadline_ms = self._deadline_budget_ms(pending_batch, swap_ms,
                                                now_ms)
         key = (accel.hw_slot, deadline_ms)
         cache = self._price_cache.setdefault(pending_batch.seq, {})
@@ -730,12 +732,12 @@ class ClusterSimulator:
 
     def _estimate_placement(self, accel, pending_batch, now_ms):
         """Back :meth:`AcceleratorSim.estimate` with cached pricing."""
-        rows = self._price(pending_batch, accel, now_ms)
+        swap_ms, swap_energy = self._swap_for(pending_batch, accel,
+                                              now_ms)
+        rows = self._price(pending_batch, accel, now_ms, swap_ms)
         latency_ms = float(sum(r.latency_ms for r in rows))
         first_latency_ms = float(rows[0].latency_ms) if rows else 0.0
         energy_mj = float(sum(r.energy_mj for r in rows))
-        swap_ms, swap_energy = self._swap_for(pending_batch, accel,
-                                              now_ms)
         transition_ms = transition_mj = 0.0
         if accel.energy is not None:
             # now_ms lets a standby-capable device price the wake from
@@ -857,7 +859,8 @@ class ClusterSimulator:
         """Price the batch and occupy the accelerator with its schedule."""
         now = self._loop.now_ms
         batch = pending_batch.batch
-        rows = self._price(pending_batch, accel, now)
+        rows = self._price(pending_batch, accel, now,
+                           self._swap_for(pending_batch, accel, now)[0])
         run, budget_token = self._begin(
             pending_batch, accel, now, rows, [r.latency_ms for r in rows],
             [r.energy_mj for r in rows])

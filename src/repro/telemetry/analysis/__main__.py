@@ -13,12 +13,13 @@ into per-request journeys, then renders whichever views are asked for:
   and print the typed regression report (``--json`` for the raw dict).
 
 ``--smoke`` is the analysis CI gate: it replays the reference
-workload on both cluster engines and through the fleet, then checks
-the contracts this package promises — journeys bit-identical across
-live tracer / spilled JSONL / event / vector sources, leg durations
-tiling time-in-system at 1e-9, energy attribution reconciling with
-the ledgers at 1e-9, and ``diff_runs`` round-tripping through JSON.
-Exits non-zero on any regression.
+workload on both cluster engines, throttled, EDF-preempted and through
+the fleet, then checks the contracts this package promises — journeys,
+hot paths and flamegraphs bit-identical across live tracer / spilled
+JSONL / event / vector sources, leg durations tiling time-in-system at
+1e-9, energy attribution reconciling with the ledgers at 1e-9, and
+``diff_runs`` round-tripping through JSON. Exits non-zero on any
+regression.
 """
 
 from __future__ import annotations
@@ -34,13 +35,17 @@ from repro.smoke import (check, cli_parser, reference_workload, run_cli,
                          run_cluster, run_reference_fleet)
 from repro.telemetry import Tracer, write_spans_jsonl
 from repro.telemetry.analysis import (RegressionReport, analyze,
-                                      diff_runs, render_hot_paths,
+                                      diff_runs, flamegraph_lines,
+                                      hot_paths, render_hot_paths,
                                       render_waterfall, waterfall_json,
                                       write_flamegraph)
 
 
 def _canonical(analysis):
-    return json.dumps(analysis.to_dict(), sort_keys=True)
+    """The journeys and every rollup over them, as one string."""
+    return json.dumps(analysis.to_dict(), sort_keys=True) + json.dumps(
+        [hot_paths(analysis), flamegraph_lines(analysis, "time"),
+         flamegraph_lines(analysis, "energy")])
 
 
 def _smoke_cluster(workdir):
@@ -116,6 +121,23 @@ def _smoke_fleet():
     return run
 
 
+def _smoke_irregular():
+    """Throttled and EDF-preempted runs: tiling and ledger audit."""
+    registry, trace = reference_workload(num_requests=300)
+    for leg, kwargs in (("throttle", {"energy_budget_mw": 50.0}),
+                        ("preempted", {"policy": "edf"})):
+        tracer = Tracer()
+        report = ClusterSimulator(registry, num_accelerators=4,
+                                  tracer=tracer, **kwargs).run(trace)
+        run = analyze(tracer)
+        for journey in run.journeys:
+            journey.critical_path(tol=1e-9)
+        run.reconcile(report, tol=1e-9)
+        check(len(run) == len(report.records) and any(
+            x.name == leg for j in run.journeys for x in j.legs),
+            f"{leg} run: journeys lost or no {leg} leg")
+
+
 def _smoke_diff():
     """diff_runs: same-trace alignment + JSON round trip."""
     registry, trace = reference_workload(num_requests=300)
@@ -148,6 +170,7 @@ def run_smoke(verbose=True):
     """End-to-end analysis self-check; returns the diff report."""
     with tempfile.TemporaryDirectory(prefix="repro_analysis_") as tmp:
         _smoke_cluster(tmp)
+    _smoke_irregular()
     fleet_run = _smoke_fleet()
     diff = _smoke_diff()
     if verbose:
@@ -186,6 +209,8 @@ def main(argv=None):
     parser.add_argument("--top", type=int, default=5,
                         help="critical paths to print (default 5)")
     args = parser.parse_args(argv)
+    if args.top < 0:
+        parser.error(f"--top must be >= 0, got {args.top}")
 
     def body():
         if args.smoke:

@@ -24,7 +24,7 @@ from math import fsum
 import numpy as np
 
 from repro.errors import TelemetryError
-from repro.telemetry.analysis.journeys import (LEG_GROUPS,
+from repro.telemetry.analysis.journeys import (LEG_GROUPS, LEG_ORDER,
                                                TraceAnalysis, analyze)
 
 #: Latency attribution buckets, in journey order.
@@ -46,23 +46,18 @@ def _percentile(values, q):
 
 
 def _group_ms(analysis):
-    totals = dict.fromkeys(GROUPS, 0.0)
-    cells = {g: [] for g in GROUPS}
-    for journey in analysis.journeys:
-        for leg in journey.legs:
-            cells[LEG_GROUPS[leg.name]].append(leg.dur_ms)
-    for group in GROUPS:
-        totals[group] = fsum(cells[group])
-    return totals
+    table = analysis.journeys
+    group = np.array([GROUPS.index(LEG_GROUPS[name])
+                      for name in LEG_ORDER])[table.leg_code]
+    ms = table.leg_end - table.leg_start
+    return {g: fsum(ms[group == i].tolist()) for i, g in enumerate(GROUPS)}
 
 
 def _energy_mj(analysis):
-    cells = {c: [] for c in ENERGY_CATS}
-    for journey in analysis.journeys:
-        for leg in journey.legs:
-            if leg.name in ("compute", "swap") and leg.energy_mj:
-                cells[leg.name].append(leg.energy_mj)
-    totals = {cat: fsum(cells[cat]) for cat in ENERGY_CATS}
+    table = analysis.journeys
+    totals = {cat: fsum(table.leg_mj[table.leg_code == LEG_ORDER.index(cat)]
+                        .tolist()) if cat in LEG_ORDER else 0.0
+              for cat in ENERGY_CATS}
     for cats in analysis.unattributed.values():
         for cat, mj in cats.items():
             totals[cat] = totals.get(cat, 0.0) + mj

@@ -45,16 +45,26 @@ it), and :meth:`TraceAnalysis.reconcile` ties the per-category energy
 attribution to the run's :class:`~repro.energy.EnergyReport` /
 :class:`~repro.fleet.FleetReport` ledgers at the same 1e-9 every
 ledger audit in this repo uses.
+
+:func:`analyze` makes one pass over the span rows, then joins them by
+request id with array operations into a :class:`JourneyTable`, whose
+columns ``len()``, the rollups and the ledger audit read. Journeys are
+boxed on first access, as snapshots: editing one changes no rollup.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from math import fsum
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from math import fsum, nan
+
+import numpy as np
 
 from repro.errors import TelemetryError
-from repro.telemetry.export import _spans_of
+from repro.telemetry.export import _rows_of
 
 #: Leg name -> the coarse bucket run-to-run diffs attribute deltas to.
 LEG_GROUPS = {
@@ -72,6 +82,8 @@ LEG_ORDER = ("defer", "ingress", "window", "queue", "throttle", "swap",
              "serial", "preempted", "compute", "egress")
 
 _LEG_RANK = {name: i for i, name in enumerate(LEG_ORDER)}
+(_DEFER, _INGRESS, _WINDOW, _QUEUE, _THROTTLE, _SWAP, _SERIAL,
+ _PREEMPTED, _COMPUTE, _EGRESS) = range(len(LEG_ORDER))  # leg codes
 
 
 @dataclass(slots=True)
@@ -211,25 +223,104 @@ class Journey:
             attempts=row.get("attempts", 1))
 
 
+def _leg_columns(rows):
+    """``(journey, code, start, end, energy)`` arrays of leg tuples."""
+    js, codes, *times = np.array(rows, np.float64).reshape(-1, 5).T
+    return (js.astype(np.intp), codes.astype(np.intp), *times)
+
+
+class JourneyTable(Sequence):
+    """The stitched journeys as columns, a read-only sequence.
+
+    Per journey, by request id: ``ids``, ``meta`` (into ``metas``:
+    site, task, mode, target), ``run`` (into ``runs``: accel, hw,
+    batch), ``arrival``, ``completion``, ``deadline``, ``attempts``.
+    Per leg, by journey in chain order: ``leg_journey``, ``leg_code``
+    (into :data:`LEG_ORDER`), ``leg_start``, ``leg_end``, ``leg_mj``.
+    """
+
+    def __init__(self, ids, meta, metas, run, runs, arrival, completion,
+                 deadline, attempts, legs):
+        self.ids, self.meta, self.metas, self.run, self.runs = \
+            ids, meta, metas, run, runs
+        self.arrival, self.completion, self.deadline, self.attempts = \
+            arrival, completion, deadline, attempts
+        (self.leg_journey, self.leg_code, self.leg_start, self.leg_end,
+         self.leg_mj) = legs
+
+    @classmethod
+    def of(cls, journeys):
+        """Columns of ``Journey`` objects, kept as the boxed cache."""
+        metas = {}
+        meta = [metas.setdefault((j.site, j.task, j.mode, j.target_ms),
+                                 len(metas)) for j in journeys]
+        table = cls(
+            [j.request_id for j in journeys], np.array(meta, np.intp),
+            list(metas), np.arange(len(journeys)),
+            [(j.accel, j.hw, j.batch) for j in journeys],
+            *(np.array([getattr(j, name) for j in journeys], np.float64)
+              for name in ("arrival_ms", "completion_ms", "deadline_ms")),
+            np.array([j.attempts for j in journeys], np.int64),
+            _leg_columns([(i, _LEG_RANK[leg.name], leg.start_ms,
+                           leg.end_ms, leg.energy_mj)
+                          for i, j in enumerate(journeys)
+                          for leg in j.legs]))
+        table.boxed = list(journeys)
+        return table
+
+    @cached_property
+    def boxed(self):
+        """Every journey as a :class:`Journey`, built on first use."""
+        legs = list(map(Leg, map(LEG_ORDER.__getitem__,
+                                 self.leg_code.tolist()),
+                        self.leg_start.tolist(), self.leg_end.tolist(),
+                        self.leg_mj.tolist()))
+        cuts = np.searchsorted(self.leg_journey,
+                               np.arange(len(self.ids) + 1)).tolist()
+        metas, runs = self.metas, self.runs
+        return [Journey(rid, *metas[m], arrival, completion, deadline,
+                        legs[lo:hi], *runs[r], attempts)
+                for rid, m, r, arrival, completion, deadline, attempts, lo,
+                hi in zip(self.ids, self.meta.tolist(), self.run.tolist(),
+                          self.arrival.tolist(), self.completion.tolist(),
+                          self.deadline.tolist(), self.attempts.tolist(),
+                          cuts, cuts[1:])]
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        return self.boxed[index]
+
+
 class TraceAnalysis:
-    """Stitched journeys plus the energy no single request owns."""
+    """Stitched journeys plus the energy no single request owns.
+
+    ``journeys``: a :class:`JourneyTable`, or a list of :class:`Journey`
+    objects, columnized and kept as the table's boxed cache.
+    """
 
     def __init__(self, journeys, unattributed):
         #: Journeys sorted by request id (engine-order independent).
-        self.journeys = journeys
+        self.journeys = journeys if isinstance(journeys, JourneyTable) \
+            else JourneyTable.of(journeys)
         #: ``{scope: {category: mJ}}`` of span energy that belongs to
         #: the run, not to one request: idle leakage, rail transitions,
         #: and preemption-wasted compute.
         self.unattributed = unattributed
-        self.by_request = {j.request_id: j for j in journeys}
+
+    @cached_property
+    def by_request(self):
+        """``{request id: Journey}`` (boxes the journeys)."""
+        return {j.request_id: j for j in self.journeys}
 
     def __len__(self):
         return len(self.journeys)
 
     def scopes(self):
-        seen = {j.site for j in self.journeys}
-        seen.update(self.unattributed)
-        return sorted(seen)
+        metas = self.journeys.metas
+        return sorted({metas[m][0] for m in np.unique(
+            self.journeys.meta).tolist()}.union(self.unattributed))
 
     # -- energy attribution --------------------------------------------------------
 
@@ -241,21 +332,17 @@ class TraceAnalysis:
         idle/transition/wasted-compute span energy. Their sum is what
         :meth:`reconcile` holds against the ledgers.
         """
-        cats = ("compute", "swap", "idle", "transition")
-        leg_cat = {"compute": "compute", "swap": "swap"}
-        cells = {}  # (scope, cat) -> [values]
-        for journey in self.journeys:
-            for leg in journey.legs:
-                cat = leg_cat.get(leg.name)
-                if cat is not None and leg.energy_mj != 0.0:
-                    cells.setdefault((journey.site, cat),
-                                     []).append(leg.energy_mj)
+        table = self.journeys
+        site = np.array([m[0] for m in table.metas], str)[
+            table.meta[table.leg_journey]]
         out = {}
         for scope in self.scopes():
             extra = self.unattributed.get(scope, {})
             out[scope] = {}
-            for cat in cats:
-                attributed = fsum(cells.get((scope, cat), ()))
+            for cat in ("compute", "swap", "idle", "transition"):
+                attributed = fsum(table.leg_mj[
+                    (table.leg_mj != 0.0) & (site == scope)
+                    & (table.leg_code == _LEG_RANK.get(cat, -1))].tolist())
                 unattributed = extra.get(cat, 0.0)
                 out[scope][cat] = {
                     "attributed": attributed,
@@ -263,6 +350,7 @@ class TraceAnalysis:
                     "total": attributed + unattributed,
                 }
         return out
+
 
     def reconcile(self, report, tol=1e-9):
         """Audit the attribution against the run's energy ledgers.
@@ -320,13 +408,26 @@ class TraceAnalysis:
         return len(self.journeys)
 
 
-def _column(values):
-    """A plain list for ``values`` (live spans carry ndarrays)."""
-    return values.tolist() if hasattr(values, "tolist") else values
+def _ids(columns):
+    """Concatenated id columns (ndarrays or lists) as one plain list."""
+    return list(chain.from_iterable(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
-def _carve(t0, t1, throttles, legs):
-    """Split a dispatch wait into queue/throttle legs by overlap."""
+def _floats(columns):
+    """Concatenated float columns as one float64 array."""
+    if columns and isinstance(columns[0], np.ndarray):
+        return np.concatenate(columns, dtype=np.float64)
+    return np.fromiter(chain.from_iterable(columns), np.float64)
+
+
+def _lookup(mapping, keys, n, default=-1, dtype=np.intp):
+    """``mapping.get(key, default)`` for ``n`` keys, as an array."""
+    return np.fromiter(map(mapping.get, keys, repeat(default)), dtype, n)
+
+
+def _carve(j, t0, t1, throttles, legs):
+    """Split journey ``j``'s dispatch wait into queue/throttle legs."""
     cur = t0
     for a, b in throttles:
         if b <= cur:
@@ -336,12 +437,12 @@ def _carve(t0, t1, throttles, legs):
         lo = a if a > cur else cur
         hi = b if b < t1 else t1
         if lo > cur:
-            legs.append(Leg("queue", cur, lo))
+            legs.append((j, _QUEUE, cur, lo, 0.0))
         if hi > lo:
-            legs.append(Leg("throttle", lo, hi))
+            legs.append((j, _THROTTLE, lo, hi, 0.0))
         cur = hi
     if t1 > cur:
-        legs.append(Leg("queue", cur, t1))
+        legs.append((j, _QUEUE, cur, t1, 0.0))
 
 
 def analyze(source):
@@ -351,220 +452,230 @@ def analyze(source):
     plumbing (no ``rids`` on window/queue spans) are not stitchable
     and raise :class:`~repro.errors.TelemetryError`.
     """
-    wins = {}        # rid -> (scope, arrival, task, mode, target, trigger)
-    disp = {}        # (scope, seq) -> (ready, dur, accel, hw, rids)
-    attempts = {}    # rid -> [(scope, seq), ...] in emission order
-    swaps = {}       # (scope, seq) -> (start, dur, energy)
-    refunds = {}     # (scope, seq) -> summed refund energy (negative)
-    comp_base = {}   # (scope, seq) -> batch compute start
-    comp_req = {}    # rid -> (scope, seq, boundary, finish, energy)
-    preempts = {}    # (scope, seq) -> instant
-    routes = {}      # rid -> (ts, site, deadline)
-    defers = {}      # rid -> first defer instant
-    ingress = {}     # rid -> (start, dur)
-    egress = {}      # rid -> (start, dur)
+    codes = {}       # (scope, batch seq) -> run code
+    ready, accel, hw, sizes = {}, {}, {}, {}  # run -> its dispatch span's
+    swaps = {}       # run -> (start, dur, energy)
+    refunds = {}     # run -> summed refund energy (negative)
+    bases = {}       # run -> batch compute start
+    preempts = {}    # run -> instant
+    metas = {}       # (scope, task, mode, target) -> meta code
+    windows = []     # (meta, rids, arrivals)
+    tries = []       # (run, rids) per dispatch attempt, emission order
+    computes = []    # (run, base, rids, finish, energy)
+    routed, fleet_deadline, defers = {}, {}, {}  # by request id
+    ingress, egress = {}, {}  # request id -> wire duration
     throttles = {}   # scope -> [(start, end)]
-    unattributed = {}  # scope -> {cat: [values]}
-    linkable = False
+    spilled = {}     # (scope, cat) -> energies no one request owns
+    scopes = {}      # track -> scope
 
-    def spill(scope, cat, energy):
-        unattributed.setdefault(scope, {}).setdefault(cat,
-                                                      []).append(energy)
-
-    for span in _spans_of(source):
-        cat = span.cat
-        args = span.args
-        if cat == "window":
+    for name, cat, start, dur, track, energy, args in _rows_of(source):
+        scope = scopes.get(track)
+        if scope is None:
+            scope = scopes[track] = track.partition("/")[0]
+        if cat == "idle" or cat == "transition":
+            spilled.setdefault((scope, cat), []).append(energy)
+        elif cat == "window" or cat == "queue":
             rids = args.get("rids") if args else None
             if rids is None:
                 continue
-            linkable = True
-            scope = span.scope
-            task, mode = args["task"], args["mode"]
-            target = float(args["target"])
-            trigger = args["trigger"]
-            for rid, arr in zip(_column(rids), args["arrivals"]):
-                wins[rid] = (scope, float(arr), task, mode, target,
-                             trigger)
-        elif cat == "queue":
-            rids = args.get("rids") if args else None
-            if rids is None:
+            if cat == "window":
+                windows.append((metas.setdefault(
+                    (scope, args["task"], args["mode"],
+                     float(args["target"])), len(metas)),
+                    rids, args["arrivals"]))
                 continue
-            linkable = True
-            key = (span.scope, args["batch"])
-            rids = _column(rids)
-            disp[key] = (float(span.start_ms),
-                         float(span.dur_ms or 0.0), args.get("accel"),
-                         args.get("hw"), rids)
-            for rid in rids:
-                attempts.setdefault(rid, []).append(key)
-        elif cat == "swap":
-            seq = args.get("batch") if args else None
-            if span.name == "swap-refund":
-                if seq is None:
-                    spill(span.scope, "swap", float(span.energy_mj))
-                else:
-                    key = (span.scope, seq)
-                    refunds[key] = refunds.get(key, 0.0) \
-                        + float(span.energy_mj)
-            elif seq is not None:
-                swaps[(span.scope, seq)] = (
-                    float(span.start_ms), float(span.dur_ms or 0.0),
-                    float(span.energy_mj))
-            else:
-                spill(span.scope, "swap", float(span.energy_mj))
+            run = codes.setdefault((scope, args["batch"]), len(codes))
+            ready[run], sizes[run] = start, len(rids)
+            accel[run], hw[run] = args.get("accel"), args.get("hw")
+            tries.append((run, rids))
         elif cat == "compute":
-            if span.name == "wasted-compute":
-                spill(span.scope, "compute", float(span.energy_mj))
-            elif args and "rids" in args:
+            if name != "wasted-compute" and args and "rids" in args:
                 # One span per run (both cores) carrying the exact
                 # per-member finish/energy columns.
-                key = (span.scope, args["batch"])
-                base = float(span.start_ms)
-                comp_base[key] = base
-                boundary = base
-                for rid, finish, energy in zip(
-                        _column(args["rids"]), args["finish"],
-                        args["energy"]):
-                    comp_req[rid] = (key, boundary, float(finish),
-                                     float(energy))
-                    boundary = float(finish)
-            elif span.energy_mj:
-                spill(span.scope, "compute", float(span.energy_mj))
-        elif cat == "idle":
-            spill(span.scope, "idle", float(span.energy_mj))
-        elif cat == "transition":
-            spill(span.scope, "transition", float(span.energy_mj))
-        elif cat == "preempt":
-            if args and "batch" in args:
-                preempts[(span.scope, args["batch"])] = \
-                    float(span.start_ms)
-        elif cat == "budget":
-            if span.name == "throttle":
-                start = float(span.start_ms)
-                throttles.setdefault(span.scope, []).append(
-                    (start, start + float(span.dur_ms or 0.0)))
-        elif cat == "net":
-            if args is None or "request" not in args:
+                run = codes.setdefault((scope, args["batch"]), len(codes))
+                bases[run] = start
+                computes.append((run, start, args["rids"], args["finish"],
+                                 args["energy"]))
+            elif name == "wasted-compute" or energy:
+                spilled.setdefault((scope, cat), []).append(energy)
+        elif cat == "swap":
+            seq = args.get("batch") if args else None
+            if seq is None:
+                spilled.setdefault((scope, cat), []).append(energy)
                 continue
+            run = codes.setdefault((scope, seq), len(codes))
+            if name == "swap-refund":
+                refunds[run] = refunds.get(run, 0.0) + energy
+            else:
+                swaps[run] = (start, dur or 0.0, energy)
+        elif cat == "preempt" and args and "batch" in args:
+            preempts[codes.setdefault((scope, args["batch"]),
+                                      len(codes))] = start
+        elif cat == "budget" and name == "throttle":
+            throttles.setdefault(scope, []).append(
+                (start, start + (dur or 0.0)))
+        elif cat == "net" and args is not None and "request" in args:
             rid = args["request"]
-            ts = float(span.start_ms)
-            if span.name == "ingress":
-                ingress[rid] = (ts, float(span.dur_ms or 0.0))
-            elif span.name == "egress":
-                egress[rid] = (ts, float(span.dur_ms or 0.0))
-            elif span.name == "defer":
-                if rid not in defers or ts < defers[rid]:
-                    defers[rid] = ts
-            elif span.name.startswith("route:"):
-                routes[rid] = (ts, args["site"],
-                               float(args["deadline"])
-                               if "deadline" in args else None)
+            if name == "ingress" or name == "egress":
+                (ingress if name == "ingress" else egress)[rid] = dur or 0.0
+            elif name == "defer":
+                if rid not in defers or start < defers[rid]:
+                    defers[rid] = start
+            elif name.startswith("route:"):
+                routed[rid] = start
+                fleet_deadline[rid] = float(args.get("deadline", nan))
 
-    if not linkable and (wins or disp or comp_req):
+    if not (windows or tries) and any(len(c[2]) for c in computes):
         raise TelemetryError(
             "span stream carries no request-linkable spans (pre-"
             "journey log?); re-trace the run to analyze it")
+    unattributed = {}
+    for (scope, cat), values in spilled.items():
+        unattributed.setdefault(scope, {})[cat] = fsum(values)
+    if not windows:
+        return TraceAnalysis([], unattributed)
 
-    for scope in throttles:
-        throttles[scope].sort()
+    # Journeys: one per window member, in request-id order.
+    members = _ids([w[1] for w in windows])
+    slot = dict(zip(members, range(len(members))))  # rid -> last window
+    ids = list(slot)
+    ids.sort(key=None if len(set(map(type, ids))) == 1
+             else lambda rid: (str(type(rid)), rid))
+    n = len(ids)
+    slots = _lookup(slot, ids, n)
+    journey_of = dict(zip(ids, range(n)))
+    metas = list(metas)
+    meta = np.repeat([w[0] for w in windows],
+                     [len(w[1]) for w in windows])[slots]
+    arrival = _floats([w[2] for w in windows])[slots]
+    journeys = np.arange(n)
 
-    journeys = []
-    for rid, window in wins.items():
-        scope, arrival, task, mode, target, _trigger = window
-        final = comp_req.get(rid)
-        tries = attempts.get(rid, ())
-        if final is None or not tries:
-            raise TelemetryError(
-                f"request {rid!r} has a window but no completed "
-                f"dispatch in the span stream (truncated log?)")
-        legs = []
-        # Fleet prefix: shaping deferral, then the ingress wire leg.
-        route = routes.get(rid)
-        deadline = arrival + target
-        front_arrival = arrival
-        if route is not None:
-            routed, _site, fleet_deadline = route
-            if fleet_deadline is not None:
-                deadline = fleet_deadline
-            front_arrival = defers.get(rid, routed)
-            if routed > front_arrival:
-                legs.append(Leg("defer", front_arrival, routed))
-            wire = ingress.get(rid)
-            if wire is not None:
-                # Ingress ends exactly at the site-local arrival (the
-                # admit rewrite uses the same now + rtt/2 float add).
-                legs.append(Leg("ingress", routed, routed + wire[1]))
-        cursor = arrival
-        scope_throttles = throttles.get(scope, ())
-        for i, key in enumerate(tries):
-            ready, _dur, accel, hw, rids = disp[key]
-            if ready > cursor:
-                # First attempt: batch-former wait up to the window
-                # close (== the dispatch span's own ready instant).
-                legs.append(Leg("window" if i == 0 else "preempted",
-                                cursor, ready))
-                cursor = ready
-            swap = swaps.get(key)
-            base = comp_base.get(key)
-            preempt_at = preempts.get(key)
-            # Dispatch wait runs until the engine-emitted start anchor:
-            # the swap span's start, else the batch compute base.
-            started = swap[0] if swap is not None else base
-            if started is None:
-                started = preempt_at if preempt_at is not None \
-                    else cursor
-            if started > cursor:
-                _carve(cursor, started, scope_throttles, legs)
-                cursor = started
-            if swap is not None:
-                swap_end = base
-                if swap_end is None:
-                    swap_end = swap[0] + swap[1]
-                    if preempt_at is not None \
-                            and preempt_at < swap_end:
-                        swap_end = preempt_at  # aborted mid-swap
-                net_mj = swap[2] + refunds.get(key, 0.0)
-                share = net_mj / len(rids) if rids else net_mj
-                if swap_end > cursor or share:
-                    legs.append(Leg("swap", cursor,
-                                    max(swap_end, cursor),
-                                    energy_mj=share))
-                    cursor = max(swap_end, cursor)
-            if final[0] == key:
-                _fkey, boundary, finish, energy = final
-                if boundary > cursor:
-                    legs.append(Leg("serial", cursor, boundary))
-                legs.append(Leg("compute", boundary, finish,
-                                energy_mj=energy))
-                cursor = finish
-                break
-            # Preempted before this member's sentence ran: stall until
-            # the next attempt's requeue-ready instant.
-            next_ready = disp[tries[i + 1]][0]
-            if next_ready > cursor:
-                legs.append(Leg("preempted", cursor, next_ready))
-                cursor = next_ready
-        wire = egress.get(rid)
-        if wire is not None:
-            # Fleet completion = site completion + rtt/2, the same
-            # float add FleetRecord performs.
-            legs.append(Leg("egress", cursor, cursor + wire[1]))
-            cursor = cursor + wire[1]
-        final_key = final[0]
-        _ready, _dur, accel, hw, _rids = disp[final_key]
-        journeys.append(Journey(
-            request_id=rid, site=scope, task=task, mode=mode,
-            target_ms=target, arrival_ms=front_arrival,
-            completion_ms=cursor, deadline_ms=deadline,
-            legs=[leg for leg in legs
-                  if leg.dur_ms != 0.0 or leg.energy_mj != 0.0],
-            accel=accel, hw=hw, batch=final_key[1],
-            attempts=len(tries)))
+    # Dispatch attempts and the completed run, joined by request id.
+    try_run = np.repeat([t[0] for t in tries],
+                        [len(t[1]) for t in tries]).astype(np.intp)
+    try_j = _lookup(journey_of, _ids([t[1] for t in tries]), len(try_run))
+    try_run, try_j = try_run[try_j >= 0], try_j[try_j >= 0]
+    attempts = np.bincount(try_j, minlength=n)
+    computes = [c for c in computes if len(c[2])]
+    done = _ids([c[2] for c in computes])
+    member = _lookup(dict(zip(done, range(len(done)))), ids, n)
+    lost = (member < 0) | (attempts == 0)
+    if lost.any():
+        raise TelemetryError(f"request {ids[int(np.argmax(lost))]!r} has a "
+                             "window but no completed dispatch in the "
+                             "span stream (truncated log?)")
+    sizes_c = [len(c[2]) for c in computes]
+    finish = _floats([c[3] for c in computes])
+    boundary = np.empty_like(finish)
+    boundary[1:] = finish[:-1]
+    boundary[np.cumsum([0] + sizes_c[:-1], dtype=np.intp)] = \
+        [c[1] for c in computes]
+    final = np.repeat([c[0] for c in computes], sizes_c)[member]
+    boundary, finish = boundary[member], finish[member]
+    energy = _floats([c[4] for c in computes])[member]
 
-    journeys.sort(key=lambda j: (str(type(j.request_id)),
-                                 j.request_id))
-    return TraceAnalysis(
-        journeys,
-        {scope: {cat: fsum(values) for cat, values in cats.items()}
-         for scope, cats in unattributed.items()})
+    parts = []  # leg column tuples, concatenated in chain order
+
+    def add(mask, js, code, start, end, mj=0.0):
+        parts.append((js[mask], np.full(np.count_nonzero(mask), code),
+                      start[mask], end[mask],
+                      np.broadcast_to(mj, mask.shape)[mask]))
+
+    # Fleet prefix: shaping deferral, then the ingress wire leg.
+    deadline = arrival + np.array([m[3] for m in metas])[meta]
+    front = arrival
+    if routed:
+        at, limit, first, wire = (_lookup(by_id, ids, n, nan, np.float64)
+                                  for by_id in (routed, fleet_deadline,
+                                                defers, ingress))
+        fleet = ~np.isnan(at)
+        deadline = np.where(np.isnan(limit), deadline, limit)
+        front = np.where(fleet, np.where(np.isnan(first), at, first),
+                         arrival)
+        add(fleet & (at > front), journeys, _DEFER, front, at)
+        # Ingress ends exactly at the site-local arrival (the admit
+        # rewrite uses the same now + rtt/2 float add).
+        add(fleet & ~np.isnan(wire), journeys, _INGRESS, at, at + wire)
+
+    # Attempts level by level up to the completed run: window (after a
+    # preemption: the stall to the requeue), dispatch wait to the start
+    # anchor (swap start, else compute base), swap.
+    def per_run(values):
+        return _lookup(values, range(len(codes)), len(codes), nan,
+                       np.float64)
+
+    r_ready, r_base, r_preempt, r_swap, r_swap_end, r_share = map(
+        per_run, (ready, bases, preempts,
+                  {r: s[0] for r, s in swaps.items()},
+                  {r: s[0] + s[1] for r, s in swaps.items()},
+                  {r: (s[2] + refunds.get(r, 0.0)) / (sizes[r] or 1)
+                   for r, s in swaps.items() if r in sizes}))
+    # Only waits overlapping a throttle span of their scope are carved
+    # (over just those spans); any other wait is one queue leg.
+    bounds = []
+    for scope, spans in throttles.items():
+        spans.sort()
+        bounds.append((spans, [a for a, _ in spans],
+                       np.maximum.accumulate([b for _, b in spans]),
+                       np.array([m[0] == scope for m in metas])))
+    by_journey = np.argsort(try_j, kind="stable")
+    try_j, try_run = try_j[by_journey], try_run[by_journey]
+    rank = np.arange(len(try_j)) - np.searchsorted(try_j, try_j)
+    cursor = arrival.copy()
+    pending = np.ones(n, bool)
+    for level in range(int(attempts.max())):
+        pick = (rank == level) & pending[try_j]
+        js, k = try_j[pick], try_run[pick]
+        cur, rdy, base, swap = cursor[js], r_ready[k], r_base[k], r_swap[k]
+        add(rdy > cur, js, _PREEMPTED if level else _WINDOW, cur, rdy)
+        cur = np.where(rdy > cur, rdy, cur)
+        swapped = ~np.isnan(swap)
+        started = np.where(swapped, swap,
+                           np.where(np.isnan(base), r_preempt[k], base))
+        waits = started > cur  # false where no anchor (NaN) exists
+        carve = np.zeros(len(js), bool)
+        carved = []
+        for spans, begins, reach, in_scope in bounds:
+            upto = np.searchsorted(begins, started)
+            hit = waits & (upto > 0) & (reach[upto - 1] > cur) \
+                & in_scope[meta[js]]
+            carve |= hit
+            for j, t0, t1, lo, hi in zip(
+                    js[hit].tolist(), cur[hit].tolist(),
+                    started[hit].tolist(),
+                    np.searchsorted(reach, cur[hit], "right").tolist(),
+                    upto[hit].tolist()):
+                _carve(j, t0, t1, spans[lo:hi], carved)
+        add(waits & ~carve, js, _QUEUE, cur, started)
+        parts.append(_leg_columns(carved))
+        cur = np.where(waits, started, cur)
+        # A run preempted mid-swap ends its swap at the preemption.
+        end = np.maximum(np.where(np.isnan(base), np.fmin(
+            r_preempt[k], r_swap_end[k]), base), cur)
+        add(swapped & ((end > cur) | (r_share[k] != 0.0)), js, _SWAP,
+            cur, end, r_share[k])
+        cursor[js] = np.where(swapped, end, cur)
+        pending[js[k == final[js]]] = False
+    if pending.any():
+        raise TelemetryError(f"request {ids[int(np.argmax(pending))]!r}: no "
+                             "dispatch attempt reaches its completed run")
+
+    add(boundary > cursor, journeys, _SERIAL, cursor, boundary)
+    add(np.ones(n, bool), journeys, _COMPUTE, boundary, finish, energy)
+    completion = finish
+    if egress:
+        # Fleet completion = site completion + rtt/2, the same float
+        # add FleetRecord performs.
+        wire = _lookup(egress, ids, n, nan, np.float64)
+        completion = np.where(np.isnan(wire), finish, finish + wire)
+        add(~np.isnan(wire), journeys, _EGRESS, finish, completion)
+
+    js, code, start, end, mj = map(np.concatenate, zip(*parts))
+    keep = np.flatnonzero((end - start != 0.0) | (mj != 0.0))
+    keep = keep[np.argsort(js[keep], kind="stable")]
+    runs = [(accel.get(run), hw.get(run), seq)
+            for (_scope, seq), run in codes.items()]  # in code order
+    return TraceAnalysis(JourneyTable(
+        ids, meta, metas, final, runs, front, completion, deadline,
+        attempts, (js[keep], code[keep], start[keep], end[keep],
+                   mj[keep])), unattributed)

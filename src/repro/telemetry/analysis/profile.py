@@ -1,4 +1,4 @@
-"""Aggregated profiling views over stitched journeys.
+"""Aggregated profiling views over the stitched journey columns.
 
 Two renderings of the same rollup:
 
@@ -18,14 +18,40 @@ from __future__ import annotations
 
 from math import fsum
 
+import numpy as np
+
 from repro.errors import TelemetryError
 from repro.telemetry.analysis.journeys import LEG_ORDER, _LEG_RANK
 
+_WIDTH = len(LEG_ORDER)
 
-def _class_key(journey):
-    hw = "any" if journey.hw is None else journey.hw
-    return (f"{journey.task}|{journey.target_ms:g}ms|{journey.mode}"
-            f"|hw{hw}")
+
+def _classes(table, site=False):
+    """``(names, codes)``: each journey's ``task|slo|mode|hw`` class
+    (``site;``-prefixed when asked) as a code into ``names``."""
+    hws = {}
+    run_hw = np.array([hws.setdefault(run[1], len(hws))
+                       for run in table.runs], np.intp)
+    combos, inverse = np.unique(table.meta * len(hws) + run_hw[table.run],
+                                return_inverse=True)
+    hws, names, codes = list(hws), {}, []
+    for combo in combos.tolist():
+        scope, task, mode, target = table.metas[combo // len(hws)]
+        hw = hws[combo % len(hws)]
+        name = f"{task}|{target:g}ms|{mode}|hw{'any' if hw is None else hw}"
+        codes.append(names.setdefault(
+            f"{scope};{name}" if site else name, len(names)))
+    return list(names), np.array(codes, np.intp)[inverse]
+
+
+def _cells(table, names, classes, weights, keep=slice(None)):
+    """Per (class, leg) leg counts and sums of ``weights``, added left
+    to right in journey order (``np.bincount``), as per-journey loops."""
+    cell = classes[table.leg_journey[keep]] * _WIDTH \
+        + table.leg_code[keep]
+    size = len(names) * _WIDTH
+    return (np.bincount(cell, weights[keep], size).tolist(),
+            np.bincount(cell, minlength=size).tolist())
 
 
 def hot_paths(analysis):
@@ -34,40 +60,36 @@ def hot_paths(analysis):
     Returns ``{class_key: {"requests", "violations", "attempts",
     "time_in_system_ms", "legs_ms": {leg: ms}, "energy_mj":
     {category: mJ}}}`` sorted by descending total time in system.
+    Reads the journey columns; boxes nothing.
     """
-    groups = {}
-    for journey in analysis.journeys:
-        key = _class_key(journey)
-        cell = groups.get(key)
-        if cell is None:
-            cell = groups[key] = {
-                "requests": 0, "violations": 0, "attempts": 0,
-                "tis": [], "legs": {}, "energy": {}}
-        cell["requests"] += 1
-        cell["violations"] += 1 if journey.violated else 0
-        cell["attempts"] += journey.attempts
-        cell["tis"].append(journey.time_in_system_ms)
-        for leg in journey.legs:
-            ms, mj = cell["legs"].get(leg.name, (0.0, 0.0))
-            cell["legs"][leg.name] = (ms + leg.dur_ms,
-                                      mj + leg.energy_mj)
-            if leg.name in ("compute", "swap"):
-                cell["energy"][leg.name] = \
-                    cell["energy"].get(leg.name, 0.0) + leg.energy_mj
+    table = analysis.journeys
+    names, classes = _classes(table)
+    ms, count = _cells(table, names, classes,
+                       table.leg_end - table.leg_start)
+    mj, _ = _cells(table, names, classes, table.leg_mj)
+    requests = np.bincount(classes, minlength=len(names)).tolist()
+    violations = np.bincount(
+        classes[table.completion > table.deadline + 1e-9],
+        minlength=len(names)).tolist()
+    attempts = np.bincount(classes, table.attempts, len(names)).tolist()
+    by_class = np.argsort(classes, kind="stable")
+    tis = np.split((table.completion - table.arrival)[by_class],
+                   np.cumsum(requests)[:-1])
     out = {}
-    for key, cell in groups.items():
-        tis = fsum(cell["tis"])
+    for c, key in enumerate(names):
+        total = fsum(tis[c].tolist())
+        row = slice(c * _WIDTH, (c + 1) * _WIDTH)
         out[key] = {
-            "requests": cell["requests"],
-            "violations": cell["violations"],
-            "attempts": cell["attempts"],
-            "time_in_system_ms": tis,
-            "mean_time_in_system_ms": tis / cell["requests"],
-            "legs_ms": {
-                name: cell["legs"][name][0]
-                for name in sorted(cell["legs"],
-                                   key=_LEG_RANK.__getitem__)},
-            "energy_mj": dict(sorted(cell["energy"].items())),
+            "requests": requests[c],
+            "violations": violations[c],
+            "attempts": int(attempts[c]),
+            "time_in_system_ms": total,
+            "mean_time_in_system_ms": total / requests[c],
+            "legs_ms": {name: value for name, value, n in zip(
+                LEG_ORDER, ms[row], count[row]) if n},
+            "energy_mj": {name: mj[row][_LEG_RANK[name]]
+                          for name in ("compute", "swap")
+                          if count[row][_LEG_RANK[name]]},
         }
     return dict(sorted(out.items(),
                        key=lambda kv: (-kv[1]["time_in_system_ms"],
@@ -86,27 +108,21 @@ def flamegraph_lines(analysis, weight="time"):
         raise TelemetryError(
             f"flamegraph weight must be 'time' or 'energy', "
             f"got {weight!r}")
-    cells = {}
-    for journey in analysis.journeys:
-        cls = _class_key(journey)
-        for leg in journey.legs:
-            value = leg.dur_ms if weight == "time" else leg.energy_mj
-            if value == 0.0:
-                continue
-            stack = f"{journey.site};{cls};{leg.name}"
-            cells[stack] = cells.get(stack, 0.0) + value
+    table = analysis.journeys
+    names, classes = _classes(table, site=True)
+    values = table.leg_end - table.leg_start if weight == "time" \
+        else table.leg_mj
+    sums, count = _cells(table, names, classes, values, values != 0.0)
+    cells = {f"{names[c // _WIDTH]};{LEG_ORDER[c % _WIDTH]}": sums[c]
+             for c, n in enumerate(count) if n}
     if weight == "energy":
-        for scope, cats in analysis.unattributed.items():
-            for cat, mj in cats.items():
-                if mj != 0.0:
-                    stack = f"{scope};(unattributed);{cat}"
-                    cells[stack] = cells.get(stack, 0.0) + mj
-    lines = []
-    for stack in sorted(cells):
-        value = int(round(cells[stack] * 1e6))  # ms -> ns, mJ -> nJ
-        if value:
-            lines.append(f"{stack} {value}")
-    return lines
+        cells.update({f"{scope};(unattributed);{cat}": mj
+                      for scope, cats in analysis.unattributed.items()
+                      for cat, mj in cats.items() if mj != 0.0})
+    ints = {stack: int(round(value * 1e6))  # ms -> ns, mJ -> nJ
+            for stack, value in cells.items()}
+    return [f"{stack} {ints[stack]}" for stack in sorted(ints)
+            if ints[stack]]
 
 
 def write_flamegraph(analysis, path, weight="time"):
@@ -123,6 +139,9 @@ def render_hot_paths(analysis, limit=12):
     """ASCII hot-path table (top ``limit`` classes by time)."""
     from repro.utils import format_table
 
+    if limit < 0:
+        raise TelemetryError(f"hot-path row limit must be >= 0, "
+                             f"got {limit}")
     table = hot_paths(analysis)
     rows = []
     for key, cell in list(table.items())[:limit]:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 
 from repro.errors import TelemetryError
-from repro.telemetry.tracer import Span, Tracer, jsonable_args
+from repro.telemetry.tracer import (Span, Tracer, jsonable_args,
+                                    row_from_dict)
 
 #: ``ph`` values this exporter emits (the golden schema test pins them):
 #: complete spans, instant events, process/thread-name metadata, and the
@@ -43,6 +44,17 @@ def _spans_of(source):
     return iter(source)
 
 
+def _rows_of(source):
+    """Row tuples (:func:`~repro.telemetry.tracer.row_from_dict`) of a
+    Tracer, an iterable of Spans, or a JSONL path."""
+    if isinstance(source, Tracer):
+        return source.iter_rows()
+    if isinstance(source, str):
+        return iter_rows_jsonl(source)
+    return ((s.name, s.cat, s.start_ms, s.dur_ms, s.track, s.energy_mj,
+             s.args) for s in source)
+
+
 # -- JSONL span log ----------------------------------------------------------------
 
 
@@ -57,8 +69,8 @@ def write_spans_jsonl(source, path):
     return count
 
 
-def iter_spans_jsonl(path):
-    """Yield :class:`Span` rows from a JSONL span log, in file order."""
+def iter_rows_jsonl(path):
+    """Yield validated row tuples from a JSONL span log, in file order."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -69,7 +81,13 @@ def iter_spans_jsonl(path):
             except json.JSONDecodeError as exc:
                 raise TelemetryError(
                     f"{path}:{lineno}: not a JSON span row ({exc})")
-            yield Span.from_dict(row)
+            yield row_from_dict(row)
+
+
+def iter_spans_jsonl(path):
+    """Yield :class:`Span` rows from a JSONL span log, in file order."""
+    for row in iter_rows_jsonl(path):
+        yield Span(*row)
 
 
 def read_spans_jsonl(path):

@@ -67,6 +67,24 @@ def jsonable_args(args):
     return args
 
 
+def row_from_dict(row):
+    """The row tuple of one span dict, validated.
+
+    ``(name, cat, start_ms, dur_ms, track, energy_mj, args)``, the
+    tracer's own storage shape; every span-log reader goes through
+    here. Raises :class:`~repro.errors.TelemetryError` on a malformed
+    row.
+    """
+    try:
+        return (row["name"], row["cat"], float(row["start_ms"]),
+                None if row.get("dur_ms") is None
+                else float(row["dur_ms"]),
+                row["track"], float(row.get("energy_mj", 0.0)),
+                row.get("args"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TelemetryError(f"malformed span row {row!r}: {exc}")
+
+
 class Span:
     """One traced interval (or instant) on one track.
 
@@ -114,15 +132,7 @@ class Span:
 
     @classmethod
     def from_dict(cls, row):
-        try:
-            return cls(row["name"], row["cat"], float(row["start_ms"]),
-                       None if row.get("dur_ms") is None
-                       else float(row["dur_ms"]),
-                       row["track"],
-                       energy_mj=float(row.get("energy_mj", 0.0)),
-                       args=row.get("args"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TelemetryError(f"malformed span row {row!r}: {exc}")
+        return cls(*row_from_dict(row))
 
     def __repr__(self):
         dur = "i" if self.dur_ms is None else f"{self.dur_ms:.3f}ms"
@@ -176,8 +186,9 @@ class Tracer:
 
     def __init__(self, max_spans=None, spill_path=None):
         if max_spans is not None:
-            if max_spans < 1:
-                raise TelemetryError("max_spans must be >= 1")
+            if type(max_spans) is not int or max_spans < 1:
+                raise TelemetryError(
+                    f"max_spans must be an int >= 1, got {max_spans!r}")
             if spill_path is None:
                 raise TelemetryError(
                     "max_spans without spill_path would drop spans; "
@@ -301,12 +312,14 @@ class Tracer:
                 for name, cat, start_ms, dur_ms, track, energy_mj, args
                 in self._rows]
 
-    def iter_spans(self):
-        """Every span emitted so far: spilled prefix, then live tail.
+    def iter_rows(self):
+        """Every row emitted so far: spilled prefix, then live tail.
 
-        Flushes pending writes first so the spilled file is complete,
-        then streams it back row by row — the complete log is available
-        without ever holding it in memory at once.
+        Rows are ``(name, cat, start_ms, dur_ms, track, energy_mj,
+        args)`` tuples. Flushes pending writes first so the spilled
+        file is complete, then streams it back line by line — the
+        complete log is available without ever holding it in memory at
+        once.
         """
         if self._spill_file is not None:
             self._spill_file.flush()
@@ -315,11 +328,13 @@ class Tracer:
                 for line in f:
                     line = line.strip()
                     if line:
-                        yield Span.from_dict(json.loads(line))
-        for name, cat, start_ms, dur_ms, track, energy_mj, args \
-                in self._rows:
-            yield Span(name, cat, start_ms, dur_ms, track,
-                       energy_mj=energy_mj, args=args)
+                        yield row_from_dict(json.loads(line))
+        yield from self._rows
+
+    def iter_spans(self):
+        """Every span emitted so far, as :class:`Span` objects."""
+        for row in self.iter_rows():
+            yield Span(*row)
 
     # -- energy rollup ------------------------------------------------------------
 

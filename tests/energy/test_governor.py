@@ -126,3 +126,40 @@ class TestHeadlineClaim:
 
 def test_smoke_target():
     run_smoke(num_requests=120, n_sentences=32, verbose=False)
+
+
+class TestSwapPerEstimate:
+    @pytest.mark.parametrize("engine", ["vector", "event"])
+    def test_one_swap_per_estimate_plus_one_per_start(
+            self, registry, engine, monkeypatch):
+        # Deadline-aware lai batches price with the swap on both cores,
+        # so every estimate and every start needs the device's swap:
+        # each must compute it exactly once.
+        trace = synthetic_traffic(registry, 120, seed=5,
+                                  mean_interarrival_ms=1.0,
+                                  modes=("lai",))
+
+        def run():
+            sim = ClusterSimulator(registry, policy="energy",
+                                   hw_configs=POOL, deadline_aware=True)
+            report = sim.run(trace) if engine == "vector" \
+                else sim.run_events(trace)
+            assert report.engine == engine
+            record = report.summary()
+            record.pop("wall_seconds", None)
+            return json.dumps(record, sort_keys=True)
+
+        before = run()
+        calls = dict.fromkeys(("_swap_for", "_estimate_placement",
+                               "_begin"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _fn=getattr(ClusterSimulator, name)):
+                calls[_name] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(ClusterSimulator, name, counted)
+        assert run() == before
+        assert calls["_estimate_placement"] > calls["_begin"] > 0
+        assert calls["_swap_for"] \
+            == calls["_estimate_placement"] + calls["_begin"]

@@ -33,6 +33,7 @@ from repro.telemetry.analysis import (
     diff_runs,
     flamegraph_lines,
     hot_paths,
+    render_hot_paths,
     render_waterfall,
     waterfall_json,
 )
@@ -240,6 +241,13 @@ class TestProfilingViews:
         with pytest.raises(TelemetryError, match="weight"):
             flamegraph_lines(analysis, weight="watts")
 
+    def test_negative_row_limit_is_rejected(self, analysis):
+        table = hot_paths(analysis)
+        text = render_hot_paths(analysis, limit=len(table))
+        assert all(key in text for key in table)
+        with pytest.raises(TelemetryError, match="limit"):
+            render_hot_paths(analysis, limit=-1)
+
     def test_waterfall_renders_every_leg(self, analysis):
         journey = max(analysis.journeys,
                       key=lambda j: j.time_in_system_ms)
@@ -355,6 +363,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
         capsys.readouterr()
+
+    def test_negative_top_is_a_usage_error(self, registry, bursty,
+                                           tmp_path, capsys):
+        from repro.telemetry.analysis.__main__ import main
+
+        spans = self.spans_file(registry, bursty, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([spans, "--critical-path", "--top", "-1"])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
 
     def test_missing_span_log_fails_cleanly(self, tmp_path, capsys):
         from repro.telemetry.analysis.__main__ import main

@@ -106,6 +106,11 @@ class TestTracer:
             Tracer(max_spans=10)
         with pytest.raises(TelemetryError):
             Tracer(max_spans=0, spill_path="/tmp/x.jsonl")
+        # A non-integer cap would never trip the spill (or drop rows):
+        # only an int >= 1 bounds memory.
+        for bad in (math.nan, math.inf, 2.5, True):
+            with pytest.raises(TelemetryError, match="int >= 1"):
+                Tracer(max_spans=bad, spill_path="/tmp/x.jsonl")
 
 
 class TestSpill:
