@@ -81,6 +81,7 @@ from repro.cluster.trace import (
     load_trace,
     load_trace_csv,
     load_trace_jsonl,
+    save_trace,
     save_trace_csv,
     save_trace_jsonl,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "plan_batches",
     "replay_ineligible_reason",
     "run_vectorized",
+    "save_trace",
     "save_trace_csv",
     "save_trace_jsonl",
 ]

@@ -27,7 +27,7 @@ from repro.cluster import (
     ClusterSimulator,
     generate_diurnal_trace,
     load_trace,
-    save_trace_jsonl,
+    save_trace,
 )
 from repro.config import GLUE_TASKS
 from repro.errors import ClusterError
@@ -155,9 +155,13 @@ def run_trace(path, policy="fifo", num_accelerators=4, seed=0,
 
 
 def run_gen_trace(num_requests, out, seed=0, verbose=True):
-    """Write a deterministic diurnal trace as JSONL; returns ``out``."""
+    """Write a deterministic diurnal trace; returns ``out``.
+
+    The format follows ``out``'s extension (CSV or JSON Lines), the
+    rule the loaders read it back by.
+    """
     trace = generate_diurnal_trace(num_requests, seed=seed)
-    save_trace_jsonl(trace, out)
+    save_trace(trace, out)
     if verbose:
         span_s = trace[-1].arrival_ms * 1e-3 if trace else 0.0
         print(f"wrote {len(trace)} requests spanning "
@@ -177,7 +181,7 @@ def main(argv=None):
                         "--trace replay (the determinism oracle)")
     parser.add_argument("--gen-trace", type=int, metavar="N",
                         help="write an N-request diurnal benchmark "
-                        "trace (JSONL) and exit")
+                        "trace (CSV or JSONL, by --out's extension)")
     parser.add_argument("--out", metavar="FILE",
                         help="output path for --gen-trace "
                         "(default trace_N.jsonl)")

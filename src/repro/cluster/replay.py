@@ -6,17 +6,25 @@ dataclass, a handler dispatch, a ``BatchFormer.add``, a dispatcher pass
 and a pricing call per batch member. This module replays the same trace
 with per-*batch* cost instead, in four moves:
 
-1. **Struct-of-arrays intake** — request fields (arrival, target,
-   sentence, id, former key) are pulled into NumPy columns in one pass;
-   validation and duplicate detection run batched over whole
-   (task, mode) groups instead of per ``inject``. A trace that fails
-   them replays through ``inject`` in order, so its first offender
-   raises the per-event loop's own error.
+1. **Struct-of-arrays intake** — the trace arrives as a
+   :class:`~repro.serving.RequestTrace` (the generator and the loaders
+   return one; any other request iterable is converted) and is read as
+   its columns. Former keys are numbered from the code columns, and one
+   column check (:func:`_check_intake`) finds the first row the
+   per-event loop would refuse — duplicate ids, unknown tasks,
+   out-of-range sentences, modes a task cannot serve, arrivals before
+   the clock — and hands that row to ``inject``, so it raises the
+   per-event loop's own error. A batch's members stay a lazy
+   :class:`~repro.serving.TraceRows` view: fifo and affinity replays
+   build no request until ``report.records`` is read (the governor,
+   deadline-budget pricing and the adaptive/sizing formers read
+   members, and build them once each).
 2. **Window planning** — with static size/timeout triggers, batch
    composition per (task, SLO class, mode) key depends only on that
    key's arrival instants, so :func:`repro.cluster.batcher.plan_batches`
    computes every window close for the whole trace with one
-   ``searchsorted`` per window. Under ``adaptive_timeout`` /
+   ``searchsorted`` per window, and one ``np.minimum.reduceat`` gives
+   every window's earliest member deadline. Under ``adaptive_timeout`` /
    ``deadline_sizing`` the close of the *currently open* window depends
    on dispatch history, so planning turns incremental: each window is
    planned when it opens — one real :class:`BatchFormer` per key is fed
@@ -106,9 +114,15 @@ from repro.cluster.batcher import PendingBatch, plan_batches
 from repro.cluster.policies import FewestSwapsPolicy, FifoPolicy
 from repro.cluster.report import ClusterRecord, LazyRecords
 from repro.core.engine import results_from_arrays
-from repro.errors import ClusterError, ReproError
-from repro.serving.request import Batch, Request
-from repro.serving.server import price_batch, validate_request, within_target
+from repro.errors import ClusterError, ServingError
+from repro.serving.request import (
+    MODES,
+    Batch,
+    Request,
+    RequestTrace,
+    TraceRows,
+)
+from repro.serving.server import price_batch, within_target
 
 #: Event kinds in the batch-granular heap. OPEN marks a window opening
 #: (it consumes a timer seq and plans the close); CLOSE enqueues the
@@ -241,7 +255,8 @@ def _build_table(registry, task, target_ms, mode, hw_config,
 class _Planned:
     """One offline-planned window: member positions + close trigger."""
 
-    __slots__ = ("pos", "task", "target_ms", "mode", "by_size")
+    __slots__ = ("pos", "task", "target_ms", "mode", "by_size",
+                 "deadline_ms")
 
     def __init__(self, pos, task, target_ms, mode, by_size):
         self.pos = pos  # positions into the time-ordered columns
@@ -249,6 +264,7 @@ class _Planned:
         self.target_ms = target_ms
         self.mode = mode
         self.by_size = by_size
+        self.deadline_ms = None  # earliest member deadline, set at plan
 
 
 class _KeyPlan:
@@ -268,7 +284,7 @@ class _KeyPlan:
         self.times = times  # member arrival instants (Python floats)
         self.seqs = seqs  # member inject seqs (Python ints)
         self.pos = pos  # positions into the time-ordered trace columns
-        self.reqs = reqs  # member Request objects
+        self.reqs = reqs  # member requests
         self.cursor = 0
         self.n = len(times)
 
@@ -449,37 +465,71 @@ def _emit_spans(sim, log, ids_o, arr_o):
     sim.tracer.extend_rows(rows)
 
 
-def _precheck(sim, requests, ids, arrivals, keymap, key_max_sent):
-    """Batched duplicate/validity checks over the trace's columns.
+def _number_keys(trace, mode_code):
+    """Former key per row, numbered in first-appearance order.
 
-    Returns when the whole trace is injectable. Otherwise replays it
-    through ``sim.inject`` in order — the duplicate check,
-    :func:`~repro.serving.server.validate_request` and the event loop's
-    past-instant check, request by request — so the first offender
-    raises exactly the error the per-event loop would. Should ``inject``
-    accept every request, the two intakes disagree, and that raises too.
+    A row's key is (task, target, resolved mode); ``mode_code`` is the
+    trace's mode column with the simulator's mode filled in. Returns
+    the per-row key ids and the ``{key: id}`` map, built from the code
+    columns with no per-request loop.
     """
-    n = ids.size
-    # Generated and replayed traces carry consecutive ids; one
-    # vectorized compare settles uniqueness without the np.unique sort.
-    unique = bool((ids == np.arange(ids[0], ids[0] + n)).all()) \
-        or np.unique(ids).size == n
-    if unique and bool((arrivals >= -1e-9).all()):
+    targets, target_code = np.unique(trace.target_ms, return_inverse=True)
+    combined = ((trace.task_code * targets.size + target_code)
+                * len(MODES) + mode_code)
+    codes, first, inverse = np.unique(combined, return_index=True,
+                                      return_inverse=True)
+    by_first = np.argsort(first, kind="stable")
+    rank = np.empty(codes.size, dtype=np.int64)
+    rank[by_first] = np.arange(codes.size)
+    keymap = {}
+    for code in codes[by_first].tolist():
+        rest, mode = divmod(code, len(MODES))
+        task, target = divmod(rest, targets.size)
+        keymap[(trace.tasks[task], float(targets[target]),
+                MODES[mode])] = len(keymap)
+    return rank[inverse], keymap
+
+
+def _check_intake(sim, trace, mode_code):
+    """Refuse the trace as the per-event loop would, from its columns.
+
+    Finds the first row in trace order that ``inject`` refuses —
+    a duplicate id, an unknown task, an out-of-range sentence, a mode
+    the task cannot serve, an arrival before the clock's start — with
+    whole-column checks (task and mode tests run once per task). That
+    row then goes through ``sim.inject`` itself after the ids before it,
+    so it raises exactly the error the per-event loop raises. Should
+    ``inject`` accept it, the two intakes disagree, and that raises too.
+    """
+    n = len(trace)
+    ids = trace.request_id
+    bad = trace.arrival_ms < -1e-9
+    # Generated and loaded traces carry consecutive ids; one vectorized
+    # compare settles uniqueness without the np.unique sort.
+    if not (ids == np.arange(ids[0], ids[0] + n)).all():
+        unique, first = np.unique(ids, return_index=True)
+        if unique.size != n:
+            repeat = np.ones(n, dtype=bool)
+            repeat[first] = False
+            bad |= repeat
+    sentences = np.full(len(trace.tasks), -1, dtype=np.int64)
+    serves = np.zeros((len(trace.tasks), len(MODES)), dtype=bool)
+    for t, task in enumerate(trace.tasks):
         try:
-            # One stand-in per former key carries the key's largest
-            # sentence index through the per-request validator.
-            for (task, target_ms, mode), kid in keymap.items():
-                validate_request(
-                    sim.registry,
-                    Request(request_id=0, task=task,
-                            sentence=int(key_max_sent[kid]),
-                            target_ms=target_ms),
-                    mode)
-            return
-        except ReproError:
-            pass
-    for request in requests:
-        sim.inject(request)
+            profile = sim.registry.profile(task)
+        except ServingError:  # unknown task: every row of it offends
+            continue
+        sentences[t] = profile.num_sentences
+        threshold = profile.entropy_threshold is not None
+        serves[t] = (True, True, threshold,
+                     threshold and profile.lut is not None)
+    bad |= trace.sentence >= sentences[trace.task_code]
+    bad |= ~serves[trace.task_code, mode_code]
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    sim._seen = {request.request_id for request in trace[:row]}
+    sim.inject(trace[row])
     raise ClusterError(
         "vector intake rejected a trace that per-request intake "
         "accepts")
@@ -488,62 +538,46 @@ def _precheck(sim, requests, ids, arrivals, keymap, key_max_sent):
 def run_vectorized(sim, requests):
     """Replay ``requests`` through the batch-granular event core.
 
-    Returns the finished :class:`~repro.cluster.ClusterReport` (with
-    ``engine="vector"``). A trace the per-event loop would refuse
-    raises the same error here, from the same request (see
-    :func:`_precheck`).
+    ``requests`` is any request iterable; a
+    :class:`~repro.serving.RequestTrace` is read as it stands, anything
+    else is converted into one. Returns the finished
+    :class:`~repro.cluster.ClusterReport` (with ``engine="vector"``). A
+    trace the per-event loop would refuse raises the same error here,
+    from the same request (see :func:`_check_intake`).
     """
-    n = len(requests)
+    trace = RequestTrace.from_requests(requests)
+    n = len(trace)
     if not n:
         raise ClusterError("no requests to simulate")
     sim.start()
     policy = sim.policy
     accels = sim._accels
     report = sim._report
-    default_mode = sim.mode
 
-    # -- struct-of-arrays intake (C-driven column pulls over the trace) -----------
-    ids = np.fromiter((r.request_id for r in requests), dtype=np.int64,
-                      count=n)
-    arrivals = np.fromiter((r.arrival_ms for r in requests),
-                           dtype=np.float64, count=n)
-    targets = np.fromiter((r.target_ms for r in requests),
-                          dtype=np.float64, count=n)
-    sentences = np.fromiter((r.sentence for r in requests),
-                            dtype=np.int64, count=n)
-    keymap = {}
-    kid_list = []
-    kid_append = kid_list.append
-    for request in requests:
-        mode = request.mode
-        if mode is None:
-            mode = default_mode
-        key = (request.task, float(request.target_ms), mode)
-        kid = keymap.get(key)
-        if kid is None:
-            kid = keymap[key] = len(keymap)
-        kid_append(kid)
-    key_ids = np.array(kid_list, dtype=np.int64)
-
-    nkeys = len(keymap)
-    key_max_sent = np.full(nkeys, -1, dtype=np.int64)
-    np.maximum.at(key_max_sent, key_ids, sentences)
-    _precheck(sim, requests, ids, arrivals, keymap, key_max_sent)
+    # -- struct-of-arrays intake: the trace's columns, checked whole ---------------
+    mode_code = trace.mode_code
+    mode_code = np.where(mode_code == 0, MODES.index(sim.mode), mode_code)
+    key_ids, keymap = _number_keys(trace, mode_code)
+    _check_intake(sim, trace, mode_code)
 
     # Event-processing order: arrivals fire by (time, inject seq); a
     # stable time sort keeps inject order inside equal instants.
-    order = np.argsort(arrivals, kind="stable")
-    arr_o = arrivals[order]
-    sent_o = sentences[order]
-    kid_o = key_ids[order]
-    dead_o = arr_o + targets[order]
-    reqs_o = itemgetter(*order.tolist())(requests) if n > 1 \
-        else (requests[0],)
+    # Generated and loaded traces are already in that order.
+    arrivals = trace.arrival_ms
+    if (arrivals[1:] >= arrivals[:-1]).all():
+        order = np.arange(n)
+    else:
+        order = np.argsort(arrivals, kind="stable")
+        trace = trace.take(order)
+        key_ids = key_ids[order]
+    arr_o = trace.arrival_ms
+    sent_o = trace.sentence
+    dead_o = arr_o + trace.target_ms
 
     # -- window planning per key --------------------------------------------------
-    korder = np.argsort(kid_o, kind="stable")
-    kid_sorted = kid_o[korder]
-    key_range = np.arange(nkeys)
+    korder = np.argsort(key_ids, kind="stable")
+    kid_sorted = key_ids[korder]
+    key_range = np.arange(len(keymap))
     k_starts = np.searchsorted(kid_sorted, key_range, side="left")
     k_ends = np.searchsorted(kid_sorted, key_range, side="right")
     timeout_ms = sim.batch_timeout_ms
@@ -556,27 +590,30 @@ def run_vectorized(sim, requests):
     incremental = sim.adaptive_timeout or sim.deadline_sizing
 
     events = []
+    windows = []
+    window_starts = []  # each window's first member, in korder
     for key, kid in keymap.items():
         task, target_ms, mode = key
-        pos_k = korder[k_starts[kid]:k_ends[kid]]
+        first = int(k_starts[kid])
+        pos_k = korder[first:k_ends[kid]]
         tlist = arr_o[pos_k].tolist()
         slist = order[pos_k].tolist()
         if incremental:
-            if n > 1:
-                kreqs = itemgetter(*pos_k.tolist())(reqs_o) \
-                    if len(pos_k) > 1 else (reqs_o[pos_k[0]],)
-            else:
-                kreqs = reqs_o
-            # The simulator's own former registry: _begin feeds it the
-            # dispatch delays, and post-run inspection (controller state,
-            # deadline-close counters) works identically on both cores.
-            kp = _KeyPlan(sim._new_former(key), tlist, slist, pos_k, kreqs)
+            # The former holds its members, so the key's requests are
+            # built here, once each. The simulator's own former
+            # registry: _begin feeds it the dispatch delays, and
+            # post-run inspection (controller state, deadline-close
+            # counters) works identically on both cores.
+            kp = _KeyPlan(sim._new_former(key), tlist, slist, pos_k,
+                          trace.rows_at(pos_k))
             events.append((tlist[0], slist[0], _OPEN, kp))
             continue
         for start, end, by_size in plan_batches(tlist, max_batch,
                                                 timeout_ms):
             planned = _Planned(pos_k[start:end], task, target_ms, mode,
                                by_size)
+            windows.append(planned)
+            window_starts.append(first + start)
             if by_size and end - start == 1:
                 # The opening add itself hits the size trigger
                 # (max_batch_size == 1): the window closes before any
@@ -588,6 +625,12 @@ def run_vectorized(sim, requests):
             if by_size:
                 events.append((tlist[end - 1], slist[end - 1], _CLOSE,
                                planned))
+    if windows:
+        # Windows tile each key's members in korder, so one reduceat
+        # yields every window's earliest member deadline.
+        for planned, deadline in zip(windows, np.minimum.reduceat(
+                dead_o[korder], window_starts).tolist()):
+            planned.deadline_ms = deadline
     heapify(events)
 
     # The per-event loop's schedule seq sits at n after injecting the
@@ -825,17 +868,13 @@ def run_vectorized(sim, requests):
                 dispatch(now)
             else:
                 pos = payload.pos
-                plist = pos.tolist()
-                if len(plist) == 1:
-                    members = (reqs_o[plist[0]],)
-                else:
-                    members = itemgetter(*plist)(reqs_o)
+                # The members stay columns until something reads them.
                 batch = Batch(task=payload.task,
                               target_ms=payload.target_ms,
-                              requests=members)
+                              requests=TraceRows(trace, pos))
                 pending_batch = PendingBatch(
                     batch=batch, mode=payload.mode, ready_ms=float(now),
-                    deadline_ms=float(dead_o[pos].min()),
+                    deadline_ms=payload.deadline_ms,
                     seq=sim._next_batch_seq())
                 enqueue(pending_batch, pos, now)
                 if traced:
@@ -855,9 +894,11 @@ def run_vectorized(sim, requests):
             for energy in energies:
                 total += energy
             stats.compute_energy_mj = total
+            pending_batch = run.pending
             done_batches.append(
-                (run.pending.batch.requests, run.results, run.accel_id,
-                 run.start_ms, run.finish_ms))
+                (pending_batch.batch.requests, run.results, run.accel_id,
+                 run.start_ms, run.finish_ms, pending_batch.task,
+                 pending_batch.batch.target_ms, pending_batch.mode))
             served_pos.append(pos)
             if run.end_ms > makespan:
                 makespan = run.end_ms
@@ -871,7 +912,7 @@ def run_vectorized(sim, requests):
 
     # Traced spans carry member request ids (the journey stitcher links
     # legs with them), and so does alert evidence.
-    ids_o = ids[order] if monitored or traced else None
+    ids_o = trace.request_id
     if sampled:
         _feed_observers(sim, log, arr_o, dead_o, ids_o)
     if traced:
@@ -885,11 +926,13 @@ def run_vectorized(sim, requests):
             or any(a.run is not None for a in accels):
         raise ClusterError(
             "simulation ended with unserved or duplicated requests")
-    sim._seen = set(ids.tolist())
+    sim._seen = set(ids_o.tolist())
 
     def build_records():
+        trace.rows()  # box every member in one pass, once
         rows = []
-        for members, results, accel_id, start_ms, finish in done_batches:
+        for members, results, accel_id, start_ms, finish, *_ \
+                in done_batches:
             rows.extend(
                 ClusterRecord(request=request, result=result,
                               accel_id=accel_id, dispatch_ms=start_ms,
@@ -897,7 +940,14 @@ def run_vectorized(sim, requests):
                 for request, result, at in zip(members, results, finish))
         return rows
 
-    report.records = LazyRecords(build_records, n)
+    def ledger_rows():
+        # The ledgers read each record's class and result only, and the
+        # batch carries the class: no request is built for them.
+        return [(task, target_ms, mode, result)
+                for _, results, _, _, _, task, target_ms, mode
+                in done_batches for result in results]
+
+    report.records = LazyRecords(build_records, n, ledger_rows)
     report.makespan_ms = makespan
     report.engine = "vector"
     sim._common_finalize(report)

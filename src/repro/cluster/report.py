@@ -60,14 +60,19 @@ class LazyRecords:
     up front would dominate its wall clock. This sequence knows its
     length (so ``num_requests`` and truthiness stay free) and builds the
     real record rows — identical to the per-event engine's — only when
-    something actually iterates or indexes them (summaries, energy
-    ledgers, equivalence tests).
+    something actually iterates or indexes them (summaries, equivalence
+    tests). The energy and serving ledgers read ``ledger_rows`` instead
+    when the core supplies it (:meth:`ClusterReport.ledger_rows`).
     """
 
-    def __init__(self, build, count):
+    def __init__(self, build, count, ledger_rows=None):
         self._build = build
         self._count = int(count)
         self._rows = None
+        #: Optional ``() -> [(task, target_ms, mode, result), ...]`` in
+        #: record order: what the serving and energy ledgers read, handed
+        #: over by a core that can give it without building records.
+        self.ledger_rows = ledger_rows
 
     def _materialize(self):
         if self._rows is None:
@@ -125,29 +130,48 @@ class ClusterReport:
 
     # -- composition with the serving-layer aggregates ---------------------------
 
+    def ledger_rows(self):
+        """``(task, target_ms, mode, result)`` per record, in record order.
+
+        ``mode`` is the mode the request was served in (its override,
+        else the run's) and ``target_ms`` its SLO class as a float: what
+        the serving and energy ledgers aggregate. The vector core hands
+        these over from its batches, so reconciling its ledgers builds
+        no request; otherwise they are read off the records.
+        """
+        rows = getattr(self.records, "ledger_rows", None)
+        if rows is not None:
+            return rows()
+        return [(rec.request.task, float(rec.request.target_ms),
+                 rec.request.mode if rec.request.mode is not None
+                 else self.mode, rec.result) for rec in self.records]
+
     @property
     def serving(self):
         """The run re-aggregated as a :class:`ServingReport`.
 
         Same rows, same accounting semantics as a single-`Server` run —
         everything `report.per_task()` and the energy totals already
-        mean — built once and cached.
+        mean — built once and cached. Its ``results`` (request, result)
+        pairs are built only when read.
         """
         if not hasattr(self, "_serving"):
             report = ServingReport(mode=self.mode,
                                    num_batches=self.num_batches)
-            report.results = [RequestResult(rec.request, rec.result)
-                              for rec in self.records]
+            results = [row[3] for row in self.ledger_rows()]
+            report.results = LazyRecords(
+                lambda: [RequestResult(rec.request, rec.result)
+                         for rec in self.records], len(results))
             report.task_switches = sum(a.swaps for a in self.accelerators)
             report.switch_latency_ms = sum(a.swap_latency_ms
                                            for a in self.accelerators)
             report.switch_energy_mj = sum(a.swap_energy_mj
                                           for a in self.accelerators)
             report.compute_latency_ms = float(
-                sum(rec.result.latency_ms for rec in self.records)
+                sum(r.latency_ms for r in results)
                 + self.wasted_compute_ms)
             report.compute_energy_mj = float(
-                sum(rec.result.energy_mj for rec in self.records)
+                sum(r.energy_mj for r in results)
                 + self.wasted_energy_mj)
             report.wall_seconds = self.wall_seconds
             self._serving = report

@@ -209,10 +209,14 @@ class ClusterSimulator:
         lands in ``report.engine_fallback_reason``. The report's
         ``engine`` field says which core actually ran. Either core leaves
         :attr:`pool_index` current and audits it once, at finalization.
+
+        ``requests`` is any request iterable: a list, a stream, or a
+        :class:`~repro.serving.RequestTrace`, which the vector core reads
+        as columns without building a request per row.
         """
         reason = replay_ineligible_reason(self)
         if reason is None:
-            return run_vectorized(self, list(requests))
+            return run_vectorized(self, requests)
         report = self.run_events(requests)
         report.engine_fallback_reason = reason
         return report

@@ -3,10 +3,9 @@
 Synthetic Poisson arrivals (:func:`repro.serving.synthetic_traffic`)
 exercise the machinery, but real experiments want measured traffic.
 This module loads request traces from the two formats assistants
-actually log — CSV and JSON Lines — into the
-:class:`~repro.serving.Request` rows ``ClusterSimulator.run`` consumes,
-and writes them back out so synthetic traces can be frozen into
-replayable files.
+actually log — CSV and JSON Lines — and writes them back out so
+synthetic traces can be frozen into replayable files
+(:func:`save_trace` picks the format by extension, as the loaders do).
 
 Both formats carry one request per row/line with the fields
 
@@ -15,17 +14,22 @@ Both formats carry one request per row/line with the fields
 
 where ``request_id`` defaults to the row's position, ``arrival_ms`` to
 0, ``target_ms`` to ``default_target_ms``, ``mode`` to inherit the
-simulator's, and ``site`` (a fleet site-affinity pin) to none. Rows are returned in arrival order (the event loop sorts
-by time anyway; sorting here keeps file order irrelevant and diffs
-stable). ``python -m repro.cluster --trace FILE`` replays a file
-end-to-end.
+simulator's, and ``site`` (a fleet site-affinity pin) to none.
+
+The loaders return a :class:`~repro.serving.RequestTrace`: each row is
+parsed into its field values, the rows are checked once as columns (the
+first row :class:`~repro.serving.Request` would refuse raises its
+error, with the row number) and sorted by (arrival, request id), so
+file order is irrelevant and diffs stay stable; no request object is
+built until an element is read. ``python -m repro.cluster --trace
+FILE`` replays a file end-to-end.
 
 Million-request logs don't fit the load-everything idiom, so the
 ``iter_trace*`` variants stream :class:`~repro.serving.Request` rows in
-*file* order without materializing the log (the replay engine sorts by
+*file* order without materializing the log (the simulator sorts by
 arrival anyway), and :func:`generate_diurnal_trace` synthesizes a
-deterministic day-curve trace of any size for replay benchmarking
-(``python -m repro.cluster --gen-trace N``).
+deterministic day-curve trace of any size, as columns, for replay
+benchmarking (``python -m repro.cluster --gen-trace N``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import os
 import numpy as np
 
 from repro.errors import ClusterError, ServingError
-from repro.serving.request import Request
+from repro.serving.request import Request, RequestTrace
 
 #: Recognized extensions per format.
 _CSV_EXTENSIONS = (".csv",)
@@ -50,8 +54,13 @@ TRACE_FIELDS = ("request_id", "task", "sentence", "arrival_ms",
                 "target_ms", "mode", "site")
 
 
-def _request_from_row(row, index, default_target_ms):
-    """Build one :class:`Request` from a parsed mapping."""
+def _fields_of_row(row, index, default_target_ms):
+    """The seven :class:`Request` field values of one parsed mapping.
+
+    Parses and converts only; the values are validated where they land
+    (``Request`` for a streamed row, the trace's column check for a
+    loaded one).
+    """
     if not isinstance(row, dict):
         raise ClusterError(
             f"trace row {index} is not a mapping: {row!r}")
@@ -76,32 +85,72 @@ def _request_from_row(row, index, default_target_ms):
         return default if value in (None, "") else value
 
     try:
-        return Request(
-            request_id=int(value_or("request_id", index)),
-            task=str(row["task"]),
-            sentence=int(row["sentence"]),
-            target_ms=float(value_or("target_ms", default_target_ms)),
-            arrival_ms=float(value_or("arrival_ms", 0.0)),
-            mode=mode,
-            site=None if site is None else str(site),
-        )
-    except (TypeError, ValueError, ServingError) as exc:
-        # ServingError covers Request's own validation (non-positive
-        # target, negative sentence, unknown mode) — keep the row
-        # number so a bad line in a large log is findable.
+        return (int(value_or("request_id", index)), str(row["task"]),
+                int(row["sentence"]),
+                float(value_or("target_ms", default_target_ms)),
+                float(value_or("arrival_ms", 0.0)), mode,
+                None if site is None else str(site))
+    except (TypeError, ValueError) as exc:
         raise ClusterError(
             f"trace row {index} has malformed values: {exc}") from None
 
 
-def _by_arrival(path, rows, empty_message):
-    """The loaded rows in arrival order; an empty log raises."""
+def _request_from_row(row, index, default_target_ms):
+    """Build one :class:`Request` from a parsed mapping."""
+    fields = _fields_of_row(row, index, default_target_ms)
+    try:
+        return Request(*fields)
+    except ServingError as exc:
+        # Request's own validation (non-positive target, negative
+        # sentence, unknown mode) — keep the row number so a bad line in
+        # a large log is findable.
+        raise ClusterError(
+            f"trace row {index} has malformed values: {exc}") from None
+
+
+def _trace_of(rows, indices):
+    """A :class:`RequestTrace` of parsed field tuples, validated as columns.
+
+    The first row ``Request`` would refuse raises its message with the
+    row number, as :func:`_request_from_row` does for a streamed row.
+    """
     if not rows:
+        return None
+    try:
+        return RequestTrace.from_columns(*zip(*rows))
+    except ServingError as exc:
+        raise ClusterError(
+            f"trace row {indices[exc.row]} has malformed values: "
+            f"{exc}") from None
+
+
+def _load(path, parsed, default_target_ms, empty_message):
+    """Load ``(index, mapping)`` pairs into a trace in arrival order.
+
+    Rows are parsed into field tuples and checked as columns once, with
+    no request built. A row that fails to parse raises only after the
+    rows before it are checked, so the first bad row in the file is the
+    one reported, whichever way it is bad.
+    """
+    rows = []
+    indices = []
+    try:
+        for index, row in parsed:
+            rows.append(_fields_of_row(row, index, default_target_ms))
+            indices.append(index)
+    except ClusterError:
+        _trace_of(rows, indices)
+        raise
+    trace = _trace_of(rows, indices)
+    if trace is None:
         raise ClusterError(f"trace {path!r} {empty_message}")
-    return sorted(rows, key=lambda r: (r.arrival_ms, r.request_id))
+    # Arrival order, ties by request id (a stable sort keeps file order
+    # inside equal pairs).
+    return trace.take(np.lexsort((trace.request_id, trace.arrival_ms)))
 
 
-def _jsonl_requests(path, lines, default_target_ms):
-    """Parse JSON-Lines ``lines`` (one object each) into requests."""
+def _jsonl_rows(path, lines):
+    """``(line index, parsed object)`` of each non-blank JSON line."""
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -112,25 +161,34 @@ def _jsonl_requests(path, lines, default_target_ms):
             raise ClusterError(
                 f"trace {path!r} line {i + 1} is not valid JSON: "
                 f"{exc}") from None
-        yield _request_from_row(parsed, i, default_target_ms)
+        yield i, parsed
 
 
-def _for_format(path, csv_reader, jsonl_reader):
-    """The reader matching ``path``'s extension."""
+def _csv_rows(path):
+    """``(row index, mapping)`` of each CSV data row (header required)."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise ClusterError(f"trace {path!r} is empty")
+        yield from enumerate(reader)
+
+
+def _for_format(path, for_csv, for_jsonl):
+    """The reader (or writer) matching ``path``'s extension."""
     ext = os.path.splitext(path)[1].lower()
     if ext in _CSV_EXTENSIONS:
-        return csv_reader
+        return for_csv
     if ext in _JSONL_EXTENSIONS:
-        return jsonl_reader
+        return for_jsonl
     raise ClusterError(
         f"unknown trace format {ext!r} for {path!r}; expected one of "
         f"{_CSV_EXTENSIONS + _JSONL_EXTENSIONS}")
 
 
 def load_trace_csv(path, default_target_ms=50.0):
-    """Load a CSV request log (header row required)."""
-    return _by_arrival(path, list(iter_trace_csv(path, default_target_ms)),
-                       "has a header but no rows")
+    """Load a CSV request log (header row required) as a trace."""
+    return _load(path, _csv_rows(path), default_target_ms,
+                 "has a header but no rows")
 
 
 def load_trace_jsonl(path, default_target_ms=50.0):
@@ -143,17 +201,14 @@ def load_trace_jsonl(path, default_target_ms=50.0):
         text = handle.read()
     if text.lstrip().startswith("["):
         try:
-            parsed_rows = json.loads(text)
+            parsed = enumerate(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ClusterError(
                 f"trace {path!r} is not a valid JSON array: "
                 f"{exc}") from None
-        rows = [_request_from_row(parsed, i, default_target_ms)
-                for i, parsed in enumerate(parsed_rows)]
     else:
-        rows = list(_jsonl_requests(path, text.splitlines(),
-                                    default_target_ms))
-    return _by_arrival(path, rows, "has no rows")
+        parsed = _jsonl_rows(path, text.splitlines())
+    return _load(path, parsed, default_target_ms, "has no rows")
 
 
 def iter_trace_csv(path, default_target_ms=50.0):
@@ -165,12 +220,8 @@ def iter_trace_csv(path, default_target_ms=50.0):
     ``ClusterSimulator.run`` (which consumes any iterable). No sorting —
     the simulator orders by arrival time itself.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ClusterError(f"trace {path!r} is empty")
-        for i, row in enumerate(reader):
-            yield _request_from_row(row, i, default_target_ms)
+    for i, row in _csv_rows(path):
+        yield _request_from_row(row, i, default_target_ms)
 
 
 def iter_trace_jsonl(path, default_target_ms=50.0):
@@ -186,8 +237,9 @@ def iter_trace_jsonl(path, default_target_ms=50.0):
             raise ClusterError(
                 f"trace {path!r} is a JSON array; streaming needs "
                 "one object per line (use load_trace_jsonl)")
-        yield from _jsonl_requests(path, itertools.chain((first,), handle),
-                                   default_target_ms)
+        for i, parsed in _jsonl_rows(path,
+                                     itertools.chain((first,), handle)):
+            yield _request_from_row(parsed, i, default_target_ms)
 
 
 def iter_trace(path, default_target_ms=50.0):
@@ -212,7 +264,9 @@ def generate_diurnal_trace(num_requests, seed=0, tasks=None,
     Tasks, sentences, SLO targets and modes are drawn i.i.d. per
     request; ``modes`` entries of None inherit the simulator's mode.
     Same seed, same trace — requests are returned in arrival order with
-    ``request_id`` equal to that order's index.
+    ``request_id`` equal to that order's index, as a
+    :class:`~repro.serving.RequestTrace` filled from the draws with no
+    per-request loop.
     """
     if num_requests < 1:
         raise ClusterError("num_requests must be >= 1")
@@ -245,13 +299,10 @@ def generate_diurnal_trace(num_requests, seed=0, tasks=None,
     sentence = rng.integers(0, int(n_sentences), size=num_requests)
     target_idx = rng.integers(0, len(targets_ms), size=num_requests)
     mode_idx = rng.integers(0, len(modes), size=num_requests)
-    return [
-        Request(request_id=i, task=tasks[task_idx[i]],
-                sentence=int(sentence[i]),
-                target_ms=float(targets_ms[target_idx[i]]),
-                arrival_ms=float(times[i]), mode=modes[mode_idx[i]])
-        for i in range(num_requests)
-    ]
+    return RequestTrace.from_codes(
+        np.arange(num_requests), task_idx, tasks, sentence,
+        np.array([float(t) for t in targets_ms])[target_idx], times,
+        mode_idx, modes)
 
 
 def load_trace(path, default_target_ms=50.0):
@@ -292,3 +343,9 @@ def save_trace_jsonl(requests, path):
             handle.write(json.dumps(_row_of(request), sort_keys=True))
             handle.write("\n")
     return path
+
+
+def save_trace(requests, path):
+    """Write requests in the format ``path``'s extension names."""
+    return _for_format(path, save_trace_csv, save_trace_jsonl)(
+        requests, path)

@@ -103,18 +103,19 @@ class EnergyReport:
 
     @classmethod
     def from_cluster(cls, cluster_report):
-        """Build from a finished cluster run's records + device ledgers."""
+        """Build from a finished cluster run's ledger rows + device ledgers.
+
+        Energy per request is keyed by SLO class: (task, float target,
+        served mode), read from :meth:`ClusterReport.ledger_rows`.
+        """
         per_class = {}
-        for rec in cluster_report.records:
-            request = rec.request
-            mode = request.mode if request.mode is not None \
-                else cluster_report.mode
-            key = f"{request.task}|{request.target_ms:g}ms|{mode}"
+        for task, target_ms, mode, result in cluster_report.ledger_rows():
+            key = f"{task}|{target_ms:g}ms|{mode}"
             stats = per_class.setdefault(key, {
-                "task": request.task, "target_ms": request.target_ms,
+                "task": task, "target_ms": target_ms,
                 "mode": mode, "requests": 0, "energy_mj": 0.0})
             stats["requests"] += 1
-            stats["energy_mj"] += rec.result.energy_mj
+            stats["energy_mj"] += result.energy_mj
         for stats in per_class.values():
             stats["mj_per_request"] = (stats["energy_mj"]
                                        / stats["requests"])

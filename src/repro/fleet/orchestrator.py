@@ -37,6 +37,7 @@ from repro.fleet.autoscaler import FleetAutoscaler
 from repro.fleet.report import FleetRecord, FleetReport
 from repro.fleet.router import make_routing_policy
 from repro.fleet.site import FleetSite, SiteOutcome
+from repro.serving.request import RequestTrace
 from repro.telemetry.tracer import NULL_TRACER
 
 
@@ -109,12 +110,18 @@ class FleetOrchestrator:
     # -- public API --------------------------------------------------------------
 
     def run(self, requests):
-        """Route and serve the trace; returns a :class:`FleetReport`."""
-        requests = list(requests)
-        if not requests:
+        """Route and serve the trace; returns a :class:`FleetReport`.
+
+        ``requests`` is any request iterable (a list, a stream or a
+        :class:`~repro.serving.RequestTrace`); it is read as columns,
+        and each request is built once, for routing.
+        """
+        trace = RequestTrace.from_requests(requests)
+        if not len(trace):
             raise FleetError("no requests to route")
+        boxed = trace.rows()
         seen = set()
-        for request in requests:
+        for request in boxed:
             if request.request_id in seen:
                 raise FleetError(
                     f"duplicate request id {request.request_id}")
@@ -132,20 +139,19 @@ class FleetOrchestrator:
         self._routes = {}  # request_id -> (site_index, routed_ms)
         self._deferrals = 0
 
+        column = trace.arrival_ms
         if self.autoscaler is not None:
-            first = min(r.arrival_ms for r in requests)
+            first = float(column.min())
             self._loop.schedule(first + self.autoscaler.interval_ms,
                                 AutoscaleTick())
         # Column intake: a stable argsort on the arrival instants orders
         # equal instants by trace position.
-        column = np.fromiter((r.arrival_ms for r in requests),
-                             dtype=np.float64, count=len(requests))
         order = np.argsort(column, kind="stable")
-        arrivals = [requests[k] for k in order.tolist()]
+        arrivals = [boxed[k] for k in order.tolist()]
         times = column[order].tolist()
         self._pending_front = len(arrivals)  # arrivals not yet routed
         self._drain(arrivals, times)
-        return self._finish(requests, started)
+        return self._finish(boxed, started)
 
     # -- the merged clock --------------------------------------------------------
 
@@ -305,6 +311,7 @@ class FleetOrchestrator:
     # -- finalization ------------------------------------------------------------
 
     def _finish(self, requests, started):
+        """Fleet records for ``requests``, the boxed trace in trace order."""
         reports = [site.finish() for site in self._sites]
         by_site = [
             {rec.request.request_id: rec for rec in report.records}

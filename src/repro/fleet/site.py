@@ -39,12 +39,13 @@ clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.pool import class_key
 from repro.cluster.replay import _build_table
 from repro.cluster.simulator import ClusterSimulator
 from repro.errors import FleetError
+from repro.serving.request import retimed
 # Unused here: bound only so the e2e benchmark's layer tracer
 # (benchmarks/e2e/layertrace.py) still resolves its
 # ``fleet.site.price_batch`` boundary.
@@ -247,8 +248,10 @@ class FleetSite:
         ingress_ms = float(now_ms) + self.rtt_ms / 2.0
         # Site-local deadline = ingress + target = original deadline
         # minus the egress leg: finishing "on time" at the site leaves
-        # exactly enough time for the response to travel back.
-        local = replace(request, arrival_ms=ingress_ms, target_ms=slack)
+        # exactly enough time for the response to travel back. Both
+        # values are valid by construction (slack > 0, a finite
+        # ingress), and ``inject`` validates the rest.
+        local = retimed(request, ingress_ms, slack)
         self.sim.inject(local, at_ms=ingress_ms)
         self.admitted += 1
         if self.tracer.enabled and self.rtt_ms > 0.0:

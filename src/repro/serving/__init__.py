@@ -3,7 +3,9 @@
 The subsystem turns the per-sentence engine into a request/batch server
 (the ROADMAP's "production-scale serving" direction):
 
-* :class:`Request` / :class:`Batch` — the traffic units;
+* :class:`Request` / :class:`Batch` — the traffic units, and
+  :class:`RequestTrace`, a whole trace as read-only columns that builds
+  a request only when an element is read;
 * :class:`TaskRegistry` / :class:`TaskProfile` — per-task artifacts
   around one shared, eNVM-resident embedding store, so task switches
   price only encoder-weight swaps (:meth:`TaskRegistry.switch_cost`);
@@ -23,7 +25,15 @@ from repro.serving.registry import (
     TaskRegistry,
     encoder_weight_bytes,
 )
-from repro.serving.request import SERVING_MODES, Batch, Request, RequestResult
+from repro.serving.request import (
+    MODES,
+    SERVING_MODES,
+    Batch,
+    Request,
+    RequestResult,
+    RequestTrace,
+    TraceRows,
+)
 from repro.serving.scheduler import Scheduler
 from repro.serving.server import (
     Server,
@@ -43,8 +53,10 @@ from repro.serving.synthetic import (
 
 __all__ = [
     "Batch",
+    "MODES",
     "Request",
     "RequestResult",
+    "RequestTrace",
     "Scheduler",
     "Server",
     "ServingReport",
@@ -52,6 +64,7 @@ __all__ = [
     "SwitchCost",
     "TaskProfile",
     "TaskRegistry",
+    "TraceRows",
     "batch_deadline_ms",
     "encoder_weight_bytes",
     "price_batch",
