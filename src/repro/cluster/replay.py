@@ -49,12 +49,14 @@ with per-*batch* cost instead, in four moves:
    assembled by array indexing. A table stays the kernel's columns:
    a sentence's result row is boxed the first time a served batch
    needs it and reused after that, so sentences nobody is served cost
-   no objects. The deadline-budget ``lai`` path is batch-coupled
-   (water-filling over the shared slack), so no table row applies; it
-   prices each batch by gathering its members' rows of the profile's
+   no objects. Every ``lai`` price reads the profile's
    target-independent exit columns
    (:meth:`~repro.serving.TaskProfile.deadline_columns`, built once per
-   profile and hardware) and planning them in one pass.
+   profile and hardware): a ``lai`` table adds only the per-sentence V/F
+   plan at its target (:func:`_build_table`). The deadline-budget
+   ``lai`` path is batch-coupled (water-filling over the shared slack),
+   so no table row applies; it prices each batch by gathering its
+   members' rows of those columns and planning them in one pass.
 
 Observation happens after the drain. The hot loop appends one tuple to
 one log at each commit point an observer reads: the queue depth after
@@ -113,8 +115,11 @@ import numpy as np
 from repro.cluster.batcher import PendingBatch, plan_batches
 from repro.cluster.policies import FewestSwapsPolicy, FifoPolicy
 from repro.cluster.report import ClusterRecord, LazyRecords
-from repro.core.engine import results_from_arrays
-from repro.errors import ClusterError, ServingError
+from repro.core.engine import (
+    price_latency_aware_columns,
+    results_from_arrays,
+)
+from repro.errors import ClusterError
 from repro.serving.request import (
     MODES,
     Batch,
@@ -122,7 +127,11 @@ from repro.serving.request import (
     RequestTrace,
     TraceRows,
 )
-from repro.serving.server import price_batch, within_target
+from repro.serving.server import (
+    price_batch,
+    serving_columns,
+    within_target,
+)
 
 #: Event kinds in the batch-granular heap. OPEN marks a window opening
 #: (it consumes a timer seq and plans the close); CLOSE enqueues the
@@ -227,10 +236,17 @@ def _build_table(registry, task, target_ms, mode, hw_config,
     any other same-target batch, with the same kernels — ``price_batch``
     reads only the sentence indices and ``batch.target_ms`` — including
     its base/ee SLO judgement (:func:`~repro.serving.server.within_target`,
-    applied here as one column operation). The vectorized path prices
+    applied here as one column operation). The vectorized path keeps the
+    kernel's columns and builds no request, batch or engine report.
+    A ``lai`` table splits Algorithm 2 as the paper does: the layer-1
+    exit test, the LUT prediction, the bounded exit layers and the taken
+    classes read no target, so they come from the profile's memoized
+    :meth:`~repro.serving.TaskProfile.deadline_columns`, and only the
+    per-sentence V/F plan is priced at ``target_ms``
+    (:func:`~repro.core.engine.price_latency_aware_columns`); a table at
+    a new target costs that plan alone. ``base``/``ee`` tables price
     ``profile.logits``/``profile.entropies`` whole through
-    :meth:`~repro.core.LatencyAwareEngine.price_columns` and keeps the
-    columns; it builds no request, batch or engine report. Scalar callers
+    :meth:`~repro.core.LatencyAwareEngine.price_columns`. Scalar callers
     (the fleet router on a scalar-kernel site) pass ``vectorized=False``
     so their rows come from the scalar oracle through ``price_batch``.
     """
@@ -243,12 +259,17 @@ def _build_table(registry, task, target_ms, mode, hw_config,
         batch = Batch(task=task, target_ms=target_ms, requests=members)
         return _PriceTable.from_results(
             price_batch(profile, batch, mode, vectorized=False).results)
+    if mode == "lai":
+        columns = profile.deadline_columns()
+        engine = profile.engine
+        return _PriceTable(price_latency_aware_columns(
+            engine.pricing_tables(), engine.dvfs, columns, target_ms),
+            columns["taken"])
     priced, predictions = profile.engine.price_columns(
         mode, profile.logits, profile.entropies, lut=profile.lut,
         entropy_threshold=profile.entropy_threshold, target_ms=target_ms)
-    if mode != "lai":
-        priced["met_target"] = priced["met_target"] & within_target(
-            priced["latency_ms"], target_ms)
+    priced["met_target"] = priced["met_target"] & within_target(
+        priced["latency_ms"], target_ms)
     return _PriceTable(priced, predictions)
 
 
@@ -512,17 +533,8 @@ def _check_intake(sim, trace, mode_code):
             repeat = np.ones(n, dtype=bool)
             repeat[first] = False
             bad |= repeat
-    sentences = np.full(len(trace.tasks), -1, dtype=np.int64)
-    serves = np.zeros((len(trace.tasks), len(MODES)), dtype=bool)
-    for t, task in enumerate(trace.tasks):
-        try:
-            profile = sim.registry.profile(task)
-        except ServingError:  # unknown task: every row of it offends
-            continue
-        sentences[t] = profile.num_sentences
-        threshold = profile.entropy_threshold is not None
-        serves[t] = (True, True, threshold,
-                     threshold and profile.lut is not None)
+    # ``mode_code`` is resolved: it never reads the inherited column.
+    sentences, serves = serving_columns(sim.registry, trace.tasks)
     bad |= trace.sentence >= sentences[trace.task_code]
     bad |= ~serves[trace.task_code, mode_code]
     if not bad.any():

@@ -702,10 +702,11 @@ class ClusterSimulator:
                 # Composition-invariant pricing: gather the members'
                 # rows from the whole-profile table instead of pricing
                 # this batch's composition (identical rows — the replay
-                # core's table contract).
+                # core's table contract). A vector-core batch reads its
+                # sentence column, so no member is boxed.
                 table = self._table_for(pending_batch, accel)
                 rows = table.rows(
-                    [r.sentence for r in pending_batch.batch.requests])
+                    pending_batch.batch.sentence_indices.tolist())
             else:
                 profile = self._profile_for(pending_batch.task, accel)
                 rows = price_batch(profile, pending_batch.batch,

@@ -37,7 +37,8 @@ from repro.fleet.autoscaler import FleetAutoscaler
 from repro.fleet.report import FleetRecord, FleetReport
 from repro.fleet.router import make_routing_policy
 from repro.fleet.site import FleetSite, SiteOutcome
-from repro.serving.request import RequestTrace
+from repro.serving.request import MODES, RequestTrace
+from repro.serving.server import serving_columns, validate_request
 from repro.telemetry.tracer import NULL_TRACER
 
 
@@ -114,7 +115,8 @@ class FleetOrchestrator:
 
         ``requests`` is any request iterable (a list, a stream or a
         :class:`~repro.serving.RequestTrace`); it is read as columns,
-        and each request is built once, for routing.
+        checked once against the registry (:meth:`_check_intake`), and
+        each request is built once, for routing.
         """
         trace = RequestTrace.from_requests(requests)
         if not len(trace):
@@ -126,13 +128,14 @@ class FleetOrchestrator:
                 raise FleetError(
                     f"duplicate request id {request.request_id}")
             seen.add(request.request_id)
+        refusals = self._check_intake(trace, boxed)
 
         started = time.perf_counter()
         self.routing.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        for site in self._sites:
-            site.start()
+        for site, refuses in zip(self._sites, refusals):
+            site.start(refuses)
         self._loop = EventLoop()
         self._loop.on(RouteRequest, self._on_route)
         self._loop.on(AutoscaleTick, self._on_tick)
@@ -152,6 +155,43 @@ class FleetOrchestrator:
         self._pending_front = len(arrivals)  # arrivals not yet routed
         self._drain(arrivals, times)
         return self._finish(boxed, started)
+
+    def _check_intake(self, trace, boxed):
+        """Refuse, before routing, a request no site could serve.
+
+        A site's ``inject`` refuses an unknown task, an out-of-range
+        sentence and a mode the task cannot serve; a mode-less request
+        takes the site's mode, so it offends only when no site's mode
+        fits its task. Each request is checked once per run, here, with
+        whole-column tests (:func:`~repro.serving.server.serving_columns`),
+        instead of failing inside a price-table build mid-run. The first
+        offender in trace order raises ``inject``'s own error class and
+        message, from :func:`~repro.serving.server.validate_request`.
+
+        Returns, per site, the tasks its mode cannot serve
+        (:attr:`FleetSite.refuses`): routing treats the site as
+        infeasible for their mode-less requests, as it treats a site
+        the round trip rules out.
+        """
+        registry = self.registry
+        sentences, serves = serving_columns(registry, trace.tasks)
+        site_serves = serves[:, [MODES.index(site.sim.mode)
+                                 for site in self._sites]]
+        serves[:, 0] = site_serves.any(axis=1)
+        bad = trace.sentence >= sentences[trace.task_code]
+        bad |= ~serves[trace.task_code, trace.mode_code]
+        if bad.any():
+            # Every site refuses an offender, so the first one raises.
+            request = boxed[int(np.argmax(bad))]
+            site = self._sites[0]
+            validate_request(registry, request,
+                             request.mode or site.sim.mode)
+            raise FleetError(
+                f"fleet intake refused request {request.request_id}, "
+                f"which site {site.site_id!r} accepts")
+        return [frozenset(task for task, ok in zip(trace.tasks, column)
+                          if not ok)
+                for column in site_serves.T.tolist()]
 
     # -- the merged clock --------------------------------------------------------
 

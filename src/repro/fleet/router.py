@@ -2,17 +2,20 @@
 
 A routing policy answers one question — a request just became routable
 at simulated time *t*; which site does it go to, or how long may it be
-deferred? — against the live observables every
-:class:`~repro.fleet.FleetSite` exposes (load, power-cap headroom,
-placement estimates, RTT feasibility). Three are built in:
+deferred? — against one :meth:`~repro.fleet.FleetSite.quote` per site:
+the compute slack the round trip leaves, the in-system load and the
+power-cap headroom, or None when the site is infeasible (the round trip
+alone misses the deadline, or the site's mode cannot serve a mode-less
+request's task). Three are built in:
 
-* :class:`RoundRobinRouting` — rotate through the RTT-feasible sites;
+* :class:`RoundRobinRouting` — rotate through the feasible sites;
   the baseline the bench gates against.
 * :class:`LeastLoadedRouting` — fewest in-system requests per online
   device; the classic load balancer.
-* :class:`EnergyDeadlineRouting` — score every RTT-feasible site by the
+* :class:`EnergyDeadlineRouting` — score every feasible site by the
   joules its cheapest device is predicted to spend on the request
-  (per-site placement estimates read off whole-profile price tables
+  (:meth:`~repro.fleet.FleetSite.estimate_request` at the quoted slack,
+  priced from per-class cost rows over whole-profile price tables
   shared by every site on the registry), inflated by the site's
   power-cap pressure, and place on the cheapest site whose predicted
   compute still fits the slack left after the round trip. Under
@@ -22,16 +25,20 @@ placement estimates, RTT feasibility). Three are built in:
   bounded re-route later — when every feasible site is pressed, while
   tight-SLO traffic always routes immediately.
 
-All policies honor a request's ``site`` affinity pin when that site can
-still meet the deadline, and every tie-break ends on site order, so
-routing is deterministic given the same trace.
+All policies honor a request's ``site`` affinity pin when that site is
+feasible (it serves the request and the round trip leaves slack), and
+every tie-break ends on site order, so routing is deterministic given
+the same trace.
 
 The orchestrator calls :meth:`RoutingPolicy.route` once per routable
-request — original arrivals and deferral retries alike. The expensive
-term, the placement estimate, is memoized by each site per epoch of
-frozen device state (:meth:`~repro.fleet.FleetSite.estimate_request`);
-everything else the energy score reads (in-system counts, budget
-headroom, health) is read live per call.
+request — original arrivals and deferral retries alike — and checks
+every request against the registry once per run, before routing, so a
+policy never sees one that no site could serve, and a site's quote only
+asks whether a mode-less request's task is one the site's mode cannot
+serve. Each policy quotes every site once per call; only the energy
+router asks for estimates, the expensive term, which each site
+memoizes per epoch of frozen device state. Everything else the energy
+score reads (load, budget headroom, health) is read live per call.
 """
 
 from __future__ import annotations
@@ -89,29 +96,32 @@ class RoutingPolicy:
 
     # -- shared helpers -----------------------------------------------------------
 
-    def _affinity_index(self, request, sites, now_ms):
+    @staticmethod
+    def _quotes(request, sites, now_ms):
+        """Each site's :meth:`~repro.fleet.FleetSite.quote`, in site order."""
+        return [site.quote(request, now_ms) for site in sites]
+
+    def _affinity_index(self, request, sites, quotes):
         """The pinned site's index, when pinned and still feasible."""
         if request.site is None:
             return None
         for i, site in enumerate(sites):
             if site.site_id == request.site:
-                return i if site.rtt_feasible(request, now_ms) else None
+                return i if quotes[i] is not None else None
         raise FleetError(
             f"request {request.request_id} pinned to unknown site "
             f"{request.site!r}")
 
-    def _feasible_indices(self, request, sites, now_ms):
-        return [i for i, site in enumerate(sites)
-                if site.rtt_feasible(request, now_ms)]
-
     def _fallback_index(self, request, sites):
-        """No site is RTT-feasible: least-RTT site limits the damage."""
-        return min(range(len(sites)),
+        """No site is feasible: the least-RTT site that serves the
+        request limits the damage (the fleet's intake guarantees one)."""
+        return min((i for i, site in enumerate(sites)
+                    if site.serves(request)),
                    key=lambda i: (sites[i].rtt_ms, i))
 
 
 class RoundRobinRouting(RoutingPolicy):
-    """Rotate through the RTT-feasible sites in site order."""
+    """Rotate through the feasible sites in site order."""
 
     name = "round-robin"
 
@@ -119,18 +129,16 @@ class RoundRobinRouting(RoutingPolicy):
         self._next = 0
 
     def route(self, request, sites, now_ms):
-        pinned = self._affinity_index(request, sites, now_ms)
+        quotes = self._quotes(request, sites, now_ms)
+        pinned = self._affinity_index(request, sites, quotes)
         if pinned is not None:
             return RoutingDecision(pinned)
-        feasible = self._feasible_indices(request, sites, now_ms)
-        if not feasible:
-            return RoutingDecision(self._fallback_index(request, sites))
         for offset in range(len(sites)):
             index = (self._next + offset) % len(sites)
-            if index in feasible:
+            if quotes[index] is not None:
                 self._next = (index + 1) % len(sites)
                 return RoutingDecision(index)
-        raise FleetError("unreachable: feasible set was non-empty")
+        return RoutingDecision(self._fallback_index(request, sites))
 
 
 class LeastLoadedRouting(RoutingPolicy):
@@ -139,15 +147,16 @@ class LeastLoadedRouting(RoutingPolicy):
     name = "least-loaded"
 
     def route(self, request, sites, now_ms):
-        pinned = self._affinity_index(request, sites, now_ms)
+        quotes = self._quotes(request, sites, now_ms)
+        pinned = self._affinity_index(request, sites, quotes)
         if pinned is not None:
             return RoutingDecision(pinned)
-        feasible = self._feasible_indices(request, sites, now_ms)
+        feasible = [i for i, quote in enumerate(quotes)
+                    if quote is not None]
         if not feasible:
             return RoutingDecision(self._fallback_index(request, sites))
         return RoutingDecision(min(
-            feasible,
-            key=lambda i: (sites[i].load(), sites[i].rtt_ms, i)))
+            feasible, key=lambda i: (quotes[i][1], sites[i].rtt_ms, i)))
 
 
 class EnergyDeadlineRouting(RoutingPolicy):
@@ -174,30 +183,29 @@ class EnergyDeadlineRouting(RoutingPolicy):
         return slack_after >= self.defer_min_slack_ms
 
     def route(self, request, sites, now_ms):
-        pinned = self._affinity_index(request, sites, now_ms)
+        quotes = self._quotes(request, sites, now_ms)
+        pinned = self._affinity_index(request, sites, quotes)
         if pinned is not None:
             return RoutingDecision(pinned)
-        feasible = self._feasible_indices(request, sites, now_ms)
-        if not feasible:
-            return RoutingDecision(self._fallback_index(request, sites))
 
         scored = []
-        for i in feasible:
+        for i, quote in enumerate(quotes):
+            if quote is None:
+                continue  # the round trip or the site's mode rules it out
             site = sites[i]
-            estimate = site.estimate_request(request, now_ms)
+            slack, load, headroom = quote
+            estimate = site.estimate_request(request, now_ms, slack)
             if estimate is None:
                 continue  # nothing online to run it
             energy_mj, latency_ms = estimate
-            slack = site.remaining_slack_ms(request, now_ms)
             # Backlog-aware feasibility: the request queues behind the
             # site's in-system work, so predicted completion is the
             # backlog depth (requests per online device) worth of
             # service times plus its own — a deterministic proxy that
             # spills traffic to the next-cheapest site once the
             # cheapest one saturates, instead of piling onto it.
-            wait_ms = site.load() * latency_ms
+            wait_ms = load * latency_ms
             deadline_ok = wait_ms + latency_ms <= slack + 1e-9
-            headroom = site.headroom(now_ms)
             shaped = energy_mj
             if self.shaping and headroom < 1.0:
                 # A tightening window inflates the site's effective

@@ -18,13 +18,19 @@ requests through :meth:`admit`, which is where the RTT contract lives:
   the fleet can still spend on compute (the ROADMAP's "slack net of
   routing RTT" contract).
 
-Routing policies read site state through the cheap observables
-(:meth:`load`, :meth:`headroom`, :meth:`rtt_feasible`) and through
-:meth:`estimate_request` — per-site placement estimates whose compute
-term is one row of a whole-profile price table (:func:`route_table`).
-A table prices every sentence of a (task, slack bucket, mode, hardware)
-variant in one engine call and is shared by every site on the same
-registry, so a router miss is a list lookup, never an engine call.
+Routing policies read site state through one :meth:`quote` per
+(request, site) — the slack the round trip leaves, the load and the
+power-cap headroom, or None when the round trip or the site's mode rules
+the site out — and the energy router adds :meth:`estimate_request`, a
+placement estimate at the quoted slack. Its compute term is one row of
+a whole-profile price table (:func:`route_table`): a table prices every
+sentence of a (task, slack bucket, mode, hardware) variant in one
+engine call and is shared by every site on the same registry. A
+device's cost adds its swap and wake terms, and both depend only on its
+pool-index class (:func:`~repro.cluster.pool.class_key`), so the site
+keeps one cost row per (task, slack bucket, mode, class) and an
+estimate prices classes, never devices: a router miss is a few list
+reads, never an engine call.
 
 The site memoizes its own estimates per *epoch* — a stretch of
 simulated time in which its :meth:`routing_fingerprint` stays put. The
@@ -32,8 +38,9 @@ driving calls re-key it when device state may have moved (``start``,
 ``step``/``run_until`` runs that processed events, and
 :meth:`set_device_online`), never per estimate, so a run of arrivals
 scored between two state changes costs one dictionary lookup per site
-each. Standby sites skip the memo: their wake term decays with the
-clock.
+each. The memo pays on overloaded sites, where every device is busy and
+a miss walks the online pool for the device-order mean. Standby sites
+skip the memo: their wake term decays with the clock.
 """
 
 from __future__ import annotations
@@ -52,8 +59,10 @@ from repro.serving.request import retimed
 from repro.serving.server import price_batch  # noqa: F401
 
 #: Grid (ms) site-local targets are floored to for routing estimates —
-#: coarse enough that nearby deadlines share one price table,
-#: conservative (understating slack only tightens the plan).
+#: coarse enough that nearby deadlines share one price table. Flooring
+#: understates the slack, which only tightens the plan, but the bucket
+#: never drops below one grid step: any slack under 5 ms is priced at a
+#: 5 ms target, which is optimistic.
 ESTIMATE_TARGET_GRID_MS = 5.0
 
 #: Token site-local target for requests that were already doomed when
@@ -161,14 +170,22 @@ class FleetSite:
 
     # -- lifecycle (driven by the orchestrator) -----------------------------------
 
-    def start(self):
+    def start(self, refuses=frozenset()):
+        """Start a run.
+
+        ``refuses`` names the tasks whose mode-less requests this site's
+        mode cannot serve (:meth:`serves`); the fleet's intake check
+        computes it per run.
+        """
         self.sim.start()
         # The event core builds a fresh pool index at every start.
         self._index = self.sim.pool_index
+        self.refuses = refuses
         self.admitted = 0
         self.late_admissions = 0
         self._memo = {}
-        self._routes = {}
+        self._class_rows = {}
+        self._slots = None
         self._epoch_key = None
         self._rekey()
         return self
@@ -218,15 +235,6 @@ class FleetSite:
         """Compute budget left if routed now: deadline − now − round trip."""
         return request.deadline_ms - float(now_ms) - self.rtt_ms
 
-    def rtt_feasible(self, request, now_ms):
-        """Can a request routed at ``now_ms`` still make its deadline here?
-
-        Necessary condition only — the network legs must leave *some*
-        compute budget; the router's scoring judges whether the site's
-        hardware fits the rest.
-        """
-        return self.remaining_slack_ms(request, now_ms) > 1e-9
-
     def admit(self, request, now_ms):
         """Hand a routed request to the site's cluster.
 
@@ -262,13 +270,34 @@ class FleetSite:
 
     # -- routing-facing observables -----------------------------------------------
 
-    def load(self):
-        """In-system requests per online device (the least-loaded key)."""
-        return self.sim.in_system() / (self._index.online or 1)
+    def quote(self, request, now_ms):
+        """What routing ``request`` here at ``now_ms`` would face.
 
-    def headroom(self, now_ms):
-        """Power-cap window headroom in [0, 1]; 1.0 when uncapped."""
-        return self.sim.budget_headroom(now_ms)
+        ``(slack_ms, load, headroom)``: the compute budget the round
+        trip leaves (:meth:`remaining_slack_ms`), the in-system requests
+        per online device (the least-loaded key) and the power-cap
+        window headroom in [0, 1] (1.0 when uncapped). None when the
+        network legs alone leave no budget, or when the site cannot
+        serve the request at all (:meth:`serves`) — necessary
+        conditions only: the router's scoring judges whether the site's
+        hardware fits the rest. Policies read one quote per (request,
+        site) and hand its slack on to :meth:`estimate_request`.
+        """
+        slack = self.remaining_slack_ms(request, now_ms)
+        if slack <= 1e-9 or not self.serves(request):
+            return None
+        return (slack, self.sim.in_system() / (self._index.online or 1),
+                self.sim.budget_headroom(now_ms))
+
+    def serves(self, request):
+        """Whether this site's intake accepts a fleet-checked request.
+
+        The fleet's intake check refuses, before routing, any request
+        that no site could serve; what remains differs by site only for
+        a mode-less request, which takes the site's mode — so its task
+        must not be one this site :attr:`refuses`.
+        """
+        return request.mode is not None or request.task not in self.refuses
 
     def routing_fingerprint(self):
         """Version stamp of everything a placement estimate reads.
@@ -302,108 +331,137 @@ class FleetSite:
             self._census = None
 
     def _scan(self):
-        """Census this epoch's pricing set: ``(idle reps, online pool)``.
+        """Census this epoch's pricing classes: ``(class key, device)`` pairs.
 
         With a device idle the estimate is a min over the idle pool,
         and a min over prices that agree within a class
-        (:func:`~repro.cluster.pool.class_key`) equals the min over one
-        representative per *distinct* class — so a 384-device pool
-        collapses to the handful of (hardware slot, resident task, rail
-        point) classes the pool index already keeps. With nothing idle
-        it is the order-sensitive mean over the online pool, in device
-        order. The epoch key is exactly what the estimate reads, so
-        memoized estimates survive fingerprint churn (batch starts and
-        completions) that leaves the class structure unchanged — the
-        common case under load.
+        (:func:`~repro.cluster.pool.class_key`) equals the min over the
+        pool index's idle classes; ``_slots`` is None. With nothing idle
+        it is the order-sensitive mean over the online pool: the census
+        lists the pool's distinct classes, and ``_slots`` gives each
+        online device's class position, in device order. The epoch key
+        is exactly what the estimate reads, so memoized estimates
+        survive fingerprint churn (batch starts and completions) that
+        leaves the class structure unchanged — the common case under
+        load.
         """
         accels = self.sim.accelerators
         classes = self._index.classes
         if classes:
-            reps = [accels[ids[0]] for ids in classes.values()]
-            online = []
+            reps = [(key, accels[ids[0]]) for key, ids in classes.items()]
             epoch_key = (True, frozenset(classes))
         else:
-            reps = []
             online = [a for a in accels if a.online]
-            epoch_key = (False, tuple(class_key(a) for a in online))
+            keys = list(map(class_key, online))
+            # Any device of a class prices it; dict order is each key's
+            # first appearance in device order.
+            reps = list(dict(zip(keys, online)).items())
+            epoch_key = (False, tuple(keys))
         if epoch_key != self._epoch_key:
             self._memo.clear()
             self._epoch_key = epoch_key
-        self._census = (reps, online)
+            self._slots = None
+            if not classes:
+                slot = {key: i for i, (key, _) in enumerate(reps)}
+                self._slots = [slot[key] for key in keys]
+        self._census = reps
 
-    def _device_estimate(self, request, mode, bucket, accel, now_ms):
-        """(energy_mj, latency_ms) of ``request`` on one device, now."""
-        key = (request.task, bucket, mode, accel.hw_slot)
-        columns = self._routes.get(key)
-        if columns is None:
-            columns = self._routes[key] = route_table(
-                self.registry, request.task, bucket, mode,
-                accel.hw_config, self.sim.vectorized)
-        energies, latencies = columns
-        energy_mj = energies[request.sentence]
-        latency_ms = latencies[request.sentence]
-        cost = self.registry.switch_cost(accel.resident_task,
-                                         request.task)
-        energy_mj += cost.energy_mj
-        latency_ms += cost.latency_ms
-        if accel.energy is not None:
-            energy_mj += accel.energy.estimate_transition(
-                now_ms=now_ms)[1]
-        return energy_mj, latency_ms
+    def _row(self, task, bucket, mode, key, accel):
+        """The cost row of ``task`` on class ``key`` (``accel`` is in it).
 
-    def estimate_request(self, request, now_ms):
+        ``(energies, latencies, swap_mj, swap_ms, wake_mj)``: the
+        route-table columns of the class's hardware at the slack
+        bucket, the switch from the class's resident task, and the wake
+        transition from its parked rail point to nominal. Built once per
+        (task, bucket, mode, class key) and run.
+        """
+        row_key = (task, bucket, mode, key)
+        row = self._class_rows.get(row_key)
+        if row is None:
+            energies, latencies = route_table(
+                self.registry, task, bucket, mode, accel.hw_config,
+                self.sim.vectorized)
+            swap = self.registry.switch_cost(accel.resident_task, task)
+            row = self._class_rows[row_key] = (
+                energies, latencies, swap.energy_mj, swap.latency_ms,
+                accel.energy.estimate_transition()[1])
+        return row
+
+    def estimate_request(self, request, now_ms, slack):
         """Predicted cost of routing ``request`` to this site right now.
 
-        Per-device compute is one row of the registry's shared price
-        table for (task, target bucket, mode, hw) — built once per
-        variant, never priced per request, and held per hardware slot
-        by the site — and the live swap and wake-transition terms are
-        added per device. The site-level
-        prediction honors dispatch reality: with a device idle *now*,
-        the request lands on the cheapest idle device (the site's own
-        energy governor picks min-joules too); with every device busy
-        it will be queued onto whichever frees first, so the prediction
-        is the mean over the online pool — a saturated site with one
-        expensive device can no longer hide behind its cheapest one.
-        Returns ``(energy_mj, latency_ms)``, or None when nothing is
-        online.
+        ``slack`` is the request's :meth:`quote` slack; it picks the
+        price table's slack bucket. A device costs its class row
+        (:meth:`_row`) at the request's sentence, ``(row + swap) + wake``,
+        so an estimate prices classes, never devices. With a device idle
+        *now* the request lands on the cheapest idle device (the site's
+        own energy governor picks min-joules too): the min over the idle
+        classes. With every device busy it queues onto whichever frees
+        first: the mean over the online pool, gathered along each
+        device's class in device order — the same left-to-right sum of
+        the same floats as a per-device walk — so a saturated site
+        cannot hide behind its cheapest device. Returns ``(energy_mj,
+        latency_ms)``, or None when nothing is online.
 
-        Memoized per epoch on (task, mode, sentence, slack bucket); a
-        miss prices one representative per idle device class
-        (:meth:`_scan`). Standby sites price the full pool every call.
+        Memoized per epoch on (task, mode, sentence, slack bucket); the
+        memo saves the busy regime's walk on overloaded sites, where
+        estimates repeat. Standby sites skip it and add each device's
+        live wake term, which decays with the clock.
         """
         if not self._index.online:
             return None
-        slack = self.remaining_slack_ms(request, now_ms)
         grid = ESTIMATE_TARGET_GRID_MS
         bucket = max(grid, (slack // grid) * grid)
-        if self._standby:
-            online = [a for a in self.sim.accelerators if a.online]
-            return self._pool_estimate(request, bucket, now_ms,
-                                       [a for a in online if a.idle],
-                                       online)
-        if self._census is None:
-            self._scan()  # before the memo read: it may clear the memo
-        key = (request.task, request.mode, request.sentence, bucket)
-        estimate = self._memo.get(key)
-        if estimate is None:
-            estimate = self._memo[key] = self._pool_estimate(
-                request, bucket, now_ms, *self._census)
-        return estimate
-
-    def _pool_estimate(self, request, bucket, now_ms, idle, online):
-        """Min over the ``idle`` devices, or the mean over ``online``."""
         mode = request.mode if request.mode is not None \
             else self.sim.mode
-        if idle:
-            return min(self._device_estimate(request, mode, bucket, a,
-                                             now_ms)
-                       for a in idle)
-        estimates = [self._device_estimate(request, mode, bucket, a,
-                                           now_ms)
-                     for a in online]
-        return (sum(e for e, _ in estimates) / len(estimates),
-                sum(t for _, t in estimates) / len(estimates))
+        if self._standby:
+            return self._standby_estimate(request, bucket, mode, now_ms)
+        if self._census is None:
+            self._scan()  # before the memo read: it may clear the memo
+        key = (request.task, mode, request.sentence, bucket)
+        estimate = self._memo.get(key)
+        if estimate is None:
+            estimate = self._memo[key] = self._class_estimate(
+                request, bucket, mode)
+        return estimate
+
+    def _class_estimate(self, request, bucket, mode):
+        """Min over the idle classes, or the busy pool's device mean."""
+        task = request.task
+        s = request.sentence
+        costs = []
+        for key, accel in self._census:
+            energies, latencies, swap_mj, swap_ms, wake_mj = self._row(
+                task, bucket, mode, key, accel)
+            costs.append(((energies[s] + swap_mj) + wake_mj,
+                          latencies[s] + swap_ms))
+        if self._slots is None:
+            return min(costs)
+        return _mean([costs[i] for i in self._slots])
+
+    def _standby_estimate(self, request, bucket, mode, now_ms):
+        """:meth:`estimate_request` with each device's live wake term."""
+        task = request.task
+        online = [a for a in self.sim.accelerators if a.online]
+        pool = [a for a in online if a.idle] or online
+        s = request.sentence
+        costs = []
+        for accel in pool:
+            energies, latencies, swap_mj, swap_ms, _ = self._row(
+                task, bucket, mode, class_key(accel), accel)
+            costs.append(((energies[s] + swap_mj)
+                          + accel.energy.estimate_transition(
+                              now_ms=now_ms)[1],
+                          latencies[s] + swap_ms))
+        if pool is not online:
+            return min(costs)
+        return _mean(costs)
+
+
+def _mean(costs):
+    """The busy regime's ``(energy_mj, latency_ms)``: per-device means."""
+    energy, latency = zip(*costs)
+    return sum(energy) / len(costs), sum(latency) / len(costs)
 
 
 @dataclass

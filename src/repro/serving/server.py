@@ -18,7 +18,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.request import SERVING_MODES, Request, RequestResult
+from repro.serving.request import (
+    MODES,
+    SERVING_MODES,
+    Request,
+    RequestResult,
+)
 from repro.serving.scheduler import Scheduler
 
 
@@ -46,6 +51,29 @@ def validate_request(registry, request, mode):
             f"task {request.task!r} has no entropy threshold; "
             f"required for {mode} mode")
     return profile
+
+
+def serving_columns(registry, tasks):
+    """:func:`validate_request`'s per-task tests as two lookup tables.
+
+    ``sentences[t]`` is task ``tasks[t]``'s sentence count (-1 when it
+    is not registered, so every sentence is out of range) and
+    ``serves[t, m]`` whether it can serve mode ``MODES[m]``; column 0,
+    the mode a request inherits, reads False. Whole-trace intakes index
+    both with a trace's code columns, so the registry is asked once per
+    task, not once per request.
+    """
+    sentences = np.full(len(tasks), -1, dtype=np.int64)
+    serves = np.zeros((len(tasks), len(MODES)), dtype=bool)
+    for t, task in enumerate(tasks):
+        if task not in registry:
+            continue  # every row of it offends
+        profile = registry.profile(task)
+        sentences[t] = profile.num_sentences
+        threshold = profile.entropy_threshold is not None
+        serves[t] = (False, True, threshold,
+                     threshold and profile.lut is not None)
+    return sentences, serves
 
 
 def batch_deadline_ms(batch, now_ms=None):

@@ -7,7 +7,8 @@ pool. These tests step runs one event at a time and, after every step,
 rebuild what the index claims — the free ids, the free ids of each
 class, the online count — from a plain walk of the pool. Fleet runs also
 hold each site's live census (the class representatives its estimates
-price) to the walk's idle classes. Vector-core runs are checked once,
+price) to the walk: its idle classes, or the online pool's classes when
+nothing is idle. Vector-core runs are checked once,
 after the run.
 """
 
@@ -127,10 +128,19 @@ def test_fleet_index_and_census_match_walk_after_every_step(
         assert_index_matches_walk(site.sim)
         if site._census is not None:
             # A live census was taken in the current epoch: any index
-            # move since then would have dropped it.
-            reps, _ = site._census
-            assert {class_key(a) for a in reps} \
-                == set(walk(site.sim)[1])
+            # move since then would have dropped it. It holds the idle
+            # classes, or the online pool's classes when none is idle.
+            keys = {key for key, _ in site._census}
+            assert {class_key(a) for _, a in site._census} == keys
+            free, classes, _ = walk(site.sim)
+            if site._slots is None:
+                assert keys == set(classes)
+            else:
+                # Each online device, in device order, maps to its class.
+                assert not free and [
+                    site._census[i][0] for i in site._slots] == [
+                    class_key(a) for a in site.sim.accelerators
+                    if a.online]
             seen["census"] += 1
         seen["parked"] += site.sim.pool_index.online \
             < site.sim.num_accelerators

@@ -133,7 +133,8 @@ class TestHostileTraces:
 
 class TestNoBoxing:
     """A fifo or affinity vector replay builds no request until its
-    records are read (``cluster_budget``'s configuration, reduced)."""
+    records are read (``cluster_budget``'s configuration, reduced), and
+    neither does a governor replay that prices from tables."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -175,6 +176,25 @@ class TestNoBoxing:
         assert first.request is trace[first.request.request_id]
         assert list(trace) == [r.request for r in sorted(
             report.records, key=lambda r: r.request.request_id)]
+        assert len(built) == 3000
+
+    def test_governor_table_pricing_builds_requests_only_for_records(
+            self, built):
+        # The governor prices each candidate placement through
+        # ``ClusterSimulator._price``; with price tables on, that
+        # gathers table rows by the batch's sentence column.
+        tasks = ("sst2", "mnli", "qqp", "qnli")
+        registry = synthetic_registry(tasks, n=64, seed=0)
+        trace = generate_diurnal_trace(3000, seed=0, tasks=tasks)
+        sim = ClusterSimulator(registry, num_accelerators=16,
+                               policy="energy", price_tables=True)
+        report = sim.run(trace)
+        assert report.engine == "vector"
+        assert report.serving.num_requests == 3000
+        assert not built
+        assert len(report.records) == 3000
+        assert sorted(r.request.request_id for r in report.records) \
+            == list(range(3000))
         assert len(built) == 3000
 
     def test_forbidden_construction_still_replays(self, monkeypatch):

@@ -6,9 +6,11 @@
   events before front-end events on ties, lower-indexed sites first.
   :func:`run_reference` patches it onto an orchestrator and asserts it
   actually ran.
-* :func:`pool_estimate` and :func:`pool_load` recompute
-  ``FleetSite.estimate_request`` and ``FleetSite.load`` from the live
-  pool on every call, with no memo and no pool index.
+* :func:`pool_estimate` and :func:`pool_quote` recompute
+  ``FleetSite.estimate_request`` and ``FleetSite.quote`` from the live
+  pool on every call, with no memo, no pool index and no class rows:
+  :func:`device_estimate` prices each device from its own route-table
+  row, ``registry.switch_cost`` and ``estimate_transition``.
 * :func:`online_devices` and :func:`busy_devices` list the online and
   the busy online devices by walking the pool.
 
@@ -19,7 +21,7 @@ import types
 
 from repro.cluster.events import EventLoop
 from repro.fleet.orchestrator import AutoscaleTick, RouteRequest
-from repro.fleet.site import ESTIMATE_TARGET_GRID_MS
+from repro.fleet.site import ESTIMATE_TARGET_GRID_MS, route_table
 
 
 def naive_drain(self, arrivals, times):
@@ -73,17 +75,27 @@ def busy_devices(site):
     return [a for a in site.sim.accelerators if a.online and not a.idle]
 
 
-def pool_estimate(site, request, now_ms):
+def device_estimate(site, request, mode, bucket, accel, now_ms):
+    """(energy_mj, latency_ms) of ``request`` on one device, now."""
+    energies, latencies = route_table(
+        site.registry, request.task, bucket, mode, accel.hw_config,
+        site.sim.vectorized)
+    cost = site.registry.switch_cost(accel.resident_task, request.task)
+    energy_mj = energies[request.sentence] + cost.energy_mj
+    energy_mj += accel.energy.estimate_transition(now_ms=now_ms)[1]
+    return energy_mj, latencies[request.sentence] + cost.latency_ms
+
+
+def pool_estimate(site, request, now_ms, slack):
     """``site.estimate_request`` priced over the live pool, unmemoized."""
     online = online_devices(site)
     if not online:
         return None
-    slack = site.remaining_slack_ms(request, now_ms)
     grid = ESTIMATE_TARGET_GRID_MS
     bucket = max(grid, (slack // grid) * grid)
     mode = request.mode if request.mode is not None else site.sim.mode
     idle = [a for a in online if a.idle]
-    estimates = [site._device_estimate(request, mode, bucket, a, now_ms)
+    estimates = [device_estimate(site, request, mode, bucket, a, now_ms)
                  for a in (idle or online)]
     if idle:
         return min(estimates)
@@ -91,6 +103,10 @@ def pool_estimate(site, request, now_ms):
             sum(t for _, t in estimates) / len(estimates))
 
 
-def pool_load(site):
-    """``site.load()`` from a fresh count of the online pool."""
-    return site.sim.in_system() / max(1, len(online_devices(site)))
+def pool_quote(site, request, now_ms):
+    """``site.quote`` with the load from a fresh count of the online pool."""
+    slack = request.deadline_ms - now_ms - site.rtt_ms
+    if slack <= 1e-9 or not site.serves(request):
+        return None
+    return (slack, site.sim.in_system() / max(1, len(online_devices(site))),
+            site.sim.budget_headroom(now_ms))

@@ -12,10 +12,11 @@ estimate instead of memoizing), brownout caps that drive deferrals,
 and *every ordering of the site list*.
 
 Both loops read the sites' per-epoch estimate memo, so
-:class:`TestEstimateMemo` holds the memo itself to a fresh pool
-computation per call: whole runs, and the two re-keying cases no
-fingerprint counter sees (a park mid-run, a standby site's decaying
-wake term).
+:class:`TestEstimateMemo` holds the memo and the per-class cost rows to
+a fresh per-device pool computation on every call: whole runs, a
+two-MAC-size pool that crosses the idle and busy regimes, and the two
+re-keying cases no fingerprint counter sees (a park mid-run, a standby
+site's decaying wake term).
 """
 
 import json
@@ -27,7 +28,7 @@ from fleet_reference import (
     busy_devices,
     online_devices,
     pool_estimate,
-    pool_load,
+    pool_quote,
     run_reference,
 )
 
@@ -229,22 +230,57 @@ def _one_request_site(registry, **config):
     return site
 
 
+def heterogeneous_configs():
+    """Two MAC sizes per site, small enough pools to fill.
+
+    Four tasks keep the residents mixed, and the two-device site
+    saturates under the module trace, so estimates cross both the idle
+    (min over classes) and the busy (device-order mean) regimes.
+    """
+    pair = (HwConfig(mac_vector_size=16), HwConfig(mac_vector_size=8))
+    return [
+        SiteConfig("edge-a", hw_configs=pair * 3, rtt_ms=2.0),
+        SiteConfig("edge-b", hw_configs=pair * 2, rtt_ms=5.0),
+        SiteConfig("edge-c", hw_configs=pair, rtt_ms=8.0),
+    ]
+
+
 class TestEstimateMemo:
     @pytest.mark.parametrize("scenario", ["autoscale", "health",
-                                          "brownout", "standby"])
+                                          "brownout", "standby",
+                                          "heterogeneous"])
     def test_memo_matches_fresh_pool_estimates(self, registry, trace,
                                                monkeypatch, scenario):
         configs = site_configs(standby_ms=20.0 if scenario == "standby"
                                else None)
         if scenario == "brownout":
             configs = [replace(c, energy_budget_mw=8.0) for c in configs]
-        kwargs = dict(autoscale=scenario != "brownout",
+        if scenario == "heterogeneous":
+            configs = heterogeneous_configs()
+        kwargs = dict(autoscale=scenario not in ("brownout",
+                                                 "heterogeneous"),
                       health=scenario == "health")
         memo, _, _ = run_fleet(False, configs, trace, registry, **kwargs)
-        monkeypatch.setattr(FleetSite, "estimate_request", pool_estimate)
-        monkeypatch.setattr(FleetSite, "load", pool_load)
+        regimes = {"idle": 0, "busy": 0}
+        memoized = FleetSite.estimate_request
+
+        def fresh_estimate(site, request, now_ms, slack):
+            want = pool_estimate(site, request, now_ms, slack)
+            # Every call, bit for bit: the memo and the class rows
+            # against the per-device walk.
+            assert memoized(site, request, now_ms, slack) == want
+            if want is not None:
+                idle = len(busy_devices(site)) < len(online_devices(site))
+                regimes["idle" if idle else "busy"] += 1
+            return want
+
+        monkeypatch.setattr(FleetSite, "estimate_request", fresh_estimate)
+        monkeypatch.setattr(FleetSite, "quote", pool_quote)
         fresh, _, _ = run_fleet(False, configs, trace, registry, **kwargs)
         assert signature(memo) == signature(fresh)
+        assert regimes["idle"] > 0
+        if scenario == "heterogeneous":
+            assert regimes["busy"] > 0
 
     def test_parking_mid_run_rekeys_the_memo(self, registry):
         site = _one_request_site(registry, hw_configs=(
@@ -254,12 +290,15 @@ class TestEstimateMemo:
         now = site.sim.now_ms
         probe = Request(request_id=1, task="mnli", sentence=3,
                         target_ms=60.0, arrival_ms=now)
-        before = (site.estimate_request(probe, now), site.load())
+        slack, load, _ = site.quote(probe, now)
+        before = (site.estimate_request(probe, now, slack), load)
         idle = [a for a in online_devices(site) if a.idle]
         assert len(idle) == 1
         site.set_device_online(idle[0].accel_id, False, now_ms=now)
-        after = (site.estimate_request(probe, now), site.load())
-        assert after == (pool_estimate(site, probe, now), pool_load(site))
+        quote = site.quote(probe, now)
+        after = (site.estimate_request(probe, now, slack), quote[1])
+        assert quote == pool_quote(site, probe, now)
+        assert after[0] == pool_estimate(site, probe, now, slack)
         # The park flipped the idle min to the busy mean and halved the
         # online pool: a stale memo would have returned `before`.
         assert after[0] != before[0] and after[1] != before[1]
@@ -277,6 +316,9 @@ class TestEstimateMemo:
                         mode="base", target_ms=105.0,
                         arrival_ms=idle_since)
         instants = (idle_since + 0.1, idle_since + 4.9)
-        got = [site.estimate_request(probe, t) for t in instants]
-        assert got == [pool_estimate(site, probe, t) for t in instants]
+        slacks = [site.quote(probe, t)[0] for t in instants]
+        got = [site.estimate_request(probe, t, slack)
+               for t, slack in zip(instants, slacks)]
+        assert got == [pool_estimate(site, probe, t, slack)
+                       for t, slack in zip(instants, slacks)]
         assert got[0] != got[1]

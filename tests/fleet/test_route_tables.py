@@ -8,14 +8,19 @@ properties that make that a pure speedup:
 * a table row equals the one-request ``price_batch`` it replaces, bit
   for bit, for every mode, hardware variant and kernel flag — both the
   router's float columns and the boxed result row a site serves, which
-  is boxed once and handed back as the same object afterwards;
-* each table is built once per registry, however many sites read it;
+  is boxed once and handed back as the same object afterwards — also
+  for a profile whose threshold sends sentences out at layer 1;
+* each table is built once per registry, however many sites read it,
+  and ``lai`` tables at new targets reuse the profile's exit columns:
+  the logits ``argmax``, the LUT prediction and the bounded exit search
+  run once per profile;
 * fleet reports are unchanged — digests pinned from the per-miss
   singleton pricing they replaced.
 """
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -47,11 +52,37 @@ def _singleton(profile, task, sentence, target, mode, vectorized):
                        mode, vectorized=vectorized).results[0]
 
 
+def with_layer1_exits(registry):
+    """``registry`` with half of each task's sentences exiting at layer 1.
+
+    The synthetic profiles have none: every layer-1 entropy sits above
+    their threshold. Set before any hardware variant is built, so the
+    variants copy it.
+    """
+    for task in registry.tasks:
+        profile = registry.profile(task)
+        profile.entropy_threshold = float(np.median(profile.entropies[0]))
+    return registry
+
+
 class TestTableRowsMatchSingletonPricing:
     @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("mode", ["base", "ee", "lai"])
     def test_rows_bit_identical(self, mode, vectorized):
-        registry = synthetic_registry(TASKS[:2], n=24, seed=5)
+        plain = synthetic_registry(TASKS[:2], n=24, seed=5)
+        layer1 = with_layer1_exits(synthetic_registry(TASKS[:1], n=24,
+                                                      seed=5))
+        for registry in (plain, layer1):
+            assert self._check_rows(registry, mode, vectorized) > 0
+        layer1_exits = sum(
+            row.exit_layer == 1 for row in _build_table(
+                layer1, TASKS[0], 5.0, mode, None,
+                vectorized=vectorized).rows(range(24)))
+        assert (layer1_exits > 0) == (mode != "base")
+
+    @staticmethod
+    def _check_rows(registry, mode, vectorized):
+        """Hold every table row to singleton pricing; count SLO misses."""
         missed = 0
         for task in registry.tasks:
             for hw in HW_VARIANTS:
@@ -89,7 +120,7 @@ class TestTableRowsMatchSingletonPricing:
                             else:
                                 assert got == want
                         missed += not single.met_target
-        assert missed > 0
+        return missed
 
     def test_vectorized_build_is_one_column_dispatch(self, monkeypatch):
         registry = synthetic_registry(TASKS[:1], n=24, seed=5)
@@ -117,6 +148,44 @@ class TestTableRowsMatchSingletonPricing:
         again = table.rows([11, 7, 3])
         assert [id(r) for r in again] \
             == [id(first[3]), id(first[1]), id(first[0])]
+
+
+class TestLaiTablesReuseExitColumns:
+    """A ``lai`` table at a new target prices only the V/F plan."""
+
+    def test_exit_work_runs_once_per_profile(self, monkeypatch):
+        registry = synthetic_registry(TASKS[:1], n=24, seed=5)
+        profile = registry.profile(TASKS[0])
+        calls = Counter()
+
+        class CountingLogits(np.ndarray):
+            def argmax(self, *args, **kwargs):
+                calls["argmax"] += 1
+                return np.asarray(self).argmax(*args, **kwargs)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # Hardware variants share the logits and the LUT, so set both
+        # before the first variant is built.
+        profile.logits = profile.logits.view(CountingLogits)
+        monkeypatch.setattr(profile.lut, "predict",
+                            counted("predict", profile.lut.predict))
+        monkeypatch.setattr(
+            engine_module, "bounded_exit_layers",
+            counted("bounded", engine_module.bounded_exit_layers))
+        for hw in HW_VARIANTS:
+            for target in (1.5, 5.0, 20.0, 35.0):
+                _build_table(registry, TASKS[0], target, "lai", hw)
+                route_table(registry, TASKS[0], target + 0.5, "lai", hw,
+                            True)
+        profiles = {id(registry.profile_for(TASKS[0], hw))
+                    for hw in HW_VARIANTS}
+        assert calls == {name: len(profiles)
+                         for name in ("argmax", "predict", "bounded")}
 
 
 def _counting_builder(monkeypatch):

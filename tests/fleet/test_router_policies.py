@@ -1,9 +1,10 @@
 """Routing-policy unit suite: feasibility, shaping, affinity, rotation.
 
 Policies are exercised against lightweight stub sites (no simulators):
-the policy contract only needs the routing-facing observables —
-``rtt_feasible`` / ``remaining_slack_ms`` / ``load`` / ``headroom`` /
-``estimate_request`` — so the suite pins the decision logic itself:
+the policy contract only needs the routing-facing observables — one
+``quote`` per site (slack, load and headroom, or None when the round
+trip alone misses the deadline) and ``estimate_request`` at the quoted
+slack — so the suite pins the decision logic itself:
 RTT-infeasible sites are skipped, budget shaping defers relaxed
 requests before tight ones, affinity pins are honored, and every
 decision is deterministic.
@@ -33,19 +34,17 @@ class StubSite:
         self._energy = energy_mj
         self._latency = latency_ms
 
-    def remaining_slack_ms(self, request, now_ms):
-        return request.deadline_ms - now_ms - self.rtt_ms
+    def quote(self, request, now_ms):
+        slack = request.deadline_ms - now_ms - self.rtt_ms
+        if slack <= 1e-9:
+            return None
+        return slack, self._load, self._headroom
 
-    def rtt_feasible(self, request, now_ms):
-        return self.remaining_slack_ms(request, now_ms) > 1e-9
+    def serves(self, request):
+        return True
 
-    def load(self):
-        return self._load
-
-    def headroom(self, now_ms):
-        return self._headroom
-
-    def estimate_request(self, request, now_ms):
+    def estimate_request(self, request, now_ms, slack):
+        assert slack == self.quote(request, now_ms)[0]
         return (self._energy, self._latency)
 
 
