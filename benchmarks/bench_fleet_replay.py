@@ -3,10 +3,11 @@
 The fleet orchestrator has one drive loop: it consumes the sorted
 arrival columns in bulk, free-runs each site between front-end
 instants, and routes every arrival through the policy's ordinary
-``route``. Each site memoizes its placement estimates per epoch of
-frozen device state (one representative per distinct idle device class
-instead of a full idle-pool scan per request per site) and prices its
-batches from whole-profile tables. Report identity against a per-event
+``route``. Each site prices a placement estimate per device class
+(one representative per distinct idle class of its pool index instead
+of a full idle-pool scan per request per site; a walk of the online
+pool once every device is busy) and prices its batches from
+whole-profile tables. Report identity against a per-event
 reference loop is a tier-1 check (``tests/fleet/test_bulk_routing.py``),
 not a bench gate.
 
@@ -41,8 +42,9 @@ from repro.utils import format_table
 TASKS = ("sst2", "mnli", "qqp", "qnli")
 N_SENTENCES = 64
 MEAN_INTERARRIVAL_MS = 0.1
-#: Three sites, big pools: the idle-class census is what the site's
-#: estimate memo collapses, so the pool size is what a miss would cost.
+#: Three sites, big pools: an estimate at a site with a free device
+#: prices the pool index's classes; at a saturated site it walks every
+#: online device.
 SITE_POOLS = (384, 256, 192)
 SITE_RTTS_MS = (2.0, 5.0, 8.0)
 #: The farthest site runs power-capped, keeping the router's shaping

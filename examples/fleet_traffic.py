@@ -57,7 +57,7 @@ def main(argv=None):
         "--requests", type=int, default=None, metavar="N",
         help="scale up with a seeded diurnal (day-curve) trace of N "
              "requests — volumes past a few thousand exercise the "
-             "sites' per-epoch placement-estimate memos under load "
+             "sites' placement estimates under load "
              "(default: the 400-request reference workload)")
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)

@@ -6,7 +6,8 @@ plus, for preemptive policies, whether an urgent batch may evict a
 running one. Three are built in:
 
 * :class:`FifoPolicy` — batches run in close order on the lowest-id free
-  accelerator; the baseline every paper plot starts from.
+  accelerator; the baseline every paper plot starts from. Both cores
+  place it by :func:`fifo_placement`, a read of two ordered heads.
 * :class:`FewestSwapsPolicy` — affinity routing: prefer (batch,
   accelerator) pairs whose resident task already matches, so the pool
   amortizes encoder-weight swaps the way `repro.serving`'s scheduler
@@ -51,8 +52,8 @@ class SchedulingPolicy:
     def preemption(self, pending, accelerators, now_ms):
         """Choose ``(pending_batch, victim_accelerator)`` or None.
 
-        Called only when no accelerator is free. Non-preemptive policies
-        never evict.
+        Called only on :attr:`preemptive` policies, when no accelerator
+        is free.
         """
         return None
 
@@ -66,6 +67,17 @@ class FifoPolicy(SchedulingPolicy):
         batch = min(pending, key=lambda pb: pb.seq)
         accel = min(free_accels, key=_by_id)
         return batch, accel
+
+
+def fifo_placement(pending, index, accels):
+    """:meth:`FifoPolicy.next_placement` read off the cores' own order.
+
+    Both cluster cores keep ``pending`` in close (seq) order and the
+    :class:`~repro.cluster.pool.PoolIndex` keeps its free ids
+    ascending, so FIFO's pick — the oldest batch on the lowest-id free
+    device — is the two heads: no scan, and no free-device list.
+    """
+    return pending[0], accels[index.free[0]]
 
 
 class FewestSwapsPolicy(SchedulingPolicy):

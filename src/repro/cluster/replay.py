@@ -113,7 +113,11 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from repro.cluster.batcher import PendingBatch, plan_batches
-from repro.cluster.policies import FewestSwapsPolicy, FifoPolicy
+from repro.cluster.policies import (
+    FewestSwapsPolicy,
+    FifoPolicy,
+    fifo_placement,
+)
 from repro.cluster.report import ClusterRecord, LazyRecords
 from repro.core.engine import (
     price_latency_aware_columns,
@@ -659,16 +663,15 @@ def run_vectorized(sim, requests):
     # per-dispatch recheck on that, saving a ledger walk per event in
     # the common unthrottled case.
     budget_recheck = budget is not None
-    # FIFO's placement keys (close seq, accel_id) make its choices pure
-    # head-of-queue / min-id: a deque of batches plus the index's
-    # ascending free ids replay them in O(1) per placement where the
-    # generic path scans ``pending`` — the structure, not the policy, is
-    # what changes under multi-thousand-batch budget backlogs.
-    fast_fifo = type(policy) is FifoPolicy
-    pending = deque() if fast_fifo else []
-    free = sim._index.free
-    take = sim._index.take
-    release = sim._index.release
+    # Batches enqueue in close order; FIFO places the head
+    # (:func:`fifo_placement`), which a deque drops in O(1) under
+    # multi-thousand-batch budget backlogs.
+    fifo = sim._fifo
+    pending = deque() if fifo else []
+    index = sim._index
+    free = index.free
+    take = index.take
+    release = index.release
     pend_pos = {}
     done_batches = []
     served_pos = []
@@ -747,13 +750,13 @@ def run_vectorized(sim, requests):
                 budget_recheck = False
             if not free:
                 return
-            if fast_fifo:
-                pending_batch = pending.popleft()
-                accel = accels[free[0]]
+            if fifo:
+                pending_batch, accel = fifo_placement(pending, index,
+                                                      accels)
             else:
                 pending_batch, accel = policy.next_placement(
                     pending, [accels[i] for i in free], now)
-                pending.remove(pending_batch)
+            pending.remove(pending_batch)
             take(accel)
             if sampled:
                 queued_reqs -= len(pending_batch)

@@ -67,7 +67,7 @@ from repro.cluster.events import (
     DispatchRetry,
     EventLoop,
 )
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import FifoPolicy, fifo_placement, make_policy
 from repro.cluster.pool import PoolIndex
 from repro.cluster.replay import (
     _build_table,
@@ -252,6 +252,9 @@ class ClusterSimulator:
         self._started = time.perf_counter()
         self._seen = set()
         self.policy.reset()
+        #: Both cores place a plain FIFO policy by :func:`fifo_placement`
+        #: (a subclass may override ``next_placement``).
+        self._fifo = type(self.policy) is FifoPolicy
         self._loop = EventLoop()
         self._loop.on(Arrival, self._on_arrival)
         self._loop.on(BatchTimeout, self._on_timeout)
@@ -796,14 +799,24 @@ class ClusterSimulator:
         return True
 
     def _dispatch(self):
-        """Place pending batches until the policy has nothing to do."""
+        """Place pending batches until the policy has nothing to do.
+
+        ``_pending`` stays in close (seq) order: batches append as they
+        close, and preemption remainders take fresh seqs.
+        """
+        free = self._index.free
         while self._pending:
             if self._budget_throttled():
                 return
-            free = list(map(self._accels.__getitem__, self._index.free))
             if free:
-                placement = self.policy.next_placement(
-                    self._pending, free, self._loop.now_ms)
+                if self._fifo:
+                    placement = fifo_placement(self._pending, self._index,
+                                               self._accels)
+                else:
+                    placement = self.policy.next_placement(
+                        self._pending,
+                        list(map(self._accels.__getitem__, free)),
+                        self._loop.now_ms)
                 if placement is None:
                     return
                 pending_batch, accel = placement
@@ -815,6 +828,8 @@ class ClusterSimulator:
                         sum(len(pb) for pb in self._pending))
                 self._start(pending_batch, accel)
                 continue
+            if not self.policy.preemptive:
+                return
             decision = self.policy.preemption(
                 self._pending, [a for a in self._accels if a.online],
                 self._loop.now_ms)

@@ -2,7 +2,8 @@
 
 ``python -m repro.fleet --smoke`` exercises the whole multi-site path —
 routing policies, RTT accounting, per-site power caps, the autoscaler —
-on the reference 3-site fleet with self-checks on conservation, the
+on the reference 3-site fleet (governor sites, then energy routing over
+FIFO sites) with self-checks on conservation, the
 1e-9 energy reconciliation, determinism (bit-identical summaries across
 runs *and* across site-config orderings), and the headline claim
 (energy/deadline-aware routing spends no more joules than round-robin
@@ -22,7 +23,7 @@ import sys
 from repro.cluster import load_trace
 from repro.errors import FleetError
 from repro.fleet import FleetAutoscaler, FleetOrchestrator
-from repro.smoke import (check, cli_parser, reference_fleet,
+from repro.smoke import (canonical, check, cli_parser, reference_fleet,
                          reference_workload, run_cli, trace_registry)
 
 
@@ -45,6 +46,18 @@ def _check_fleet_accounting(report, trace):
     routed_sites = {rec.site_id for rec in report.records}
     check(len(routed_sites) > 1,
           "routing collapsed onto a single site")
+
+
+def _check_replays(registry, configs, trace, summary):
+    """The energy-routed fleet on ``configs`` replays to ``summary``
+    bit-for-bit, also with the site configs handed in reverse order
+    (sites are canonicalized by site_id)."""
+    for order in (configs, tuple(reversed(configs))):
+        again = FleetOrchestrator(registry, order,
+                                  routing="energy").run(trace)
+        check(canonical(again) == json.dumps(summary, sort_keys=True),
+              "fleet report is not deterministic or depends on "
+              "site-config ordering")
 
 
 def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
@@ -76,21 +89,17 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
     check(capped["budget"]["overshoots"] == 0,
           "capped site overshot its power window")
 
-    # Determinism 1: the same fleet replays bit-for-bit.
-    again = FleetOrchestrator(registry, reference_fleet(),
-                              routing="energy").run(trace)
-    check(json.dumps(again.summary(), sort_keys=True)
-          == json.dumps(energy, sort_keys=True),
-          "fleet simulation is not deterministic")
+    _check_replays(registry, reference_fleet(), trace, energy)
 
-    # Determinism 2: handing the site configs in a different order
-    # changes nothing (sites are canonicalized by site_id).
-    shuffled = tuple(reversed(reference_fleet()))
-    permuted = FleetOrchestrator(registry, shuffled,
-                                 routing="energy").run(trace)
-    check(json.dumps(permuted.summary(), sort_keys=True)
-          == json.dumps(energy, sort_keys=True),
-          "fleet report depends on site-config ordering")
+    # Energy routing over FIFO sites: the event core's FIFO placement
+    # and the sites' placement estimates, end to end.
+    fifo_sites = reference_fleet(policy="fifo")
+    fifo = FleetOrchestrator(registry, fifo_sites,
+                             routing="energy").run(trace)
+    _check_fleet_accounting(fifo, trace)
+    summaries["energy_fifo_sites"] = fifo.summary()
+    _check_replays(registry, fifo_sites, trace,
+                   summaries["energy_fifo_sites"])
 
     # Autoscaling: the same trace with the autoscaler must still serve
     # everything, park devices across the quiet tail, and reconcile.

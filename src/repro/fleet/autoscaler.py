@@ -9,9 +9,8 @@ parks or wakes whole devices:
   utilization; deterministic, since ticks land on the shared simulated
   clock);
 * sustained low utilization parks the highest-numbered *idle* online
-  device (``FleetSite.set_device_online(False)``, which also re-keys
-  the site's estimate memo, drops its rail to the retention voltage
-  through
+  device (``FleetSite.set_device_online(False)``, which drops its rail
+  to the retention voltage through
   :meth:`~repro.energy.DeviceEnergyModel.force_standby` — the park
   itself is a charged down-transition, and the eventual wake pays the
   full standby→nominal move, so scaling decisions carry their real

@@ -218,9 +218,7 @@ class FleetOrchestrator:
         each site between front-end instants replays exactly like
         stepping every event fleet-wide in global time order. Each
         arrival is routed through the policy's ordinary
-        :meth:`~repro.fleet.router.RoutingPolicy.route`; the sites keep
-        their placement estimates memoized per epoch, so a run of
-        arrivals between two site state changes is cheap.
+        :meth:`~repro.fleet.router.RoutingPolicy.route`.
         """
         loop = self._loop
         sites = self._sites

@@ -36,9 +36,8 @@ every request against the registry once per run, before routing, so a
 policy never sees one that no site could serve, and a site's quote only
 asks whether a mode-less request's task is one the site's mode cannot
 serve. Each policy quotes every site once per call; only the energy
-router asks for estimates, the expensive term, which each site
-memoizes per epoch of frozen device state. Everything else the energy
-score reads (load, budget headroom, health) is read live per call.
+router asks for estimates, the expensive term, and it scores the sites
+in one pass. Everything it reads is live per call.
 """
 
 from __future__ import annotations
@@ -176,8 +175,13 @@ class EnergyDeadlineRouting(RoutingPolicy):
         self.deferrals = 0
 
     def _relaxed(self, request, sites, now_ms):
-        """Could the request wait one deferral and still route somewhere?"""
-        min_rtt = min(site.rtt_ms for site in sites)
+        """Could the request wait one deferral and still route somewhere?
+
+        Measured against the nearest site that serves the request: a
+        nearer site whose mode refuses it could never take it.
+        """
+        min_rtt = min(site.rtt_ms for site in sites
+                      if site.serves(request))
         slack_after = (request.deadline_ms - now_ms - self.defer_ms
                        - min_rtt)
         return slack_after >= self.defer_min_slack_ms
@@ -188,7 +192,10 @@ class EnergyDeadlineRouting(RoutingPolicy):
         if pinned is not None:
             return RoutingDecision(pinned)
 
-        scored = []
+        # One pass: the running best placement key, and whether every
+        # feasible site so far is budget-pressed.
+        best = None
+        pressed = True
         for i, quote in enumerate(quotes):
             if quote is None:
                 continue  # the round trip or the site's mode rules it out
@@ -219,21 +226,21 @@ class EnergyDeadlineRouting(RoutingPolicy):
                 health = self.health_of(site.site_id)
                 if health < 1.0:
                     shaped = shaped / max(health, SHAPING_FLOOR)
-            scored.append((not deadline_ok, shaped, site.rtt_ms, i,
-                           headroom))
-        if not scored:
+            key = (not deadline_ok, shaped, site.rtt_ms, i)
+            if best is None or key < best:
+                best = key
+            pressed = pressed and headroom < self.pressure
+        if best is None:
             return RoutingDecision(self._fallback_index(request, sites))
-        scored.sort(key=lambda entry: entry[:4])
 
-        if self.shaping and all(entry[4] < self.pressure
-                                for entry in scored) \
+        if self.shaping and pressed \
                 and self._relaxed(request, sites, now_ms):
             # Every feasible site is budget-pressed and this request can
             # afford to wait: defer it so the windows can recover —
             # tight-SLO traffic (not relaxed) still routes immediately.
             self.deferrals += 1
             return RoutingDecision(None, retry_ms=now_ms + self.defer_ms)
-        return RoutingDecision(scored[0][3])
+        return RoutingDecision(best[3])
 
 
 # Old name kept only so the e2e layer tracer's boundary still resolves.

@@ -29,18 +29,11 @@ engine call and is shared by every site on the same registry. A
 device's cost adds its swap and wake terms, and both depend only on its
 pool-index class (:func:`~repro.cluster.pool.class_key`), so the site
 keeps one cost row per (task, slack bucket, mode, class) and an
-estimate prices classes, never devices: a router miss is a few list
-reads, never an engine call.
-
-The site memoizes its own estimates per *epoch* — a stretch of
-simulated time in which its :meth:`routing_fingerprint` stays put. The
-driving calls re-key it when device state may have moved (``start``,
-``step``/``run_until`` runs that processed events, and
-:meth:`set_device_online`), never per estimate, so a run of arrivals
-scored between two state changes costs one dictionary lookup per site
-each. The memo pays on overloaded sites, where every device is busy and
-a miss walks the online pool for the device-order mean. Standby sites
-skip the memo: their wake term decays with the clock.
+estimate prices classes, never devices: a few list reads per class,
+never an engine call. With a device idle the classes are the pool
+index's, read as they stand; with every device busy the estimate walks
+the online pool. Standby sites price each device: their wake term
+decays with the clock.
 """
 
 from __future__ import annotations
@@ -162,8 +155,8 @@ class FleetSite:
         #: NULL_TRACER); admission emits the ingress network leg on it.
         self.tracer = self.sim.tracer
         self._trk_net = f"{self.site_id}/net"
-        #: A standby rail decays with the clock, so its wake term is not
-        #: frozen inside an epoch: such sites price the full pool.
+        #: A standby rail decays with the clock, so its wake term is no
+        #: class property: such sites price the full pool.
         self._standby = config.standby_timeout_ms is not None
         self.admitted = 0
         self.late_admissions = 0
@@ -183,21 +176,14 @@ class FleetSite:
         self.refuses = refuses
         self.admitted = 0
         self.late_admissions = 0
-        self._memo = {}
         self._class_rows = {}
-        self._slots = None
-        self._epoch_key = None
-        self._rekey()
         return self
 
     def peek_ms(self):
         return self.sim.peek_ms()
 
     def step(self):
-        moved = self.sim.step()
-        if moved:
-            self._refresh()
-        return moved
+        return self.sim.step()
 
     def run_until(self, until_ms=None):
         """Drain site events at instants ``<= until_ms`` in one call.
@@ -205,26 +191,15 @@ class FleetSite:
         The orchestrator's chunked driving primitive: between front-end
         instants this site's events are independent of every other
         site's, so free-running them in one call replays identically to
-        a per-event merge (see ``FleetOrchestrator._drain``). A run that
-        processed events re-checks the routing fingerprint. Returns the
-        number of events processed.
+        a per-event merge (see ``FleetOrchestrator._drain``). Returns
+        the number of events processed.
         """
-        moved = self.sim.run_until(until_ms)
-        if moved:
-            self._refresh()
-        return moved
+        return self.sim.run_until(until_ms)
 
     def set_device_online(self, accel_id, online, now_ms=None):
-        """Park or wake one device (the autoscaler's actuator).
-
-        Delegates to :meth:`ClusterSimulator.set_device_online`, then
-        re-keys the estimate memo unconditionally: park/wake moves no
-        fingerprint counter, yet changes the online pool.
-        """
-        changed = self.sim.set_device_online(accel_id, online,
-                                             now_ms=now_ms)
-        self._rekey()
-        return changed
+        """Park or wake one device (the autoscaler's actuator); see
+        :meth:`ClusterSimulator.set_device_online`."""
+        return self.sim.set_device_online(accel_id, online, now_ms=now_ms)
 
     def finish(self):
         return self.sim.finish()
@@ -299,72 +274,7 @@ class FleetSite:
         """
         return request.mode is not None or request.task not in self.refuses
 
-    def routing_fingerprint(self):
-        """Version stamp of everything a placement estimate reads.
-
-        Device-visible state — who is idle, which task is resident,
-        whether a wake transition is pending, the budget ledger —
-        changes only when a batch starts, a run completes, or a run is
-        preempted; every one of those moves one of these counters.
-        Event runs that leave the stamp unchanged (arrivals merging into
-        open windows, timeouts that close onto a full pool) cannot have
-        changed a routing estimate, so the site keeps its estimate memo
-        warm across them. Park/wake moves *no* counter, which is why
-        :meth:`set_device_online` re-keys unconditionally.
-        """
-        report = self.sim._report
-        return (report.num_batches, len(report.records),
-                report.preemptions)
-
     # -- placement estimates ------------------------------------------------------
-
-    def _rekey(self):
-        """New epoch after the online pool may have changed."""
-        self._fingerprint = self.routing_fingerprint()
-        self._census = None  # rescanned by the next estimate
-
-    def _refresh(self):
-        """New epoch if an event run moved routing-visible state."""
-        fingerprint = self.routing_fingerprint()
-        if fingerprint != self._fingerprint:
-            self._fingerprint = fingerprint
-            self._census = None
-
-    def _scan(self):
-        """Census this epoch's pricing classes: ``(class key, device)`` pairs.
-
-        With a device idle the estimate is a min over the idle pool,
-        and a min over prices that agree within a class
-        (:func:`~repro.cluster.pool.class_key`) equals the min over the
-        pool index's idle classes; ``_slots`` is None. With nothing idle
-        it is the order-sensitive mean over the online pool: the census
-        lists the pool's distinct classes, and ``_slots`` gives each
-        online device's class position, in device order. The epoch key
-        is exactly what the estimate reads, so memoized estimates
-        survive fingerprint churn (batch starts and completions) that
-        leaves the class structure unchanged — the common case under
-        load.
-        """
-        accels = self.sim.accelerators
-        classes = self._index.classes
-        if classes:
-            reps = [(key, accels[ids[0]]) for key, ids in classes.items()]
-            epoch_key = (True, frozenset(classes))
-        else:
-            online = [a for a in accels if a.online]
-            keys = list(map(class_key, online))
-            # Any device of a class prices it; dict order is each key's
-            # first appearance in device order.
-            reps = list(dict(zip(keys, online)).items())
-            epoch_key = (False, tuple(keys))
-        if epoch_key != self._epoch_key:
-            self._memo.clear()
-            self._epoch_key = epoch_key
-            self._slots = None
-            if not classes:
-                slot = {key: i for i, (key, _) in enumerate(reps)}
-                self._slots = [slot[key] for key in keys]
-        self._census = reps
 
     def _row(self, task, bucket, mode, key, accel):
         """The cost row of ``task`` on class ``key`` (``accel`` is in it).
@@ -395,18 +305,15 @@ class FleetSite:
         (:meth:`_row`) at the request's sentence, ``(row + swap) + wake``,
         so an estimate prices classes, never devices. With a device idle
         *now* the request lands on the cheapest idle device (the site's
-        own energy governor picks min-joules too): the min over the idle
-        classes. With every device busy it queues onto whichever frees
-        first: the mean over the online pool, gathered along each
-        device's class in device order — the same left-to-right sum of
-        the same floats as a per-device walk — so a saturated site
-        cannot hide behind its cheapest device. Returns ``(energy_mj,
-        latency_ms)``, or None when nothing is online.
-
-        Memoized per epoch on (task, mode, sentence, slack bucket); the
-        memo saves the busy regime's walk on overloaded sites, where
-        estimates repeat. Standby sites skip it and add each device's
-        live wake term, which decays with the clock.
+        own energy governor picks min-joules too): the min over the pool
+        index's classes, each priced by its first free device. With
+        every device busy it queues onto whichever frees first: the mean
+        over the online pool, walked in device order with each class
+        priced once — the same left-to-right sum of the same floats as a
+        per-device walk — so a saturated site cannot hide behind its
+        cheapest device. Returns ``(energy_mj, latency_ms)``, or None
+        when nothing is online. Standby sites add each device's live
+        wake term, which decays with the clock.
         """
         if not self._index.online:
             return None
@@ -416,28 +323,31 @@ class FleetSite:
             else self.sim.mode
         if self._standby:
             return self._standby_estimate(request, bucket, mode, now_ms)
-        if self._census is None:
-            self._scan()  # before the memo read: it may clear the memo
-        key = (request.task, mode, request.sentence, bucket)
-        estimate = self._memo.get(key)
-        if estimate is None:
-            estimate = self._memo[key] = self._class_estimate(
-                request, bucket, mode)
-        return estimate
-
-    def _class_estimate(self, request, bucket, mode):
-        """Min over the idle classes, or the busy pool's device mean."""
         task = request.task
         s = request.sentence
-        costs = []
-        for key, accel in self._census:
-            energies, latencies, swap_mj, swap_ms, wake_mj = self._row(
-                task, bucket, mode, key, accel)
-            costs.append(((energies[s] + swap_mj) + wake_mj,
-                          latencies[s] + swap_ms))
-        if self._slots is None:
+        accels = self.sim.accelerators
+        classes = self._index.classes
+        if classes:
+            costs = []
+            for key, ids in classes.items():
+                energies, latencies, swap_mj, swap_ms, wake_mj = \
+                    self._row(task, bucket, mode, key, accels[ids[0]])
+                costs.append(((energies[s] + swap_mj) + wake_mj,
+                              latencies[s] + swap_ms))
             return min(costs)
-        return _mean([costs[i] for i in self._slots])
+        priced = {}
+        costs = []
+        for accel in accels:
+            if accel.online:
+                key = class_key(accel)
+                cost = priced.get(key)
+                if cost is None:
+                    energies, latencies, swap_mj, swap_ms, wake_mj = \
+                        self._row(task, bucket, mode, key, accel)
+                    cost = priced[key] = ((energies[s] + swap_mj) + wake_mj,
+                                          latencies[s] + swap_ms)
+                costs.append(cost)
+        return _mean(costs)
 
     def _standby_estimate(self, request, bucket, mode, now_ms):
         """:meth:`estimate_request` with each device's live wake term."""

@@ -1,4 +1,4 @@
-"""Slow, obvious references for the fleet's drive loop and estimate memo.
+"""Slow, obvious references for the fleet's drive loop, estimates and router.
 
 * :func:`naive_drain` replaces ``FleetOrchestrator._drain``: one
   :class:`RouteRequest` heap event per arrival, and a merge that peeks
@@ -8,11 +8,14 @@
   actually ran.
 * :func:`pool_estimate` and :func:`pool_quote` recompute
   ``FleetSite.estimate_request`` and ``FleetSite.quote`` from the live
-  pool on every call, with no memo, no pool index and no class rows:
+  pool on every call, with no pool index and no class rows:
   :func:`device_estimate` prices each device from its own route-table
   row, ``registry.switch_cost`` and ``estimate_transition``.
 * :func:`online_devices` and :func:`busy_devices` list the online and
   the busy online devices by walking the pool.
+* :class:`SortedEnergyRouting` is ``EnergyDeadlineRouting.route`` as a
+  sort: it scores every feasible site into a list, sorts it, and
+  re-scans it for budget pressure.
 
 Imported by the fleet tests (``from fleet_reference import ...``).
 """
@@ -21,6 +24,11 @@ import types
 
 from repro.cluster.events import EventLoop
 from repro.fleet.orchestrator import AutoscaleTick, RouteRequest
+from repro.fleet.router import (
+    SHAPING_FLOOR,
+    EnergyDeadlineRouting,
+    RoutingDecision,
+)
 from repro.fleet.site import ESTIMATE_TARGET_GRID_MS, route_table
 
 
@@ -87,7 +95,8 @@ def device_estimate(site, request, mode, bucket, accel, now_ms):
 
 
 def pool_estimate(site, request, now_ms, slack):
-    """``site.estimate_request`` priced over the live pool, unmemoized."""
+    """``site.estimate_request`` priced device by device over the live
+    pool."""
     online = online_devices(site)
     if not online:
         return None
@@ -110,3 +119,42 @@ def pool_quote(site, request, now_ms):
         return None
     return (slack, site.sim.in_system() / max(1, len(online_devices(site))),
             site.sim.budget_headroom(now_ms))
+
+
+class SortedEnergyRouting(EnergyDeadlineRouting):
+    """The energy router's decision as a sort over every feasible site."""
+
+    def route(self, request, sites, now_ms):
+        quotes = self._quotes(request, sites, now_ms)
+        pinned = self._affinity_index(request, sites, quotes)
+        if pinned is not None:
+            return RoutingDecision(pinned)
+        scored = []
+        for i, quote in enumerate(quotes):
+            if quote is None:
+                continue
+            site = sites[i]
+            slack, load, headroom = quote
+            estimate = site.estimate_request(request, now_ms, slack)
+            if estimate is None:
+                continue
+            energy_mj, latency_ms = estimate
+            deadline_ok = load * latency_ms + latency_ms <= slack + 1e-9
+            shaped = energy_mj
+            if self.shaping and headroom < 1.0:
+                shaped = energy_mj / max(headroom, SHAPING_FLOOR)
+            if self.health_of is not None:
+                health = self.health_of(site.site_id)
+                if health < 1.0:
+                    shaped = shaped / max(health, SHAPING_FLOOR)
+            scored.append((not deadline_ok, shaped, site.rtt_ms, i,
+                           headroom))
+        if not scored:
+            return RoutingDecision(self._fallback_index(request, sites))
+        scored.sort(key=lambda entry: entry[:4])
+        if self.shaping and all(entry[4] < self.pressure
+                                for entry in scored) \
+                and self._relaxed(request, sites, now_ms):
+            self.deferrals += 1
+            return RoutingDecision(None, retry_ms=now_ms + self.defer_ms)
+        return RoutingDecision(scored[0][3])

@@ -7,16 +7,15 @@ event per arrival and steps every site one event at a time. The two
 must replay bit-identically — same summaries, same per-record
 placement/timing/pricing, same telemetry spans, same monitor alert
 stream — across routing policies, autoscaling, health feedback,
-affinity pins, standby timeouts (where sites price the full pool per
-estimate instead of memoizing), brownout caps that drive deferrals,
-and *every ordering of the site list*.
+affinity pins, standby timeouts (where sites price every device per
+estimate instead of pricing classes), brownout caps that drive
+deferrals, and *every ordering of the site list*.
 
-Both loops read the sites' per-epoch estimate memo, so
-:class:`TestEstimateMemo` holds the memo and the per-class cost rows to
-a fresh per-device pool computation on every call: whole runs, a
-two-MAC-size pool that crosses the idle and busy regimes, and the two
-re-keying cases no fingerprint counter sees (a park mid-run, a standby
-site's decaying wake term).
+Both loops read the sites' placement estimates, so
+:class:`TestEstimateMemo` holds the per-class cost rows to a fresh
+per-device pool computation on every call: whole runs, a two-MAC-size
+pool that crosses the idle and busy regimes, a park mid-run that
+changes the online pool, and a standby site's decaying wake term.
 """
 
 import json
@@ -186,8 +185,8 @@ class TestScorerFallbacks:
     def test_standby_sites_fall_back_to_exact_per_request(self, registry,
                                                           trace):
         # Standby timeouts make placement estimates depend on the
-        # clock: such sites skip the memo and price the full pool on
-        # every call, and must still replay identically.
+        # clock: such sites price every device on every call, and must
+        # still replay identically.
         configs = site_configs(standby_ms=20.0)
         prod, _, _ = run_fleet(False, configs, trace, registry,
                                autoscale=True)
@@ -246,6 +245,8 @@ def heterogeneous_configs():
 
 
 class TestEstimateMemo:
+    """Site estimates against the per-device oracle, call by call."""
+
     @pytest.mark.parametrize("scenario", ["autoscale", "health",
                                           "brownout", "standby",
                                           "heterogeneous"])
@@ -260,15 +261,16 @@ class TestEstimateMemo:
         kwargs = dict(autoscale=scenario not in ("brownout",
                                                  "heterogeneous"),
                       health=scenario == "health")
-        memo, _, _ = run_fleet(False, configs, trace, registry, **kwargs)
+        priced, _, _ = run_fleet(False, configs, trace, registry,
+                                 **kwargs)
         regimes = {"idle": 0, "busy": 0}
-        memoized = FleetSite.estimate_request
+        by_class = FleetSite.estimate_request
 
         def fresh_estimate(site, request, now_ms, slack):
             want = pool_estimate(site, request, now_ms, slack)
-            # Every call, bit for bit: the memo and the class rows
-            # against the per-device walk.
-            assert memoized(site, request, now_ms, slack) == want
+            # Every call, bit for bit: the class rows against the
+            # per-device walk.
+            assert by_class(site, request, now_ms, slack) == want
             if want is not None:
                 idle = len(busy_devices(site)) < len(online_devices(site))
                 regimes["idle" if idle else "busy"] += 1
@@ -277,7 +279,7 @@ class TestEstimateMemo:
         monkeypatch.setattr(FleetSite, "estimate_request", fresh_estimate)
         monkeypatch.setattr(FleetSite, "quote", pool_quote)
         fresh, _, _ = run_fleet(False, configs, trace, registry, **kwargs)
-        assert signature(memo) == signature(fresh)
+        assert signature(priced) == signature(fresh)
         assert regimes["idle"] > 0
         if scenario == "heterogeneous":
             assert regimes["busy"] > 0
@@ -300,7 +302,7 @@ class TestEstimateMemo:
         assert quote == pool_quote(site, probe, now)
         assert after[0] == pool_estimate(site, probe, now, slack)
         # The park flipped the idle min to the busy mean and halved the
-        # online pool: a stale memo would have returned `before`.
+        # online pool: a stale estimate would have returned `before`.
         assert after[0] != before[0] and after[1] != before[1]
 
     def test_standby_site_prices_at_each_instant(self, registry):

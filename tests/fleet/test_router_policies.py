@@ -3,48 +3,59 @@
 Policies are exercised against lightweight stub sites (no simulators):
 the policy contract only needs the routing-facing observables — one
 ``quote`` per site (slack, load and headroom, or None when the round
-trip alone misses the deadline) and ``estimate_request`` at the quoted
-slack — so the suite pins the decision logic itself:
-RTT-infeasible sites are skipped, budget shaping defers relaxed
-requests before tight ones, affinity pins are honored, and every
-decision is deterministic.
+trip alone misses the deadline or the site's mode refuses the request),
+``serves`` and ``estimate_request`` at the quoted slack — so the suite
+pins the decision logic itself: infeasible sites are skipped, budget
+shaping defers relaxed requests before tight ones, affinity pins are
+honored, every decision is deterministic, and the one-pass energy
+router decides as the sort-based reference scorer does.
 """
 
+import random
+
 import pytest
+from fleet_reference import SortedEnergyRouting
 
 from repro.errors import FleetError
 from repro.fleet import (
     EnergyDeadlineRouting,
     LeastLoadedRouting,
     RoundRobinRouting,
+    RoutingDecision,
     make_routing_policy,
 )
 from repro.serving import Request
 
 
 class StubSite:
-    """The routing-facing surface of a site, hand-tuned per test."""
+    """The routing-facing surface of a site, hand-tuned per test.
+
+    ``energy_mj=None`` stands for a site with nothing online.
+    """
 
     def __init__(self, site_id, rtt_ms=2.0, load=0.0, headroom=1.0,
-                 energy_mj=1.0, latency_ms=1.0):
+                 energy_mj=1.0, latency_ms=1.0, serves=True):
         self.site_id = site_id
         self.rtt_ms = rtt_ms
         self._load = load
         self._headroom = headroom
         self._energy = energy_mj
         self._latency = latency_ms
+        self._serves = serves
 
     def quote(self, request, now_ms):
         slack = request.deadline_ms - now_ms - self.rtt_ms
-        if slack <= 1e-9:
+        if slack <= 1e-9 or not self.serves(request):
             return None
         return slack, self._load, self._headroom
 
     def serves(self, request):
-        return True
+        return self._serves
 
     def estimate_request(self, request, now_ms, slack):
         assert slack == self.quote(request, now_ms)[0]
+        if self._energy is None:
+            return None
         return (self._energy, self._latency)
 
 
@@ -180,6 +191,21 @@ class TestEnergyDeadlineRouting:
             pressed, 0.0)
         assert not decision.deferred
 
+    def test_relaxed_is_measured_against_the_nearest_serving_site(self):
+        """Whether a request can wait one deferral depends on the sites
+        that could take it: a nearer site whose mode refuses the request
+        must not make it look relaxed."""
+        policy = EnergyDeadlineRouting()
+        policy.reset()
+        # Only the far, pressed site serves: after one deferral its
+        # round trip leaves 60 - 5 - 40 = 15 ms, under the 25 ms guard.
+        sites = [StubSite("near", rtt_ms=2.0, serves=False),
+                 StubSite("far", rtt_ms=40.0, headroom=0.1)]
+        probe = request(target_ms=60.0)
+        assert policy.route(probe, sites, 0.0) == RoutingDecision(1)
+        assert sites[1].quote(probe, 0.0)[0] == 20.0
+        assert policy.deferrals == 0
+
     def test_shaping_disabled_routes_straight_to_cheapest(self):
         policy = EnergyDeadlineRouting(shaping=False)
         policy.reset()
@@ -188,6 +214,56 @@ class TestEnergyDeadlineRouting:
         decision = policy.route(request(), sites, 0.0)
         assert not decision.deferred
         assert decision.site_index == 0
+
+
+def random_sites(rng):
+    """Two to five stub sites drawn from small value sets.
+
+    Energies and RTTs tie often; headrooms straddle the shaping
+    pressure and the open window; latencies and loads blow some slacks;
+    some sites refuse the request or have nothing online. One site
+    always serves it, as the fleet's intake guarantees.
+    """
+    sites = []
+    for k in range(rng.randint(2, 5)):
+        sites.append(StubSite(
+            f"s{k}", rtt_ms=rng.choice([0.0, 2.0, 5.0, 5.0, 40.0]),
+            load=rng.choice([0.0, 0.0, 1.0, 8.0]),
+            headroom=rng.choice([0.01, 0.1, 0.3499, 0.35, 0.5, 1.0]),
+            energy_mj=rng.choice([None, 0.5, 1.0, 1.0, 2.0]),
+            latency_ms=rng.choice([1.0, 1.0, 10.0, 100.0]),
+            serves=rng.random() > 0.2))
+    rng.choice(sites)._serves = True
+    return sites
+
+
+class TestOnePassScorer:
+    @pytest.mark.parametrize("shaping", [True, False])
+    def test_decides_as_the_sorted_reference(self, shaping):
+        rng = random.Random(7)
+        policy = EnergyDeadlineRouting(shaping=shaping)
+        reference = SortedEnergyRouting(shaping=shaping)
+        kinds = set()
+        for trial in range(3000):
+            sites = random_sites(rng)
+            health = rng.choice([None, {s.site_id: rng.choice(
+                [0.0, 0.5, 1.0]) for s in sites}])
+            policy.health_of = reference.health_of = (
+                None if health is None else health.__getitem__)
+            probe = request(target_ms=rng.choice([5.0, 12.0, 30.0, 60.0,
+                                                  500.0]),
+                            request_id=trial,
+                            site=rng.choice([None] * 9 + ["s0"]))
+            now = rng.choice([0.0, 3.0, 20.0])
+            got = policy.route(probe, sites, now)
+            assert got == reference.route(probe, sites, now)
+            assert policy.deferrals == reference.deferrals
+            quotes = [s.quote(probe, now) for s in sites]
+            kinds.add("deferred" if got.deferred
+                      else "fallback" if quotes[got.site_index] is None
+                      else "routed")
+        assert kinds == ({"deferred", "fallback", "routed"} if shaping
+                         else {"fallback", "routed"})
 
 
 class TestAffinity:
