@@ -2,8 +2,10 @@
 
 ``python -m repro.cluster --smoke`` exercises the whole discrete-event
 path — arrival-aware batching, the scheduling policies, multi-
-accelerator placement, EDF preemption — with self-checks on
-conservation, queueing accounting, determinism, and the scaling claim
+accelerator placement, energy-budget admission, EDF preemption — with
+self-checks on conservation, queueing accounting, determinism, the
+vector core against the per-event loop under a throttling budget
+(identical summaries and completion instants), and the scaling claim
 (a 4-accelerator affinity cluster beats the single-accelerator FIFO
 baseline on both throughput and end-to-end SLO violations). Exits
 non-zero on any regression; the cheap CI gate for the cluster stack,
@@ -59,6 +61,12 @@ def _check_accounting(report, trace):
               for u in util.values()), "utilization out of range")
 
 
+def _completions(report):
+    """``{request id: completion instant}`` over the report's records."""
+    return {rec.request.request_id: rec.completion_ms
+            for rec in report.records}
+
+
 def _preemption_trace(registry):
     """A crafted trace that must preempt under EDF on one accelerator.
 
@@ -98,6 +106,29 @@ def run_smoke(num_requests=400, n_sentences=64, seed=0, verbose=True):
     edf_mixed = _run(registry, mixed, num_accelerators=2, policy="edf")
     _check_accounting(edf_mixed, mixed)
     summaries["edfx2"] = edf_mixed.summary()
+
+    # Budget admission on both cores over one trace: run() takes the
+    # vector core, run_events() the per-event loop, and the two must
+    # agree on the summary and on every request's completion instant.
+    budgeted = {}
+    for core in ("vector", "event"):
+        sim = ClusterSimulator(registry, num_accelerators=4,
+                               policy="fifo", energy_budget_mw=30.0)
+        report = sim.run(trace) if core == "vector" \
+            else sim.run_events(trace)
+        check(report.engine == core,
+              f"budgeted fifo ran on the {report.engine} core, not {core}")
+        _check_accounting(report, trace)
+        budgeted[core] = report
+    vector, event = budgeted["vector"], budgeted["event"]
+    check(vector.budget.throttle_events > 0,
+          "the 30 mW budget never throttled the smoke trace")
+    summaries["fifox4_budget"] = vector.summary()
+    check(json.dumps(event.summary(), sort_keys=True)
+          == json.dumps(summaries["fifox4_budget"], sort_keys=True),
+          "budgeted fifo summaries differ between the cores")
+    check(_completions(vector) == _completions(event),
+          "budgeted fifo completion instants differ between the cores")
 
     # Determinism: the same trace, pool and policy replay identically.
     again = _run(registry, trace, num_accelerators=4, policy="affinity")

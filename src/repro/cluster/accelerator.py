@@ -22,9 +22,10 @@ simulator backs with its cached per-device pricing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import ClusterError
 
@@ -61,25 +62,28 @@ class PlacementEstimate:
 
 @dataclass
 class ActiveRun:
-    """A batch executing on an accelerator, with its finish schedule."""
+    """A batch executing on an accelerator, with its finish schedule.
+
+    ``finish_ms`` holds the members' absolute completion instants in
+    batch order, never decreasing, as an ``array("d")``: a float64
+    column no larger than a NumPy array of the same length, built and
+    read without NumPy's per-call cost. ``end_ms`` is its last entry,
+    when the device frees up.
+    """
 
     pending: object  # PendingBatch
     results: list  # SentenceResult per request, batch order
     start_ms: float  # dispatch time (swap starts here)
     swap_ms: float
     swap_energy_mj: float
-    finish_ms: np.ndarray  # absolute per-request completion times
+    finish_ms: array  # absolute per-request completion times
+    end_ms: float  # finish_ms[-1]
     run_id: int
     accel_id: int
 
-    @property
-    def end_ms(self):
-        return float(self.finish_ms[-1])
-
     def completed_by(self, now_ms):
         """Index count of sentences fully finished at ``now_ms``."""
-        return int(np.searchsorted(self.finish_ms, now_ms + 1e-9,
-                                   side="right"))
+        return bisect_right(self.finish_ms, now_ms + 1e-9)
 
     def in_swap_at(self, now_ms):
         """True while the encoder-weight load is still streaming."""
@@ -185,6 +189,11 @@ class AcceleratorSim:
         for moving the resident task to the batch's (zero-cost when they
         already match). The per-sentence ``latencies_ms`` turn into an
         absolute finish schedule: swap first, then sentences back-to-back.
+        The schedule is ``now + swap`` plus the running sum of the
+        latencies, added left to right: bit-identical to
+        ``now + swap + np.cumsum(latencies_ms)``, whose float64
+        accumulation is sequential too, without NumPy's per-call cost on
+        a batch of a few sentences.
         """
         if self.run is not None:
             raise ClusterError(
@@ -200,12 +209,13 @@ class AcceleratorSim:
             self.resident_task = pending.task
         if self.energy is not None:
             self.energy.on_run_begin(now_ms)
-        finish = now_ms + swap_ms + np.cumsum(
-            np.asarray(latencies_ms, dtype=np.float64))
+        base = now_ms + swap_ms
+        finish = array("d", [base + elapsed
+                             for elapsed in accumulate(latencies_ms)])
         self.run = ActiveRun(pending=pending, results=list(results),
                              start_ms=float(now_ms), swap_ms=swap_ms,
                              swap_energy_mj=swap_energy, finish_ms=finish,
-                             run_id=self._next_run_id,
+                             end_ms=finish[-1], run_id=self._next_run_id,
                              accel_id=self.accel_id)
         self._next_run_id += 1
         return self.run

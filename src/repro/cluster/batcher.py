@@ -29,6 +29,8 @@ default; the controller only engages behind the simulator's
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,33 @@ from repro.serving.request import Batch
 from repro.telemetry.tracer import NULL_TRACER
 
 
+def check_batch_size(max_batch_size):
+    """``max_batch_size`` as an int, or :class:`ClusterError`.
+
+    A batch-size limit is an integer >= 1. A float, even an integral
+    one, is refused rather than truncated, so ``2.5`` cannot quietly
+    form batches of 2 and NaN or infinity cannot reach ``int()``.
+    """
+    try:
+        size = operator.index(max_batch_size)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise ClusterError(
+            f"max_batch_size must be an integer >= 1, got "
+            f"{max_batch_size!r}")
+    return size
+
+
+def check_time_ms(name, value):
+    """``value`` as a float, or :class:`ClusterError` unless it is a
+    finite non-negative time (a chained bound: NaN fails every
+    comparison, and infinity fails the ``< math.inf`` end)."""
+    if not 0 <= value < math.inf:
+        raise ClusterError(f"{name} must be finite and >= 0")
+    return float(value)
+
+
 def plan_batches(times_ms, max_batch_size, timeout_ms):
     """Offline batch-forming scan for one former under static triggers.
 
@@ -45,40 +74,43 @@ def plan_batches(times_ms, max_batch_size, timeout_ms):
     in event-processing order (time, then schedule seq). Returns
     ``(start, end, by_size)`` member slices — exactly the windows a
     :class:`BatchFormer` with a static timeout and no deadline sizing
-    would close, but computed for the whole trace at once with one
-    ``searchsorted`` per window instead of one Python event per request.
-    The tie semantics match the event loop's: an arrival at the very
-    instant the timer fires carries a smaller event seq than the timer,
-    so it joins the window first (``side="right"``), and a window that
-    hits the size trigger at that instant closes by size, leaving the
-    timer to fire stale.
+    would close, but computed for the whole trace at once: one
+    ``searchsorted`` per key finds, for every arrival, where a window
+    it opened would time out, and the scan walks those precomputed ends
+    instead of one Python event per request. The column add
+    ``times_ms + timeout_ms`` is elementwise the float64 add a window
+    open computes (``times_ms[i] + timeout_ms``). The tie semantics
+    match the event loop's: an arrival at the very instant the timer
+    fires carries a smaller event seq than the timer, so it joins the
+    window first (``side="right"``), and a window that hits the size
+    trigger at that instant closes by size, leaving the timer to fire
+    stale.
 
     This is the vectorized replay engine's former scan
     (:mod:`repro.cluster.replay`); the per-event :meth:`BatchFormer.add`
     path stays the reference implementation for the adaptive/deadline
     triggers that depend on dispatch feedback.
     """
-    if max_batch_size < 1:
-        raise ClusterError("max_batch_size must be >= 1")
-    if timeout_ms < 0:
-        raise ClusterError("timeout_ms must be non-negative")
+    max_batch_size = check_batch_size(max_batch_size)
+    timeout_ms = check_time_ms("timeout_ms", timeout_ms)
     times_ms = np.asarray(times_ms, dtype=np.float64)
     n = len(times_ms)
     if max_batch_size == 1:
         # A size-1 window closes on its own opening add; no timer is
         # ever armed (matching BatchFormer.add's close-before-arm).
         return [(i, i + 1, True) for i in range(n)]
+    ends = np.searchsorted(times_ms, times_ms + timeout_ms,
+                           side="right").tolist()
     plan = []
     i = 0
     while i < n:
-        deadline = times_ms[i] + timeout_ms
-        j = int(np.searchsorted(times_ms, deadline, side="right"))
+        j = ends[i]
         if j - i >= max_batch_size:
-            plan.append((i, i + max_batch_size, True))
-            i += max_batch_size
+            j = i + max_batch_size
+            plan.append((i, j, True))
         else:
             plan.append((i, j, False))
-            i = j
+        i = j
     return plan
 
 
@@ -97,24 +129,20 @@ class AdaptiveTimeout:
 
     def __init__(self, base_ms, target_ms, alpha=0.3, gain=2.0,
                  floor_ms=0.25, slack_share=0.2):
-        if base_ms < 0:
-            raise ClusterError("base_ms must be non-negative")
-        if target_ms <= 0:
-            raise ClusterError("target_ms must be positive")
+        base_ms = check_time_ms("base_ms", base_ms)
+        if not 0 < target_ms < math.inf:
+            raise ClusterError("target_ms must be finite and > 0")
         if not 0.0 < alpha <= 1.0:
             raise ClusterError("alpha must be in (0, 1]")
-        if gain <= 0:
-            raise ClusterError("gain must be positive")
-        if floor_ms < 0:
-            raise ClusterError("floor_ms must be non-negative")
+        if not 0 < gain < math.inf:
+            raise ClusterError("gain must be finite and > 0")
         if not 0.0 < slack_share <= 1.0:
             raise ClusterError("slack_share must be in (0, 1]")
         self.alpha = float(alpha)
         self.gain = float(gain)
-        self.floor_ms = float(floor_ms)
+        self.floor_ms = check_time_ms("floor_ms", floor_ms)
         self.cap_ms = max(self.floor_ms, float(slack_share) * float(target_ms))
-        self.timeout_ms = min(max(float(base_ms), self.floor_ms),
-                              self.cap_ms)
+        self.timeout_ms = min(max(base_ms, self.floor_ms), self.cap_ms)
         self.ewma_delay_ms = None
         self.observations = 0
 
@@ -173,16 +201,12 @@ class BatchFormer:
     def __init__(self, key, max_batch_size=32, timeout_ms=5.0,
                  timeout_controller=None, work_estimator=None,
                  sizing_slack_share=0.8, tracer=None, track=None):
-        if max_batch_size < 1:
-            raise ClusterError("max_batch_size must be >= 1")
-        if timeout_ms < 0:
-            raise ClusterError("timeout_ms must be non-negative")
         if not 0.0 < sizing_slack_share <= 1.0:
             raise ClusterError("sizing_slack_share must be in (0, 1]")
         self.key = key
         self.task, self.target_ms, self.mode = key
-        self.max_batch_size = int(max_batch_size)
-        self.timeout_ms = float(timeout_ms)
+        self.max_batch_size = check_batch_size(max_batch_size)
+        self.timeout_ms = check_time_ms("timeout_ms", timeout_ms)
         #: Optional :class:`AdaptiveTimeout`; when present, its current
         #: value (read once per window, at arming time) replaces the
         #: static ``timeout_ms``.

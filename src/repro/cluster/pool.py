@@ -17,6 +17,11 @@ An EDF preemption victim goes from busy to busy, so it never touches the
 index. While a device sits in the index its class key cannot move: the
 rail parks only at a run's end and drops to retention only when the
 idle interval is accrued, which happens at the next begin or park.
+
+The classes are kept from their first read on. Only a fleet site's
+routing estimate reads them, so the first estimate builds them from the
+free ids and the transitions maintain them after that; a standalone
+replay never computes a class key.
 """
 
 from __future__ import annotations
@@ -49,13 +54,17 @@ class PoolIndex:
     to its ascending ids; ``online`` counts online devices, busy or
     not. Built from one walk of ``accels``; :meth:`check` compares it
     with a fresh walk.
+
+    ``classes`` are kept from their first read on: that read builds
+    them from ``free``, and :meth:`take`/:meth:`release` maintain them
+    after it. Until then no class key is computed.
     """
 
     def __init__(self, accels):
         self._accels = accels
         self.free = []
-        self.classes = {}
         self.online = 0
+        self._classes = None
         self._keys = [None] * len(accels)
         for accel in accels:
             if accel.online:
@@ -63,26 +72,42 @@ class PoolIndex:
                 if accel.idle:
                     self.release(accel)
 
+    @property
+    def classes(self):
+        """``{class key: ascending free ids}``, tracked from this read on."""
+        if self._classes is None:
+            self._classes = {}
+            for i in self.free:
+                self._classify(self._accels[i])
+        return self._classes
+
     def take(self, accel):
         """``accel`` leaves the free set (dispatch or park)."""
         i = accel.accel_id
         free = self.free
         del free[bisect_left(free, i)]
-        key = self._keys[i]
-        ids = self.classes[key]
-        if len(ids) == 1:
-            del self.classes[key]
-        else:
-            del ids[bisect_left(ids, i)]
+        classes = self._classes
+        if classes is not None:
+            key = self._keys[i]
+            ids = classes[key]
+            if len(ids) == 1:
+                del classes[key]
+            else:
+                del ids[bisect_left(ids, i)]
 
     def release(self, accel):
         """``accel`` joins the free set under its current class key."""
+        insort(self.free, accel.accel_id)
+        if self._classes is not None:
+            self._classify(accel)
+
+    def _classify(self, accel):
+        """File free ``accel`` under its current class key."""
         i = accel.accel_id
-        insort(self.free, i)
         key = self._keys[i] = class_key(accel)
-        ids = self.classes.get(key)
+        ids = self._classes.get(key)
         if ids is None:
-            self.classes[key] = [i]
+            self._classes[key] = [i]
         else:
             insort(ids, i)
 
@@ -96,9 +121,15 @@ class PoolIndex:
 
     def check(self):
         """Raise :class:`~repro.errors.ClusterError` unless the index
-        equals a fresh walk of the pool."""
+        equals a fresh walk of the pool.
+
+        ``classes`` are compared only once something has read them: an
+        index that never tracked them has none to drift.
+        """
         fresh = PoolIndex(self._accels)
-        for name in ("free", "classes", "online"):
+        names = ("free", "online") if self._classes is None \
+            else ("free", "classes", "online")
+        for name in names:
             if getattr(self, name) != getattr(fresh, name):
                 raise ClusterError(
                     f"device-pool index drifted: {name} is "

@@ -23,7 +23,7 @@ with per-*batch* cost instead, in four moves:
    composition per (task, SLO class, mode) key depends only on that
    key's arrival instants, so :func:`repro.cluster.batcher.plan_batches`
    computes every window close for the whole trace with one
-   ``searchsorted`` per window, and one ``np.minimum.reduceat`` gives
+   ``searchsorted`` per key, and one ``np.minimum.reduceat`` gives
    every window's earliest member deadline. Under ``adaptive_timeout`` /
    ``deadline_sizing`` the close of the *currently open* window depends
    on dispatch history, so planning turns incremental: each window is
@@ -108,6 +108,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -319,20 +320,23 @@ def _feed_observers(sim, log, arr_o, dead_o, ids_o):
 
     Each observer sees its feeds in commit order, with the values the
     per-event loop hands it live. The per-run arithmetic runs once over
-    whole-trace arrays: concatenating the runs' finish columns and
-    gathering arrivals and deadlines once yields, elementwise, the same
-    float64 subtracts and compares a per-run pass would do. Latency
-    slices handed to the monitor are views into one contiguous array.
-    One ``observe_many`` over the run-ordered concatenation folds the
-    same left-to-right histogram total as one call per run, and one
-    counter increment by the sum equals the per-run increments.
+    whole-trace arrays: chaining the runs' finish instants into one
+    column and gathering arrivals and deadlines once yields,
+    elementwise, the same float64 subtracts and compares a per-run pass
+    would do. Latency slices handed to the monitor are views into one
+    contiguous array. One ``observe_many`` over the run-ordered
+    concatenation folds the same left-to-right histogram total as one
+    call per run, and one counter increment by the sum equals the
+    per-run increments.
     """
     runs = [e for e in log if e[0] == _FINISHED]
     if runs:
         lengths = np.fromiter((len(e[4]) for e in runs),
                               dtype=np.intp, count=len(runs))
         all_pos = np.concatenate([e[4] for e in runs])
-        finish_all = np.concatenate([e[2].finish_ms for e in runs])
+        finish_all = np.fromiter(
+            chain.from_iterable(e[2].finish_ms for e in runs),
+            dtype=np.float64, count=all_pos.size)
         arr_all = arr_o[all_pos]
         lat_all = finish_all - arr_all
         vm_all = finish_all > dead_o[all_pos] + 1e-9
@@ -435,15 +439,16 @@ def _emit_spans(sim, log, ids_o, arr_o):
     tracks = [a.track for a in accels]
     hw_of = [a.hw_config.mac_vector_size
              if a.hw_config is not None else None for a in accels]
-    # Span args carry the plan's numpy columns as-is (member ids,
-    # arrivals, per-request finish instants): the serialization
-    # boundaries — ``Span.to_dict``, the spill writer, the Chrome
-    # exporter, the journey stitcher — convert them to plain lists on
-    # demand via ``jsonable_args``/``_column``, so the traced replay
-    # never pays a per-member scalar boxing. Each run's member set is
-    # its window's (the same ``pos`` array object flows from window
-    # close to dispatch), so all member columns come from two whole-run
-    # gathers sliced into one view per window.
+    # Span args carry the plan's columns as-is (member ids and
+    # arrivals as numpy views, each run's finish instants as its
+    # ``array("d")``): the serialization boundaries — ``Span.to_dict``,
+    # the spill writer, the Chrome exporter — convert them to plain
+    # lists on demand via ``jsonable_args``, and the journey stitcher
+    # reads them as columns, so the traced replay never pays a
+    # per-member scalar boxing. Each run's member set is its window's (the same ``pos``
+    # array object flows from window close to dispatch), so all member
+    # columns come from two whole-run gathers sliced into one view per
+    # window.
     member_cache = {}
     if windows:
         window_pos = [e[7] for e in windows]
@@ -612,7 +617,8 @@ def run_vectorized(sim, requests):
         task, target_ms, mode = key
         first = int(k_starts[kid])
         pos_k = korder[first:k_ends[kid]]
-        tlist = arr_o[pos_k].tolist()
+        times_k = arr_o[pos_k]
+        tlist = times_k.tolist()
         slist = order[pos_k].tolist()
         if incremental:
             # The former holds its members, so the key's requests are
@@ -624,7 +630,7 @@ def run_vectorized(sim, requests):
                           trace.rows_at(pos_k))
             events.append((tlist[0], slist[0], _OPEN, kp))
             continue
-        for start, end, by_size in plan_batches(tlist, max_batch,
+        for start, end, by_size in plan_batches(times_k, max_batch,
                                                 timeout_ms):
             planned = _Planned(pos_k[start:end], task, target_ms, mode,
                                by_size)
@@ -704,9 +710,8 @@ def run_vectorized(sim, requests):
             table = sim._table_for(pending_batch, accel)
             sent = sent_o[pos]
             results = table.rows(sent.tolist())
-            # begin() cumsums the latencies; handing it the float64
-            # column directly skips a list round trip (same bits).
-            latencies = table.latency_ms[sent]
+            # begin() sums the latencies left to right in plain floats.
+            latencies = table.latency_ms[sent].tolist()
             energies = table.energy_mj[sent].tolist()
         run = sim._begin(pending_batch, accel, now, results, latencies,
                          energies)[0]

@@ -59,7 +59,13 @@ from repro.serving.server import price_batch, validate_request
 from repro.telemetry.tracer import NULL_TRACER
 
 from repro.cluster.accelerator import AcceleratorSim, PlacementEstimate
-from repro.cluster.batcher import AdaptiveTimeout, BatchFormer, PendingBatch
+from repro.cluster.batcher import (
+    AdaptiveTimeout,
+    BatchFormer,
+    PendingBatch,
+    check_batch_size,
+    check_time_ms,
+)
 from repro.cluster.events import (
     Arrival,
     BatchDone,
@@ -100,15 +106,14 @@ class ClusterSimulator:
         if mode not in SERVING_MODES:
             raise ClusterError(
                 f"unknown mode {mode!r}; expected one of {SERVING_MODES}")
-        if max_batch_size < 1:
-            raise ClusterError("max_batch_size must be >= 1")
+        max_batch_size = check_batch_size(max_batch_size)
+        batch_timeout_ms = check_time_ms("batch_timeout_ms",
+                                         batch_timeout_ms)
+        if standby_timeout_ms is not None:
+            standby_timeout_ms = check_time_ms("standby_timeout_ms",
+                                               standby_timeout_ms)
         # Chained bounds: NaN fails every comparison, and an infinite
         # value fails the ``< math.inf`` end.
-        if not 0 <= batch_timeout_ms < math.inf:
-            raise ClusterError("batch_timeout_ms must be finite and >= 0")
-        if standby_timeout_ms is not None \
-                and not 0 <= standby_timeout_ms < math.inf:
-            raise ClusterError("standby_timeout_ms must be finite and >= 0")
         if energy_budget_mw is not None \
                 and not 0 < energy_budget_mw < math.inf:
             raise ClusterError("energy_budget_mw must be finite and > 0")
@@ -143,8 +148,8 @@ class ClusterSimulator:
         self.num_accelerators = int(num_accelerators)
         self.policy = make_policy(policy)
         self.mode = mode
-        self.max_batch_size = int(max_batch_size)
-        self.batch_timeout_ms = float(batch_timeout_ms)
+        self.max_batch_size = max_batch_size
+        self.batch_timeout_ms = batch_timeout_ms
         self.vectorized = vectorized
         self.hw_configs = hw_configs
         self.energy_budget_mw = energy_budget_mw
@@ -165,8 +170,7 @@ class ClusterSimulator:
         #: Idle interval after which a device's rail drops to the
         #: standby/retention point (None = park forever, the legacy
         #: behavior); see :class:`~repro.energy.DeviceEnergyModel`.
-        self.standby_timeout_ms = (None if standby_timeout_ms is None
-                                   else float(standby_timeout_ms))
+        self.standby_timeout_ms = standby_timeout_ms
         #: Serve per-event-loop batch pricing from whole-profile tables
         #: (the replay core's composition-invariance contract: for
         #: non-deadline-budget batches every member prices identically

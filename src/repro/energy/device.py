@@ -61,6 +61,9 @@ class DeviceEnergyModel:
             raise EnergyError("standby_timeout_ms must be finite and >= 0")
         self.hw_config = hw_config or HwConfig.energy_optimal()
         self.accelerator = AcceleratorModel(self.hw_config)
+        # vdd -> leakage mW, filled by AcceleratorModel.leakage_mw; idle
+        # accrual reads it at every run boundary of a replay.
+        self._leakage_mw = self.accelerator._leakage_mw
         self.dvfs = DvfsController(self.hw_config.dvfs)
         self.nominal_vdd, self.nominal_freq_ghz = \
             self.dvfs.table.nominal_point()
@@ -267,17 +270,21 @@ class DeviceEnergyModel:
         return rows
 
     def _accrue_idle(self, now_ms):
-        interval_ms = float(now_ms) - self._idle_since_ms
+        now_ms = float(now_ms)
+        interval_ms = now_ms - self._idle_since_ms
         if interval_ms < -1e-9:
             raise EnergyError(
                 f"idle accrual moving backwards: {self._idle_since_ms} ->"
                 f" {now_ms} ms")
-        interval_ms = max(0.0, interval_ms)
-        if self.would_be_standby(now_ms):
+        # Callers accrue only while idle, so this is would_be_standby
+        # with its busy test dropped, and it runs only under a timeout.
+        timeout_ms = self.standby_timeout_ms
+        if timeout_ms is not None and interval_ms > timeout_ms \
+                and self.parked_vdd != self.standby_vdd:
             # The rail dropped to retention partway through the interval:
             # leakage at the parked point until the timeout, one charged
             # down-transition at the crossing, standby leakage after.
-            awake_ms = min(self.standby_timeout_ms, interval_ms)
+            awake_ms = timeout_ms
             asleep_ms = interval_ms - awake_ms
             awake_mj = self.idle_power_mw() * awake_ms * 1e-3
             self.idle_energy_mj += awake_mj
@@ -308,15 +315,21 @@ class DeviceEnergyModel:
                     ("standby", "idle", crossing_ms, asleep_ms,
                      self._track, asleep_mj, None))
         else:
+            interval_ms = max(0.0, interval_ms)
+            # The accelerator's leakage memo, read without the method
+            # call; a miss fills it through idle_power_mw.
+            power_mw = self._leakage_mw.get(self.parked_vdd)
+            if power_mw is None:
+                power_mw = self.idle_power_mw()
             # mW * ms = µJ; scale to mJ.
-            idle_mj = self.idle_power_mw() * interval_ms * 1e-3
+            idle_mj = power_mw * interval_ms * 1e-3
             self.idle_energy_mj += idle_mj
             if self._tracer.enabled and interval_ms > 0.0:
                 self._trows.append(
                     ("idle", "idle", self._idle_since_ms, interval_ms,
                      self._track, idle_mj, None))
         self.idle_ms += interval_ms
-        self._idle_since_ms = float(now_ms)
+        self._idle_since_ms = now_ms
 
     @property
     def overhead_energy_mj(self):

@@ -8,6 +8,11 @@ and, after every step, rebuild what the index claims — the free ids,
 the free ids of each class, the online count — from a plain walk of the
 pool; fleet runs do so through every site step, park and wake.
 Vector-core runs are checked once, after the run.
+
+The index keeps its classes from their first read on. The walk
+comparison reads them, so an event-core test's first check starts the
+incremental tracking that every later step then checks; a vector-core
+run, which only fleet estimates would read classes from, tracks none.
 """
 
 import os
@@ -97,6 +102,8 @@ def test_vector_core_index_matches_walk_after_run(registry, bursty,
     report = sim.run(bursty)
     assert report.engine == "vector"
     assert report.num_batches > sim.num_accelerators
+    # Nothing read the classes, so the run computed no class key.
+    assert sim.pool_index._classes is None
     assert_index_matches_walk(sim)
 
 

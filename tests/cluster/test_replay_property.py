@@ -13,14 +13,19 @@ heterogeneous pool.
 On top of the reference checks, a seeded fuzzer draws random cluster
 shapes (pool size, batch former limits, budget caps, policy) and
 random diurnal traces and asserts the same identity on every draw —
-the property, not just the anecdote.
+the property, not just the anecdote. Every draw's reports, on both
+cores, also pass the device-timeline audit (``device_timeline``): the
+identity alone cannot catch a fault in finish arithmetic that both
+cores share.
 """
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from device_timeline import check_device_timelines
 
 from repro.cluster import (
     ClusterSimulator,
@@ -110,6 +115,12 @@ def record_ids(report):
     return [r.request.request_id for r in report.records]
 
 
+def audit_timelines(*reports):
+    """Both cores' reports of one draw pass the device-timeline audit."""
+    for report in reports:
+        assert check_device_timelines(report) == report.num_batches
+
+
 class TestReferenceToggles:
     """Bit-identity on the reference bursty trace, toggle by toggle."""
 
@@ -167,6 +178,7 @@ class TestRandomizedEquivalence:
         assert record_ids(vec) == record_ids(event)
         assert canonical(vec_mon.report()) \
             == canonical(event_mon.report()), (toggle, kwargs)
+        audit_timelines(vec, event)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bursty_traffic_with_all_toggles(self, registry,
@@ -183,6 +195,7 @@ class TestRandomizedEquivalence:
         assert canonical(vec) == canonical(event)
         assert canonical(vec_mon.report()) \
             == canonical(event_mon.report())
+        audit_timelines(vec, event)
 
 
 class TestGovernorEquivalence:
@@ -232,3 +245,38 @@ class TestGovernorEquivalence:
         assert record_ids(vec) == record_ids(event)
         assert canonical(vec_mon.report()) \
             == canonical(event_mon.report()), (toggle, kwargs)
+        audit_timelines(vec, event)
+
+
+class TestDeviceTimelineAudit:
+    """The audit itself: it flags each fault and passes real runs."""
+
+    @staticmethod
+    def fake_report(*rows):
+        return SimpleNamespace(records=[
+            SimpleNamespace(accel_id=accel, dispatch_ms=dispatch,
+                            completion_ms=done)
+            for accel, dispatch, done in rows])
+
+    def test_clean_timeline_passes(self):
+        report = self.fake_report((0, 0.0, 1.0), (0, 0.0, 2.0),
+                                  (1, 0.5, 1.5), (0, 2.0, 3.0))
+        assert check_device_timelines(report) == 3
+
+    @pytest.mark.parametrize("rows,fault", [
+        (((0, 0.0, 1.0), (0, 0.0, 2.0), (0, 1.5, 3.0)), "overlaps"),
+        (((0, 0.0, 2.0), (0, 0.0, 1.0)), "decrease"),
+        (((0, 1.0, 0.5),), "precedes"),
+    ], ids=["overlap", "decreasing", "before-dispatch"])
+    def test_each_fault_is_flagged(self, rows, fault):
+        with pytest.raises(AssertionError, match=fault):
+            check_device_timelines(self.fake_report(*rows))
+
+    def test_preempted_runs_pass(self, registry, bursty):
+        # EDF preempts on the reference pool: a victim's completed
+        # prefix ends at the instant its preemptor dispatches.
+        report, _ = monitored_run(registry, bursty, "event", policy="edf",
+                                  hw_configs=reference_pool())
+        assert report.preemptions > 0
+        assert check_device_timelines(report) >= report.num_batches \
+            - report.preemptions
