@@ -68,7 +68,8 @@ class ActiveRun:
     batch order, never decreasing, as an ``array("d")``: a float64
     column no larger than a NumPy array of the same length, built and
     read without NumPy's per-call cost. ``end_ms`` is its last entry,
-    when the device frees up.
+    when the device frees up. ``wake_energy_mj`` is the wake transition
+    the device's energy model charged at begin.
     """
 
     pending: object  # PendingBatch
@@ -80,6 +81,7 @@ class ActiveRun:
     end_ms: float  # finish_ms[-1]
     run_id: int
     accel_id: int
+    wake_energy_mj: float
 
     def completed_by(self, now_ms):
         """Index count of sentences fully finished at ``now_ms``."""
@@ -207,8 +209,8 @@ class AcceleratorSim:
             self.stats.swap_latency_ms += swap_ms
             self.stats.swap_energy_mj += swap_energy
             self.resident_task = pending.task
-        if self.energy is not None:
-            self.energy.on_run_begin(now_ms)
+        wake_mj = (self.energy.on_run_begin(now_ms)
+                   if self.energy is not None else 0.0)
         base = now_ms + swap_ms
         finish = array("d", [base + elapsed
                              for elapsed in accumulate(latencies_ms)])
@@ -216,7 +218,7 @@ class AcceleratorSim:
                              start_ms=float(now_ms), swap_ms=swap_ms,
                              swap_energy_mj=swap_energy, finish_ms=finish,
                              end_ms=finish[-1], run_id=self._next_run_id,
-                             accel_id=self.accel_id)
+                             accel_id=self.accel_id, wake_energy_mj=wake_mj)
         self._next_run_id += 1
         return self.run
 

@@ -44,19 +44,15 @@ with per-*batch* cost instead, in four moves:
    those same instants, so N idle devices cost nothing per skipped tick.
 4. **Price tables** — per-sentence pricing is composition-invariant for
    the per-sentence engine modes (each column of a batch is priced
-   elementwise), so all of a profile's sentences are priced in ONE
-   kernel dispatch per (task, target, mode, hardware) and batches are
-   assembled by array indexing. A table stays the kernel's columns:
-   a sentence's result row is boxed the first time a served batch
-   needs it and reused after that, so sentences nobody is served cost
-   no objects. Every ``lai`` price reads the profile's
-   target-independent exit columns
-   (:meth:`~repro.serving.TaskProfile.deadline_columns`, built once per
-   profile and hardware): a ``lai`` table adds only the per-sentence V/F
-   plan at its target (:func:`_build_table`). The deadline-budget
-   ``lai`` path is batch-coupled (water-filling over the shared slack),
-   so no table row applies; it prices each batch by gathering its
-   members' rows of those columns and planning them in one pass.
+   elementwise), so a batch without a deadline budget gathers its
+   members' rows from its profile's whole-profile table
+   (:meth:`~repro.serving.TaskProfile.price_table`: every sentence of
+   a (task, target, mode, hardware) priced in one kernel dispatch,
+   rows boxed on first read). The deadline-budget ``lai`` path is
+   batch-coupled (water-filling over the shared slack), so no table
+   row applies; it prices each batch by gathering its members' rows
+   of the profile's exit columns and planning them in one pass. Both
+   cores start every batch from ``ClusterSimulator._price``.
 
 Observation happens after the drain. The hot loop appends one tuple to
 one log at each commit point an observer reads: the queue depth after
@@ -72,9 +68,9 @@ per-event loop.
 
 The core keeps no run state of its own beside the simulator's: free
 devices come from and return to the simulator's
-:class:`~repro.cluster.pool.PoolIndex`, price tables from
-``_table_for``, batch formers from ``_new_former``, and every batch
-starts through ``_begin``, the start the per-event loop runs too.
+:class:`~repro.cluster.pool.PoolIndex`, batch formers from
+``_new_former``, and every batch is priced by ``_price`` and starts
+through ``_begin``, as on the per-event loop.
 
 Energy-budget admission (``energy_budget_mw``) replays exactly: the
 same :class:`~repro.energy.EnergyBudget` object is driven at the same
@@ -120,23 +116,13 @@ from repro.cluster.policies import (
     fifo_placement,
 )
 from repro.cluster.report import ClusterRecord, LazyRecords
-from repro.core.engine import (
-    price_latency_aware_columns,
-    results_from_arrays,
-)
 from repro.errors import ClusterError
-from repro.serving.request import (
-    MODES,
-    Batch,
-    Request,
-    RequestTrace,
-    TraceRows,
-)
-from repro.serving.server import (
-    price_batch,
-    serving_columns,
-    within_target,
-)
+from repro.serving.request import MODES, Batch, RequestTrace, TraceRows
+from repro.serving.server import serving_columns
+# Unused here: bound only so the e2e benchmark's layer tracer
+# (benchmarks/e2e/layertrace.py) still resolves its
+# ``serving.server.price_batch`` boundary in this module.
+from repro.serving.server import price_batch  # noqa: F401
 
 #: Event kinds in the batch-granular heap. OPEN marks a window opening
 #: (it consumes a timer seq and plans the close); CLOSE enqueues the
@@ -177,105 +163,6 @@ def replay_ineligible_reason(sim):
         return (f"policy {sim.policy.name!r} (preemptive or custom "
                 "policies can act on arbitrary arrival instants)")
     return None
-
-
-class _PriceTable:
-    """Every sentence of one (task, target, mode, hardware) priced once.
-
-    Kept as the kernel's columns: ``latency_ms`` / ``energy_mj`` are
-    float64 arrays indexed by sentence, and a sentence's
-    :class:`~repro.core.SentenceResult` row is boxed only the first time
-    a served batch asks for it (:meth:`rows`) — most rows of a routing
-    or site table are never served. Scalar-oracle tables arrive already
-    boxed and fill every row up front.
-    """
-
-    __slots__ = ("latency_ms", "energy_mj", "_priced", "_predictions",
-                 "_rows", "_unboxed")
-
-    def __init__(self, priced, predictions):
-        self.latency_ms = priced["latency_ms"]
-        self.energy_mj = priced["energy_mj"]
-        self._priced = priced
-        self._predictions = predictions
-        self._rows = [None] * predictions.size
-        self._unboxed = predictions.size
-
-    @classmethod
-    def from_results(cls, results):
-        """A table whose rows are already boxed (the scalar oracle)."""
-        table = cls.__new__(cls)
-        n = len(results)
-        table.latency_ms = np.fromiter(
-            (r.latency_ms for r in results), dtype=np.float64, count=n)
-        table.energy_mj = np.fromiter(
-            (r.energy_mj for r in results), dtype=np.float64, count=n)
-        table._rows = list(results)
-        table._unboxed = 0
-        return table
-
-    def rows(self, sentences):
-        """The rows of ``sentences`` (Python ints), in order.
-
-        Boxes each sentence once; later calls return that same object.
-        """
-        rows = self._rows
-        if self._unboxed:
-            missing = list(dict.fromkeys(
-                i for i in sentences if rows[i] is None))
-            if missing:
-                for i, row in zip(missing, results_from_arrays(
-                        self._priced, self._predictions, missing)):
-                    rows[i] = row
-                self._unboxed -= len(missing)
-        if len(sentences) == 1:
-            return [rows[sentences[0]]]
-        return list(itemgetter(*sentences)(rows))
-
-
-def _build_table(registry, task, target_ms, mode, hw_config,
-                 vectorized=True):
-    """Price a whole profile in one kernel dispatch (composition-invariant).
-
-    Row ``i`` is bit-identical to pricing sentence ``i`` alone, or inside
-    any other same-target batch, with the same kernels — ``price_batch``
-    reads only the sentence indices and ``batch.target_ms`` — including
-    its base/ee SLO judgement (:func:`~repro.serving.server.within_target`,
-    applied here as one column operation). The vectorized path keeps the
-    kernel's columns and builds no request, batch or engine report.
-    A ``lai`` table splits Algorithm 2 as the paper does: the layer-1
-    exit test, the LUT prediction, the bounded exit layers and the taken
-    classes read no target, so they come from the profile's memoized
-    :meth:`~repro.serving.TaskProfile.deadline_columns`, and only the
-    per-sentence V/F plan is priced at ``target_ms``
-    (:func:`~repro.core.engine.price_latency_aware_columns`); a table at
-    a new target costs that plan alone. ``base``/``ee`` tables price
-    ``profile.logits``/``profile.entropies`` whole through
-    :meth:`~repro.core.LatencyAwareEngine.price_columns`. Scalar callers
-    (the fleet router on a scalar-kernel site) pass ``vectorized=False``
-    so their rows come from the scalar oracle through ``price_batch``.
-    """
-    profile = registry.profile_for(task, hw_config)
-    if not vectorized:
-        members = tuple(
-            Request(request_id=-(i + 1), task=task, sentence=i,
-                    target_ms=target_ms)
-            for i in range(profile.num_sentences))
-        batch = Batch(task=task, target_ms=target_ms, requests=members)
-        return _PriceTable.from_results(
-            price_batch(profile, batch, mode, vectorized=False).results)
-    if mode == "lai":
-        columns = profile.deadline_columns()
-        engine = profile.engine
-        return _PriceTable(price_latency_aware_columns(
-            engine.pricing_tables(), engine.dvfs, columns, target_ms),
-            columns["taken"])
-    priced, predictions = profile.engine.price_columns(
-        mode, profile.logits, profile.entropies, lut=profile.lut,
-        entropy_threshold=profile.entropy_threshold, target_ms=target_ms)
-    priced["met_target"] = priced["met_target"] & within_target(
-        priced["latency_ms"], target_ms)
-    return _PriceTable(priced, predictions)
 
 
 class _Planned:
@@ -592,7 +479,6 @@ def run_vectorized(sim, requests):
         trace = trace.take(order)
         key_ids = key_ids[order]
     arr_o = trace.arrival_ms
-    sent_o = trace.sentence
     dead_o = arr_o + trace.target_ms
 
     # -- window planning per key --------------------------------------------------
@@ -661,7 +547,6 @@ def run_vectorized(sim, requests):
     # throttle consumes the next value, in processing order — mirrored
     # here so equal-instant ties break identically.
     dyn_seq = n
-    deadline_aware = sim.deadline_aware
     budget = sim._budget
     budget_armed = False
     # Window spend only *decays* between commits, so once exhausted()
@@ -698,23 +583,10 @@ def run_vectorized(sim, requests):
     def start_batch(pending_batch, accel, now):
         nonlocal dyn_seq, budget_recheck
         pos = pend_pos.pop(pending_batch.seq)
-        if deadline_aware and pending_batch.mode == "lai":
-            # Deadline-budget pricing is batch-coupled (the plan spreads
-            # the members' shared slack), so no table applies.
-            results = sim._price(
-                pending_batch, accel, now,
-                sim._swap_for(pending_batch, accel, now)[0])
-            latencies = [r.latency_ms for r in results]
-            energies = [r.energy_mj for r in results]
-        else:
-            table = sim._table_for(pending_batch, accel)
-            sent = sent_o[pos]
-            results = table.rows(sent.tolist())
-            # begin() sums the latencies left to right in plain floats.
-            latencies = table.latency_ms[sent].tolist()
-            energies = table.energy_mj[sent].tolist()
-        run = sim._begin(pending_batch, accel, now, results, latencies,
-                         energies)[0]
+        results = sim._price(pending_batch, accel, now)
+        energies = [r.energy_mj for r in results]
+        run = sim._begin(pending_batch, accel, now, results,
+                         [r.latency_ms for r in results], energies)[0]
         # A budget commit can exhaust the window: recheck it before the
         # next placement.
         budget_recheck = budget is not None

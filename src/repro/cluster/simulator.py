@@ -8,11 +8,13 @@
 2. **Dispatch** — closed batches wait for the scheduling policy
    (:mod:`repro.cluster.policies`) to place them on a free accelerator;
    placement pays the encoder-weight swap when the resident task
-   changes, then prices the batch with the same vectorized kernels the
-   single-node :class:`~repro.serving.Server` uses
-   (:func:`repro.serving.price_batch`) — against the *device's own*
-   pricing tables when the pool is heterogeneous (per-accelerator
-   ``hw_configs``). With ``deadline_aware=True``, ``lai`` batches are
+   changes, then prices the batch as the single-node
+   :class:`~repro.serving.Server` does — by gathering its members' rows
+   from a whole-profile price table
+   (:meth:`repro.serving.TaskProfile.price_table`), against the
+   *device's own* hardware when the pool is heterogeneous
+   (per-accelerator ``hw_configs``). With ``deadline_aware=True``,
+   ``lai`` batches are
    DVFS-planned against their *actual remaining slack* at dispatch —
    earliest member deadline minus the current instant minus the swap —
    so compute adapts to time already lost in queue
@@ -76,7 +78,6 @@ from repro.cluster.events import (
 from repro.cluster.policies import FifoPolicy, fifo_placement, make_policy
 from repro.cluster.pool import PoolIndex
 from repro.cluster.replay import (
-    _build_table,
     _compute_span,
     replay_ineligible_reason,
     run_vectorized,
@@ -100,9 +101,8 @@ class ClusterSimulator:
                  vectorized=True, hw_configs=None, energy_budget_mw=None,
                  budget_window_ms=100.0, deadline_aware=False,
                  adaptive_timeout=False, standby_timeout_ms=None,
-                 deadline_sizing=False, price_tables=False,
-                 tracer=None, metrics=None, monitor=None,
-                 trace_scope="cluster"):
+                 deadline_sizing=False, tracer=None, metrics=None,
+                 monitor=None, trace_scope="cluster"):
         if mode not in SERVING_MODES:
             raise ClusterError(
                 f"unknown mode {mode!r}; expected one of {SERVING_MODES}")
@@ -171,15 +171,6 @@ class ClusterSimulator:
         #: standby/retention point (None = park forever, the legacy
         #: behavior); see :class:`~repro.energy.DeviceEnergyModel`.
         self.standby_timeout_ms = standby_timeout_ms
-        #: Serve per-event-loop batch pricing from whole-profile tables
-        #: (the replay core's composition-invariance contract: for
-        #: non-deadline-budget batches every member prices identically
-        #: alone or batched, so one vectorized engine call per (task,
-        #: target, mode, hardware) replaces one per batch). Identical
-        #: results, cheaper pricing — opt-in so engine-vs-engine
-        #: benchmarks keep their per-batch event baseline honest.
-        #: Needs the vectorized kernels; silently off without them.
-        self.price_tables = bool(price_tables) and bool(vectorized)
         #: Telemetry (:mod:`repro.telemetry`): every hook is read-only
         #: observation fired *after* the simulator commits a state
         #: change, so a traced run's report is bit-identical to an
@@ -270,7 +261,6 @@ class ClusterSimulator:
         self._pending = []
         self._batch_seq = 0
         self._price_cache = {}
-        self._price_tables = {}
         self._profiles = {}
         self._budget = None
         self._budget_retry_armed = False
@@ -639,14 +629,14 @@ class ClusterSimulator:
         quantity whose sum the deadline planner must fit inside the
         earliest member's slack — read as ``latency_ms[sentence]`` from
         the whole-profile price table for ``key`` on the registry's
-        default hardware. Row ``i`` is bit-identical to pricing sentence
-        ``i`` alone as a singleton batch, so arrival order cannot change
-        an estimate. The table is built once per key, when the key's
-        former is created, and only its latency column is kept — inside
-        the returned estimator, so it lives exactly as long as that
-        former.
+        default hardware (the profile's memo, which :meth:`_price`
+        reads too). Row ``i`` is bit-identical to pricing sentence ``i``
+        alone as a singleton batch, so arrival order cannot change an
+        estimate.
         """
-        latency_ms = _build_table(self.registry, *key, None).latency_ms
+        task, target_ms, mode = key
+        latency_ms = self.registry.profile(task).price_table(
+            mode, target_ms).latency_ms
         return lambda request: latency_ms[request.sentence]
 
     def _swap_for(self, pending_batch, accel, now_ms):
@@ -666,72 +656,52 @@ class ClusterSimulator:
         cost = self.registry.switch_cost(resident, pending_batch.task)
         return cost.latency_ms, cost.energy_mj
 
-    def _deadline_budget_ms(self, pending_batch, swap_ms, now_ms):
-        """The slack the deadline planner gets for this placement.
-
-        The batch's actual remaining budget at dispatch time: its
-        earliest member's absolute deadline, minus the current instant
-        (so window time and dispatcher queueing already spent come off
-        the top), minus ``swap_ms``, the encoder swap this device would
-        pay first (:meth:`_swap_for`) — floored to
-        :data:`DEADLINE_SLACK_GRID_MS` and clamped at zero (an
-        already-late batch plans per-sentence). Returns None when
-        deadline-aware planning is off or the batch is not ``lai``-mode.
-        """
-        if not self.deadline_aware or pending_batch.mode != "lai":
-            return None
-        slack = pending_batch.deadline_ms - now_ms - swap_ms
-        grid = self.DEADLINE_SLACK_GRID_MS
-        return max(math.floor(slack / grid) * grid, 0.0)
-
-    def _price(self, pending_batch, accel, now_ms, swap_ms):
-        """``pending_batch``'s result rows on ``accel``'s hardware (cached).
+    def _price(self, pending_batch, accel, now_ms, swap_ms=None):
+        """``pending_batch``'s result rows on ``accel``'s hardware.
 
         One :class:`~repro.core.SentenceResult` per member, in batch
-        order; ``swap_ms`` is the device's :meth:`_swap_for` latency,
-        computed once by the caller. The cache is keyed by batch seq,
-        then (device hardware slot, deadline budget): distinct
-        PendingBatch objects always carry distinct seqs, and every
-        device sharing a hardware slot *and* seeing the same remaining
-        slack prices identically — so the governor scoring k devices and
-        the eventual placement share one engine call per variant. A
-        batch's entries are evicted wholesale
-        when it starts (:meth:`_start`), so the footprint stays
-        O(pending batches x variants) on long traces.
+        order: the pricer both cores start batches from, and the one
+        placement estimates read. A vectorized batch without a deadline
+        budget gathers its rows from the profile's whole-profile table
+        (:meth:`~repro.serving.TaskProfile.price_table`), uncached.
+
+        A deadline-budget ``lai`` batch plans against its remaining
+        slack at dispatch: its earliest member's deadline, minus
+        ``now_ms`` (window and queueing time already spent), minus
+        ``swap_ms``, the swap this device pays first (:meth:`_swap_for`,
+        computed here unless the caller has it), floored to
+        :data:`DEADLINE_SLACK_GRID_MS` and clamped at zero (an
+        already-late batch plans per-sentence). Deadline plans and
+        scalar batches go through :func:`~repro.serving.price_batch`,
+        cached by batch seq, then (device hardware slot, deadline
+        budget): every device sharing a hardware slot *and* seeing the
+        same slack prices identically, so the governor scoring k devices
+        and the eventual placement share one engine call per variant.
+        :meth:`_begin` evicts a batch's entries when it starts.
         """
-        deadline_ms = self._deadline_budget_ms(pending_batch, swap_ms,
-                                               now_ms)
+        mode = pending_batch.mode
+        deadline = self.deadline_aware and mode == "lai"
+        if self.vectorized and not deadline:
+            batch = pending_batch.batch
+            return self._profile_for(batch.task, accel).price_table(
+                mode, batch.target_ms).rows(
+                    batch.sentence_indices.tolist())
+        deadline_ms = None
+        if deadline:
+            if swap_ms is None:
+                swap_ms = self._swap_for(pending_batch, accel, now_ms)[0]
+            slack = pending_batch.deadline_ms - now_ms - swap_ms
+            grid = self.DEADLINE_SLACK_GRID_MS
+            deadline_ms = max(math.floor(slack / grid) * grid, 0.0)
         key = (accel.hw_slot, deadline_ms)
         cache = self._price_cache.setdefault(pending_batch.seq, {})
         rows = cache.get(key)
         if rows is None:
-            if self.price_tables and deadline_ms is None:
-                # Composition-invariant pricing: gather the members'
-                # rows from the whole-profile table instead of pricing
-                # this batch's composition (identical rows — the replay
-                # core's table contract). A vector-core batch reads its
-                # sentence column, so no member is boxed.
-                table = self._table_for(pending_batch, accel)
-                rows = table.rows(
-                    pending_batch.batch.sentence_indices.tolist())
-            else:
-                profile = self._profile_for(pending_batch.task, accel)
-                rows = price_batch(profile, pending_batch.batch,
-                                   pending_batch.mode,
-                                   vectorized=self.vectorized,
-                                   deadline_ms=deadline_ms).results
-            cache[key] = rows
+            rows = cache[key] = price_batch(
+                self._profile_for(pending_batch.task, accel),
+                pending_batch.batch, mode, vectorized=self.vectorized,
+                deadline_ms=deadline_ms).results
         return rows
-
-    def _table_for(self, pending_batch, accel):
-        """The whole-profile price table for one batch-key variant."""
-        key = (pending_batch.task, float(pending_batch.batch.target_ms),
-               pending_batch.mode, accel.hw_slot)
-        table = self._price_tables.get(key)
-        if table is None:
-            table = _build_table(self.registry, *key[:3], accel.hw_config)
-            self._price_tables[key] = table
-        return table
 
     def _profile_for(self, task, accel):
         """The registry's profile for ``task`` on ``accel``'s slot."""
@@ -851,28 +821,31 @@ class ClusterSimulator:
     def _begin(self, pending_batch, accel, now, rows, latencies, energies):
         """Occupy ``accel`` with the priced batch: the start both cores run.
 
-        Commits the placement's predicted energy against the rolling
-        budget window (the left-to-right sum of ``energies``, plus the
-        swap when actually paid, plus the wake transition the device
-        charges at begin), feeds the dispatch delay to the key's former,
-        begins the run and evicts the batch's priced variants. Returns
-        ``(run, budget_token)``; the token is None without a budget.
+        Feeds the dispatch delay to the key's former, begins the run,
+        then commits what the start charged against the rolling budget
+        window: the left-to-right sum of ``energies``, plus the swap when
+        actually paid, plus the wake transition the device charged at
+        begin (``run.wake_energy_mj``, a standby crossing included).
+        Evicts the batch's priced variants. Returns ``(run,
+        budget_token)``; the token is None without a budget.
         """
         batch = pending_batch.batch
         swap_cost = self.registry.switch_cost(accel.resident_task,
                                               batch.task)
-        budget_token = None
-        if self._budget is not None:
-            committed = sum(energies)
-            if accel.resident_task != batch.task:
-                committed += swap_cost.energy_mj
-            committed += accel.energy.estimate_transition(now_ms=now)[1]
-            budget_token = self._budget.commit(now, committed)
+        # Read before begin moves the residency.
+        swap_paid = accel.resident_task != batch.task
         former = self._formers.get((batch.task, float(batch.target_ms),
                                     pending_batch.mode))
         if former is not None:
             former.observe_dispatch_delay(now - pending_batch.ready_ms)
         run = accel.begin(pending_batch, rows, latencies, now, swap_cost)
+        budget_token = None
+        if self._budget is not None:
+            committed = sum(energies)
+            if swap_paid:
+                committed += swap_cost.energy_mj
+            committed += run.wake_energy_mj
+            budget_token = self._budget.commit(now, committed)
         # The batch is placed; its priced variants can never be needed
         # again (requeued remainders get fresh seqs).
         self._price_cache.pop(pending_batch.seq, None)
@@ -883,8 +856,7 @@ class ClusterSimulator:
         """Price the batch and occupy the accelerator with its schedule."""
         now = self._loop.now_ms
         batch = pending_batch.batch
-        rows = self._price(pending_batch, accel, now,
-                           self._swap_for(pending_batch, accel, now)[0])
+        rows = self._price(pending_batch, accel, now)
         run, budget_token = self._begin(
             pending_batch, accel, now, rows, [r.latency_ms for r in rows],
             [r.energy_mj for r in rows])

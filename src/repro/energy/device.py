@@ -181,7 +181,12 @@ class DeviceEnergyModel:
     # -- run lifecycle hooks (driven by AcceleratorSim) ---------------------------
 
     def on_run_begin(self, now_ms):
-        """Close the idle interval and wake the rail to nominal."""
+        """Close the idle interval and wake the rail to nominal.
+
+        Returns the wake transition's energy (mJ), the amount charged
+        here: a rail that dropped to standby during the idle interval
+        wakes from the retention point.
+        """
         if self._busy:
             raise EnergyError("device energy model saw begin while busy")
         self._accrue_idle(now_ms)
@@ -200,6 +205,7 @@ class DeviceEnergyModel:
         self.parked_vdd = self.nominal_vdd
         self.parked_freq_ghz = self.nominal_freq_ghz
         self._busy = True
+        return energy_mj
 
     def on_run_end(self, now_ms, vdd=None, freq_ghz=None):
         """Park the rail where the run left it; idle accrual resumes."""

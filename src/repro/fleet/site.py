@@ -42,10 +42,10 @@ import math
 from dataclasses import dataclass, field
 
 from repro.cluster.pool import class_key
-from repro.cluster.replay import _build_table
 from repro.cluster.simulator import ClusterSimulator
 from repro.errors import FleetError
 from repro.serving.request import retimed
+from repro.serving.server import build_price_table
 # Unused here: bound only so the e2e benchmark's layer tracer
 # (benchmarks/e2e/layertrace.py) still resolves its
 # ``fleet.site.price_batch`` boundary.
@@ -67,21 +67,22 @@ def route_table(registry, task, target_ms, mode, hw_config, vectorized):
     """``(energy_mj, latency_ms)`` columns of one whole-profile table.
 
     Entry ``i`` of each list is bit-identical to pricing sentence ``i``
-    as a one-request batch at ``target_ms`` (the replay core's
-    composition-invariance contract, :func:`_build_table`). Memoized on
-    the registry beside its hardware variants and switch costs, so
-    sites with the same hardware share one build. The router reads
-    nothing but these two float columns, so it keeps them as lists and
-    drops the table: none of its rows is ever boxed into a result. Only
-    ``lai`` reads the target, so ``base``/``ee`` share one table across
-    buckets.
+    as a one-request batch at ``target_ms`` (the composition-invariance
+    contract of :func:`~repro.serving.server.build_price_table`).
+    Memoized on the registry beside its hardware variants and switch
+    costs, so sites with the same hardware share one build. The router
+    reads nothing but these two float columns, so it builds through
+    the public builder rather than the profile's table memo, keeps the
+    columns as lists and drops the table: none of its rows is ever
+    boxed into a result. Only ``lai`` reads the target, so
+    ``base``/``ee`` share one table across buckets.
     """
     key = (task, target_ms if mode == "lai" else None, mode, hw_config,
            vectorized)
     columns = registry._route_tables.get(key)
     if columns is None:
-        table = _build_table(registry, task, target_ms, mode, hw_config,
-                             vectorized=vectorized)
+        table = build_price_table(registry.profile_for(task, hw_config),
+                                  mode, target_ms, vectorized=vectorized)
         columns = registry._route_tables[key] = (
             table.energy_mj.tolist(), table.latency_ms.tolist())
     return columns
@@ -144,10 +145,6 @@ class FleetSite:
             adaptive_timeout=config.adaptive_timeout,
             standby_timeout_ms=config.standby_timeout_ms,
             vectorized=config.vectorized,
-            # Whole-profile tables price non-deadline-budget batches
-            # bit-identically (the replay core's composition-invariance
-            # contract), so sites always take the faster path.
-            price_tables=True,
             tracer=tracer, metrics=metrics, monitor=monitor,
             trace_scope=config.site_id,
         )

@@ -8,7 +8,9 @@ The subsystem turns the per-sentence engine into a request/batch server
   a request only when an element is read;
 * :class:`TaskRegistry` / :class:`TaskProfile` — per-task artifacts
   around one shared, eNVM-resident embedding store, so task switches
-  price only encoder-weight swaps (:meth:`TaskRegistry.switch_cost`);
+  price only encoder-weight swaps (:meth:`TaskRegistry.switch_cost`),
+  and batches gather rows from whole-profile price tables
+  (:meth:`TaskProfile.price_table`);
 * :class:`Scheduler` — groups the queue by (task, latency-target class)
   and orders batches to minimize encoder swaps;
 * :class:`Server` — ``submit()`` / ``run()`` facade returning per-request
@@ -39,6 +41,7 @@ from repro.serving.server import (
     Server,
     ServingReport,
     batch_deadline_ms,
+    build_price_table,
     price_batch,
     validate_request,
 )
@@ -66,6 +69,7 @@ __all__ = [
     "TaskRegistry",
     "TraceRows",
     "batch_deadline_ms",
+    "build_price_table",
     "encoder_weight_bytes",
     "price_batch",
     "validate_request",

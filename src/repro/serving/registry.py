@@ -25,6 +25,7 @@ from repro.envm import MLC2, EnvmEmbeddingStore
 from repro.errors import ServingError
 from repro.hw.dram import Lpddr4Model
 from repro.hw.memories import SramModel
+from repro.serving.server import build_price_table
 
 
 def encoder_weight_bytes(model_config, weight_density=1.0):
@@ -47,11 +48,13 @@ def encoder_weight_bytes(model_config, weight_density=1.0):
 class TaskProfile:
     """Everything the server needs to price one task's traffic.
 
-    Deadline-budget batches of two or more members gather
-    :meth:`deadline_columns` and water-fill; a one-member batch shares
-    its budget with nobody, so its plan depends only on (sentence,
-    hardware, target, budget) and is one pick over
-    :meth:`singleton_columns`.
+    Every batch without a deadline budget gathers its rows from
+    :meth:`price_table` at its target. Deadline-budget batches of two
+    or more members gather :meth:`deadline_columns` and water-fill; a
+    one-member batch shares its budget with nobody, so its plan depends
+    only on (sentence, hardware, target, budget) and is one pick over
+    :meth:`singleton_columns`. All three are built once per profile; a
+    hardware variant (:meth:`for_hw`) is its own profile.
     """
 
     task: str
@@ -66,6 +69,8 @@ class TaskProfile:
         default=None, init=False, repr=False, compare=False)
     _singleton_columns: dict | None = field(
         default=None, init=False, repr=False, compare=False)
+    _tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.logits.ndim != 3 or self.entropies.ndim != 2:
@@ -129,6 +134,20 @@ class TaskProfile:
                 column.flags.writeable = False
             self._singleton_columns = columns
         return self._singleton_columns
+
+    def price_table(self, mode, target_ms):
+        """Every sentence priced in ``mode`` at ``target_ms``, built once.
+
+        The vectorized :func:`~repro.serving.server.build_price_table`,
+        memoized per (mode, target); a batch without a deadline budget
+        gathers its members' rows from it, boxed on first read.
+        """
+        key = (mode, target_ms)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build_price_table(
+                self, mode, target_ms)
+        return table
 
     def for_hw(self, hw_config):
         """This task's profile re-priced on different hardware.

@@ -1,10 +1,10 @@
 """The serving facade: submit requests, run the priced simulation.
 
 ``Server`` drains its queue through the :class:`Scheduler`, prices each
-batch with the engine's vectorized kernels (one engine call per batch:
-:meth:`~repro.core.LatencyAwareEngine.simulate_dataset`, or
-:meth:`~repro.core.LatencyAwareEngine.price_deadline` for a
-deadline-budget batch), charges an encoder-weight swap whenever the
+batch with :func:`price_batch` — a gather from the profile's
+whole-profile :class:`PriceTable`, or one
+:meth:`~repro.core.LatencyAwareEngine.price_deadline` call for a
+deadline-budget batch — charges an encoder-weight swap whenever the
 resident task changes, and
 returns a :class:`ServingReport` with per-request results plus aggregate
 throughput / energy / SLO-violation statistics.
@@ -14,9 +14,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
+from repro.core.engine import (
+    EngineReport,
+    price_latency_aware_columns,
+    results_from_arrays,
+)
 from repro.errors import ServingError
 from repro.serving.request import (
     MODES,
@@ -101,20 +107,133 @@ def within_target(latency_ms, target_ms):
     Those engine modes have no latency-target concept (they always
     report ``met_target=True``), so the serving layer judges them
     against the batch's target to keep violations visible. Works on one
-    latency or elementwise on a column: :func:`price_batch` applies it
-    per row, whole-profile price tables
-    (:func:`repro.cluster.replay._build_table`) per column.
+    latency or elementwise on a column: the scalar path of
+    :func:`price_batch` applies it per row, :func:`build_price_table`
+    per column.
     """
     return latency_ms <= target_ms + 1e-9
 
 
+class PriceTable:
+    """Every sentence of one (task, target, mode, hardware) priced once.
+
+    Kept as the kernel's columns: ``latency_ms`` / ``energy_mj`` are
+    float64 arrays indexed by sentence, and a sentence's
+    :class:`~repro.core.SentenceResult` row is boxed only the first time
+    a served batch asks for it (:meth:`rows`) — most rows of a routing
+    table are never served. Scalar-oracle tables arrive already boxed
+    and fill every row up front.
+    """
+
+    __slots__ = ("latency_ms", "energy_mj", "_priced", "_predictions",
+                 "_rows", "_unboxed")
+
+    def __init__(self, priced, predictions):
+        self.latency_ms = priced["latency_ms"]
+        self.energy_mj = priced["energy_mj"]
+        self._priced = priced
+        self._predictions = predictions
+        self._rows = [None] * predictions.size
+        self._unboxed = predictions.size
+
+    @classmethod
+    def from_results(cls, results):
+        """A table whose rows are already boxed (the scalar oracle)."""
+        table = cls.__new__(cls)
+        n = len(results)
+        table.latency_ms = np.fromiter(
+            (r.latency_ms for r in results), dtype=np.float64, count=n)
+        table.energy_mj = np.fromiter(
+            (r.energy_mj for r in results), dtype=np.float64, count=n)
+        table._rows = list(results)
+        table._unboxed = 0
+        return table
+
+    def rows(self, sentences):
+        """The rows of ``sentences`` (Python ints), in order.
+
+        Boxes each sentence once; later calls return that same object.
+        """
+        rows = self._rows
+        if self._unboxed:
+            missing = list(dict.fromkeys(
+                i for i in sentences if rows[i] is None))
+            if missing:
+                for i, row in zip(missing, results_from_arrays(
+                        self._priced, self._predictions, missing)):
+                    rows[i] = row
+                self._unboxed -= len(missing)
+        if len(sentences) == 1:
+            return [rows[sentences[0]]]
+        return list(itemgetter(*sentences)(rows))
+
+
+def build_price_table(profile, mode, target_ms, vectorized=True):
+    """Price all of ``profile``'s sentences in one kernel dispatch.
+
+    Per-sentence pricing is composition-invariant: row ``i`` is
+    bit-identical to pricing sentence ``i`` alone, or inside any other
+    batch at ``target_ms``, with the same kernels — including its
+    base/ee SLO judgement (:func:`within_target`, applied here as one
+    column operation). The vectorized build keeps the kernel's columns
+    and builds no request, batch or engine report. A ``lai`` table
+    splits Algorithm 2 as the paper does: the exit columns read no
+    target, so they come from the profile's memoized
+    :meth:`~repro.serving.TaskProfile.deadline_columns`, and only the
+    per-sentence V/F plan is priced at ``target_ms``
+    (:func:`~repro.core.engine.price_latency_aware_columns`).
+    ``base``/``ee`` tables price the whole profile through
+    :meth:`~repro.core.LatencyAwareEngine.price_columns`.
+    ``vectorized=False`` (the fleet router on a scalar-kernel site)
+    takes every row from the scalar oracle. The profile memoizes its
+    vectorized builds (:meth:`~repro.serving.TaskProfile.price_table`).
+    """
+    if not vectorized:
+        return PriceTable.from_results(_scalar_oracle(
+            profile, np.arange(profile.num_sentences), mode,
+            target_ms).results)
+    if mode == "lai":
+        columns = profile.deadline_columns()
+        engine = profile.engine
+        return PriceTable(price_latency_aware_columns(
+            engine.pricing_tables(), engine.dvfs, columns, target_ms),
+            columns["taken"])
+    priced, predictions = profile.engine.price_columns(
+        mode, profile.logits, profile.entropies, lut=profile.lut,
+        entropy_threshold=profile.entropy_threshold, target_ms=target_ms)
+    priced["met_target"] = priced["met_target"] & within_target(
+        priced["latency_ms"], target_ms)
+    return PriceTable(priced, predictions)
+
+
+def _scalar_oracle(profile, idx, mode, target_ms, deadline_ms=None):
+    """Sentences ``idx`` priced by the scalar loop, SLO-judged."""
+    report = profile.engine.simulate_dataset(
+        mode, profile.logits[:, idx], profile.entropies[:, idx],
+        lut=profile.lut, entropy_threshold=profile.entropy_threshold,
+        target_ms=target_ms, vectorized=False, deadline_ms=deadline_ms)
+    if mode != "lai":
+        report.results = [
+            r if within_target(r.latency_ms, target_ms)
+            else replace(r, met_target=False)
+            for r in report.results
+        ]
+    return report
+
+
 def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
-    """Price one same-task batch against its profile (pure function).
+    """Price one same-task batch against its profile.
 
     Returns the engine's :class:`~repro.core.engine.EngineReport` with one
     :class:`~repro.core.SentenceResult` per request, in batch order. This
-    is the single pricing entry point both the queue-draining
-    :class:`Server` and the event-driven cluster simulator call.
+    is the pricing entry point of the queue-draining :class:`Server`;
+    the cluster simulator calls it for deadline plans and scalar
+    batches, and reads tables itself otherwise.
+
+    Without a deadline budget, a vectorized batch gathers its members'
+    rows from the profile's table at the batch's target
+    (:meth:`~repro.serving.TaskProfile.price_table`);
+    ``vectorized=False`` prices the batch's slice with the scalar oracle.
 
     ``deadline_ms`` (``lai`` only) prices the batch with the
     deadline-budget DVFS plan instead of per-sentence targets: the whole
@@ -130,7 +249,10 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
     every budget
     (:meth:`~repro.core.LatencyAwareEngine.price_deadline_alone`).
     """
-    if mode == "lai" and deadline_ms is not None and vectorized:
+    if not vectorized:
+        return _scalar_oracle(profile, batch.sentence_indices, mode,
+                              batch.target_ms, deadline_ms)
+    if mode == "lai" and deadline_ms is not None:
         deadline_ms = max(float(deadline_ms), 0.0)
         if len(batch.requests) == 1:
             return profile.engine.price_deadline_alone(
@@ -141,29 +263,8 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
         return profile.engine.price_deadline(
             {name: column[idx] for name, column in columns.items()},
             batch.target_ms, deadline_ms)
-    idx = batch.sentence_indices
-    logits = profile.logits[:, idx]
-    entropies = profile.entropies[:, idx]
-    if mode == "lai":
-        return profile.engine.simulate_dataset(
-            "lai", logits, entropies, lut=profile.lut,
-            entropy_threshold=profile.entropy_threshold,
-            target_ms=batch.target_ms, vectorized=vectorized,
-            deadline_ms=deadline_ms)
-    if mode == "base":
-        report = profile.engine.simulate_dataset(
-            "base", logits, entropies, vectorized=vectorized)
-    else:
-        report = profile.engine.simulate_dataset(
-            "ee", logits, entropies,
-            entropy_threshold=profile.entropy_threshold,
-            vectorized=vectorized)
-    report.results = [
-        r if within_target(r.latency_ms, batch.target_ms)
-        else replace(r, met_target=False)
-        for r in report.results
-    ]
-    return report
+    return EngineReport(profile.price_table(mode, batch.target_ms).rows(
+        batch.sentence_indices.tolist()))
 
 
 @dataclass

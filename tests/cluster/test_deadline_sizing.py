@@ -1,11 +1,17 @@
 """Deadline-aware batch sizing: the early-close trigger and its payoff."""
 
+import os
+import sys
+
 import pytest
 
 from repro.cluster import BatchFormer, ClusterSimulator
 from repro.config import GLUE_TASKS, HwConfig
 from repro.errors import ClusterError
-from repro.serving import Batch, Request, price_batch, synthetic_registry
+from repro.serving import Batch, Request, synthetic_registry
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "serving"))
+from pricing_reference import per_batch_kernel  # noqa: E402
 
 
 def request(i, target_ms=100.0, arrival_ms=0.0):
@@ -146,7 +152,8 @@ class TestSimulatorIntegration:
                 assert f.work_estimator is None
 
     def test_estimates_are_singleton_prices(self, registry):
-        """Each estimate is its sentence's latency priced alone — on the
+        """Each estimate is its sentence's latency priced alone (one
+        kernel call over the one-member batch, no table) — on the
         registry's default hardware even in a heterogeneous pool."""
         sim = ClusterSimulator(registry, policy="fifo",
                                hw_configs=(HwConfig(mac_vector_size=8),
@@ -161,7 +168,7 @@ class TestSimulatorIntegration:
                 member = Request(request_id=sentence, task=task,
                                  sentence=sentence, target_ms=target_ms,
                                  mode="lai")
-                alone = price_batch(profile, Batch(
+                alone = per_batch_kernel(profile, Batch(
                     task=task, target_ms=target_ms, requests=(member,)),
                     "lai")
-                assert estimate(member) == alone.results[0].latency_ms
+                assert estimate(member) == alone[0].latency_ms

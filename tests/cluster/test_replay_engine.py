@@ -3,6 +3,7 @@ selection, runaway guards and cache bounds."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from repro.cluster import (
 from repro.config import HwConfig
 from repro.errors import ClusterError, ServingError
 from repro.serving import Request, synthetic_registry, synthetic_traffic
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "serving"))
+from pricing_reference import per_batch_kernel  # noqa: E402
 
 TASKS = ("sst2", "mnli")
 REFERENCE_TASKS = ("sst2", "mnli", "qqp", "qnli")
@@ -106,17 +110,25 @@ class TestReferenceEquivalence:
         assert "engine" not in report.summary()
 
     def test_price_tables_composition_invariant(self, reference_registry,
-                                                bursty):
-        # Whole-profile table pricing (always on for fleet sites) is a
-        # pure speedup: turning it off must not move a single float.
-        on, off = (run_engine(reference_registry, bursty, "event",
-                              price_tables=flag)
-                   for flag in (True, False))
-        assert canonical(on) == canonical(off)
-        assert [(r.request.request_id, r.completion_ms,
-                 r.result.energy_mj) for r in on.records] \
-            == [(r.request.request_id, r.completion_ms,
-                 r.result.energy_mj) for r in off.records]
+                                                bursty, monkeypatch):
+        # Whole-profile table pricing is a pure speedup: a replay that
+        # prices every batch with its own kernel call over its slice
+        # (the per-batch path, independent of any table) must not move
+        # a single float.
+        tables = run_engine(reference_registry, bursty, "event")
+
+        def per_batch(sim, pending_batch, accel, now_ms, swap_ms=None):
+            return per_batch_kernel(
+                sim._profile_for(pending_batch.task, accel),
+                pending_batch.batch, pending_batch.mode)
+
+        monkeypatch.setattr(ClusterSimulator, "_price", per_batch)
+        kernel = run_engine(reference_registry, bursty, "event")
+        assert canonical(tables) == canonical(kernel)
+        assert [(r.request.request_id, r.completion_ms, r.result)
+                for r in tables.records] \
+            == [(r.request.request_id, r.completion_ms, r.result)
+                for r in kernel.records]
 
 
 class TestPropertyEquivalence:

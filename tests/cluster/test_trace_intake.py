@@ -181,13 +181,13 @@ class TestNoBoxing:
     def test_governor_table_pricing_builds_requests_only_for_records(
             self, built):
         # The governor prices each candidate placement through
-        # ``ClusterSimulator._price``; with price tables on, that
-        # gathers table rows by the batch's sentence column.
+        # ``ClusterSimulator._price``, which gathers table rows by the
+        # batch's sentence column.
         tasks = ("sst2", "mnli", "qqp", "qnli")
         registry = synthetic_registry(tasks, n=64, seed=0)
         trace = generate_diurnal_trace(3000, seed=0, tasks=tasks)
         sim = ClusterSimulator(registry, num_accelerators=16,
-                               policy="energy", price_tables=True)
+                               policy="energy")
         report = sim.run(trace)
         assert report.engine == "vector"
         assert report.serving.num_requests == 3000

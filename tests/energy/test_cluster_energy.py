@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSimulator
 from repro.config import HwConfig
+from repro.energy import DeviceEnergyModel
 from repro.errors import ClusterError, EnergyError
 from repro.serving import Request, synthetic_registry, synthetic_traffic
 
@@ -182,6 +183,33 @@ class TestEnergyBudget:
     def test_invalid_budget_raises(self, registry):
         with pytest.raises(ClusterError):
             ClusterSimulator(registry, energy_budget_mw=0.0)
+
+    @pytest.mark.parametrize("engine", ["vector", "event"])
+    def test_commits_the_wake_each_start_charged(self, registry, trace,
+                                                 engine, monkeypatch):
+        # The budget commits the wake the device charged at begin, so
+        # each batch start prices its wake once, and the window's spend
+        # is exactly what the devices charged: compute, paid swaps and
+        # wakes (no standby timeout, so every transition is a wake).
+        calls = []
+        estimate = DeviceEnergyModel.estimate_transition
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return estimate(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceEnergyModel, "estimate_transition",
+                            counted)
+        sim = ClusterSimulator(registry, policy="fifo", hw_configs=POOL,
+                               energy_budget_mw=2.0, budget_window_ms=50.0)
+        report = sim.run(trace) if engine == "vector" \
+            else sim.run_events(trace)
+        assert report.engine == engine
+        assert report.budget.throttle_events > 0
+        assert len(calls) == report.num_batches > 0
+        charged = sum(d.compute_mj + d.swap_mj + d.transition_mj
+                      for d in report.device_energy)
+        assert report.budget.spent_mj == pytest.approx(charged, abs=1e-9)
 
 
 class TestHomogeneousDefault:

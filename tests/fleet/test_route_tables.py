@@ -1,15 +1,20 @@
-"""Fleet routing estimates priced from shared whole-profile tables.
+"""Whole-profile price tables, and the fleet routing estimates read off them.
 
-The router's per-device compute term is one row of a table that prices
-every sentence of a (task, slack bucket, mode, hardware) variant in one
-engine call, memoized on the registry. These tests hold the three
-properties that make that a pure speedup:
+A table prices every sentence of a (task, target, mode, hardware)
+variant in one engine call. Every batch without a deadline budget
+gathers its rows from one (``TaskProfile.price_table``), and the
+router's per-device compute term is one row of a table memoized on the
+registry. These tests hold the three properties that make that a pure
+speedup:
 
-* a table row equals the one-request ``price_batch`` it replaces, bit
-  for bit, for every mode, hardware variant and kernel flag — both the
-  router's float columns and the boxed result row a site serves, which
-  is boxed once and handed back as the same object afterwards — also
-  for a profile whose threshold sends sentences out at layer 1;
+* table rows equal the per-batch kernel call ``price_batch`` made
+  before tables (``simulate_dataset`` on the batch's own slice, plus
+  the base/ee SLO judgement), bit for bit, for one-member and random
+  multi-member batches in every mode, hardware variant and kernel flag
+  — both the router's float columns and the boxed result rows a site
+  serves, which are boxed once and handed back as the same objects
+  afterwards — also for a profile whose threshold sends sentences out
+  at layer 1;
 * each table is built once per registry, however many sites read it,
   and ``lai`` tables at new targets reuse the profile's exit columns:
   the logits ``argmax``, the LUT prediction and the bounded exit search
@@ -20,21 +25,30 @@ properties that make that a pure speedup:
 
 import hashlib
 import json
+import os
+import sys
 from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-import repro.cluster.replay as replay_module
 import repro.core.engine as engine_module
 import repro.fleet.site as site_module
-from repro.cluster.replay import _build_table
+import repro.serving.server as server_module
 from repro.config import HwConfig
 from repro.fleet import FleetOrchestrator, SiteConfig
 from repro.fleet.site import route_table
-from repro.serving import price_batch, synthetic_registry, synthetic_traffic
+from repro.serving import (
+    build_price_table,
+    price_batch,
+    synthetic_registry,
+    synthetic_traffic,
+)
 from repro.serving.request import Batch, Request
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "serving"))
+from pricing_reference import per_batch_kernel, with_layer1_exits  # noqa: E402
 
 TASKS = ("sst2", "mnli", "qqp", "qnli")
 #: The MAC-vector sizes of the e2e ``fleet_flagship`` sites, plus the
@@ -43,26 +57,19 @@ HW_VARIANTS = (None,) + tuple(HwConfig(mac_vector_size=n)
                               for n in (32, 16, 8))
 
 
-def _singleton(profile, task, sentence, target, mode, vectorized):
-    """Sentence ``sentence`` priced alone, as a one-request batch."""
-    request = Request(request_id=sentence, task=task, sentence=sentence,
-                      target_ms=target)
-    return price_batch(profile, Batch(task=task, target_ms=target,
-                                      requests=(request,)),
-                       mode, vectorized=vectorized).results[0]
+def _batch(task, target, sentences):
+    """A batch of ``sentences`` (repeats allowed), in order."""
+    return Batch(task=task, target_ms=target, requests=tuple(
+        Request(request_id=i, task=task, sentence=s, target_ms=target)
+        for i, s in enumerate(sentences)))
 
 
-def with_layer1_exits(registry):
-    """``registry`` with half of each task's sentences exiting at layer 1.
-
-    The synthetic profiles have none: every layer-1 entropy sits above
-    their threshold. Set before any hardware variant is built, so the
-    variants copy it.
-    """
-    for task in registry.tasks:
-        profile = registry.profile(task)
-        profile.entropy_threshold = float(np.median(profile.entropies[0]))
-    return registry
+def _table(registry, task, target, mode, hw, vectorized=True):
+    """The table batches read: the profile's memo, or a scalar build."""
+    profile = registry.profile_for(task, hw)
+    if vectorized:
+        return profile.price_table(mode, target)
+    return build_price_table(profile, mode, target, vectorized=False)
 
 
 class TestTableRowsMatchSingletonPricing:
@@ -75,29 +82,32 @@ class TestTableRowsMatchSingletonPricing:
         for registry in (plain, layer1):
             assert self._check_rows(registry, mode, vectorized) > 0
         layer1_exits = sum(
-            row.exit_layer == 1 for row in _build_table(
+            row.exit_layer == 1 for row in _table(
                 layer1, TASKS[0], 5.0, mode, None,
-                vectorized=vectorized).rows(range(24)))
+                vectorized).rows(range(24)))
         assert (layer1_exits > 0) == (mode != "base")
 
     @staticmethod
     def _check_rows(registry, mode, vectorized):
-        """Hold every table row to singleton pricing; count SLO misses."""
+        """Hold table rows to the per-batch kernel; count SLO misses."""
+        rng = np.random.default_rng(7)
         missed = 0
         for task in registry.tasks:
             for hw in HW_VARIANTS:
                 profile = registry.profile_for(task, hw)
+                n = profile.num_sentences
                 # 1.5 ms splits most variants' rows in every mode, so
                 # the SLO judgement sees both outcomes.
                 for target in (1.5, 5.0, 35.0):
                     energies, latencies = route_table(
                         registry, task, target, mode, hw, vectorized)
-                    table = _build_table(registry, task, target, mode, hw,
-                                         vectorized=vectorized)
-                    assert len(energies) == profile.num_sentences
-                    for i in range(profile.num_sentences):
-                        single = _singleton(profile, task, i, target, mode,
-                                            vectorized)
+                    table = _table(registry, task, target, mode, hw,
+                                   vectorized)
+                    assert len(energies) == n
+                    for i in range(n):
+                        single = per_batch_kernel(
+                            profile, _batch(task, target, [i]), mode,
+                            vectorized)[0]
                         assert energies[i] == float(single.energy_mj)
                         assert latencies[i] == float(single.latency_ms)
                         assert type(energies[i]) is float
@@ -110,8 +120,10 @@ class TestTableRowsMatchSingletonPricing:
                         # so it also pins the vectorized boxer's field
                         # order (both sides of ``row == single`` box
                         # through it).
-                        oracle = single if not vectorized else _singleton(
-                            profile, task, i, target, mode, False)
+                        oracle = single if not vectorized \
+                            else per_batch_kernel(
+                                profile, _batch(task, target, [i]), mode,
+                                False)[0]
                         for got, want in zip(astuple(row),
                                              astuple(oracle)):
                             assert type(got) is type(want)
@@ -120,6 +132,18 @@ class TestTableRowsMatchSingletonPricing:
                             else:
                                 assert got == want
                         missed += not single.met_target
+                    # Random multi-member batches, repeats included:
+                    # the gather equals pricing the batch's own slice,
+                    # and so does price_batch, which reads the table.
+                    for size in rng.integers(2, 33, size=3).tolist():
+                        sentences = rng.integers(n, size=size).tolist()
+                        batch = _batch(task, target, sentences)
+                        want = per_batch_kernel(profile, batch, mode,
+                                                vectorized)
+                        assert table.rows(sentences) == want
+                        assert price_batch(
+                            profile, batch, mode,
+                            vectorized=vectorized).results == want
         return missed
 
     def test_vectorized_build_is_one_column_dispatch(self, monkeypatch):
@@ -128,21 +152,22 @@ class TestTableRowsMatchSingletonPricing:
         def forbidden(*args, **kwargs):
             raise AssertionError("vectorized table build left the kernel")
 
-        for owner, name in ((replay_module, "Request"),
-                            (replay_module, "Batch"),
-                            (replay_module, "price_batch"),
+        for owner, name in ((server_module, "Request"),
+                            (server_module, "price_batch"),
+                            (server_module, "_scalar_oracle"),
+                            (server_module, "EngineReport"),
                             (engine_module, "EngineReport")):
             monkeypatch.setattr(owner, name, forbidden)
         for mode in ("base", "ee", "lai"):
-            table = _build_table(registry, TASKS[0], 20.0, mode, None)
+            table = build_price_table(registry.profile(TASKS[0]), mode,
+                                      20.0)
             assert table.latency_ms.dtype == table.energy_mj.dtype \
                 == np.float64
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_batch_rows_share_first_boxing(self, vectorized):
         registry = synthetic_registry(TASKS[:1], n=24, seed=5)
-        table = _build_table(registry, TASKS[0], 20.0, "lai", None,
-                             vectorized=vectorized)
+        table = _table(registry, TASKS[0], 20.0, "lai", None, vectorized)
         first = table.rows([3, 7, 3, 11])
         assert first[0] is first[2]
         again = table.rows([11, 7, 3])
@@ -179,7 +204,8 @@ class TestLaiTablesReuseExitColumns:
             counted("bounded", engine_module.bounded_exit_layers))
         for hw in HW_VARIANTS:
             for target in (1.5, 5.0, 20.0, 35.0):
-                _build_table(registry, TASKS[0], target, "lai", hw)
+                registry.profile_for(TASKS[0], hw).price_table("lai",
+                                                               target)
                 route_table(registry, TASKS[0], target + 0.5, "lai", hw,
                             True)
         profiles = {id(registry.profile_for(TASKS[0], hw))
@@ -190,15 +216,14 @@ class TestLaiTablesReuseExitColumns:
 
 def _counting_builder(monkeypatch):
     builds = []
-    real = site_module._build_table
+    real = site_module.build_price_table
 
-    def counting(registry, task, target_ms, mode, hw_config,
-                 vectorized=True):
-        builds.append((task, target_ms, mode, hw_config, vectorized))
-        return real(registry, task, target_ms, mode, hw_config,
-                    vectorized=vectorized)
+    def counting(profile, mode, target_ms, vectorized=True):
+        builds.append((profile.task, target_ms, mode,
+                       profile.engine.hw_config, vectorized))
+        return real(profile, mode, target_ms, vectorized=vectorized)
 
-    monkeypatch.setattr(site_module, "_build_table", counting)
+    monkeypatch.setattr(site_module, "build_price_table", counting)
     return builds
 
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from pricing_reference import with_layer1_exits
 
 import repro.core.engine
 import repro.serving.registry as registry_module
@@ -279,16 +280,6 @@ def lone_cases(profile):
             deadlines = regime_deadlines(profile, batch)
             for deadline_ms in [-1.0] + deadlines[:2] + deadlines[2::10]:
                 yield sentence, target_ms, batch, deadline_ms
-
-
-def with_layer1_exits(profile):
-    """``profile`` with half its sentences exiting at layer 1.
-
-    The synthetic profiles have none; a sentence with no post-front work
-    holds the nominal rail even when a slower level fits.
-    """
-    return dataclasses.replace(
-        profile, entropy_threshold=float(np.median(profile.entropies[0])))
 
 
 class TestOneMemberBatches:
