@@ -14,7 +14,7 @@ against its SLO deadline buy over planning every sentence independently?
   (same FIFO policy, same pool), comparing the lai traffic's priced
   compute energy and the end-to-end SLO violation count.
 * **Pricing cost**: microseconds per ``price_batch(..., deadline_ms=...)``
-  call for 1-, 8- and 32-sentence batches at two budgets — 4x the
+  call for 1-, 2-, 8- and 32-sentence batches at two budgets — 4x the
   zero-slack plan's ``planned_ns`` (relaxed: the lowest shared level
   fits) and 0.99x of it (tight: both sweeps fail and the planner falls
   back to the per-sentence plan); and for 32- and 256-sentence batches
@@ -65,7 +65,7 @@ BURSTY_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "traces", "reference_bursty.jsonl")
 #: Batch sizes whose deadline pricing is timed, and the budgets as
 #: multiples of each batch's zero-slack ``planned_ns``.
-TIMED_SIZES = (1, 8, 32)
+TIMED_SIZES = (1, 2, 8, 32)
 RELAXED_FACTOR = 4.0
 TIGHT_FACTOR = 0.99
 #: The host-independent cost gate: tight over relaxed, same batch.

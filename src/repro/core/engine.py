@@ -29,11 +29,13 @@ Two pricing paths produce those bars:
   unboxed, and :func:`results_from_arrays` is the one place they become
   :class:`SentenceResult` rows. ``lai`` pricing splits at
   :func:`lai_exit_columns`: the layer-1 exit, LUT prediction and bounded
-  exit never read the latency target, so the deadline-budget path
-  (:meth:`LatencyAwareEngine.price_deadline`) prices columns a profile
-  derived once and each batch merely gathers, and a one-member batch
-  picks its row from per-rail-code columns
-  (:func:`lai_singleton_columns`) without planning;
+  exit never read the latency target, so a profile derives them once. A
+  deadline-budget batch of a profile's sentences reads its members'
+  planner inputs from per-sentence lists of them
+  (:func:`lai_member_lists`) and prices its plan in Python floats
+  (:func:`price_deadline_members`); a one-member batch picks its row
+  from per-rail-code columns (:func:`lai_singleton_columns`) without
+  planning;
 * the original **scalar reference path** (``vectorized=False`` or the
   ``run_*`` methods), kept as the oracle the batch kernels are tested
   against to 1e-9.
@@ -42,6 +44,7 @@ Two pricing paths produce those bars:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -223,7 +226,7 @@ def lai_exit_columns(tables, entropies, lut, entropy_threshold,
     skips those temporaries. All are pure in (task, sentence,
     hardware), so a profile computes them once
     (:meth:`repro.serving.TaskProfile.deadline_columns`) and its
-    batches gather rows.
+    batches read their members' rows.
     """
     entropies = np.asarray(entropies, dtype=np.float64)
     num_layers = entropies.shape[0]
@@ -309,14 +312,23 @@ def price_latency_aware_columns(tables, dvfs, columns, target_ms):
     Each sentence is planned against the full per-sentence target from
     its nominal front end, then its scaled layers, the rail move down
     from nominal and the LDO overhead are gathered from the rail-coded
-    :class:`PricingTables` vectors.
+    :class:`PricingTables` vectors (:func:`_price_per_sentence_plan`).
+    """
+    remaining = (columns["predicted"] - 1) * tables.layer_cycles
+    plan = dvfs.plan_batch(remaining, target_ms * 1e6, _front_time_ns(tables))
+    return _price_per_sentence_plan(tables, dvfs, columns, plan, target_ms)
+
+
+def _price_per_sentence_plan(tables, dvfs, columns, plan, target_ms):
+    """:func:`price_latency_aware_columns` from its per-sentence ``plan``.
+
+    ``plan`` holds the controller's per-sentence decisions for every
+    sentence that does not exit at layer 1 (rows of layer-1 exits read
+    none of it): :meth:`~repro.dvfs.DvfsController.plan_batch`'s, or a
+    deadline planner's fallback plan, which takes the same decisions.
     """
     exit1 = columns["exit1"]
-    predicted = columns["predicted"]
     target_ns = target_ms * 1e6
-
-    remaining = (predicted - 1) * tables.layer_cycles
-    plan = dvfs.plan_batch(remaining, target_ns, _front_time_ns(tables))
     elapsed, energy = _per_sentence_rows(
         tables, dvfs, exit1, columns["exit_layer"] - 1, plan.rail_codes)
     # Sentences whose layer-1 entropy already cleared the threshold never
@@ -325,7 +337,7 @@ def price_latency_aware_columns(tables, dvfs, columns, target_ms):
     met = (elapsed <= target_ns + 1e-6) & (exit1 | plan.meets_target)
     return {
         "exit_layer": columns["exit_layer"],
-        "predicted_layer": np.where(exit1, 1, predicted),
+        "predicted_layer": np.where(exit1, 1, columns["predicted"]),
         "latency_ms": elapsed * 1e-6,
         "energy_mj": energy * 1e-9,
         "vdd": np.where(exit1, tables.nominal_vdd, plan.vdd),
@@ -357,19 +369,23 @@ def _per_sentence_rows(tables, dvfs, exit1, scaled_layers, rail):
             np.where(exit1, front_energy, energy))
 
 
-def _deadline_rows(tables, scaled_layers, rail, front, transition,
+def _deadline_rows(rails, scaled_layers, rail, front, transition,
                    rail_changed):
     """Deadline-plan (elapsed ns, energy pJ) of a rail schedule.
 
     Fronts on code ``front``, the planner's ``transition``, then the
     ``scaled_layers`` on ``rail``; LDO overhead only where the rail
-    changes. Elementwise, so arguments broadcast.
+    changes (the overhead is non-negative, so a ``False`` flag times it
+    is exactly 0.0). ``rails`` holds the rail-coded vectors: the
+    :class:`PricingTables`, whose arrays gather and broadcast, or a
+    profile's :func:`lai_member_lists` ``"rails"``, whose Python lists
+    price one sentence of a plan in Python floats.
     """
-    overhead = np.where(rail_changed, tables.rail_overhead_pj[rail], 0.0)
-    elapsed = (tables.rail_front_time_ns[front] + transition
-               + scaled_layers * tables.rail_layer_time_ns[rail])
-    energy = (tables.rail_front_energy_pj[front]
-              + scaled_layers * tables.rail_layer_energy_pj[rail] + overhead)
+    elapsed = (rails.rail_front_time_ns[front] + transition
+               + scaled_layers * rails.rail_layer_time_ns[rail])
+    energy = (rails.rail_front_energy_pj[front]
+              + scaled_layers * rails.rail_layer_energy_pj[rail]
+              + rail_changed * rails.rail_overhead_pj[rail])
     return elapsed, energy
 
 
@@ -377,14 +393,14 @@ def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
                                          deadline_ms):
     """Deadline-budget pricing of one batch's :func:`lai_exit_columns`.
 
-    The columns carry the planner's inputs (``deadline=True``). This is
-    the one pricing function behind every deadline-budget batch:
-    :meth:`LatencyAwareEngine.simulate_dataset` computes the columns
-    over its arguments, :func:`repro.serving.price_batch` gathers them
-    from the profile's whole-profile build. The planner reads the
-    sentences' rail-coded layer times and the engine's rail-coded front
-    times; the plan is then priced by gathers over the same codes. When
-    the planner falls back, the same columns are priced per sentence.
+    The columns carry the planner's inputs (``deadline=True``);
+    :meth:`LatencyAwareEngine.simulate_dataset` computes them over its
+    arguments. The planner reads the sentences' rail-coded layer times
+    and the engine's rail-coded front times; the plan is then priced by
+    gathers over the same codes (:func:`_deadline_rows`). When the
+    planner falls back, the same columns are priced per sentence.
+    :func:`price_deadline_members` prices a batch of a profile's
+    sentences the same way, from per-sentence lists.
     """
     target_ns = target_ms * 1e6
     deadline_ns = max(float(deadline_ms), 0.0) * 1e6
@@ -394,8 +410,8 @@ def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
         rail_layer_ns=columns["layer_ns"],
         rail_front_ns=tables.rail_front_time_ns)
     if plan.fallback:
-        return price_latency_aware_columns(tables, dvfs, columns,
-                                           target_ms)
+        return _price_per_sentence_plan(tables, dvfs, columns, plan,
+                                        target_ms)
 
     elapsed, energy = _deadline_rows(
         tables, columns["exit_layer"] - 1,  # 0 for layer-1 exits
@@ -411,6 +427,80 @@ def price_latency_aware_deadline_columns(tables, dvfs, columns, target_ms,
         "freq_ghz": plan.freq_ghz,
         "met_target": plan.meets_target.copy(),
     }
+
+
+def lai_member_lists(tables, columns):
+    """A profile's deadline columns as per-sentence Python lists.
+
+    ``columns`` are the whole profile's :func:`lai_exit_columns` with
+    ``taken`` and the planner's inputs. Returns the planner's inputs
+    (``remaining``, and ``layer_ns`` as one list of rail-coded times per
+    sentence), the row fields ``exit_layer``, ``predicted_layer`` and
+    ``taken``, and under ``"rails"`` the rail-coded :class:`PricingTables`
+    vectors as Python lists: what :func:`price_deadline_members` reads
+    for a batch, indexed by sentence, without a gather. A sentence's
+    layer times depend only on its predicted layer, so sentences with
+    equal rows share one list.
+    """
+    rows = {}
+    return {
+        "remaining": columns["remaining"].tolist(),
+        "layer_ns": [rows.setdefault(tuple(row), row)
+                     for row in columns["layer_ns"].tolist()],
+        "exit_layer": columns["exit_layer"].tolist(),
+        "predicted_layer": np.where(columns["exit1"], 1,
+                                    columns["predicted"]).tolist(),
+        "taken": columns["taken"].tolist(),
+        "rails": SimpleNamespace(**{
+            name: getattr(tables, name).tolist() for name in (
+                "rail_layer_time_ns", "rail_layer_energy_pj",
+                "rail_overhead_pj", "rail_front_time_ns",
+                "rail_front_energy_pj")}),
+    }
+
+
+def price_deadline_members(tables, dvfs, columns, lists, sentences,
+                           target_ms, deadline_ms):
+    """Deadline-budget rows of one batch of a profile's ``sentences``.
+
+    :func:`price_latency_aware_deadline_columns` for the batch, read
+    from the profile's whole-profile ``columns`` and their
+    :func:`lai_member_lists` ``lists`` (``sentences`` are Python ints):
+    the planner gets the members' inputs as lists, and a planned batch's
+    rows are priced from the plan in Python floats by
+    :func:`_deadline_rows`. A fallback plan gathers the members' columns
+    and prices them per sentence. Returns one :class:`SentenceResult`
+    per member.
+    """
+    deadline_ns = max(float(deadline_ms), 0.0) * 1e6
+    plan = dvfs.plan_batch_deadline(
+        [lists["remaining"][i] for i in sentences],
+        DeadlineBudget(deadline_ns, target_ms * 1e6),
+        _front_time_ns(tables),
+        rail_layer_ns=[lists["layer_ns"][i] for i in sentences],
+        rail_front_ns=lists["rails"].rail_front_time_ns)
+    if plan.fallback:
+        idx = np.array(sentences, dtype=np.int64)
+        gathered = {name: columns[name][idx] for name in
+                    ("exit1", "predicted", "exit_layer", "taken")}
+        return results_from_arrays(_price_per_sentence_plan(
+            tables, dvfs, gathered, plan, target_ms), gathered["taken"])
+    rails = lists["rails"]
+    exit_layer = lists["exit_layer"]
+    predicted = lists["predicted_layer"]
+    taken = lists["taken"]
+    rows = []
+    for i, rail, front, transition, changed, vdd, freq, met in zip(
+            sentences, plan.rail_codes.tolist(), plan.front_codes.tolist(),
+            plan.transition_ns.tolist(), plan.rail_changed.tolist(),
+            plan.vdd.tolist(), plan.freq_ghz.tolist(),
+            plan.meets_target.tolist()):
+        elapsed, energy = _deadline_rows(rails, exit_layer[i] - 1, rail,
+                                         front, transition, changed)
+        rows.append(SentenceResult(exit_layer[i], predicted[i], taken[i],
+                                   elapsed * 1e-6, energy * 1e-9, vdd,
+                                   freq, met))
+    return rows
 
 
 def price_singleton_deadline(tables, dvfs, singles, sentence, target_ms,
@@ -745,16 +835,27 @@ class LatencyAwareEngine:
         """Deadline-budget ``lai`` pricing of one batch's exit columns.
 
         ``columns`` are :func:`lai_exit_columns` with ``taken`` and the
-        planner's inputs — computed over the batch by
-        :meth:`simulate_dataset`, or gathered by
-        :func:`repro.serving.price_batch` from the profile's
-        whole-profile build. Returns the :class:`EngineReport`, one row
-        per sentence.
+        planner's inputs, computed over the batch by
+        :meth:`simulate_dataset`. Returns the :class:`EngineReport`, one
+        row per sentence.
         """
         priced = price_latency_aware_deadline_columns(
             self.pricing_tables(), self.dvfs, columns, target_ms,
             deadline_ms)
         return self._report(priced, columns["taken"])
+
+    def price_deadline_members(self, columns, lists, sentences, target_ms,
+                               deadline_ms):
+        """:meth:`price_deadline` of a batch of a profile's ``sentences``.
+
+        ``columns`` are the profile's whole-profile exit columns and
+        ``lists`` their :func:`lai_member_lists`; see
+        :func:`price_deadline_members`. Returns the
+        :class:`EngineReport`, one row per member.
+        """
+        return EngineReport(price_deadline_members(
+            self.pricing_tables(), self.dvfs, columns, lists, sentences,
+            target_ms, deadline_ms))
 
     def price_deadline_alone(self, singles, sentence, target_ms,
                              deadline_ms):

@@ -99,6 +99,12 @@ def _rail_move_ns(config):
     return moves
 
 
+@functools.lru_cache(maxsize=None)
+def _rail_move_rows(config):
+    """:func:`_rail_move_ns` as nested tuples of Python floats, shared."""
+    return tuple(map(tuple, _rail_move_ns(config).tolist()))
+
+
 class DvfsController:
     """Plans per-sentence operating points and voltage schedules."""
 
@@ -111,6 +117,9 @@ class DvfsController:
         #: from rail code ``a`` to rail code ``b`` (code 0 = nominal,
         #: code ``i + 1`` = table row ``i``), shared per config.
         self.rail_move_ns = _rail_move_ns(self.config)
+        #: The same matrix as nested tuples of Python floats, for
+        #: planners that score one sentence at a time.
+        self.rail_move_rows = _rail_move_rows(self.config)
 
     def plan(self, remaining_cycles, target_ns, elapsed_ns):
         """Choose (vdd, freq) for the remaining work of one sentence.
@@ -194,8 +203,12 @@ class DvfsController:
         :meth:`plan_batch`. Callers pricing with engine tables pass the
         rail-coded ``rail_layer_ns`` (per sentence) and
         ``rail_front_ns`` so the plan predicts with the exact per-row
-        costs the engine charges. Returns a
-        :class:`~repro.dvfs.deadline.DeadlineBatchPlan`.
+        costs the engine charges; ``rail_front_ns`` at code 0 must equal
+        ``elapsed_ns``. Inputs may be arrays or (nested) lists of
+        floats: the planner scores one candidate at a time in Python
+        floats, with each sentence's base plan from :meth:`plan_row`,
+        and sums in NumPy's order, so both give the same plan. Returns a
+        :class:`~repro.dvfs.deadline.DeadlineBatchPlan` of arrays.
         """
         # Imported lazily: the deadline module subclasses this module's
         # BatchPlan, so a top-level import would be circular.

@@ -14,24 +14,26 @@ ignores slack that could buy a lower rail.
 it into per-sentence operating points by **earliest-deadline
 water-filling over the V/F table**:
 
-1. price today's per-sentence plan (the fallback, and the oracle the
-   zero-slack path must reproduce exactly);
-2. score every shared *water level* at once — a table row every
-   sentence is lowered to (never below its per-sentence row… never
-   *above* it either: the level only ever slows sentences) with the
-   whole batch, front ends included, riding the level's rail — as one
-   (levels × sentences) array, and keep the lowest level whose
-   predicted schedule still meets the deadline;
+1. price today's per-sentence plan, one
+   :meth:`~repro.dvfs.DvfsController.plan_row` per sentence (the
+   fallback, and the oracle the zero-slack path must reproduce exactly);
+2. sweep the shared *water levels* up from the table floor — a table
+   row every sentence is lowered to (never below its per-sentence row…
+   never *above* it either: the level only ever slows sentences) with
+   the whole batch, front ends included, riding the level's rail — and
+   keep the first level whose predicted schedule meets the deadline.
+   Every level at or above the highest per-sentence row is the same
+   schedule, so the sweep ends there;
 3. spend any leftover slack lowering the *earliest* sentences one more
    step (they are the batch's earliest deadlines — the plan tightens as
-   the deadline approaches): the prefixes are scored as (prefixes ×
-   sentences) blocks — one block up to 256 sentences — and the plan
-   keeps the longest prefix before the first one that overruns.
+   the deadline approaches): prefix ``j`` lowers sentences ``0..j``,
+   the sweep walks ``j = 0 … n − 2`` and keeps the last prefix before
+   the first one that overruns.
 
 When no shared level fits, the planner tries **decoupling the front
 ends** before falling back: layers stay at their per-sentence rows and
-the fronts alone ride one intermediate V/F row — every row scored in
-one pass, the lowest whose schedule still meets the deadline wins (each
+the fronts alone ride one intermediate V/F row — rows swept up from the
+floor, the first whose schedule still meets the deadline wins (each
 sentence boundary then pays two rail moves, previous rail → front rail
 → layer rail). That closes the narrow window where the per-sentence
 plan fits but the slowest coupled schedule does not — previously those
@@ -45,14 +47,19 @@ schedule, a larger budget can only move every sentence to an
 equal-or-lower row — more slack never costs more energy, and the
 invariant is testable componentwise.
 
-Every candidate is priced by gathers over *rail codes* (code 0 is the
-nominal point, code ``i + 1`` V/F row ``i``): per-sentence layer and
-front-end times per code, and the controller's per-config rail-move
-matrix (:attr:`~repro.dvfs.DvfsController.rail_move_ns`). A plan of up
-to 256 sentences is therefore a fixed handful of array operations
-whatever its slack, and a candidate's total is the row sum of its
-sentence times — the same pairwise summation a one-candidate ``sum()``
-performs.
+Candidates are scored one at a time, in Python floats, over *rail
+codes* (code 0 is the nominal point, code ``i + 1`` V/F row ``i``):
+per-sentence layer and front-end times per code, and the controller's
+per-config rail-move matrix
+(:attr:`~repro.dvfs.DvfsController.rail_move_rows`). A sentence's
+predicted time is ``(front + transition) + layers``. Consecutive
+candidates differ in few sentences — a prefix step moves sentence ``j``
+to a lower rail, which changes only its own time and sentence
+``j + 1``'s move onto it — so each sentence's time is computed once per
+level and a prefix candidate is spliced from those lists. A
+candidate's total is :func:`pairwise_sum` of its sentence times, which
+adds in NumPy's float64 order: ``planned_ns`` and every fit verdict are
+the floats an array ``sum()`` of the same times gives.
 
 The planner predicts time from the same per-row tables the engine prices
 with — the engine hands in each sentence's rail-coded layer times from
@@ -85,12 +92,6 @@ from repro.errors import DvfsError
 #: Feasibility tolerance (ns) — matches the engine's met-target check.
 DEADLINE_TOL_NS = 1e-6
 
-#: Most (candidates x sentences) elements one prefix block scores: one
-#: block covers every prefix of a batch of up to 256 sentences, and a
-#: larger batch keeps its temporaries bounded while the sweep stops at
-#: the first block holding an overrun.
-PREFIX_BLOCK_ELEMENTS = 1 << 16
-
 
 @dataclass(frozen=True)
 class DeadlineBudget:
@@ -111,9 +112,10 @@ class DeadlineBudget:
 
     def __post_init__(self):
         if not math.isfinite(self.target_ns) or self.target_ns <= 0:
-            raise DvfsError("per-sentence target_ns must be positive")
+            raise DvfsError(
+                "per-sentence target_ns must be finite and positive")
         if not math.isfinite(self.deadline_ns) or self.deadline_ns < 0:
-            raise DvfsError("deadline_ns must be non-negative")
+            raise DvfsError("deadline_ns must be finite and non-negative")
 
     @classmethod
     def from_ms(cls, deadline_ms, target_ms):
@@ -168,76 +170,228 @@ def _as_budget(budget, target_ns):
                           target_ns=float(target_ns))
 
 
-def _score(rows, front, wake, moves, layer_ns, front_ns):
-    """Score candidate rail schedules, one candidate per row.
+def pairwise_sum(values):
+    """The sum of Python floats ``values``, added in NumPy's float64 order.
 
-    ``rows`` is the (K, N) table row each sentence's layers run on —
-    the water level only ever slows a sentence, so it never exceeds the
-    per-sentence row. ``front`` is None when the fronts ride the layer
-    rail (one rail move per sentence boundary), else the (K, N) rail
-    codes of decoupled fronts (two moves: previous rail → front rail →
-    layer rail). Sentence 0's front always runs at the nominal wake
-    point (code 0); ``wake`` says sentence 0 has no post-front work, so
-    its rail stays there too and first moves for sentence 1.
-
-    Returns the rail codes, the front codes, the per-sentence rail-move
-    time and predicted time, and each candidate's total. Totals are row
-    sums of a C-contiguous array, which NumPy reduces with the same
-    pairwise summation as each row's own ``sum()``.
+    ``np.add.reduce`` of a contiguous float64 vector adds 0.0 to a
+    pairwise sum: fewer than 8 values left to right from 0.0; up to 128
+    in eight accumulators (every eighth value each, left to right),
+    combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,
+    then the tail left to right; beyond that, the sum of the first half
+    (rounded down to a multiple of 8) plus the sum of the rest. The
+    result is the float that ``sum()`` of the same values as an array,
+    or as a row of a C-contiguous 2-D array, gives — the tests hold the
+    two to the bit.
     """
-    # Each candidate's rail codes behind a leading nominal column, so
-    # one array gives the rail each sentence runs on (codes[:, 1:]) and
-    # the rail it moves from (codes[:, :-1]: the previous sentence's,
-    # or the nominal wake point for sentence 0). Layers read the codes
-    # before the wake fix-up.
-    sentences = np.arange(rows.shape[1])
-    codes = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=np.int64)
-    codes[:, 0] = 0
-    np.add(rows, 1, out=codes[:, 1:])
-    layers = layer_ns[sentences, codes[:, 1:]]
-    if wake:
-        codes[:, 1] = 0
-    rail, prev = codes[:, 1:], codes[:, :-1]
-    if front is None:
-        front = rail.copy()
-        front[:, 0] = 0
-        transition = moves[prev, rail]
-    else:
-        transition = moves[prev, front] + moves[front, rail]
-    if front_ns.ndim == 1:
-        fronts = front_ns[front]
-    else:
-        fronts = front_ns[sentences, front]
-    sentence = fronts + transition + layers
-    return rail, front, transition, sentence, sentence.sum(axis=1)
+    return 0.0 + _pairwise(values, 0, len(values))
 
 
-def _longest_prefix(score, base_eff, level, limit):
-    """The longest prefix lowered one row below ``level`` that still fits.
+def _pairwise(values, start, n, known=None):
+    """The pairwise sum of ``values[start:start + n]``.
 
-    Candidate ``j`` lowers the first ``j + 1`` sentences (lowering all
-    of them is ``level - 1`` itself, already too slow). Candidates are
-    scored in row blocks of at most :data:`PREFIX_BLOCK_ELEMENTS`
-    elements, in order, and the sweep stops at the first block holding
-    an overrun: the pick is the last candidate before the first
-    overrun. Returns ``(scored, row)`` — the block holding the pick and
-    its row there — or None when even the one-sentence prefix overruns.
+    ``known(start, n)``, when given, may return a block's sum (None
+    where it does not know it) in place of summing that block again.
     """
-    n = base_eff.size
-    sentences = np.arange(n)
-    block = max(1, PREFIX_BLOCK_ELEMENTS // n)
-    kept = None
-    for start in range(0, n - 1, block):
-        prefixes = np.arange(start, min(start + block, n - 1))
-        trial = score(np.minimum(
-            base_eff, level - (sentences <= prefixes[:, None])))
-        over = trial[-1] > limit
-        fitting = int(over.argmax()) if over.any() else prefixes.size
-        if fitting:
-            kept = trial, fitting - 1
-        if fitting < prefixes.size:
-            break
-    return kept
+    if known is not None:
+        total = known(start, n)
+        if total is not None:
+            return total
+    if n < 8:
+        total = 0.0
+        for value in values[start:start + n]:
+            total += value
+        return total
+    if n <= 128:
+        stop = start + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        # Eight values at a time, one to each accumulator.
+        for a, b, c, d, e, f, g, h in zip(*[iter(values[start + 8:stop])] * 8):
+            r0 += a
+            r1 += b
+            r2 += c
+            r3 += d
+            r4 += e
+            r5 += f
+            r6 += g
+            r7 += h
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[stop:start + n]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return (_pairwise(values, start, half, known)
+            + _pairwise(values, start + half, n - half, known))
+
+
+def _nested(values):
+    """``values`` as (nested) lists of Python floats, and their shape.
+
+    A list is read as it is — a list of rows must hold rows of one
+    length — and anything else goes through ``np.asarray``.
+    """
+    if not isinstance(values, list):
+        values = np.asarray(values, dtype=np.float64)
+        return values.tolist(), values.shape
+    if values and isinstance(values[0], list):
+        widths = {len(row) for row in values}
+        if len(widths) != 1:
+            return values, ("ragged",)
+        return values, (len(values), *widths)
+    return values, (len(values),)
+
+
+def _times(front_ns, fronts, transition, layers):
+    """Each sentence's predicted time: ``(front + transition) + layers``."""
+    return [(times[lead] + move) + layer
+            for times, lead, move, layer in zip(front_ns, fronts, transition,
+                                                layers)]
+
+
+class _Schedule:
+    """One candidate rail schedule, scored in Python floats.
+
+    ``codes`` is the rail each sentence runs on, ``fronts`` the rail
+    code of each front end (sentence 0's is always the nominal wake
+    point, code 0), ``transition`` the rail moves charged at each
+    sentence's boundary, ``layers`` each sentence's predicted post-front
+    time, ``sentence`` its predicted time and ``total`` their
+    :func:`pairwise_sum`.
+    """
+
+    def __init__(self, codes, fronts, transition, layers, sentence,
+                 total=None):
+        self.codes = codes
+        self.fronts = fronts
+        self.transition = transition
+        self.layers = layers
+        self.sentence = sentence
+        self.total = pairwise_sum(sentence) if total is None else total
+
+    @classmethod
+    def coupled(cls, moves, layer_ns, front_ns, wake, rows):
+        """Layers on table ``rows``, fronts riding the layer rail.
+
+        The water level only ever slows a sentence, so ``rows`` never
+        exceed the per-sentence rows. Each sentence runs on code
+        ``row + 1``, except that a sentence 0 with no post-front work
+        (``wake``) keeps the nominal wake point and the rail first moves
+        for sentence 1; layers read the codes before that fix-up. Each
+        boundary pays one move, from the previous sentence's rail (the
+        nominal wake point for sentence 0).
+        """
+        codes = [row + 1 for row in rows]
+        layers = [layer[code] for layer, code in zip(layer_ns, codes)]
+        if wake:
+            codes[0] = 0
+        fronts = [0, *codes[1:]]
+        transition = [moves[prev][code]
+                      for prev, code in zip([0, *codes], codes)]
+        return cls(codes, fronts, transition, layers,
+                   _times(front_ns, fronts, transition, layers))
+
+    def decoupled(self, moves, front_ns, front):
+        """This schedule's layers with fronts 1.. on rail code ``front``.
+
+        Each boundary then pays two moves: previous rail → front rail →
+        layer rail.
+        """
+        codes = self.codes
+        fronts = [0, *[front] * (len(codes) - 1)]
+        transition = [moves[prev][lead] + moves[lead][code]
+                      for prev, lead, code in zip([0, *codes], fronts,
+                                                  codes)]
+        return type(self)(codes, fronts, transition, self.layers,
+                          _times(front_ns, fronts, transition, self.layers))
+
+    def plan(self, table, requested, deadline_ns, meets=None):
+        """This schedule as a :class:`DeadlineBatchPlan`.
+
+        A water-filled schedule fits its deadline and meets every
+        target. The per-sentence fallback passes the controller's
+        per-sentence verdicts as ``meets`` and may overrun.
+        """
+        codes = np.array(self.codes, dtype=np.int64)
+        transition = np.array(self.transition, dtype=np.float64)
+        fallback = meets is not None
+        return DeadlineBatchPlan(
+            vdd=table.rail_voltages[codes],
+            freq_ghz=table.rail_frequencies[codes],
+            meets_target=np.array(meets if fallback
+                                  else [True] * codes.size, dtype=bool),
+            requested_freq_ghz=requested,
+            table_index=codes - 1,
+            front_index=np.array(self.fronts, dtype=np.int64) - 1,
+            transition_ns=transition,
+            rail_changed=transition > 0,
+            sentence_ns=np.array(self.sentence, dtype=np.float64),
+            planned_ns=self.total,
+            deadline_ns=deadline_ns,
+            fallback=fallback,
+            feasible=not fallback
+            or self.total <= deadline_ns + DEADLINE_TOL_NS,
+        )
+
+
+def _longest_fitting_prefix(moves, front_ns, ceiling, level, below, above,
+                            limit):
+    """The level schedule with its longest fitting prefix one row lower.
+
+    ``above`` is the schedule at ``level`` and ``below`` the one at
+    ``level - 1``. Prefix ``j`` lowers sentences ``0..j``; each
+    sentence's time depends only on its own rail and the previous one,
+    so prefix ``j``'s times are ``below``'s up to ``j``, then sentence
+    ``j + 1`` at the level after a lowered predecessor (``joint``), then
+    ``above``'s. Prefixes are tried in order up to ``n - 2`` (lowering
+    every sentence is ``below`` itself), and the last one before the
+    first overrun is kept; a sentence whose ceiling is already below the
+    level lowers to itself, so its prefix repeats the previous
+    candidate, which fits. Returns ``above`` when prefix 0 overruns.
+    """
+    n = len(ceiling)
+    joint_move = [moves[prev][code]
+                  for prev, code in zip(below.codes, above.codes[1:])]
+    joint = _times(front_ns[1:], above.fronts[1:], joint_move,
+                   above.layers[1:])
+    # A block of the pairwise sum that lies wholly before the joint
+    # sentence holds ``below``'s times, and one wholly after it
+    # ``above``'s, in every candidate: each such block is summed once.
+    sums = {}
+
+    def known(start, size):
+        if start + size <= joint_at:
+            key, times = (start, size, 0), below.sentence
+        elif start > joint_at:
+            key, times = (start, size, 1), above.sentence
+        else:
+            return None
+        total = sums.get(key)
+        if total is None:
+            total = sums[key] = _pairwise(times, start, size)
+        return total
+
+    pick, total = None, above.total
+    for j in range(n - 1):
+        if ceiling[j] >= level:
+            joint_at = j + 1
+            trial = 0.0 + _pairwise(
+                below.sentence[:joint_at] + [joint[j]]
+                + above.sentence[joint_at + 1:], 0, n, known)
+            if trial > limit:
+                break
+            total = trial
+        pick = j
+    if pick is None:
+        return above
+    head, tail = slice(None, pick + 1), slice(pick + 1, None)
+    return _Schedule(
+        below.codes[head] + above.codes[tail],
+        below.fronts[head] + above.fronts[tail],
+        below.transition[head] + [joint_move[pick]]
+        + above.transition[pick + 2:],
+        below.layers[head] + above.layers[tail],
+        below.sentence[head] + [joint[pick]] + above.sentence[pick + 2:],
+        total)
 
 
 def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
@@ -257,81 +411,95 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
     V/F row ``i``. ``rail_layer_ns`` is the (N, R+1) predicted
     post-front time of each sentence on each code and ``rail_front_ns``
     the front-end time on each code, (R+1,) or per sentence (N, R+1),
-    whose code 0 must equal ``elapsed_ns``. The engine passes both from
-    its exit columns and :class:`~repro.core.engine.PricingTables`, so
-    the plan predicts with the exact per-row costs it will be priced
-    with; left None, they are cycles over each code's frequency and the
-    nominal front end's cycles at each code's frequency.
+    whose code 0 must equal ``elapsed_ns`` (:class:`DvfsError`
+    otherwise). Arrays and nested lists of floats are both accepted.
+    The engine passes both from its exit columns and
+    :class:`~repro.core.engine.PricingTables`, so the plan predicts with
+    the exact per-row costs it will be priced with; left None, they are
+    cycles over each code's frequency and the nominal front end's cycles
+    at each code's frequency.
     """
     budget = _as_budget(budget, target_ns)
-    remaining = np.atleast_1d(
-        np.asarray(remaining_cycles, dtype=np.float64))
-    if remaining.ndim != 1:
+    remaining, shape = _nested(remaining_cycles)
+    if not shape:
+        remaining, shape = [remaining], (1,)
+    if len(shape) != 1:
         raise DvfsError("remaining_cycles must be one-dimensional")
-    n = remaining.size
+    n = shape[0]
     elapsed = np.asarray(elapsed_ns, dtype=np.float64)
     if elapsed.ndim:
-        elapsed = np.broadcast_to(elapsed, remaining.shape)
-    rail_freq = controller.table.rail_frequencies
+        elapsed = np.broadcast_to(elapsed, shape)
+    table = controller.table
+    rail_freq = table.rail_frequencies
     if rail_layer_ns is None:
-        rail_layer_ns = remaining[:, None] / rail_freq[None, :]
+        rail_layer_ns = (np.array(remaining, dtype=np.float64)[:, None]
+                         / rail_freq[None, :])
     if rail_front_ns is None:
         rail_front_ns = elapsed[..., None] * (rail_freq[0] / rail_freq)
     num_codes = rail_freq.size
-    if rail_layer_ns.shape != (n, num_codes) or rail_front_ns.shape \
+    layer_ns, layer_shape = _nested(rail_layer_ns)
+    front_ns, front_shape = _nested(rail_front_ns)
+    if layer_shape != (n, num_codes) or front_shape \
             not in ((num_codes,), (n, num_codes)):
         raise DvfsError(
             f"rail-coded times must be ({n}, {num_codes}) per sentence "
             f"and ({num_codes},) or ({n}, {num_codes}) per front, got "
-            f"{rail_layer_ns.shape} and {rail_front_ns.shape}")
+            f"{layer_shape} and {front_shape}")
+    if len(front_shape) == 1:
+        front_ns = [front_ns] * n
+    elapsed = elapsed.tolist() if elapsed.ndim else [elapsed.item()] * n
+    if any(times[0] != front for times, front in zip(front_ns, elapsed)):
+        raise DvfsError(
+            "rail_front_ns at code 0 (the nominal front end) must equal "
+            "elapsed_ns")
 
-    # Today's per-sentence plan, timed the way the engine prices it: the
-    # nominal front end, one transition down from nominal, then the
-    # predicted layers at the planned point.
-    base = controller.plan_batch(remaining, budget.target_ns, elapsed)
-    moves = controller.rail_move_ns
-    base_code = base.rail_codes
-    base_transition = moves[0, base_code]
-    base_sentence = (elapsed + base_transition
-                     + rail_layer_ns[np.arange(n), base_code])
-    base_total = float(base_sentence.sum())
+    # Today's per-sentence plan: the controller's decision for each
+    # sentence, which depends only on its work and front time (a batch
+    # repeats both).
+    decisions = {key: controller.plan_row(key[0], budget.target_ns, key[1])
+                 for key in set(zip(remaining, elapsed))}
+    base = [decisions[key] for key in zip(remaining, elapsed)]
+    base_codes = [row + 1 for row, _, _ in base]
+    requested = np.array([request for _, _, request in base],
+                         dtype=np.float64)
+    moves = controller.rail_move_rows
+
+    def fallback():
+        # The per-sentence plan, unchanged, timed the way the engine
+        # prices it: the nominal front end, one transition down from
+        # nominal, then the predicted layers at the planned point.
+        fronts = [0] * n
+        transition = [moves[0][code] for code in base_codes]
+        layers = [layer[code] for layer, code in zip(layer_ns, base_codes)]
+        return _Schedule(
+            base_codes, fronts, transition, layers,
+            _times(front_ns, fronts, transition, layers),
+        ).plan(table, requested, budget.deadline_ns,
+               meets=[met for _, met, _ in base])
 
     if n == 0 or budget.deadline_ns <= 0:
         # No sentences (nothing to water-fill) or no budget: the
         # per-sentence plan is the answer either way.
-        return _fallback_plan(base, base_transition, base_sentence,
-                              base_total, budget)
+        return fallback()
 
     # Effective per-sentence ceiling: the per-sentence row, with nominal
     # fallbacks (infeasible targets, no work) pinned at the top row — the
     # batch budget, not the blown per-sentence target, now decides
     # whether they fit.
     num_rows = num_codes - 1
-    base_eff = np.where(base.table_index >= 0, base.table_index,
-                        num_rows - 1)
+    ceiling = [code - 1 if code else num_rows - 1 for code in base_codes]
     limit = budget.deadline_ns + DEADLINE_TOL_NS
-    wake = bool(remaining[0] <= 0)
-    levels = np.arange(num_rows)
+    wake = remaining[0] <= 0
 
-    def score(rows, front=None):
-        return _score(rows, front, wake, moves, rail_layer_ns,
-                      rail_front_ns)
-
-    # Every shared water level at once; the lowest that fits wins.
-    scored = score(np.minimum(base_eff, levels[:, None]))
-    fits = scored[-1] <= limit
-    level = int(fits.argmax())
-    if fits[level]:
-        pick = level
-        if level > 0 and n > 1:
-            # Leftover slack buys the earliest sentences — the batch's
-            # earliest deadlines — one more step down the table; the
-            # plan tightens back to the level as the deadline
-            # approaches. Keep the longest prefix that fits before the
-            # first overrun.
-            kept = _longest_prefix(score, base_eff, level, limit)
-            if kept is not None:
-                scored, pick = kept
+    # Shared water levels from the floor up; the first that fits wins.
+    # Every level from the highest ceiling on is the same schedule.
+    below = None
+    for level in range(max(ceiling) + 1):
+        chosen = _Schedule.coupled(moves, layer_ns, front_ns, wake,
+                                   [min(row, level) for row in ceiling])
+        if chosen.total <= limit:
+            break
+        below = chosen
     else:
         # Even the fastest level (per-sentence rows, fronts riding the
         # batch rail) overruns the budget. Before surrendering to the
@@ -342,50 +510,19 @@ def plan_batch_deadline(controller, remaining_cycles, budget, elapsed_ns,
         # lowest level whose schedule still fits wins. This closes the
         # window between "per-sentence plan fits" and "slowest schedule
         # fits" where the fallback used to burn nominal front energy.
-        front = np.repeat(levels[:, None] + 1, n, axis=1)
-        front[:, 0] = 0
-        scored = score(np.broadcast_to(base_eff, front.shape), front)
-        fits = scored[-1] <= limit
-        pick = int(fits.argmax())
-        if not fits[pick]:
-            # No front level fits either: the deadline grants no slack
-            # over today's plan, so return it unchanged.
-            return _fallback_plan(base, base_transition, base_sentence,
-                                  base_total, budget)
+        # The last level scored holds every sentence at its ceiling.
+        for front in range(1, num_codes):
+            trial = chosen.decoupled(moves, front_ns, front)
+            if trial.total <= limit:
+                return trial.plan(table, requested, budget.deadline_ns)
+        # No front level fits either: the deadline grants no slack over
+        # today's plan, so return it unchanged.
+        return fallback()
 
-    rail, front, transition, sentence, totals = scored
-    rail = rail[pick]
-    table = controller.table
-    return DeadlineBatchPlan(
-        vdd=table.rail_voltages[rail],
-        freq_ghz=table.rail_frequencies[rail],
-        meets_target=np.ones(n, dtype=bool),
-        requested_freq_ghz=base.requested_freq_ghz,
-        table_index=rail - 1,
-        front_index=front[pick] - 1,
-        transition_ns=transition[pick],
-        rail_changed=transition[pick] > 0,
-        sentence_ns=sentence[pick],
-        planned_ns=float(totals[pick]),
-        deadline_ns=budget.deadline_ns,
-        fallback=False,
-        feasible=True,
-    )
-
-
-def _fallback_plan(base, transition, sentence, total, budget):
-    """The per-sentence plan, unchanged, as a :class:`DeadlineBatchPlan`."""
-    return DeadlineBatchPlan(
-        vdd=base.vdd, freq_ghz=base.freq_ghz,
-        meets_target=base.meets_target,
-        requested_freq_ghz=base.requested_freq_ghz,
-        table_index=base.table_index,
-        front_index=np.full(base.table_index.size, -1, dtype=np.int64),
-        transition_ns=transition,
-        rail_changed=transition > 0,
-        sentence_ns=sentence,
-        planned_ns=total,
-        deadline_ns=budget.deadline_ns,
-        fallback=True,
-        feasible=total <= budget.deadline_ns + DEADLINE_TOL_NS,
-    )
+    if level > 0:
+        # Leftover slack buys the earliest sentences — the batch's
+        # earliest deadlines — one more step down the table; the plan
+        # tightens back to the level as the deadline approaches.
+        chosen = _longest_fitting_prefix(moves, front_ns, ceiling, level,
+                                         below, chosen, limit)
+    return chosen.plan(table, requested, budget.deadline_ns)

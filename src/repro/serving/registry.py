@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.engine import (
     LatencyAwareEngine,
     lai_exit_columns,
+    lai_member_lists,
     lai_singleton_columns,
 )
 from repro.envm import MLC2, EnvmEmbeddingStore
@@ -50,10 +51,12 @@ class TaskProfile:
 
     Every batch without a deadline budget gathers its rows from
     :meth:`price_table` at its target. Deadline-budget batches of two
-    or more members gather :meth:`deadline_columns` and water-fill; a
+    or more members read their planner inputs and row fields from
+    :meth:`deadline_lists`, water-fill, and price the plan in Python
+    floats (a fallback plan gathers :meth:`deadline_columns`); a
     one-member batch shares its budget with nobody, so its plan depends
     only on (sentence, hardware, target, budget) and is one pick over
-    :meth:`singleton_columns`. All three are built once per profile; a
+    :meth:`singleton_columns`. All are built once per profile; a
     hardware variant (:meth:`for_hw`) is its own profile.
     """
 
@@ -66,6 +69,8 @@ class TaskProfile:
     labels: np.ndarray | None = None
     weight_bytes: float | None = None
     _deadline_columns: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _deadline_lists: dict | None = field(
         default=None, init=False, repr=False, compare=False)
     _singleton_columns: dict | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -100,8 +105,9 @@ class TaskProfile:
         profile, with the taken classes and the deadline planner's
         inputs, as read-only arrays. None of them reads a latency
         target, so one build serves every SLO class and every slack: a
-        deadline-budget batch (:func:`~repro.serving.price_batch`)
-        gathers its members' rows.
+        deadline-budget batch (:func:`~repro.serving.price_batch`) reads
+        its members' rows from :meth:`deadline_lists`, and gathers them
+        from these columns when its plan falls back.
         A hardware variant (:meth:`for_hw`) is its own profile with its
         own build, shared by every device of that hardware.
         """
@@ -118,6 +124,19 @@ class TaskProfile:
                 column.flags.writeable = False
             self._deadline_columns = columns
         return self._deadline_columns
+
+    def deadline_lists(self):
+        """:meth:`deadline_columns` as per-sentence Python lists, built once.
+
+        :func:`~repro.core.engine.lai_member_lists`: the planner's
+        inputs, the row fields and the rail-coded cost vectors, which a
+        deadline-budget batch of two or more members
+        (:func:`~repro.serving.price_batch`) reads by sentence index.
+        """
+        if self._deadline_lists is None:
+            self._deadline_lists = lai_member_lists(
+                self.engine.pricing_tables(), self.deadline_columns())
+        return self._deadline_lists
 
     def singleton_columns(self):
         """(sentence x rail code) one-member pricing columns, built once.

@@ -2,10 +2,10 @@
 
 ``Server`` drains its queue through the :class:`Scheduler`, prices each
 batch with :func:`price_batch` — a gather from the profile's
-whole-profile :class:`PriceTable`, or one
-:meth:`~repro.core.LatencyAwareEngine.price_deadline` call for a
-deadline-budget batch — charges an encoder-weight swap whenever the
-resident task changes, and
+whole-profile :class:`PriceTable`, or one deadline-budget plan priced
+from the profile's per-sentence lists
+(:meth:`~repro.core.LatencyAwareEngine.price_deadline_members`) —
+charges an encoder-weight swap whenever the resident task changes, and
 returns a :class:`ServingReport` with per-request results plus aggregate
 throughput / energy / SLO-violation statistics.
 """
@@ -241,9 +241,13 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
     (:func:`batch_deadline_ms` derives it from the members'
     ``Request.deadline_ms``), with per-sentence planning as the
     zero-slack fallback. No sentence's exit is derived again: a batch of
-    two or more gathers its members' rows of the profile's exit columns
-    (:meth:`~repro.serving.TaskProfile.deadline_columns`) for one
-    :meth:`~repro.core.LatencyAwareEngine.price_deadline` call. A
+    two or more reads its members' planner inputs and row fields from
+    the profile's per-sentence lists
+    (:meth:`~repro.serving.TaskProfile.deadline_lists`), plans through
+    :meth:`~repro.dvfs.DvfsController.plan_batch_deadline`, and builds
+    its rows from the plan in Python floats; a fallback plan gathers the
+    members' exit columns and prices them per sentence
+    (:meth:`~repro.core.LatencyAwareEngine.price_deadline_members`). A
     one-member batch has no co-member to share slack with, so it is one
     pick over the profile's per-rail-code columns and one boxed row, at
     every budget
@@ -258,11 +262,9 @@ def price_batch(profile, batch, mode, vectorized=True, deadline_ms=None):
             return profile.engine.price_deadline_alone(
                 profile.singleton_columns(), batch.requests[0].sentence,
                 batch.target_ms, deadline_ms)
-        idx = batch.sentence_indices
-        columns = profile.deadline_columns()
-        return profile.engine.price_deadline(
-            {name: column[idx] for name, column in columns.items()},
-            batch.target_ms, deadline_ms)
+        return profile.engine.price_deadline_members(
+            profile.deadline_columns(), profile.deadline_lists(),
+            batch.sentence_indices.tolist(), batch.target_ms, deadline_ms)
     return EngineReport(profile.price_table(mode, batch.target_ms).rows(
         batch.sentence_indices.tolist()))
 

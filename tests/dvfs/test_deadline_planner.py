@@ -15,7 +15,11 @@ from repro.core.engine import (
 )
 from repro.dvfs import DeadlineBudget, DvfsController
 from repro.dvfs.__main__ import main, run_smoke
-from repro.dvfs.deadline import DeadlineBatchPlan, plan_batch_deadline
+from repro.dvfs.deadline import (
+    DeadlineBatchPlan,
+    pairwise_sum,
+    plan_batch_deadline,
+)
 from repro.errors import DvfsError
 from repro.serving import synthetic_registry
 
@@ -71,6 +75,14 @@ class TestDeadlineBudget:
 
     def test_zero_slack_constructor(self):
         assert DeadlineBudget.zero_slack(5.0).deadline_ns == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_values_name_the_finiteness_test(self, value):
+        with pytest.raises(DvfsError, match="finite and non-negative"):
+            DeadlineBudget(deadline_ns=value, target_ns=1e6)
+        with pytest.raises(DvfsError, match="finite and positive"):
+            DeadlineBudget(deadline_ns=1e6, target_ns=value)
 
     def test_scalar_budget_needs_target(self):
         controller = DvfsController()
@@ -515,25 +527,9 @@ class TestOnePassMatchesReference:
         # one-sentence prefix always fits whenever the level does.
         assert reached[True] == set(BRANCHES) - {"prefix-none"}
 
-    @pytest.mark.parametrize("elements", [1, 7, 64])
-    def test_prefix_blocks_match_the_loop(self, tables, monkeypatch,
-                                          elements):
-        """Prefixes scored over many small blocks pick the same plan.
-
-        With at most ``elements`` per block, a batch's prefixes span
-        several blocks, so an overrun lands inside a block, on a
-        block's first row (the pick is then the previous block's last
-        row) or nowhere.
-        """
-        monkeypatch.setattr("repro.dvfs.deadline.PREFIX_BLOCK_ELEMENTS",
-                            elements)
-        reached = match_reference(tables, "engine", seed=elements)
-        assert {"prefix-none", "prefix-partial",
-                "prefix-full"} <= reached[False]
-
     def test_row_sums_are_one_dimensional_sums(self):
-        # Candidate totals are row sums of a C-contiguous block; they
-        # must reduce exactly like one candidate's own 1-D sum().
+        # A row sum of a C-contiguous block reduces exactly like the
+        # row's own 1-D sum(), so pairwise_sum matches both.
         rng = np.random.default_rng(3)
         for n in [*range(300), 511, 512, 513, 1024, 2049, 4097]:
             block = rng.uniform(0.0, 5e6, size=(4, n))
@@ -541,6 +537,163 @@ class TestOnePassMatchesReference:
             each = np.array([row.sum() for row in block])
             assert np.array_equal(rows.view(np.int64),
                                   each.view(np.int64)), n
+
+
+class TestPairwiseSum:
+    """The planner's totals add in NumPy's float64 order, to the bit.
+
+    Fails on a NumPy whose ``add.reduce`` changes its summation order.
+    """
+
+    def test_matches_add_reduce(self):
+        rng = np.random.default_rng(11)
+        for n in [*range(300), 511, 512, 513, 1024, 2049, 4097]:
+            # Mixed signs over 24 decades, with signed zeros.
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(
+                -12, 12, size=n)
+            values[rng.random(n) < 0.1] = -0.0
+            values[rng.random(n) < 0.05] = 0.0
+            for case in (values, np.full(n, -0.0)):
+                want = np.add.reduce(case)
+                got = np.float64(pairwise_sum(case.tolist()))
+                assert got.view(np.int64) == want.view(np.int64), n
+
+
+class TestPlannerInputs:
+    """``rail_front_ns`` at code 0 is the front time ``elapsed_ns``."""
+
+    @pytest.fixture()
+    def inputs(self, tables):
+        remaining = np.array([4, 2, 6], dtype=np.float64) \
+            * tables.layer_cycles
+        front = tables.embed_time_ns + tables.layer_time_ns
+        return DvfsController(), remaining, front, rail_kwargs(tables,
+                                                               remaining)
+
+    @pytest.mark.parametrize("deadline_ms", [0.0, 40.0])
+    def test_shared_front_must_start_at_elapsed(self, inputs, deadline_ms):
+        controller, remaining, front, kwargs = inputs
+        budget = DeadlineBudget.from_ms(deadline_ms, RELAXED_MS)
+        controller.plan_batch_deadline(remaining, budget, front, **kwargs)
+        kwargs["rail_front_ns"] = kwargs["rail_front_ns"].copy()
+        kwargs["rail_front_ns"][0] *= 1.5
+        with pytest.raises(DvfsError, match="code 0"):
+            controller.plan_batch_deadline(remaining, budget, front,
+                                           **kwargs)
+
+    def test_per_sentence_fronts_must_start_at_elapsed(self, inputs):
+        controller, remaining, front, kwargs = inputs
+        elapsed = front * np.array([0.9, 1.0, 1.1])
+        fronts = np.tile(kwargs["rail_front_ns"], (remaining.size, 1))
+        fronts[:, 0] = elapsed
+        budget = DeadlineBudget.from_ms(40.0, RELAXED_MS)
+        controller.plan_batch_deadline(
+            remaining, budget, elapsed,
+            rail_layer_ns=kwargs["rail_layer_ns"], rail_front_ns=fronts)
+        fronts[2, 0] = front
+        with pytest.raises(DvfsError, match="code 0"):
+            controller.plan_batch_deadline(
+                remaining, budget, elapsed,
+                rail_layer_ns=kwargs["rail_layer_ns"],
+                rail_front_ns=fronts)
+        # One scalar front time against per-sentence fronts.
+        with pytest.raises(DvfsError, match="code 0"):
+            controller.plan_batch_deadline(
+                remaining, budget, front,
+                rail_layer_ns=kwargs["rail_layer_ns"],
+                rail_front_ns=fronts)
+
+    def test_list_inputs_plan_like_arrays(self, inputs):
+        controller, remaining, front, kwargs = inputs
+        for deadline_ms in (0.0, 8.0, 40.0):
+            budget = DeadlineBudget.from_ms(deadline_ms, 3.0)
+            assert_same_plan(
+                controller.plan_batch_deadline(
+                    remaining.tolist(), budget, front,
+                    **{name: value.tolist()
+                       for name, value in kwargs.items()}),
+                controller.plan_batch_deadline(remaining, budget, front,
+                                               **kwargs))
+
+
+class TestPrefixSweep:
+    """The prefix sweep stops where the loop reference stops.
+
+    Per-sentence rows straddle :data:`LEVEL`: prefix ``j`` lowers
+    sentences ``0..j`` to ``LEVEL - 1``, so a sentence whose row is
+    already there or lower lowers to itself and its prefix repeats the
+    previous candidate. Budgets sit on the level total and on each
+    prefix total, so the first overrun lands on prefix 0, after each
+    prefix, and nowhere.
+    """
+
+    CEILINGS = (7, 2, 7, 7, 1, 1, 7, 3, 7, 6)
+    LEVEL = 4
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        controller = DvfsController()
+        freqs = controller.table.frequencies
+        front, slack = 4e3, 1e6
+        # A request midway between two rows plans the upper one.
+        middle = np.concatenate(([freqs[0] / 2],
+                                 (freqs[1:] + freqs[:-1]) / 2))
+        remaining = middle[list(self.CEILINGS)] * slack
+        target = front + slack
+        base = controller.plan_batch(remaining, target, front)
+        assert base.table_index.tolist() == list(self.CEILINGS)
+        return controller, remaining, front, target
+
+    def totals(self, batch):
+        """The level total and every prefix total, from the reference."""
+        controller, remaining, front, target = batch
+        trace = {}
+        reference_plan(controller, remaining, DeadlineBudget(1e18, target),
+                       front, trace=trace)
+        sched, ceiling = trace["schedule"], trace["base_eff"]
+        n, level = remaining.size, self.LEVEL
+
+        def total(rows):
+            return sched.evaluate(np.asarray(rows), ceiling)["total_ns"]
+
+        prefixes = [total(np.where(np.arange(n) <= j, level - 1, level))
+                    for j in range(n - 1)]
+        return total(np.full(n, level)), prefixes
+
+    def test_first_overrun_anywhere(self, batch):
+        controller, remaining, front, target = batch
+        level_total, prefixes = self.totals(batch)
+        kept = []
+        for deadline_ns in (level_total, *prefixes):
+            budget = DeadlineBudget(deadline_ns, target)
+            trace = {}
+            ref = reference_plan(controller, remaining, budget, front,
+                                 trace=trace)
+            assert_same_plan(plan_batch_deadline(controller, remaining,
+                                                 budget, front), ref)
+            assert trace["level"] == self.LEVEL
+            kept.append(trace["prefix"])
+        # Each budget keeps the prefixes up to its own, then runs on
+        # through the ones that repeat it: rows at or below the lower
+        # row (sentences 1, 4, 5 and 7) lower to themselves.
+        repeats = [row < self.LEVEL for row in self.CEILINGS]
+        expected = [0]
+        for j in range(len(prefixes)):
+            length = j + 1
+            while length < len(prefixes) and repeats[length]:
+                length += 1
+            expected.append(length)
+        assert kept == expected
+        assert kept[0] == 0 and kept[-1] == len(prefixes)
+        assert any(0 < length < len(prefixes) for length in kept)
+
+    def test_repeated_candidates_keep_their_total(self, batch):
+        _, prefixes = self.totals(batch)
+        for j, row in enumerate(self.CEILINGS[:-1]):
+            if j and row < self.LEVEL:
+                assert prefixes[j] == prefixes[j - 1]
+            elif j:
+                assert prefixes[j] > prefixes[j - 1]
 
 
 def test_smoke_target():

@@ -68,12 +68,20 @@ class TestPriceBatch:
         assert dead.total_latency_ms <= batch_deadline_ms(batch) + 1e-9
 
     def test_zero_budget_reproduces_per_sentence(self, registry):
-        profile = registry.profile("sst2")
-        batch = make_batch(n=8, target_ms=60.0)
-        per = price_batch(profile, batch, "lai")
-        dead = price_batch(profile, batch, "lai", deadline_ms=0.0)
-        for a, b in zip(per.results, dead.results):
-            assert a == b
+        # Also at a target that lifts per-sentence rows off the table
+        # floor, and with members that exit at layer 1, whose rows the
+        # per-sentence kernel plans but never reads.
+        plain = registry.profile("sst2")
+        for profile in (plain, with_layer1_exits(plain)):
+            for target_ms in (60.0, 2.0):
+                batch = make_batch(n=8, target_ms=target_ms)
+                per = price_batch(profile, batch, "lai")
+                dead = price_batch(profile, batch, "lai", deadline_ms=0.0)
+                assert len(dead.results) == 8
+                for a, b in zip(per.results, dead.results):
+                    assert a == b
+            exits = [r.exit_layer == 1 for r in per.results]
+            assert any(exits) == (profile is not plain)
 
     def test_negative_budget_clamps(self, registry):
         profile = registry.profile("sst2")
